@@ -94,10 +94,6 @@ class BoundParams:
     t: float = math.log(100.0)
     tau_list: tuple[float, ...] | None = None
     n_tilde: float | None = None
-    rate: float = 1.0
-    # sup_x kappa(x, x) bound of the kernel assumption; recorded for report
-    # provenance only, no closed-form formula consumes it
-    kernel_sup_bound: float | None = None
 
     def __post_init__(self):
         if self.K < 1 or len(self.m_list) != self.K or len(self.chi_list) != self.K:
@@ -166,8 +162,9 @@ def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
     Candidate value at cut d is
         sum_k [ (d / m_bar^2) chi_k/(K m_k) + m_tilde sqrt(chi_k/(K m_k) tail(d)) ].
     experiment_mode applies the pair-transformed report convention: the
-    whole minimum is doubled and the integer cut grid is capped at
-    min(D, K) * rate (d_max); otherwise the grid spans 0..len(spectrum).
+    whole minimum is doubled.  The integer cut grid spans 0..len(spectrum),
+    capped at d_max when the caller supplies one (report_bounds passes
+    min(D, K) * rate).
     """
     tails = spectrum.tail_sums()
     hi = tails.size - 1

@@ -305,14 +305,13 @@ def cmd_rstar_linear(cfg):
         taus = _float_list(cfg["tau"])
         params = bnd.BoundParams.pair_transformed(
             taus, float(cfg["n"]), m_tilde=float(cfg["mtilde"]),
-            m_bar=float(cfg["mbar"]), rate=float(cfg["rate"]))
+            m_bar=float(cfg["mbar"]))
     else:
         _require(cfg, "chi", "m")
         chi = _float_list(cfg["chi"])
         m = _float_list(cfg["m"])
         params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                                 m_tilde=float(cfg["mtilde"]), m_bar=float(cfg["mbar"]),
-                                 rate=float(cfg["rate"]))
+                                 m_tilde=float(cfg["mtilde"]), m_bar=float(cfg["mbar"]))
     d_max = None
     if cfg.get("d_max") is not None:
         d_max = int(cfg["d_max"])
@@ -506,11 +505,10 @@ def build_parser():
     spl.add_argument("--m")
     spl.add_argument("--tau")
     spl.add_argument("--n", type=float)
-    spl.add_argument("--rate", type=float)
     spl.add_argument("--d-max", type=int, dest="d_max")
     spl.add_argument("--experiment-mode", dest="experiment_mode")
     spl.set_defaults(func=cmd_rstar_linear, defaults={
-        "mtilde": 1.0, "mbar": 1.0, "rate": 1.0, "experiment_mode": "false",
+        "mtilde": 1.0, "mbar": 1.0, "experiment_mode": "false",
     })
 
     sp = sub.add_parser("experiment", help="full Macro-AUC bound comparison")

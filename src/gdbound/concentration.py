@@ -35,11 +35,6 @@ def phi(x: float) -> float:
     return (1.0 + x) * math.log1p(x) - x
 
 
-def psi(x: float) -> float:
-    """psi(x) = exp(-x) + x - 1."""
-    return math.expm1(-x) + x
-
-
 @dataclass(frozen=True)
 class TailBoundInput:
     """Parameter bundle for the multi-graph tail bounds.
@@ -121,21 +116,6 @@ class TailBoundInput:
                 raise InvariantError("U >= W must hold")
 
 
-@dataclass(frozen=True)
-class DeviationCertificate:
-    """A deviation d with P(Z >= E[Z] + d) <= exp(-t) under the named form."""
-
-    t: float
-    deviation: float
-    form: str
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError("confidence exponent t must be > 0")
-        if self.deviation <= 0:
-            raise DomainError("deviation must be > 0")
-
-
 def _check_t(t):
     if t <= 0:
         raise DomainError(f"t must be > 0, got {t}")
@@ -188,11 +168,6 @@ def bennett_lower_tail(inp: TailBoundInput, t: float) -> float:
     _check_t(t)
     v, W = inp.v, inp.W
     return math.exp(-(v / W) * phi(4.0 * t / (5.0 * v)))
-
-
-def two_sided(p_one_sided: float) -> float:
-    """Union-bound two-sided probability, clipped at 1."""
-    return min(1.0, 2.0 * p_one_sided)
 
 
 def talagrand_v(sigma_sq_blocks, EZ: float) -> float:

@@ -363,9 +363,9 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
         raise UndefinedMetricError("every label degenerate; no bound to report")
     params = BoundParams.pair_transformed(
         taus, dataset.n_samples,
-        m_tilde=ranker.m_tilde, m_bar=ranker.m_bar, mu=1.0, B=1.0, t=t, rate=rate,
+        m_tilde=ranker.m_tilde, m_bar=ranker.m_bar, mu=1.0, B=1.0, t=t,
     )
-    spectrum = spectrum_from_weights(ranker.weights[kept] if kept else ranker.weights)
+    spectrum = spectrum_from_weights(ranker.weights[kept])
     d_max = int(min(dataset.n_features, len(kept)) * rate)
     r_star, d_star = rstar_linear(spectrum, params, experiment_mode=True, d_max=d_max)
     ours = bound_ours_macroauc(r_star, params)

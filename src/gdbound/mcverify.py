@@ -7,13 +7,19 @@ sum of m independent base draws (edgeless dependency graph, chi_f = 1); a
 bounded pair variable g(u_p, w_q) per (positive, negative) pair, and sums
 them, which realizes the rook dependency graph with chi_f =
 max(n_pos, n_neg).  All summands are bounded so the unit increment
-condition behind the tail bounds holds, and the (v, sigma^2, W, U) bundle
-is available in closed form for the uniform and two-point bases.
+condition behind the tail bounds holds.
+
+One summand is described by a single `SummandLaw` (mean, second moment,
+range) derived from the base and the kernel; the (v, sigma^2, W, U)
+bundle, the almost-sure bound b = hi and the Talagrand amplitude are all
+read from it.
 
 Reproducibility: trials are simulated in fixed-size batches; batch i uses
-the i-th child stream of numpy's SeedSequence(master_seed).  Aggregation
-over batches is order-independent, so batches could run concurrently
-without changing any reported number.
+the i-th child stream of numpy's SeedSequence(master_seed).  Every draw
+goes through one batch loop that reduces each batch before drawing the
+next, so only one batch of summands is held in memory.  Aggregation over
+batches is order-independent, so batches could run concurrently without
+changing any reported number.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ class DependentSampler:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         if self.k_tasks < 1:
             raise ConfigError("k_tasks must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def config_dict(self):
         return {
@@ -95,44 +103,39 @@ class DependentSampler:
         }
 
 
-def _base_moments(sampler):
-    """(mean, second moment, sup) of one base draw."""
+@dataclass(frozen=True)
+class SummandLaw:
+    """Mean, second moment and almost-sure range [lo, hi] of one bounded
+    variable; hi is the bound b of the tail-bound bundle."""
+
+    mean: float
+    e2: float
+    lo: float
+    hi: float
+
+
+def _base_law(sampler):
     if sampler.base == "uniform":
-        return 0.5, 1.0 / 3.0, 1.0
+        return SummandLaw(0.5, 1.0 / 3.0, 0.0, 1.0)
     p, lo, hi = sampler.base_p, sampler.base_lo, sampler.base_hi
-    mean = lo + (hi - lo) * p
-    e2 = lo * lo * (1.0 - p) + hi * hi * p
-    return mean, e2, hi
+    return SummandLaw(lo + (hi - lo) * p, lo * lo * (1.0 - p) + hi * hi * p, lo, hi)
 
 
-def _base_range(sampler):
-    if sampler.base == "uniform":
-        return 0.0, 1.0
-    return sampler.base_lo, sampler.base_hi
-
-
-def _kernel_moments(sampler):
-    """(E[g], E[g^2], sup g) of one pair variable."""
-    mean, e2, _ = _base_moments(sampler)
-    lo, hi = _base_range(sampler)
-    var = e2 - mean**2
-    if sampler.kernel == "product":
-        return mean**2, e2**2, hi * hi
-    if sampler.kernel == "centered_product":
-        sup = max((hi - mean) ** 2, (mean - lo) ** 2)
-        return 0.0, var**2, sup
-    # mean kernel (u + w) / 2
-    return mean, (e2 + mean**2) / 2.0, hi
-
-
-def _summand_moments(sampler):
-    """(E, E^2-moment, b) of one summand (iid summand or pair variable)."""
+def _summand_law(sampler) -> SummandLaw:
+    """Law of one summand: an iid draw, or one pair variable g(u, w)."""
+    base = _base_law(sampler)
+    mean, e2, lo, hi = base.mean, base.e2, base.lo, base.hi
     if sampler.structure == "iid_blocks":
-        mean, e2, sup = _base_moments(sampler)
         if sampler.centered:
-            return 0.0, e2 - mean**2, sup - mean
-        return mean, e2, sup
-    return _kernel_moments(sampler)
+            return SummandLaw(0.0, e2 - mean**2, lo - mean, hi - mean)
+        return base
+    if sampler.kernel == "product":
+        return SummandLaw(mean**2, e2**2, lo * lo, hi * hi)
+    if sampler.kernel == "centered_product":
+        return SummandLaw(0.0, (e2 - mean**2) ** 2, -(hi - mean) * (mean - lo),
+                          max((hi - mean) ** 2, (mean - lo) ** 2))
+    # mean kernel (u + w) / 2
+    return SummandLaw(mean, (e2 + mean**2) / 2.0, lo, hi)
 
 
 def _task_shape(sampler):
@@ -144,25 +147,29 @@ def _task_shape(sampler):
     return n_classes, size, sampler.n_pos * sampler.n_neg, float(n_classes)
 
 
-def analytic_input(sampler) -> TailBoundInput:
-    """Closed-form (v, sigma^2, W, U) bundle for the declared distribution."""
-    mean_g, e2_g, b = _summand_moments(sampler)
+def _bundle(sampler, mean, e2):
+    """(v, sigma^2, W, U) bundle for summands with the given mean and second
+    moment; the almost-sure bound b is structural (it cannot be estimated)."""
+    b = _summand_law(sampler).hi
     n_classes, size, n_summands, chi = _task_shape(sampler)
-    ez_class = size * mean_g
-    s_class = size * e2_g
-    v_class = (1.0 + b) * ez_class + s_class
-    task_blocks = tuple((1.0, v_class) for _ in range(n_classes))
+    v_class = (1.0 + b) * (size * mean) + size * e2
     return TailBoundInput(
         b=b,
-        EZ=sampler.k_tasks * n_summands * mean_g,
-        sigma_sq=sampler.k_tasks * n_summands * e2_g,
+        EZ=sampler.k_tasks * n_summands * mean,
+        sigma_sq=sampler.k_tasks * n_summands * e2,
         chi_list=(chi,) * sampler.k_tasks,
-        blocks=(task_blocks,) * sampler.k_tasks,
+        blocks=(tuple((1.0, v_class) for _ in range(n_classes)),) * sampler.k_tasks,
     )
 
 
-def _batch_streams(seed, n_batches):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_batches)]
+def analytic_input(sampler) -> TailBoundInput:
+    """Closed-form (v, sigma^2, W, U) bundle for the declared distribution."""
+    law = _summand_law(sampler)
+    return _bundle(sampler, law.mean, law.e2)
+
+
+def _n_batches(n_trials):
+    return (n_trials + BATCH - 1) // BATCH
 
 
 def _draw_base(rng, sampler, shape):
@@ -172,67 +179,54 @@ def _draw_base(rng, sampler, shape):
     return lo + (hi - lo) * (rng.random(shape) < sampler.base_p)
 
 
-def _pair_values(sampler, u, w):
-    mean, _, _ = _base_moments(sampler)
+def _draw_summands(rng, sampler, base_mean, size):
+    """(size, K, m) iid summands or (size, K, n_pos, n_neg) pair values."""
+    shape = (size, sampler.k_tasks)
+    if sampler.structure == "iid_blocks":
+        draws = _draw_base(rng, sampler, shape + (sampler.m,))
+        return draws - base_mean if sampler.centered else draws
+    u = _draw_base(rng, sampler, shape + (sampler.n_pos,))[..., :, None]
+    w = _draw_base(rng, sampler, shape + (sampler.n_neg,))[..., None, :]
     if sampler.kernel == "product":
-        return u[..., :, None] * w[..., None, :]
+        return u * w
     if sampler.kernel == "centered_product":
-        return (u[..., :, None] - mean) * (w[..., None, :] - mean)
-    return 0.5 * (u[..., :, None] + w[..., None, :])
+        return (u - base_mean) * (w - base_mean)
+    return 0.5 * (u + w)
+
+
+def _reduce_batches(sampler, n_trials, stream_offset, reduce):
+    """[reduce(summands of batch i)] over the batches of n_trials trials;
+    batch i draws from child stream stream_offset + i.  Each batch is
+    reduced before the next is drawn, so one batch tensor is alive."""
+    seqs = np.random.SeedSequence(sampler.seed).spawn(stream_offset + _n_batches(n_trials))
+    base_mean = _base_law(sampler).mean
+    return [reduce(_draw_summands(np.random.default_rng(seq), sampler, base_mean,
+                                  min(BATCH, n_trials - i * BATCH)))
+            for i, seq in enumerate(seqs[stream_offset:])]
 
 
 def _simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
     """Z realizations; sup_mode replaces each task sum by the supremum of
     the two-function centered class {+f, -f} (|centered task sum| / amp)."""
-    mean_g, e2_g, _ = _summand_moments(sampler)
+    if n_trials < 1:
+        raise DomainError("n_trials must be >= 1")
     if sup_mode:
-        amp = _sup_amp(sampler)
-    n_batches = (n_trials + BATCH - 1) // BATCH
-    streams = _batch_streams(sampler.seed, stream_offset + n_batches)[stream_offset:]
-    out = np.empty(n_trials)
-    done = 0
-    for rng in streams:
-        size = min(BATCH, n_trials - done)
-        if sampler.structure == "iid_blocks":
-            draws = _draw_base(rng, sampler, (size, sampler.k_tasks, sampler.m))
-            if sampler.centered:
-                base_mean, _, _ = _base_moments(sampler)
-                draws = draws - base_mean
-            task_sums = draws.sum(axis=2)
-        else:
-            u = _draw_base(rng, sampler, (size, sampler.k_tasks, sampler.n_pos))
-            w = _draw_base(rng, sampler, (size, sampler.k_tasks, sampler.n_neg))
-            task_sums = _pair_values(sampler, u, w).sum(axis=(2, 3))
+        law = _summand_law(sampler)
+        amp = _sup_amp(law)
+        shift = _task_shape(sampler)[2] * law.mean
+
+    def reduce(vals):
+        task_sums = vals.sum(axis=tuple(range(2, vals.ndim)))
         if sup_mode:
-            _, _, n_summands, _ = _task_shape(sampler)
-            centered = task_sums - n_summands * mean_g
-            task_sums = np.abs(centered) / amp
-        out[done:done + size] = task_sums.sum(axis=1)
-        done += size
-    return out
+            task_sums = np.abs(task_sums - shift) / amp
+        return task_sums.sum(axis=1)
+
+    return np.concatenate(_reduce_batches(sampler, n_trials, stream_offset, reduce))
 
 
-def _summand_range(sampler):
-    """(lo, hi) range of one summand."""
-    mean, _, _ = _base_moments(sampler)
-    b_lo, b_hi = _base_range(sampler)
-    if sampler.structure == "iid_blocks":
-        if sampler.centered:
-            return b_lo - mean, b_hi - mean
-        return b_lo, b_hi
-    if sampler.kernel == "product":
-        return b_lo * b_lo, b_hi * b_hi
-    if sampler.kernel == "centered_product":
-        return (-(b_hi - mean) * (mean - b_lo),
-                max((b_hi - mean) ** 2, (mean - b_lo) ** 2))
-    return b_lo, b_hi
-
-
-def _sup_amp(sampler):
+def _sup_amp(law):
     """sup |summand - E[summand]|, the scaling putting the class in [-1, 1]."""
-    mean_g, _, _ = _summand_moments(sampler)
-    lo, hi = _summand_range(sampler)
-    amp = max(hi - mean_g, mean_g - lo)
+    amp = max(law.hi - law.mean, law.mean - law.lo)
     if amp <= 0.0:
         raise ModeError("degenerate summand: supremum class has no spread")
     return amp
@@ -254,60 +248,28 @@ def sample_Z(sampler: DependentSampler, n_trials: int,
     calibration run one tenth the size (separate seed stream) and is
     labeled as such in the result.
     """
-    if n_trials < 1:
-        raise DomainError("n_trials must be >= 1")
     if moments not in ("analytic", "plugin"):
         raise ConfigError(f"unknown moments mode {moments!r}")
     z = _simulate(sampler, n_trials)
     if moments == "analytic":
         return SampleResult(z=z, inp=analytic_input(sampler), moments_mode="analytic")
     n_cal = max(1000, n_trials // 10)
-    main_batches = (n_trials + BATCH - 1) // BATCH
-    mean_hat, e2_hat = _calibrate(sampler, n_cal, stream_offset=main_batches)
-    inp = _plugin_input(sampler, mean_hat, e2_hat)
+    mean_hat, e2_hat = _calibrate(sampler, n_cal, stream_offset=_n_batches(n_trials))
+    inp = _bundle(sampler, mean_hat, max(e2_hat, mean_hat**2))
     return SampleResult(z=z, inp=inp, moments_mode="plugin")
 
 
 def _calibrate(sampler, n_cal, stream_offset):
     """Pooled empirical (mean, second moment) of one summand, from a
     calibration run on separate seed streams."""
-    n_batches = (n_cal + BATCH - 1) // BATCH
-    streams = _batch_streams(sampler.seed, stream_offset + n_batches)[stream_offset:]
     s1, s2, count = 0.0, 0.0, 0
-    done = 0
-    for rng in streams:
-        size = min(BATCH, n_cal - done)
-        if sampler.structure == "iid_blocks":
-            vals = _draw_base(rng, sampler, (size, sampler.k_tasks, sampler.m))
-            if sampler.centered:
-                base_mean, _, _ = _base_moments(sampler)
-                vals = vals - base_mean
-        else:
-            u = _draw_base(rng, sampler, (size, sampler.k_tasks, sampler.n_pos))
-            w = _draw_base(rng, sampler, (size, sampler.k_tasks, sampler.n_neg))
-            vals = _pair_values(sampler, u, w)
-        s1 += float(vals.sum())
-        s2 += float((vals**2).sum())
-        count += vals.size
-        done += size
+    for b1, b2, n in _reduce_batches(
+            sampler, n_cal, stream_offset,
+            lambda vals: (float(vals.sum()), float((vals**2).sum()), vals.size)):
+        s1 += b1
+        s2 += b2
+        count += n
     return s1 / count, s2 / count
-
-
-def _plugin_input(sampler, mean_hat, e2_hat):
-    """Bundle with the summand moments replaced by calibration estimates;
-    the almost-sure bound b stays structural (it cannot be estimated)."""
-    _, _, b = _summand_moments(sampler)
-    n_classes, size, n_summands, chi = _task_shape(sampler)
-    e2_hat = max(e2_hat, mean_hat**2)
-    ez_class = size * mean_hat
-    v_class = (1.0 + b) * ez_class + size * e2_hat
-    return TailBoundInput(
-        b=b,
-        EZ=sampler.k_tasks * n_summands * mean_hat,
-        sigma_sq=sampler.k_tasks * n_summands * e2_hat,
-        chi_list=(chi,) * sampler.k_tasks,
-        blocks=(tuple((1.0, v_class) for _ in range(n_classes)),) * sampler.k_tasks,
-    )
 
 
 def empirical_tail(samples, threshold: float):
@@ -362,40 +324,20 @@ class TailReport:
         return "\n".join(lines)
 
 
-def _bound_at(inequality, inp, t, v_override=None):
+def _bound_at(inequality, inp, t):
     """Probability-form bound at deviation t for the chosen inequality."""
-    if v_override is None:
-        work = inp
-    else:
-        # fault-injection knob for harness self-tests: replace v, keep structure
-        sigma_fake = v_override - (1.0 + inp.b) * inp.EZ
-        if sigma_fake < 0:
-            raise DomainError("v override smaller than (1+b)E[Z]")
-        scale = v_override / inp.v
-        blocks = None
-        if inp.blocks is not None:
-            blocks = tuple(
-                tuple((w, vk * scale) for w, vk in task) for task in inp.blocks
-            )
-        work = TailBoundInput(b=inp.b, EZ=inp.EZ, sigma_sq=sigma_fake,
-                              chi_list=inp.chi_list, blocks=blocks)
     if inequality == "bennett_general":
-        p_tight, _ = conc.bennett_tail_general(work, t)
-        return p_tight
+        return conc.bennett_tail_general(inp, t)[0]
     if inequality == "bennett_refined":
-        return conc.bennett_tail_refined(work, t)
+        return conc.bennett_tail_refined(inp, t)
     if inequality == "lower_tail":
-        return conc.bennett_lower_tail(work, t)
-    if inequality == "talagrand":
-        _, p_simple = conc.bennett_tail_general(work, t)
-        return p_simple
-    raise ConfigError(f"unknown inequality {inequality!r}")
+        return conc.bennett_lower_tail(inp, t)
+    return conc.bennett_tail_general(inp, t)[1]  # talagrand: the simple form
 
 
 def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
                       n_trials: int, form: str = "probability",
-                      moments: str = "analytic",
-                      v_override: float | None = None) -> TailReport:
+                      moments: str = "analytic") -> TailReport:
     """Compare empirical tails against one inequality over a t grid.
 
     form='probability' checks P(Z >= E[Z] + t) (or <= E[Z] - t for the
@@ -409,13 +351,14 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         raise ConfigError(f"unknown inequality {inequality!r}; choose from {INEQUALITIES}")
     if form not in ("probability", "deviation"):
         raise ConfigError(f"unknown form {form!r}")
+    if not all(math.isfinite(t) and t >= 0 for t in t_grid):
+        raise DomainError("t grid entries must be finite and >= 0")
 
     if inequality == "talagrand":
         z = _simulate(sampler, n_trials, sup_mode=True)
         n_cal = max(1000, n_trials // 10)
-        main_batches = (n_trials + BATCH - 1) // BATCH
         ez = float(_simulate(sampler, n_cal, sup_mode=True,
-                             stream_offset=main_batches).mean())
+                             stream_offset=_n_batches(n_trials)).mean())
         inp = _talagrand_input(sampler, ez)
         moments_mode = "plugin"
     else:
@@ -424,7 +367,6 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         if not inp.unit_weights and inequality == "bennett_refined":
             raise ModeError("refined mode requires unit cover weights")
 
-    v = inp.v if v_override is None else v_override
     if inequality == "bennett_refined":
         c_dev = conc.refined_bernstein_constant(inp.chi_list)
     else:
@@ -436,8 +378,6 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
     )
     lower = inequality == "lower_tail"
     for t in t_grid:
-        if t < 0:
-            raise DomainError("t grid entries must be >= 0")
         if t == 0.0:
             row = {"t": 0.0, "threshold": inp.EZ, "empirical": 1.0,
                    "stderr": 0.0, "bound": 1.0, "violation": False}
@@ -445,14 +385,13 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
             continue
         if form == "probability":
             dev = t
-            bound = _bound_at(inequality, inp, t, v_override=v_override)
+            bound = _bound_at(inequality, inp, t)
         else:
-            dev = conc.bernstein_deviation(c_dev, v, t)
+            dev = conc.bernstein_deviation(c_dev, inp.v, t)
             bound = math.exp(-t)
         if lower:
             threshold = inp.EZ - dev
-            freq = float((z <= threshold).mean())
-            stderr = math.sqrt(freq * (1.0 - freq) / z.size)
+            freq, stderr = empirical_tail(-z, -threshold)
         else:
             threshold = inp.EZ + dev
             freq, stderr = empirical_tail(z, threshold)
@@ -465,17 +404,16 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
 
 
 def _talagrand_input(sampler, ez_estimate):
-    """Bundle for the supremum process: v = sum w sigma_kj^2 + 2 E[Z]."""
-    if ez_estimate < 0:
-        ez_estimate = 0.0
-    mean_g, e2_g, _ = _summand_moments(sampler)
-    amp = _sup_amp(sampler)
-    f_second = (e2_g - mean_g**2) / amp**2  # sup_f E[f^2] per summand
+    """Bundle for the supremum process: v = sum w sigma_kj^2 + 2 E[Z].
+
+    The class is scaled into [-1, 1], so b = 1 is its envelope and
+    (1 + b) E[Z] + sigma^2 is the Talagrand v with sigma^2 = sum over the
+    unit-weight classes of size * sup_f E[f^2]."""
+    law = _summand_law(sampler)
+    f_second = (law.e2 - law.mean**2) / _sup_amp(law) ** 2  # sup_f E[f^2] per summand
     n_classes, size, _, chi = _task_shape(sampler)
-    sigma_blocks = (tuple((1.0, size * f_second) for _ in range(n_classes)),) * sampler.k_tasks
-    v = conc.talagrand_v(sigma_blocks, ez_estimate)
-    # Reuse TailBoundInput plumbing: encode v via EZ = E[Z], b = 1 and a
-    # sigma^2 making (1+b)EZ + sigma^2 equal the Talagrand v.
-    sigma_sq = v - 2.0 * ez_estimate
+    sigma_sq = 0.0  # sum_kj w_kj sigma_kj^2, block by block: a product moves v by ulps
+    for _ in range(sampler.k_tasks * n_classes):
+        sigma_sq += size * f_second
     return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=sigma_sq,
                           chi_list=(chi,) * sampler.k_tasks, blocks=None)

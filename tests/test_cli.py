@@ -126,6 +126,14 @@ class TestVerifyCommand:
                               "--ineq", "bennett_general", "--trials", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--t-grid", "nan"),
+                                            ("--t-grid", "1,inf")])
+    def test_bad_seed_or_t_grid_exit_2(self, flag, value):
+        code, out, err = run_cli(["verify", "--structure", "bipartite:3,2", "--ineq",
+                                  "bennett_general", "--trials", "1000", flag, value])
+        assert code == 2
+        assert "error:" in err and "nan" not in out
+
     def test_bad_structure_exit_2(self):
         code, _, _ = run_cli(["verify", "--structure", "ring:4", "--ineq",
                               "bennett_general", "--trials", "100"])

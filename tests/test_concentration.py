@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gdbound.concentration import (
-    DeviationCertificate,
     TailBoundInput,
     bennett_lower_tail,
     bennett_tail_general,
@@ -12,10 +11,8 @@ from gdbound.concentration import (
     bernstein_deviation,
     general_bernstein_constant,
     phi,
-    psi,
     refined_bernstein_constant,
     talagrand_v,
-    two_sided,
 )
 from gdbound.errors import DomainError, InvariantError, ModeError
 
@@ -61,13 +58,6 @@ class TestPhiPsi:
     def test_phi_domain(self):
         with pytest.raises(DomainError):
             phi(-0.1)
-
-    def test_psi_zero(self):
-        assert psi(0.0) == 0.0
-
-    def test_psi_values(self):
-        assert psi(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert psi(-1.0) == pytest.approx(math.e - 2.0, abs=1e-15)
 
     def test_phi_quadratic_lower_bound(self):
         for x in np.geomspace(1e-8, 1e4, 200):
@@ -215,10 +205,6 @@ class TestLowerTail:
         assert bennett_lower_tail(single_block_input(), 1e-14) == pytest.approx(
             1.0, abs=1e-12)
 
-    def test_two_sided_clipped(self):
-        assert two_sided(0.7) == 1.0
-        assert two_sided(0.2) == pytest.approx(0.4)
-
 
 class TestTalagrandV:
     def test_two_block_example(self):
@@ -237,14 +223,3 @@ class TestTalagrandV:
             talagrand_v([[(1.0, -0.5)]], 0.0)
         with pytest.raises(DomainError):
             talagrand_v([[(1.0, 0.5)]], -1.0)
-
-
-class TestDeviationCertificate:
-    def test_fields_validated(self):
-        cert = DeviationCertificate(t=1.0, deviation=2.0808802290397617,
-                                    form="bernstein")
-        assert cert.form == "bernstein"
-        with pytest.raises(DomainError):
-            DeviationCertificate(t=0.0, deviation=1.0, form="bernstein")
-        with pytest.raises(DomainError):
-            DeviationCertificate(t=1.0, deviation=0.0, form="bernstein")

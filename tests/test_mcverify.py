@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from gdbound import mcverify
+from gdbound.concentration import TailBoundInput
 from gdbound.errors import ConfigError, DomainError
 from gdbound.mcverify import (
     DependentSampler,
@@ -39,6 +43,48 @@ class TestSamplerConfig:
             iid(5, base="gaussian")
         with pytest.raises(ConfigError):
             iid(5, base="two_point", base_p=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError):
+            iid(5, seed=seed)
+
+
+# Hand-derived (mean, e2, lo, hi) of one summand.  The two-point base takes
+# 1 with probability 1/4 and 1/2 otherwise: mean 5/8, e2 7/16, var 3/64.
+TWO_POINT = dict(base="two_point", base_p=0.25, base_lo=0.5, base_hi=1.0)
+SUMMAND_LAWS = {
+    ("iid", "uniform", "raw"): (F(1, 2), F(1, 3), 0, 1),
+    ("iid", "uniform", "centered"): (0, F(1, 12), F(-1, 2), F(1, 2)),
+    ("iid", "two_point", "raw"): (F(5, 8), F(7, 16), F(1, 2), 1),
+    ("iid", "two_point", "centered"): (0, F(3, 64), F(-1, 8), F(3, 8)),
+    ("bip", "uniform", "product"): (F(1, 4), F(1, 9), 0, 1),
+    ("bip", "uniform", "centered_product"): (0, F(1, 144), F(-1, 4), F(1, 4)),
+    ("bip", "uniform", "mean"): (F(1, 2), F(7, 24), 0, 1),
+    ("bip", "two_point", "product"): (F(25, 64), F(49, 256), F(1, 4), 1),
+    ("bip", "two_point", "centered_product"): (0, F(9, 4096), F(-3, 64), F(9, 64)),
+    ("bip", "two_point", "mean"): (F(5, 8), F(53, 128), F(1, 2), 1),
+}
+
+
+@pytest.mark.parametrize("structure,base,kernel,centered", itertools.product(
+    ("iid", "bip"), ("uniform", "two_point"),
+    ("product", "centered_product", "mean"), (False, True)))
+def test_summand_law_table(structure, base, kernel, centered):
+    # iid summands ignore the kernel; pair variables ignore `centered`
+    base_kw = TWO_POINT if base == "two_point" else {}
+    if structure == "iid":
+        s = iid(4, kernel=kernel, centered=centered, **base_kw)
+        key = (structure, base, "centered" if centered else "raw")
+    else:
+        s = bipartite(3, 2, kernel=kernel, centered=centered, **base_kw)
+        key = (structure, base, kernel)
+    mean, e2, lo, hi = (float(x) for x in SUMMAND_LAWS[key])
+    law = mcverify._summand_law(s)
+    assert (law.mean, law.e2, law.lo, law.hi) == pytest.approx(
+        (mean, e2, lo, hi), rel=1e-14, abs=1e-15)
+    assert analytic_input(s).b == pytest.approx(hi, rel=1e-14)
+    assert mcverify._sup_amp(law) == pytest.approx(max(hi - mean, mean - lo), rel=1e-14)
 
 
 class TestSampleZ:
@@ -171,6 +217,11 @@ class TestVerifyInequality:
         with pytest.raises(DomainError):
             verify_inequality(iid(5), "bennett_general", [-1.0], 100)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_t_rejected(self, bad):
+        with pytest.raises(DomainError):
+            verify_inequality(iid(5), "bennett_general", [1.0, bad], 100)
+
     def test_report_deterministic_bytes(self):
         a = verify_inequality(bipartite(3, 2, seed=5), "bennett_general",
                               [1.0, 2.0], 30000).to_json()
@@ -187,28 +238,43 @@ class TestVerifyInequality:
         assert "threshold" in table and "viol" in table
 
 
+def halve_v(monkeypatch):
+    """Fault injection: the analytic bundle reports half its true v, with
+    sigma^2 and every block v_kj rescaled so the bundle stays consistent."""
+    honest = mcverify.analytic_input
+
+    def broken(sampler):
+        inp = honest(sampler)
+        half = inp.v / 2.0
+        return TailBoundInput(
+            b=inp.b, EZ=inp.EZ, sigma_sq=half - (1.0 + inp.b) * inp.EZ,
+            chi_list=inp.chi_list,
+            blocks=tuple(tuple((w, vk * 0.5) for w, vk in task) for task in inp.blocks))
+
+    monkeypatch.setattr(mcverify, "analytic_input", broken)
+
+
 class TestBrokenBoundDetection:
-    def test_halved_v_flagged_where_bound_is_tight(self):
+    def test_halved_v_flagged_where_bound_is_tight(self, monkeypatch):
         # The refined bound on a centered two-point iid block (W = 1) is
         # exponent-tight in the Gaussian regime, so halving v is detectable.
         s = iid(200, seed=11, base="two_point", base_p=0.5, centered=True)
-        v = analytic_input(s).v
         honest = verify_inequality(s, "bennett_refined", [15.0, 20.0, 25.0],
                                    100000)
         assert honest.violations == []
+        halve_v(monkeypatch)
         broken = verify_inequality(s, "bennett_refined", [15.0, 20.0, 25.0],
-                                   100000, v_override=v / 2.0)
+                                   100000)
         assert len(broken.violations) >= 1
 
-    def test_halved_v_not_detectable_on_loose_bipartite_bound(self):
+    def test_halved_v_not_detectable_on_loose_bipartite_bound(self, monkeypatch):
         # For bipartite(5,4) the probability bound is conservative by a
         # factor that halving v cannot overcome at any observable t; the
         # harness correctly reports no violations rather than false alarms.
         s = bipartite(5, 4, seed=11, kernel="centered_product")
-        v = analytic_input(s).v
+        halve_v(monkeypatch)
         broken = verify_inequality(s, "bennett_general",
-                                   [0.1, 0.25, 0.5, 1.0, 2.0, 4.0], 100000,
-                                   v_override=v / 2.0)
+                                   [0.1, 0.25, 0.5, 1.0, 2.0, 4.0], 100000)
         assert broken.violations == []
 
     def test_no_violations_across_seeded_configs(self):
