@@ -58,9 +58,17 @@ def _path_list(value):
     return list(value)
 
 
+def _read_text(path):
+    """Text of an input file; FormatError (exit 3) names an unreadable one."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
 def read_config_file(path):
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -248,7 +256,7 @@ def cmd_bound(cfg):
 # ---------------------------------------------------------------- lfrc
 
 def _load_matrix(path):
-    return np.loadtxt(path, ndmin=2)
+    return np.loadtxt(_read_text(path).splitlines(), ndmin=2)
 
 
 def cmd_lfrc_estimate(cfg):
@@ -375,7 +383,7 @@ def cmd_experiment(cfg):
 
 def cmd_graph_chi(cfg):
     _require(cfg, "edges")
-    graph = graphdep.DependencyGraph.from_text(Path(cfg["edges"]).read_text())
+    graph = graphdep.DependencyGraph.from_text(_read_text(cfg["edges"]))
     chi, cover = graphdep.chromatic_fractional_exact(graph)
     print(f"chi_f = {_fmt(chi)}")
     _write_or_print(cover.to_text(), cfg.get("out"))
@@ -384,8 +392,8 @@ def cmd_graph_chi(cfg):
 
 def cmd_graph_cover_check(cfg):
     _require(cfg, "edges", "cover")
-    graph = graphdep.DependencyGraph.from_text(Path(cfg["edges"]).read_text())
-    cover = graphdep.FractionalCover.from_text(Path(cfg["cover"]).read_text(), graph)
+    graph = graphdep.DependencyGraph.from_text(_read_text(cfg["edges"]))
+    cover = graphdep.FractionalCover.from_text(_read_text(cfg["cover"]), graph)
     report = graphdep.validate_cover(graph, cover)
     if report.ok:
         print(f"PASS total_weight = {_fmt(cover.total_weight)}")

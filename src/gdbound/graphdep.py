@@ -7,17 +7,21 @@ every vertex v the weights of the classes containing v sum exactly to 1.
 The fractional chromatic number chi_f(G) is the minimum total weight over
 such covers.  The one construction needed in closed form is the
 bipartite-ranking (rook) graph on positive x negative index pairs, whose
-chi_f equals max(n_pos, n_neg).
+chi_f equals max(n_pos, n_neg).  Exact chi_f on small graphs comes from
+the covering LP, solved by scipy's HiGHS; larger graphs get a greedy
+coloring cover.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
-from .errors import DomainError, SizeError, StructuralError
+from .errors import DomainError, ParseError, SizeError, StructuralError
 
 COVER_SUM_TOL = 1e-12  # per-vertex weight sums must hit 1 to this tolerance
 _LP_TOL = 1e-9
@@ -25,15 +29,20 @@ _LP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DependencyGraph:
-    """Undirected simple graph on vertices 0..n-1; edges connect dependent pairs."""
+    """Undirected simple graph on vertices 0..n-1; edges connect dependent pairs.
+
+    `adjacency[v]` is the neighbour set of v, built once from `edges`."""
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
     label: str = ""
+    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.n_vertices < 0:
             raise DomainError("n_vertices must be nonnegative")
+        nbrs: dict[int, list[int]] = {}
         for u, v in self.edges:
             if u == v:
                 raise StructuralError(f"self-loop at vertex {u}")
@@ -41,6 +50,13 @@ class DependencyGraph:
                 raise StructuralError(f"edge ({u},{v}) outside vertex range")
             if u > v:
                 raise StructuralError("edges must be stored as (min, max) pairs")
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        isolated = frozenset()  # shared, so a large edgeless graph stays small
+        object.__setattr__(self, "adjacency", tuple(
+            frozenset(nbrs[v]) if v in nbrs else isolated
+            for v in range(self.n_vertices)
+        ))
 
     @classmethod
     def from_edges(cls, n_vertices, edge_iter, label=""):
@@ -54,24 +70,14 @@ class DependencyGraph:
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self, v):
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return self.adjacency[v]
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        return len(self.adjacency[v])
 
     def is_independent(self, vertices):
-        vs = sorted(vertices)
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                if (u, v) in self.edges:
-                    return False
-        return True
+        vs = set(vertices)
+        return all(self.adjacency[v].isdisjoint(vs) for v in vs)
 
     def to_text(self):
         """Edge-list format: n_vertices on line 1, one `u v` pair per line."""
@@ -81,15 +87,25 @@ class DependencyGraph:
 
     @classmethod
     def from_text(cls, text, label=""):
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        """Parse `to_text` output; ParseError names the first bad line."""
+        rows = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), start=1)
+                if ln.strip()]
+        if not rows:
             raise StructuralError("empty graph text")
-        n = int(lines[0])
-        edges = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
+        (n,) = _ints(rows[0][1], 1, rows[0][0])
+        edges = [_ints(tokens, 2, k) for k, tokens in rows[1:]]
         return cls.from_edges(n, edges, label=label)
+
+
+def _ints(tokens, count, line):
+    """The `count` integer tokens of one input line, or ParseError."""
+    if len(tokens) != count:
+        raise ParseError(f"expected {count} integer(s), got {' '.join(tokens)!r}",
+                         line=line)
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"bad integer in {' '.join(tokens)!r}", line=line) from None
 
 
 @dataclass(frozen=True)
@@ -119,13 +135,23 @@ class FractionalCover:
 
     @classmethod
     def from_text(cls, text, graph):
+        """Parse `to_text` output; ParseError names the first bad line."""
         classes = []
-        for ln in text.splitlines():
+        for k, ln in enumerate(text.splitlines(), start=1):
             if not ln.strip():
                 continue
+            if ":" not in ln:
+                raise ParseError(f"expected `weight: v1 v2 ...`, got {ln!r}", line=k)
             w_part, vs_part = ln.split(":", 1)
-            vs = frozenset(int(v) for v in vs_part.split())
-            classes.append((vs, float(w_part)))
+            try:
+                w = float(w_part)
+            except ValueError:
+                raise ParseError(f"bad weight {w_part.strip()!r}", line=k) from None
+            if not math.isfinite(w):
+                raise ParseError(f"non-finite weight {w_part.strip()!r}", line=k)
+            tokens = vs_part.split()
+            vs = frozenset(_ints(tokens, len(tokens), k))
+            classes.append((vs, w))
         return cls(classes=tuple(classes), graph=graph)
 
 
@@ -201,86 +227,21 @@ def bipartite_ranking_graph(n_pos: int, n_neg: int):
 def maximal_independent_sets(graph: DependencyGraph):
     """All maximal independent sets, by exhaustive subset scan (n <= ~16)."""
     n = graph.n_vertices
-    if n == 0:
-        return []
-    adj_masks = [0] * n
-    for u, v in graph.edges:
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
-    independent = []
+    adj_masks = [sum(1 << u for u in nbrs) for nbrs in graph.adjacency]
+    full, maximal = (1 << n) - 1, []
     for mask in range(1, 1 << n):
-        ok = True
-        m = mask
+        m, reach = mask, mask
         while m:
             v = (m & -m).bit_length() - 1
             if adj_masks[v] & mask:
-                ok = False
                 break
+            reach |= adj_masks[v]
             m &= m - 1
-        if ok:
-            independent.append(mask)
-    indep_set = set(independent)
-    maximal = []
-    for mask in independent:
-        if any(
-            (mask | (1 << v)) in indep_set
-            for v in range(n)
-            if not mask & (1 << v)
-        ):
-            continue
-        maximal.append(frozenset(v for v in range(n) if mask & (1 << v)))
+        else:
+            # independent; maximal when every vertex outside has a neighbour inside
+            if reach == full:
+                maximal.append(frozenset(v for v in range(n) if mask >> v & 1))
     return maximal
-
-
-def _simplex_max(A, b, c):
-    """Solve max c.y  s.t.  A y <= b, y >= 0 with a dense tableau simplex.
-
-    Requires b >= 0 so the slack basis is feasible.  Uses Bland's rule, so
-    it terminates.  Returns (objective, y, duals) where duals are the
-    optimal multipliers of the <= constraints.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    if (b < 0).any():
-        raise ValueError("simplex requires b >= 0")
-    # tableau: [A | I | b] over constraint rows, [-c | 0 | 0] objective row
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = list(range(n, n + m))
-    while True:
-        obj_row = T[m, :n + m]
-        entering = -1
-        for j in range(n + m):
-            if obj_row[j] < -_LP_TOL:
-                entering = j  # Bland: smallest eligible index
-                break
-        if entering < 0:
-            break
-        ratios = []
-        for i in range(m):
-            if T[i, entering] > _LP_TOL:
-                ratios.append((T[i, -1] / T[i, entering], basis[i], i))
-        if not ratios:
-            raise ValueError("LP unbounded")
-        ratios.sort(key=lambda r: (r[0], r[1]))
-        leaving_row = ratios[0][2]
-        piv = T[leaving_row, entering]
-        T[leaving_row] /= piv
-        for i in range(m + 1):
-            if i != leaving_row and abs(T[i, entering]) > 0:
-                T[i] -= T[i, entering] * T[leaving_row]
-        basis[leaving_row] = entering
-    y = np.zeros(n)
-    for i, bv in enumerate(basis):
-        if bv < n:
-            y[bv] = T[i, -1]
-    duals = T[m, n:n + m].copy()
-    return float(T[m, -1]), y, duals
 
 
 def _exactify(classes, n_vertices):
@@ -321,9 +282,10 @@ def chromatic_fractional_exact(graph: DependencyGraph):
     """Exact chi_f via the covering LP over all maximal independent sets.
 
     Solves the dual packing LP (max sum y_v s.t. sum_{v in I} y_v <= 1 per
-    maximal independent set I) with the in-house simplex; the constraint
-    multipliers are optimal cover weights.  Exact mode is limited to 12
-    vertices; larger graphs should use greedy_cover.
+    maximal independent set I) with scipy's HiGHS; the constraint
+    multipliers are optimal cover weights (on a degenerate LP, any optimal
+    cover).  Exact mode is limited to 12 vertices; larger graphs should use
+    greedy_cover.
     """
     n = graph.n_vertices
     if n > 12:
@@ -333,21 +295,18 @@ def chromatic_fractional_exact(graph: DependencyGraph):
     if n == 0:
         return 0.0, FractionalCover(classes=(), graph=graph)
     sets = maximal_independent_sets(graph)
-    A = np.zeros((len(sets), n))
-    for i, s in enumerate(sets):
-        for v in s:
-            A[i, v] = 1.0
-    chi, y, duals = _simplex_max(A, np.ones(len(sets)), np.ones(n))
+    A = np.array([[v in s for v in range(n)] for s in sets], dtype=float)
+    res = linprog(-np.ones(n), A_ub=A, b_ub=np.ones(len(sets)), bounds=(0, None),
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"packing LP not solved: {res.message}")
+    chi, duals = -float(res.fun), -res.ineqlin.marginals
     raw = [(sets[i], duals[i]) for i in range(len(sets)) if duals[i] > _LP_TOL]
     # strong duality sanity check: primal cover weight equals packing optimum
     total = sum(w for _, w in raw)
     if abs(total - chi) > 1e-7 * max(1.0, chi):
         raise RuntimeError(f"LP duality gap: cover weight {total} vs optimum {chi}")
-    coverage = np.zeros(n)
-    for vs, w in raw:
-        for v in vs:
-            coverage[v] += w
-    if (coverage < 1.0 - 1e-7).any():
+    if (A.T @ np.where(duals > _LP_TOL, duals, 0.0) < 1.0 - 1e-7).any():
         raise RuntimeError("LP duals do not cover every vertex")
     cover = FractionalCover(classes=_exactify(raw, n), graph=graph)
     report = validate_cover(graph, cover)
@@ -363,18 +322,18 @@ def greedy_cover(graph: DependencyGraph) -> FractionalCover:
     with the smallest color unused among neighbors; each color class gets
     weight 1.  Total weight is an upper bound on chi_f.
     """
-    n = graph.n_vertices
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    color = {}
+    adj = graph.adjacency
+    order = sorted(range(graph.n_vertices), key=lambda v: (-len(adj[v]), v))
+    color = [-1] * graph.n_vertices  # -1: not colored yet, never a used color
+    members: list[set[int]] = []
     for v in order:
-        used = {color[u] for u in graph.neighbors(v) if u in color}
+        used = {color[u] for u in adj[v]}
         c = 0
         while c in used:
             c += 1
         color[v] = c
-    n_colors = max(color.values()) + 1 if color else 0
-    classes = []
-    for c in range(n_colors):
-        members = frozenset(v for v in range(n) if color[v] == c)
-        classes.append((members, 1.0))
-    return FractionalCover(classes=tuple(classes), graph=graph)
+        if c == len(members):
+            members.append(set())
+        members[c].add(v)
+    return FractionalCover(classes=tuple((frozenset(vs), 1.0) for vs in members),
+                           graph=graph)

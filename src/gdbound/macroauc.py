@@ -68,14 +68,17 @@ def load_dataset(path, fmt: str = "mlsvm") -> MultiLabelDataset:
     """
     if fmt != "mlsvm":
         raise ConfigError(f"unknown dataset format {fmt!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise FormatError("empty dataset file")
-    header = dict(
-        part.split("=", 1) for part in lines[0].replace("#", "").split()
-    )
     try:
+        header = dict(
+            part.split("=", 1) for part in lines[0].replace("#", "").split()
+        )
         n = int(header["samples"])
         d = int(header["features"])
         k = int(header["labels"])

@@ -4,13 +4,16 @@ Each oracle re-derives its target quantity by a different algorithm than
 the library path it checks: projected gradient ascent with Dykstra
 projections for the constrained linear supremum, characteristic-polynomial
 root finding for eigenvalues, plain-loop enumeration for the truncation
-minima, and closed-form quadratics for sub-root fixed points.
+minima, closed-form quadratics for sub-root fixed points, and a greedy
+coloring that rescans the edge list for every neighbourhood.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import brentq
+
+from gdbound.graphdep import FractionalCover
 
 
 def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
@@ -160,3 +163,33 @@ def brute_force_macro_auc(scores, labels):
                     correct += 0.5
         aucs.append(correct / (len(pos) * len(neg)))
     return sum(aucs) / len(aucs)
+
+
+def edge_scan_greedy_cover(graph):
+    """Greedy coloring cover that finds each neighbourhood by scanning every
+    edge (O(V*E)); the reference for the adjacency-based greedy_cover."""
+
+    def neighbors(v):
+        out = set()
+        for a, b in graph.edges:
+            if a == v:
+                out.add(b)
+            elif b == v:
+                out.add(a)
+        return out
+
+    n = graph.n_vertices
+    order = sorted(range(n), key=lambda v: (-len(neighbors(v)), v))
+    color = {}
+    for v in order:
+        used = {color[u] for u in neighbors(v) if u in color}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    n_colors = max(color.values()) + 1 if color else 0
+    classes = []
+    for c in range(n_colors):
+        members = frozenset(v for v in range(n) if color[v] == c)
+        classes.append((members, 1.0))
+    return FractionalCover(classes=tuple(classes), graph=graph)

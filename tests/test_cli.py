@@ -163,6 +163,10 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out2.read_text())["config"]["seed"] == 9
 
+    def test_missing_config_exit_3(self, tmp_path):
+        code, _, err = run_cli(["verify", "--config", str(tmp_path / "absent.cfg")])
+        assert code == 3 and "absent.cfg" in err
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("structure = iid:10\nineq = bennett_refined\n"
@@ -223,6 +227,15 @@ class TestLfrcAndRstarCommands:
         assert code == 0
         assert "r_star = 0.02" in out and "cuts = 2" in out
 
+    @pytest.mark.parametrize("args", [
+        ["lfrc", "estimate", "--features"],
+        ["rstar", "kernel", "--chi", "1", "--m", "100", "--gram"],
+        ["rstar", "linear", "--tau", "0.5", "--n", "100", "--weights"],
+    ])
+    def test_missing_matrix_file_exit_3(self, tmp_path, args):
+        code, _, err = run_cli(args + [str(tmp_path / "absent.txt")])
+        assert code == 3 and "absent.txt" in err
+
     def test_rstar_linear_macro_mode(self, tmp_path):
         w = tmp_path / "w.txt"
         np.savetxt(w, np.zeros((2, 3)))
@@ -257,6 +270,38 @@ class TestGraphCommands:
                                 "--cover", str(bad)])
         assert code == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("command, edges_text, cover_text, line", [
+        ("chi", "3\n0 x\n", "", 2),                           # non-integer token
+        ("chi", "3\n0 1 2\n", "", 2),                         # three tokens
+        ("cover-check", "3\n0 x\n", "1.0: 0 1 2\n", 2),
+        ("cover-check", "3\n0 1 2\n", "1.0: 0 1 2\n", 2),
+        ("cover-check", "3\n", "1.0: 0 1 2\n1.0 0 1 2\n", 2),  # no colon
+        ("cover-check", "3\n", "1.0: 0 y\n", 1),              # non-integer vertex
+    ])
+    def test_malformed_files_exit_3(self, tmp_path, command, edges_text,
+                                    cover_text, line):
+        edges, cov = tmp_path / "g.txt", tmp_path / "cover.txt"
+        edges.write_text(edges_text)
+        cov.write_text(cover_text)
+        argv = ["graph", command, "--edges", str(edges)]
+        if command == "cover-check":
+            argv += ["--cover", str(cov)]
+        code, _, err = run_cli(argv)
+        assert code == 3
+        assert f"line {line}:" in err
+
+    @pytest.mark.parametrize("args", [
+        ["graph", "chi", "--edges", "{missing}"],
+        ["graph", "cover-check", "--edges", "{present}", "--cover", "{missing}"],
+    ])
+    def test_missing_file_exit_3(self, tmp_path, args):
+        present = tmp_path / "g.txt"
+        present.write_text("2\n0 1\n")
+        missing = tmp_path / "absent.txt"
+        argv = [a.format(missing=missing, present=present) for a in args]
+        code, _, err = run_cli(argv)
+        assert code == 3 and "absent.txt" in err
+
 
 class TestExperimentCommand:
     def test_small_experiment_runs_and_is_deterministic(self, tmp_path):
@@ -282,6 +327,18 @@ class TestExperimentCommand:
         code, _, err = run_cli(["experiment", "--data", str(bad),
                                 "--seeds", "0", "--epochs", "1"])
         assert code == 3
+
+    def test_header_without_equals_exit_3(self, tmp_path):
+        bad = tmp_path / "bad.mlsvm"
+        bad.write_text("# samples 1 #features=1 #labels=1\n0\t0:1\n")
+        code, _, err = run_cli(["experiment", "--data", str(bad),
+                                "--seeds", "0", "--epochs", "1"])
+        assert code == 3 and "bad header line" in err
+
+    def test_missing_data_exit_3(self, tmp_path):
+        code, _, err = run_cli(["experiment", "--data", str(tmp_path / "absent.mlsvm"),
+                                "--seeds", "0", "--epochs", "1"])
+        assert code == 3 and "absent.mlsvm" in err
 
     def test_midsize_run_under_a_minute_localized_bound_wins(self, tmp_path):
         # 200 x 20 x 4 (K << n): the localized bound comes out smaller

@@ -86,6 +86,17 @@ class TestLoadDataset:
         with pytest.raises(FormatError):
             load_dataset(path)
 
+    def test_header_without_equals(self, tmp_path):
+        path = tmp_path / "bad.mlsvm"
+        path.write_text("# samples 1 #features=2 #labels=1\n0\t0:1.0\n")
+        with pytest.raises(FormatError, match="bad header line"):
+            load_dataset(path)
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.mlsvm"
+        with pytest.raises(FormatError, match="absent.mlsvm"):
+            load_dataset(path)
+
     def test_round_trip(self, tmp_path):
         ds = small_separable(n=15, d=4, k=3, seed=2)
         path = tmp_path / "rt.mlsvm"
