@@ -98,6 +98,10 @@ class BoundParams:
     def __post_init__(self):
         if self.K < 1 or len(self.m_list) != self.K or len(self.chi_list) != self.K:
             raise InvariantError("need one m_k and one chi_k per task")
+        for name, val in (("m_tilde", self.m_tilde), ("m_bar", self.m_bar),
+                          ("mu", self.mu), ("B", self.B), ("t", self.t)):
+            if not math.isfinite(val):
+                raise DomainError(f"{name} must be finite, got {val}")
         if self.m_tilde < 0:
             raise DomainError("m_tilde must be >= 0")
         for name, val in (("m_bar", self.m_bar), ("mu", self.mu), ("B", self.B)):

@@ -41,13 +41,37 @@ def _fmt(x):
 def parse_t(value):
     """Accept plain floats plus the literal ln100 (and lnN generally)."""
     s = str(value).strip()
-    if s.startswith("ln"):
-        return math.log(float(s[2:]))
-    return float(s)
+    try:
+        if s.startswith("ln"):
+            return math.log(float(s[2:]))
+        return float(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad t value {value!r}") from exc
+
+
+def _number(cfg, key, kind=float):
+    """cfg[key] as an int or a float; ConfigError (exit 2) on a bad value."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"--{key}: expected {kind.__name__}, got {cfg[key]!r}") from exc
 
 
 def _float_list(s):
-    return [float(tok) for tok in str(s).split(",") if tok != ""]
+    try:
+        return [float(tok) for tok in str(s).split(",") if tok != ""]
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers, got {s!r}") from exc
+
+
+def _seed_list(s):
+    try:
+        seeds = [int(tok) for tok in str(s).split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds: expected comma-separated integers, got {s!r}") from exc
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be >= 0, got {s!r}")
+    return seeds
 
 
 def _path_list(value):
@@ -256,7 +280,15 @@ def cmd_bound(cfg):
 # ---------------------------------------------------------------- lfrc
 
 def _load_matrix(path):
-    return np.loadtxt(_read_text(path).splitlines(), ndmin=2)
+    """Whitespace-separated matrix of finite numbers; ParseError (exit 3)
+    names a malformed file."""
+    try:
+        matrix = np.loadtxt(_read_text(path).splitlines(), ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        raise ParseError(f"{path}: non-finite value")
+    return matrix
 
 
 def cmd_lfrc_estimate(cfg):
@@ -333,7 +365,10 @@ def cmd_rstar_linear(cfg):
 
 def cmd_experiment(cfg):
     _require(cfg, "data")
-    seeds = [int(s) for s in str(cfg["seeds"]).split(",")]
+    seeds = _seed_list(cfg["seeds"])
+    grid = tuple(_float_list(cfg["grid"]))
+    folds, epochs = _number(cfg, "folds", int), _number(cfg, "epochs", int)
+    lr, t, rate = _number(cfg, "lr"), parse_t(cfg["t"]), _number(cfg, "rate")
     out_dir = Path(cfg["out"]) if cfg.get("out") else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,11 +381,8 @@ def cmd_experiment(cfg):
             return EXIT_PARSE
         name = Path(path).stem
         result = macroauc.run_experiment(
-            ds, name=name, seeds=seeds,
-            grid=tuple(_float_list(cfg["grid"])), folds=int(cfg["folds"]),
-            lr=float(cfg["lr"]), epochs=int(cfg["epochs"]),
-            t=parse_t(cfg["t"]), rate=float(cfg["rate"]),
-        )
+            ds, name=name, seeds=seeds, grid=grid, folds=folds, lr=lr,
+            epochs=epochs, t=t, rate=rate)
         summary = result.summary()
         if out_dir:
             payload = {

@@ -118,6 +118,8 @@ def load_dataset(path, fmt: str = "mlsvm") -> MultiLabelDataset:
                 fi, fv = int(fi_s), float(fv_s)
             except ValueError:
                 raise ParseError(f"bad feature token {tok!r}", line=lineno)
+            if not math.isfinite(fv):
+                raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if not (0 <= fi < d):
                 raise ParseError(f"feature index {fi} out of range [0,{d})", line=lineno)
             rows.append(i)
@@ -199,6 +201,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and math.isfinite(self.weight_decay)):
+            raise ConfigError("lr and weight_decay must be finite")
         if self.lr <= 0 or self.epochs <= 0:
             raise ConfigError("lr and epochs must be > 0")
         if self.weight_decay < 0:
@@ -229,48 +233,97 @@ def derive_seed(*parts) -> int:
 
 
 def train_sgd(dataset: MultiLabelDataset, config: TrainConfig) -> LinearRanker:
-    """Pairwise-hinge SGD: per epoch and label, n~ uniformly sampled
-    (positive, negative) pairs; update w <- w - lr (dL + 2 lambda w) with
-    L = max(0, 1 - w.(x+ - x-)).
+    """Pairwise-hinge SGD on every row of the dataset: the one-job case of
+    `train_many`, whose docstring gives the update rule and seeding."""
+    return train_many(dataset, [(np.arange(dataset.n_samples), config)])[0]
 
-    Label rows are independent; each label consumes its own child seed
-    stream, so per-label training is reproducible and parallelizable.
+
+def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
+    """Train one linear ranker per job, all SGD chains stepped in lockstep.
+
+    jobs: [(rows, TrainConfig), ...]; rows index the dataset's samples and
+    are that fit's training rows.  A chain is one (job, label) pair; labels
+    with no positive or no negative training row are excluded per job.  Per
+    epoch a chain draws n~ = len(rows) uniform (positive, negative) pairs,
+    positives first, from its own child stream of SeedSequence(config.seed),
+    and takes one step per pair: w <- w - lr (dL + 2 lambda w) with
+    L = max(0, 1 - w.(x+ - x-)), the margin read before the decay.
+
+    Step i of every chain's epoch runs together on one (chains x D) weight
+    matrix; a chain with fewer rows or epochs sits the extra steps out.
+    Each chain's arithmetic is exactly that of a loop over its own steps, so
+    a ranker does not depend on which other jobs share the call.
     """
-    if dataset.n_samples == 0:
-        raise DomainError("cannot train on an empty dataset")
     X = dataset.dense_features()
-    n, d = X.shape
-    K = dataset.n_labels
-    W = np.zeros((K, d))
-    excluded = []
-    decay = 1.0 - 2.0 * config.lr * config.weight_decay
-    if decay <= 0:
-        raise ConfigError("lr * weight_decay too large; update would flip sign")
-    streams = np.random.SeedSequence(config.seed).spawn(K)
-    for k in range(K):
-        try:
-            task = pair_transform(dataset, k)
-        except DegenerateLabelError:
-            excluded.append(k)
-            continue
-        rng = np.random.default_rng(streams[k])
-        w = W[k]
-        pos, neg = task.pos_idx, task.neg_idx
-        for _ in range(config.epochs):
-            pi = pos[rng.integers(0, pos.size, size=n)]
-            ni = neg[rng.integers(0, neg.size, size=n)]
-            xp_rows = X[pi]
-            xn_rows = X[ni]
-            for i in range(n):
-                diff = xp_rows[i] - xn_rows[i]
-                margin = w @ diff
-                if decay != 1.0:
-                    w *= decay
-                if margin < 1.0:
-                    w += config.lr * diff
-        W[k] = w
-    return LinearRanker(weights=W, config=config, m_bar=dataset.max_row_norm(),
-                        excluded_labels=tuple(excluded), trained=True)
+    if not np.isfinite(X).all():
+        raise DomainError("features hold a non-finite value")
+    fits, chains = [], []
+    for j, (rows, config) in enumerate(jobs):
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == 0:
+            raise DomainError("cannot train on an empty dataset")
+        if rows.min() < 0 or rows.max() >= dataset.n_samples:
+            raise DomainError(f"job rows must lie in [0, {dataset.n_samples})")
+        decay = 1.0 - 2.0 * config.lr * config.weight_decay
+        if decay <= 0:
+            raise ConfigError("lr * weight_decay too large; update would flip sign")
+        sub = dataset.subset(rows)
+        streams = np.random.SeedSequence(config.seed).spawn(sub.n_labels)
+        excluded = []
+        for k in range(sub.n_labels):
+            try:
+                task = pair_transform(sub, k)
+            except DegenerateLabelError:
+                excluded.append(k)
+                continue
+            chains.append((rows.size, j, k, rows[task.pos_idx], rows[task.neg_idx],
+                           np.random.default_rng(streams[k])))
+        fits.append((config, decay, sub.max_row_norm(), tuple(excluded)))
+
+    # Most rows first, so the chains still inside their epoch at step i are
+    # always the leading rows W[:width[i]].
+    chains.sort(key=lambda chain: -chain[0])
+    n_chains, d = len(chains), dataset.n_features
+    n_rows = np.array([chain[0] for chain in chains], dtype=np.intp)
+    epochs = np.array([fits[chain[1]][0].epochs for chain in chains])
+    lrs = np.array([fits[chain[1]][0].lr for chain in chains])
+    decays = np.array([fits[chain[1]][1] for chain in chains])
+    W = np.zeros((n_chains, d))
+    steps = int(n_rows.max(initial=0))
+    width = np.searchsorted(-n_rows, -np.arange(steps), side="left")
+    # Row draws of one epoch, (steps x chains); int32 holds any row index
+    # of a dense feature matrix that fits in memory.
+    pos_draw = np.zeros((steps, n_chains), dtype=np.int32)
+    neg_draw = np.zeros((steps, n_chains), dtype=np.int32)
+    for epoch in range(int(epochs.max(initial=0))):
+        live = epoch < epochs
+        for c in np.flatnonzero(live):
+            n, _, _, pos, neg, rng = chains[c]
+            pos_draw[:n, c] = pos[rng.integers(0, pos.size, size=n)]
+            neg_draw[:n, c] = neg[rng.integers(0, neg.size, size=n)]
+        # The decay spread over (chains x D) makes the per-step decay one
+        # elementwise product; a chain past its epochs decays by 1 and
+        # steps by 0.
+        decay = np.repeat(np.where(live, decays, 1.0), d).reshape(n_chains, d)
+        lr = np.where(live, lrs, 0.0)
+        for i in range(steps):
+            wide = width[i]
+            w = W[:wide]
+            diff = np.take(X, pos_draw[i, :wide], axis=0)
+            diff -= np.take(X, neg_draw[i, :wide], axis=0)
+            # One (1 x D) @ (D x 1) product per chain: the same dot product
+            # as w @ diff, bit for bit, which einsum does not promise.
+            margin = np.matmul(w[:, None, :], diff[:, :, None]).ravel()
+            w *= decay[:wide]
+            hit = np.flatnonzero(margin < 1.0)
+            W[hit] += lr[hit, None] * diff[hit]
+
+    weights = [np.zeros((dataset.n_labels, d)) for _ in fits]
+    for c, (_, j, k, *_) in enumerate(chains):
+        weights[j][k] = W[c]
+    return [LinearRanker(weights=w, config=config, m_bar=m_bar,
+                         excluded_labels=excluded, trained=True)
+            for w, (config, _, m_bar, excluded) in zip(weights, fits)]
 
 
 def macro_auc(ranker_or_scores, dataset: MultiLabelDataset) -> float:
@@ -298,48 +351,76 @@ def macro_auc(ranker_or_scores, dataset: MultiLabelDataset) -> float:
     return float(np.mean(aucs))
 
 
+def _split_rows(n: int, seed: int, ratio=(2, 1)):
+    """Sorted (train, test) row indices of the seeded shuffle split."""
+    rng = np.random.default_rng(derive_seed(seed, 0xA11C))
+    perm = rng.permutation(n)
+    n_train = int(round(n * ratio[0] / (ratio[0] + ratio[1])))
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
 def split_train_test(dataset: MultiLabelDataset, seed: int, ratio=(2, 1)):
     """Seeded shuffle split (default 2:1 train:test)."""
-    rng = np.random.default_rng(derive_seed(seed, 0xA11C))
-    perm = rng.permutation(dataset.n_samples)
-    n_train = int(round(dataset.n_samples * ratio[0] / (ratio[0] + ratio[1])))
-    return dataset.subset(np.sort(perm[:n_train])), dataset.subset(np.sort(perm[n_train:]))
+    train, test = _split_rows(dataset.n_samples, seed, ratio)
+    return dataset.subset(train), dataset.subset(test)
 
 
-def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
-              config: TrainConfig = TrainConfig()):
-    """Pick the weight decay maximizing mean validation Macro-AUC over
-    seeded folds, then retrain on the full split.  Folds in which every
-    label is degenerate are skipped with a warning."""
-    if dataset.n_samples < folds:
+def _cv_jobs(n: int, grid, folds: int, config: TrainConfig):
+    """Cross-validation of a split with n rows as `train_many` jobs: every
+    (lambda, fold) fit in grid order, then one final fit on all n rows per
+    lambda.  Also returns each (lambda, fold) fit's validation rows."""
+    if folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {folds}")
+    if n < folds:
         raise DomainError(f"need at least {folds} samples for {folds}-fold CV")
     rng = np.random.default_rng(derive_seed(config.seed, 0xF01D))
-    perm = rng.permutation(dataset.n_samples)
-    fold_idx = np.array_split(perm, folds)
-    best_lam, best_auc = None, -math.inf
+    fold_idx = np.array_split(rng.permutation(n), folds)
+    jobs, val_rows = [], []
     for li, lam in enumerate(grid):
+        for fi in range(folds):
+            val_rows.append(np.sort(fold_idx[fi]))
+            tr_idx = np.sort(np.concatenate([fold_idx[j] for j in range(folds) if j != fi]))
+            jobs.append((tr_idx, TrainConfig(lr=config.lr, epochs=config.epochs,
+                                             weight_decay=lam,
+                                             seed=derive_seed(config.seed, li, fi))))
+    for lam in grid:
+        jobs.append((np.arange(n), TrainConfig(lr=config.lr, epochs=config.epochs,
+                                               weight_decay=lam, seed=config.seed)))
+    return jobs, val_rows
+
+
+def _cv_pick(dataset: MultiLabelDataset, grid, folds: int, rankers, val_rows):
+    """(lambda, final ranker) with the best mean validation Macro-AUC, from
+    the rankers trained on `_cv_jobs`; the first lambda wins a tie."""
+    best, best_auc = None, -math.inf
+    for li in range(len(grid)):
         fold_aucs = []
         for fi in range(folds):
-            val_idx = np.sort(fold_idx[fi])
-            tr_idx = np.sort(np.concatenate([fold_idx[j] for j in range(folds) if j != fi]))
-            sub_cfg = TrainConfig(lr=config.lr, epochs=config.epochs,
-                                  weight_decay=lam,
-                                  seed=derive_seed(config.seed, li, fi))
-            ranker = train_sgd(dataset.subset(tr_idx), sub_cfg)
+            j = li * folds + fi
             try:
-                fold_aucs.append(macro_auc(ranker, dataset.subset(val_idx)))
+                fold_aucs.append(macro_auc(rankers[j], dataset.subset(val_rows[j])))
             except UndefinedMetricError:
                 warnings.warn(f"fold {fi}: all labels degenerate, skipped")
         if not fold_aucs:
             continue
         mean_auc = float(np.mean(fold_aucs))
         if mean_auc > best_auc:
-            best_lam, best_auc = lam, mean_auc
-    if best_lam is None:
+            best, best_auc = li, mean_auc
+    if best is None:
         raise UndefinedMetricError("no usable fold in cross-validation")
-    final_cfg = TrainConfig(lr=config.lr, epochs=config.epochs,
-                            weight_decay=best_lam, seed=config.seed)
-    return best_lam, train_sgd(dataset, final_cfg)
+    return grid[best], rankers[len(grid) * folds + best]
+
+
+def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
+              config: TrainConfig = TrainConfig()):
+    """Pick the weight decay maximizing mean validation Macro-AUC over
+    seeded folds and return it with its fit on the full split.
+
+    Every (lambda, fold) fit and the full-split fit of every lambda train in
+    one `train_many` call; the chosen lambda's full-split fit is returned.
+    Folds in which every label is degenerate are skipped with a warning."""
+    jobs, val_rows = _cv_jobs(dataset.n_samples, grid, folds, config)
+    return _cv_pick(dataset, grid, folds, train_many(dataset, jobs), val_rows)
 
 
 def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
@@ -354,6 +435,8 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
     """
     if not ranker.trained:
         raise StateError("ranker has not been trained")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise DomainError(f"rate must be finite and >= 0, got {rate}")
     taus, kept = [], []
     for k in range(dataset.n_labels):
         try:
@@ -439,17 +522,29 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
                    lr: float = 0.05, epochs: int = 300,
                    t: float = T_DEFAULT, rate: float = 1.0) -> ExperimentResult:
     """Full protocol per seed: 2:1 split, k-fold CV over the decay grid,
-    retrain, test Macro-AUC, and bound report on the training split."""
+    the chosen decay's full-split fit, test Macro-AUC, and bound report on
+    the training split.  Every seed's fits index the full dataset, so they
+    all train in one `train_many` call."""
     res = ExperimentResult(dataset=name, n_seeds=len(seeds), seeds=list(seeds),
                            lambda_selected=[], test_macro_auc=[], ours=[],
                            prior=[], r_star=[], d_star=[])
+    plans, jobs = [], []
     for seed in seeds:
-        train, test = split_train_test(dataset, seed)
+        train_rows, test_rows = _split_rows(dataset.n_samples, seed)
         cfg = TrainConfig(lr=lr, epochs=epochs, seed=seed)
-        lam, ranker = cv_select(train, grid=grid, folds=folds, config=cfg)
+        cv_jobs, val_rows = _cv_jobs(train_rows.size, grid, folds, cfg)
+        jobs += [(train_rows[rows], job_cfg) for rows, job_cfg in cv_jobs]
+        plans.append((train_rows, test_rows, val_rows, len(cv_jobs)))
+    rankers = train_many(dataset, jobs)
+    start = 0
+    for train_rows, test_rows, val_rows, n_jobs in plans:
+        train = dataset.subset(train_rows)
+        lam, ranker = _cv_pick(train, grid, folds, rankers[start:start + n_jobs],
+                               val_rows)
+        start += n_jobs
         report = report_bounds(train, ranker, t=t, rate=rate)
         res.lambda_selected.append(lam)
-        res.test_macro_auc.append(macro_auc(ranker, test))
+        res.test_macro_auc.append(macro_auc(ranker, dataset.subset(test_rows)))
         res.ours.append(report.bound_ours)
         res.prior.append(report.bound_prior)
         res.r_star.append(report.r_star)

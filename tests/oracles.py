@@ -4,16 +4,22 @@ Each oracle re-derives its target quantity by a different algorithm than
 the library path it checks: projected gradient ascent with Dykstra
 projections for the constrained linear supremum, characteristic-polynomial
 root finding for eigenvalues, plain-loop enumeration for the truncation
-minima, closed-form quadratics for sub-root fixed points, and a greedy
-coloring that rescans the edge list for every neighbourhood.
+minima, closed-form quadratics for sub-root fixed points, a greedy
+coloring that rescans the edge list for every neighbourhood, and SGD that
+trains one label at a time with one scalar step per sampled pair.
 """
 
 import math
+import warnings
 
 import numpy as np
 from scipy.optimize import brentq
 
+from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
+    UndefinedMetricError
 from gdbound.graphdep import FractionalCover
+from gdbound.macroauc import LAMBDA_GRID, LinearRanker, TrainConfig, derive_seed, \
+    macro_auc, pair_transform
 
 
 def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
@@ -193,3 +199,77 @@ def edge_scan_greedy_cover(graph):
         members = frozenset(v for v in range(n) if color[v] == c)
         classes.append((members, 1.0))
     return FractionalCover(classes=tuple(classes), graph=graph)
+
+
+def loop_train_sgd(dataset, config):
+    """Pairwise-hinge SGD one label at a time, one pair per Python step;
+    the reference for the lockstep `train_many`."""
+    if dataset.n_samples == 0:
+        raise DomainError("cannot train on an empty dataset")
+    X = dataset.dense_features()
+    n, d = X.shape
+    K = dataset.n_labels
+    W = np.zeros((K, d))
+    excluded = []
+    decay = 1.0 - 2.0 * config.lr * config.weight_decay
+    if decay <= 0:
+        raise ConfigError("lr * weight_decay too large; update would flip sign")
+    streams = np.random.SeedSequence(config.seed).spawn(K)
+    for k in range(K):
+        try:
+            task = pair_transform(dataset, k)
+        except DegenerateLabelError:
+            excluded.append(k)
+            continue
+        rng = np.random.default_rng(streams[k])
+        w = W[k]
+        pos, neg = task.pos_idx, task.neg_idx
+        for _ in range(config.epochs):
+            pi = pos[rng.integers(0, pos.size, size=n)]
+            ni = neg[rng.integers(0, neg.size, size=n)]
+            xp_rows = X[pi]
+            xn_rows = X[ni]
+            for i in range(n):
+                diff = xp_rows[i] - xn_rows[i]
+                margin = w @ diff
+                if decay != 1.0:
+                    w *= decay
+                if margin < 1.0:
+                    w += config.lr * diff
+        W[k] = w
+    return LinearRanker(weights=W, config=config, m_bar=dataset.max_row_norm(),
+                        excluded_labels=tuple(excluded), trained=True)
+
+
+def loop_cv_select(dataset, grid=LAMBDA_GRID, folds=3, config=TrainConfig()):
+    """Cross-validation that trains each (lambda, fold) fit, then the chosen
+    lambda's final fit, with `loop_train_sgd`; the reference for `cv_select`."""
+    if dataset.n_samples < folds:
+        raise DomainError(f"need at least {folds} samples for {folds}-fold CV")
+    rng = np.random.default_rng(derive_seed(config.seed, 0xF01D))
+    perm = rng.permutation(dataset.n_samples)
+    fold_idx = np.array_split(perm, folds)
+    best_lam, best_auc = None, -math.inf
+    for li, lam in enumerate(grid):
+        fold_aucs = []
+        for fi in range(folds):
+            val_idx = np.sort(fold_idx[fi])
+            tr_idx = np.sort(np.concatenate([fold_idx[j] for j in range(folds) if j != fi]))
+            sub_cfg = TrainConfig(lr=config.lr, epochs=config.epochs,
+                                  weight_decay=lam,
+                                  seed=derive_seed(config.seed, li, fi))
+            ranker = loop_train_sgd(dataset.subset(tr_idx), sub_cfg)
+            try:
+                fold_aucs.append(macro_auc(ranker, dataset.subset(val_idx)))
+            except UndefinedMetricError:
+                warnings.warn(f"fold {fi}: all labels degenerate, skipped")
+        if not fold_aucs:
+            continue
+        mean_auc = float(np.mean(fold_aucs))
+        if mean_auc > best_auc:
+            best_lam, best_auc = lam, mean_auc
+    if best_lam is None:
+        raise UndefinedMetricError("no usable fold in cross-validation")
+    final_cfg = TrainConfig(lr=config.lr, epochs=config.epochs,
+                            weight_decay=best_lam, seed=config.seed)
+    return best_lam, loop_train_sgd(dataset, final_cfg)

@@ -228,6 +228,12 @@ class TestExcessBoundGeneral:
         with pytest.raises(DomainError):
             excess_bound_general(-0.1, params)
 
+    @pytest.mark.parametrize("name", ["m_tilde", "m_bar", "mu", "B", "t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,), **{name: value})
+
 
 class TestMacroAucBounds:
     def test_ours_worked_example(self):

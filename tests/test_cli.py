@@ -236,6 +236,21 @@ class TestLfrcAndRstarCommands:
         code, _, err = run_cli(args + [str(tmp_path / "absent.txt")])
         assert code == 3 and "absent.txt" in err
 
+    @pytest.mark.parametrize("args, text", [
+        (["lfrc", "estimate", "--features"], "1.0 x\n"),
+        (["rstar", "kernel", "--chi", "1", "--m", "100", "--gram"], "1 0\n0\n"),
+        (["rstar", "linear", "--tau", "0.5", "--n", "100", "--weights"], "1.0 x\n"),
+        (["rstar", "linear", "--tau", "0.5", "--n", "100", "--weights"], "1 2 3\n4 5\n"),
+        (["rstar", "linear", "--tau", "0.5", "--n", "100", "--weights"], "1 nan\n0 1\n"),
+        (["lfrc", "estimate", "--features"], "1.0 inf\n"),
+    ])
+    def test_malformed_matrix_file_exit_3(self, tmp_path, args, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, _, err = run_cli(args + [str(bad)])
+        assert code == 3 and "bad.txt" in err
+        assert "Traceback" not in err
+
     def test_rstar_linear_macro_mode(self, tmp_path):
         w = tmp_path / "w.txt"
         np.savetxt(w, np.zeros((2, 3)))
@@ -339,6 +354,34 @@ class TestExperimentCommand:
         code, _, err = run_cli(["experiment", "--data", str(tmp_path / "absent.mlsvm"),
                                 "--seeds", "0", "--epochs", "1"])
         assert code == 3 and "absent.mlsvm" in err
+
+    @pytest.mark.parametrize("option, reason", [
+        (["--seeds", "x"], "--seeds"), (["--seeds", "-1"], "--seeds"),
+        (["--seeds", ""], "--seeds"), (["--seeds", "1.5"], "--seeds"),
+        (["--folds", "0"], "folds"), (["--folds", "1"], "folds"),
+        (["--lr", "nan"], "finite"), (["--lr", "inf"], "finite"),
+        (["--grid", "nan"], "finite"), (["--grid", "0.01,inf"], "finite"),
+        (["--grid", "x"], "numbers"),
+        # weights overflow, so the bounds would read nan
+        (["--lr", "1e300", "--grid", "0"], "m_tilde must be finite"),
+        (["--t", "nan"], "t must be finite"), (["--t", "x"], "bad t value"),
+        (["--rate", "nan"], "rate"), (["--rate", "-1"], "rate"),
+    ])
+    def test_bad_numeric_option_exit_2(self, tmp_path, option, reason):
+        data = tmp_path / "toy.mlsvm"
+        save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)
+        code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1"]
+                                 + option)
+        assert code == 2 and reason in err, err
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exit_3(self, tmp_path, value):
+        bad = tmp_path / "bad.mlsvm"
+        bad.write_text(f"#samples=2 #features=1 #labels=1\n0\t0:1.0\n\t0:{value}\n")
+        code, _, err = run_cli(["experiment", "--data", str(bad),
+                                "--seeds", "0", "--epochs", "1"])
+        assert code == 3 and "line 3" in err
 
     def test_midsize_run_under_a_minute_localized_bound_wins(self, tmp_path):
         # 200 x 20 x 4 (K << n): the localized bound comes out smaller

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from gdbound.errors import (
+    ConfigError,
     DegenerateLabelError,
     DomainError,
     FormatError,
@@ -25,11 +26,12 @@ from gdbound.macroauc import (
     run_experiment,
     save_dataset,
     split_train_test,
+    train_many,
     train_sgd,
 )
 
-from oracles import brute_force_macro_auc
-from synthdata import linear_teacher_dataset, small_separable
+from oracles import brute_force_macro_auc, loop_cv_select, loop_train_sgd
+from synthdata import cal500_like, emotions_like, linear_teacher_dataset, small_separable
 
 
 def make_dataset(X, Y):
@@ -95,6 +97,13 @@ class TestLoadDataset:
     def test_missing_file_names_path(self, tmp_path):
         path = tmp_path / "absent.mlsvm"
         with pytest.raises(FormatError, match="absent.mlsvm"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_feature_value(self, tmp_path, value):
+        path = tmp_path / "bad.mlsvm"
+        path.write_text(f"#samples=2 #features=2 #labels=1\n0\t0:1.0\n\t1:{value}\n")
+        with pytest.raises(ParseError, match="line 3"):
             load_dataset(path)
 
     def test_round_trip(self, tmp_path):
@@ -182,6 +191,14 @@ class TestTrainSgd:
         ranker = train_sgd(ds, TrainConfig(lr=0.05, epochs=1, seed=0))
         assert np.allclose(ranker.weights[0], [0.5, 0.0])
 
+    def test_margin_of_exactly_one_stops_updates(self):
+        # lr = 0.5, diff = (1, 0): w reaches (1, 0) after two steps, the
+        # margin is then exactly 1 and the last two steps leave w alone
+        X = np.array([[1.0, 0.0], [0.0, 0.0]])
+        Y = np.array([[1], [-1]], dtype=np.int8)
+        ranker = train_sgd(make_dataset(X, Y), TrainConfig(lr=0.5, epochs=2, seed=0))
+        assert np.array_equal(ranker.weights[0], [1.0, 0.0])
+
     def test_zero_data_stays_zero_with_decay(self):
         X = np.zeros((4, 3))
         Y = np.array([[1], [1], [-1], [-1]], dtype=np.int8)
@@ -231,6 +248,142 @@ class TestTrainSgd:
         Y = np.array([[1], [-1]], dtype=np.int8)
         ranker = train_sgd(make_dataset(X, Y), TrainConfig(epochs=1, seed=0))
         assert ranker.m_bar == pytest.approx(5.0)
+
+
+def _shaped(shape, seed):
+    return emotions_like(seed=seed) if shape == "emotions" else cal500_like(seed=seed)
+
+
+def _assert_same_ranker(ranker, oracle):
+    assert np.array_equal(ranker.weights, oracle.weights)
+    assert ranker.m_bar == oracle.m_bar
+    assert ranker.excluded_labels == oracle.excluded_labels
+    assert ranker.config == oracle.config
+
+
+class TestTrainMany:
+    """The lockstep engine against the one-label-at-a-time loop it replaced,
+    bit for bit."""
+
+    @pytest.mark.parametrize("shape", ["emotions", "cal500"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3, 0.1])
+    def test_train_sgd_matches_loop_oracle(self, shape, weight_decay):
+        ds = _shaped(shape, seed=1)
+        for seed in (0, 7):
+            cfg = TrainConfig(epochs=2, weight_decay=weight_decay, seed=seed)
+            _assert_same_ranker(train_sgd(ds, cfg), loop_train_sgd(ds, cfg))
+
+    @pytest.mark.parametrize("shape", ["emotions", "cal500"])
+    def test_ragged_jobs_match_loop_oracle(self, shape):
+        # row counts, epochs, lr and decay all differ between jobs, so
+        # chains leave the lockstep at different steps and epochs
+        ds = _shaped(shape, seed=2)
+        n = ds.n_samples
+        rng = np.random.default_rng(5)
+        specs = [(n, 2, 0.0, 0.05, 1), (2 * n // 3, 3, 1e-2, 0.05, 2),
+                 (n // 2, 1, 1e-4, 0.1, 3), (4, 2, 0.1, 0.05, 4),
+                 (n // 3 + 1, 2, 0.0, 0.02, 5)]
+        jobs = [(np.sort(rng.permutation(n)[:rows]),
+                 TrainConfig(lr=lr, epochs=epochs, weight_decay=wd, seed=seed))
+                for rows, epochs, wd, lr, seed in specs]
+        rankers = train_many(ds, jobs)
+        assert len(rankers) == len(jobs)
+        for (rows, cfg), ranker in zip(jobs, rankers):
+            _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+        if shape == "cal500":
+            assert any(r.excluded_labels for r in rankers)
+
+    def test_degenerate_label_excluded_per_job(self):
+        X = np.arange(12.0).reshape(6, 2)
+        Y = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1], [1, 1], [-1, 1]],
+                     dtype=np.int8)
+        ds = make_dataset(X, Y)
+        cfg = TrainConfig(epochs=3, weight_decay=1e-2, seed=9)
+        # label 1 is all positive on rows 0, 2, 4 and all negative on rows
+        # 1, 3; label 0 is all positive on rows 0, 1, 4
+        jobs = [(np.array([0, 2, 4, 1]), cfg), (np.array([0, 2, 4]), cfg),
+                (np.array([1, 3]), cfg), (np.array([0, 1, 4]), cfg),
+                (np.arange(6), cfg)]
+        rankers = train_many(ds, jobs)
+        assert [r.excluded_labels for r in rankers] == [(), (1,), (1,), (0,), ()]
+        for (rows, _), ranker in zip(jobs, rankers):
+            _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+
+    @pytest.mark.parametrize("shape, seed", [("emotions", 0), ("emotions", 3),
+                                             ("cal500", 1), ("cal500", 4)])
+    def test_cv_select_matches_loop_oracle(self, shape, seed):
+        ds = _shaped(shape, seed=seed)
+        cfg = TrainConfig(epochs=2, seed=seed)
+        lam, ranker = cv_select(ds, grid=(0.0, 1e-3, 0.1), folds=3, config=cfg)
+        oracle_lam, oracle = loop_cv_select(ds, grid=(0.0, 1e-3, 0.1), folds=3,
+                                            config=cfg)
+        assert lam == oracle_lam
+        _assert_same_ranker(ranker, oracle)
+
+    def test_skipped_folds_warn_as_the_oracle_does(self):
+        # one label with two positives in twelve rows: at least two of the
+        # four validation folds hold no positive and are skipped
+        X = np.random.default_rng(4).normal(size=(12, 3))
+        Y = -np.ones((12, 1), dtype=np.int8)
+        Y[[1, 7]] = 1
+        ds = make_dataset(X, Y)
+        cfg = TrainConfig(epochs=3, seed=6)
+        with pytest.warns(UserWarning) as caught:
+            lam, ranker = cv_select(ds, grid=(1e-3, 1e-2), folds=4, config=cfg)
+        with pytest.warns(UserWarning) as oracle_caught:
+            oracle_lam, oracle = loop_cv_select(ds, grid=(1e-3, 1e-2), folds=4,
+                                                config=cfg)
+        messages = [str(w.message) for w in caught]
+        assert messages == [str(w.message) for w in oracle_caught]
+        assert len(messages) >= 4 and all("skipped" in m for m in messages)
+        assert lam == oracle_lam
+        _assert_same_ranker(ranker, oracle)
+
+    @pytest.mark.parametrize("shape", ["emotions", "cal500"])
+    def test_run_experiment_matches_loop_pipeline(self, shape):
+        # all seeds train in one call; each must equal its own split,
+        # looped CV and report
+        ds = _shaped(shape, seed=3)
+        res = run_experiment(ds, seeds=(0, 1), epochs=2)
+        for i, seed in enumerate((0, 1)):
+            train, test = split_train_test(ds, seed)
+            lam, ranker = loop_cv_select(train, config=TrainConfig(epochs=2, seed=seed))
+            assert res.lambda_selected[i] == lam
+            assert res.reports[i] == report_bounds(train, ranker).to_dict()
+            assert res.test_macro_auc[i] == macro_auc(ranker, test)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_raises_domain_error(self, value):
+        X = np.ones((4, 2))
+        X[2, 1] = value
+        ds = make_dataset(X, [[1], [-1], [1], [-1]])
+        with pytest.raises(DomainError, match="non-finite"):
+            train_sgd(ds, TrainConfig(epochs=1))
+        with pytest.raises(DomainError, match="non-finite"):
+            cv_select(ds, grid=(1e-3,), folds=2, config=TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("rows", [[], [0, -1], [3, 10]])
+    def test_empty_or_out_of_range_job_rejected(self, rows):
+        ds = small_separable(n=10, d=2, k=1, seed=0)
+        with pytest.raises(DomainError):
+            train_many(ds, [(np.arange(10), TrainConfig(epochs=1)),
+                            (np.array(rows, dtype=int), TrainConfig(epochs=1))])
+
+    def test_no_jobs(self):
+        assert train_many(small_separable(n=10, d=2, k=1, seed=0), []) == []
+
+    @pytest.mark.parametrize("kw", [dict(lr=math.nan), dict(lr=math.inf),
+                                    dict(weight_decay=math.nan),
+                                    dict(weight_decay=math.inf)])
+    def test_config_rejects_non_finite(self, kw):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**kw)
+
+    @pytest.mark.parametrize("folds", [-1, 0, 1])
+    def test_cv_needs_two_folds(self, folds):
+        ds = small_separable(n=10, d=2, k=1, seed=0)
+        with pytest.raises(ConfigError, match="folds"):
+            cv_select(ds, folds=folds, config=TrainConfig(epochs=1))
 
 
 class TestMacroAuc:
