@@ -192,16 +192,16 @@ def excess_bound_general(r: float, params: BoundParams) -> float:
     The caller must have certified r >= r* (e.g. r at or above the fixed
     point of the localization function).
     """
-    if r < 0:
-        raise DomainError("r must be >= 0")
+    if not 0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 0, got {r}")
     c = 25.0 / 16.0 * sum(params.chi_over_m)
     return 704.0 / params.B * r + (26.0 * params.B + 22.0) * c * params.t / params.K
 
 
 def bound_ours_macroauc(rstar: float, params: BoundParams) -> float:
     """Pair-transformed excess-risk bound 704 mu r* + (75/K) sum_k(1/tau_k) t/n~."""
-    if rstar < 0:
-        raise DomainError("r* must be >= 0")
+    if not 0 <= rstar < math.inf:
+        raise DomainError(f"r* must be finite and >= 0, got {rstar}")
     s = params.sum_inv_tau  # raises if tau_list missing or degenerate
     return 704.0 * params.mu * rstar + 75.0 / params.K * s * params.t / params.n_tilde
 
@@ -227,8 +227,8 @@ def bound_kernel_macroauc(rstar: float, params: BoundParams) -> float:
     With B = 1 the deviation coefficient is 75, matching the linear
     experiment assembly when mu = 1.
     """
-    if rstar < 0:
-        raise DomainError("r* must be >= 0")
+    if not 0 <= rstar < math.inf:
+        raise DomainError(f"r* must be finite and >= 0, got {rstar}")
     s = params.sum_inv_tau
     c = 25.0 / 16.0 * s / params.n_tilde
     return 704.0 / params.B * rstar + (26.0 * params.B + 22.0) * c * params.t / params.K

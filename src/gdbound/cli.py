@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import concentration as conc
 from . import graphdep, lfrc, macroauc, mcverify
-from .errors import ConfigError, FormatError, GdboundError, ParseError
+from .errors import ConfigError, DomainError, FormatError, GdboundError, ParseError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,7 +54,8 @@ def _number(cfg, key, kind=float):
     try:
         return kind(cfg[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--{key}: expected {kind.__name__}, got {cfg[key]!r}") from exc
+        raise ConfigError(f"--{key.replace('_', '-')}: expected {kind.__name__}, "
+                          f"got {cfg[key]!r}") from exc
 
 
 def _float_list(s):
@@ -148,31 +149,42 @@ def _write_or_print(text, out):
 
 # ---------------------------------------------------------------- verify
 
+def _structure_sizes(structure, count):
+    """The `count` comma-separated integers after `name:` in --structure."""
+    try:
+        sizes = [int(tok) for tok in structure.split(":", 1)[1].split(",")]
+    except ValueError:
+        sizes = []
+    if len(sizes) != count:
+        raise ConfigError(f"bad --structure {structure!r}; use bipartite:P,N or iid:M")
+    return sizes
+
+
 def _sampler_from_config(cfg):
     structure = str(cfg["structure"])
     kwargs = {
-        "k_tasks": int(cfg["k"]),
+        "k_tasks": _number(cfg, "k", int),
         "base": str(cfg["base"]),
-        "base_p": float(cfg["base_p"]),
-        "base_lo": float(cfg["base_lo"]),
-        "base_hi": float(cfg["base_hi"]),
+        "base_p": _number(cfg, "base_p"),
+        "base_lo": _number(cfg, "base_lo"),
+        "base_hi": _number(cfg, "base_hi"),
         "kernel": str(cfg["kernel"]),
         "centered": str(cfg["centered"]).lower() in ("1", "true", "yes"),
-        "seed": int(cfg["seed"]),
+        "seed": _number(cfg, "seed", int),
     }
     if structure.startswith("bipartite:"):
-        np_, nn = (int(x) for x in structure.split(":", 1)[1].split(","))
+        n_pos, n_neg = _structure_sizes(structure, 2)
         return mcverify.DependentSampler(structure="bipartite_ranking",
-                                         n_pos=np_, n_neg=nn, **kwargs)
+                                         n_pos=n_pos, n_neg=n_neg, **kwargs)
     if structure.startswith("iid:"):
-        m = int(structure.split(":", 1)[1])
+        (m,) = _structure_sizes(structure, 1)
         return mcverify.DependentSampler(structure="iid_blocks", m=m, **kwargs)
     raise ConfigError(f"bad --structure {structure!r}; use bipartite:P,N or iid:M")
 
 
 def cmd_verify(cfg):
     _require(cfg, "structure", "ineq", "trials")
-    trials = int(cfg["trials"])
+    trials = _number(cfg, "trials", int)
     if trials < 1:
         raise ConfigError("--trials must be >= 1")
     sampler = _sampler_from_config(cfg)
@@ -197,20 +209,20 @@ def cmd_verify(cfg):
 def _macro_params(cfg, need_norms=False):
     _require(cfg, "k", "tau", "n", "t")
     taus = _float_list(cfg["tau"])
-    if len(taus) != int(cfg["k"]):
+    if len(taus) != _number(cfg, "k", int):
         raise ConfigError("--tau list length must equal --K")
-    kw = dict(mu=float(cfg["mu"]), B=float(cfg["b_const"]), t=parse_t(cfg["t"]))
+    kw = dict(mu=_number(cfg, "mu"), B=_number(cfg, "b_const"), t=parse_t(cfg["t"]))
     if need_norms:
         _require(cfg, "mbar", "mtilde")
-        kw.update(m_bar=float(cfg["mbar"]), m_tilde=float(cfg["mtilde"]))
-    return bnd.BoundParams.pair_transformed(taus, float(cfg["n"]), **kw)
+        kw.update(m_bar=_number(cfg, "mbar"), m_tilde=_number(cfg, "mtilde"))
+    return bnd.BoundParams.pair_transformed(taus, _number(cfg, "n"), **kw)
 
 
 def _tail_input(cfg):
     _require(cfg, "ez", "sigma2", "chi")
     return conc.TailBoundInput(
-        b=float(cfg["b_shift"]), EZ=float(cfg["ez"]),
-        sigma_sq=float(cfg["sigma2"]),
+        b=_number(cfg, "b_shift"), EZ=_number(cfg, "ez"),
+        sigma_sq=_number(cfg, "sigma2"),
         chi_list=tuple(_float_list(cfg["chi"])),
     )
 
@@ -219,7 +231,8 @@ def cmd_bound(cfg):
     formula = cfg["formula"]
     if formula == "bernstein":
         _require(cfg, "c", "v", "t")
-        val = conc.bernstein_deviation(float(cfg["c"]), float(cfg["v"]), parse_t(cfg["t"]))
+        val = conc.bernstein_deviation(_number(cfg, "c"), _number(cfg, "v"),
+                                       parse_t(cfg["t"]))
         tag = "sqrt(2cvt) + 2ct/3"
     elif formula == "bennett-general":
         _require(cfg, "t")
@@ -242,12 +255,12 @@ def cmd_bound(cfg):
         tag = "exp(-(v/W) phi(4t/(5v))) on the lower tail"
     elif formula == "talagrand-v":
         _require(cfg, "sigma2", "ez")
-        val = conc.talagrand_v([[(1.0, float(cfg["sigma2"]))]], float(cfg["ez"]))
+        val = conc.talagrand_v([[(1.0, _number(cfg, "sigma2"))]], _number(cfg, "ez"))
         tag = "sum(w sigma_kj^2) + 2 E[Z]"
     elif formula == "ours-macroauc":
         _require(cfg, "rstar")
         params = _macro_params(cfg)
-        val = bnd.bound_ours_macroauc(float(cfg["rstar"]), params)
+        val = bnd.bound_ours_macroauc(_number(cfg, "rstar"), params)
         tag = "704*mu*r* + (75/K)*sum(1/tau)*t/n"
     elif formula == "prior-macroauc":
         params = _macro_params(cfg, need_norms=True)
@@ -256,19 +269,21 @@ def cmd_bound(cfg):
     elif formula == "kernel-macroauc":
         _require(cfg, "rstar")
         params = _macro_params(cfg)
-        val = bnd.bound_kernel_macroauc(float(cfg["rstar"]), params)
+        val = bnd.bound_kernel_macroauc(_number(cfg, "rstar"), params)
         tag = "(704/B)*r* + (26B+22)*(25/16)*sum(1/tau)*t/(K*n)"
     elif formula == "excess-general":
         _require(cfg, "r", "chi", "m", "t")
         chi = _float_list(cfg["chi"])
         m = _float_list(cfg["m"])
         params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                                 B=float(cfg["b_const"]), mu=float(cfg["mu"]),
+                                 B=_number(cfg, "b_const"), mu=_number(cfg, "mu"),
                                  t=parse_t(cfg["t"]))
-        val = bnd.excess_bound_general(float(cfg["r"]), params)
+        val = bnd.excess_bound_general(_number(cfg, "r"), params)
         tag = "(704/B)*r + (26B+22)*(25/16)*sum(chi/m)*t/K"
     else:
         raise ConfigError(f"unknown bound formula {formula!r}")
+    if math.isnan(val):  # finite inputs whose products overflow, e.g. 0 * inf
+        raise DomainError(f"{formula} is undefined for these inputs (overflow)")
     print(f"{formula} [{tag}] = {_fmt(val)}")
     if cfg.get("out"):
         payload = {"formula": formula, "value": val,
@@ -294,14 +309,15 @@ def _load_matrix(path):
 def cmd_lfrc_estimate(cfg):
     _require(cfg, "features")
     feats = [_load_matrix(p) for p in _path_list(cfg["features"])]
-    r = math.inf if str(cfg["r"]).lower() in ("inf", "none") else float(cfg["r"])
+    r = math.inf if str(cfg["r"]).lower() in ("inf", "none") else _number(cfg, "r")
     spec = lfrc.LinearClassSpec(
-        m_tilde=float(cfg["mtilde"]),
+        m_tilde=_number(cfg, "mtilde"),
         second_moments=tuple(lfrc.second_moment_matrix(X) for X in feats),
         r=r,
     )
     est, se = lfrc.estimate_lfrc(feats, [None] * len(feats), spec,
-                                 n_draws=int(cfg["draws"]), seed=int(cfg["seed"]))
+                                 n_draws=_number(cfg, "draws", int),
+                                 seed=_number(cfg, "seed", int))
     print(f"lfrc_estimate = {_fmt(est)} stderr = {_fmt(se)}")
     return EXIT_OK
 
@@ -309,12 +325,12 @@ def cmd_lfrc_estimate(cfg):
 def cmd_lfrc_fixed_point(cfg):
     if cfg["family"] != "sqrt":
         raise ConfigError("only the sqrt family a*sqrt(r)+b is supported")
-    a, b = float(cfg["a"]), float(cfg["b"])
+    a, b = _number(cfg, "a"), _number(cfg, "b")
     if a <= 0 or b < 0:
         raise ConfigError("need a > 0 and b >= 0")
     handle = lfrc.SubRootHandle(fn=lambda r: a * math.sqrt(r) + b,
-                                r_hi=float(cfg["r_hi"]))
-    r_star = lfrc.fixed_point(handle, tol=float(cfg["tol"]))
+                                r_hi=_number(cfg, "r_hi"))
+    r_star = lfrc.fixed_point(handle, tol=_number(cfg, "tol"))
     print(f"r_star = {_fmt(r_star)}")
     return EXIT_OK
 
@@ -330,7 +346,7 @@ def cmd_rstar_kernel(cfg):
     if not (len(spectra) == len(chi) == len(m)):
         raise ConfigError("--gram, --chi and --m must have one entry per task")
     params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                             m_tilde=float(cfg["mtilde"]))
+                             m_tilde=_number(cfg, "mtilde"))
     r_star, cuts = bnd.rstar_kernel(spectra, params)
     print(f"r_star = {_fmt(r_star)} cuts = {','.join(str(c) for c in cuts)}")
     return EXIT_OK
@@ -344,17 +360,17 @@ def cmd_rstar_linear(cfg):
         _require(cfg, "n")
         taus = _float_list(cfg["tau"])
         params = bnd.BoundParams.pair_transformed(
-            taus, float(cfg["n"]), m_tilde=float(cfg["mtilde"]),
-            m_bar=float(cfg["mbar"]))
+            taus, _number(cfg, "n"), m_tilde=_number(cfg, "mtilde"),
+            m_bar=_number(cfg, "mbar"))
     else:
         _require(cfg, "chi", "m")
         chi = _float_list(cfg["chi"])
         m = _float_list(cfg["m"])
         params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                                 m_tilde=float(cfg["mtilde"]), m_bar=float(cfg["mbar"]))
+                                 m_tilde=_number(cfg, "mtilde"), m_bar=_number(cfg, "mbar"))
     d_max = None
     if cfg.get("d_max") is not None:
-        d_max = int(cfg["d_max"])
+        d_max = _number(cfg, "d_max", int)
     r_star, cut = bnd.rstar_linear(spectrum, params, experiment_mode=experiment,
                                    d_max=d_max)
     print(f"r_star = {_fmt(r_star)} cut = {cut}")

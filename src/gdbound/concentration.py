@@ -32,6 +32,8 @@ def phi(x: float) -> float:
     """phi(x) = (1 + x) log(1 + x) - x, for x >= 0."""
     if x < 0:
         raise DomainError(f"phi requires x >= 0, got {x}")
+    if x == math.inf:  # (1 + x) log1p(x) - x would be inf - inf = nan
+        return math.inf
     return (1.0 + x) * math.log1p(x) - x
 
 
@@ -83,6 +85,9 @@ class TailBoundInput:
         if not self.chi_list:
             raise InvariantError("chi_list must be nonempty")
         K = len(self.chi_list)
+        if not all(map(math.isfinite, (self.b, self.EZ, self.sigma_sq, self.v,
+                                       *self.chi_list))):
+            raise DomainError("b, E[Z], sigma^2, v and every chi_f must be finite")
         if any(chi < 1.0 for chi in self.chi_list):
             raise InvariantError("every chi_f(G_k) is >= 1")
         if self.sigma_sq < 0:
@@ -100,6 +105,8 @@ class TailBoundInput:
                 for w_kj, v_kj in task_blocks:
                     if not (0.0 < w_kj <= 1.0):
                         raise InvariantError(f"weight {w_kj} outside (0, 1]")
+                    if not math.isfinite(v_kj):
+                        raise DomainError(f"block v_kj must be finite, got {v_kj}")
                     if v_kj < 0:
                         raise InvariantError(f"block v_kj must be >= 0, got {v_kj}")
                     w_sum += w_kj
@@ -117,8 +124,8 @@ class TailBoundInput:
 
 
 def _check_t(t):
-    if t <= 0:
-        raise DomainError(f"t must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t}")
 
 
 def bennett_tail_general(inp: TailBoundInput, t: float):
@@ -143,6 +150,8 @@ def bernstein_deviation(c: float, v: float, t: float) -> float:
     c = (25/16) * sum_k chi_f(G_k) for the general form, c = sum_k chi_f(G_k)
     in refined (all-unit-weight) mode.
     """
+    if not all(map(math.isfinite, (c, v, t))):
+        raise DomainError(f"c, v and t must be finite, got {c}, {v}, {t}")
     if c <= 0 or v <= 0:
         raise DomainError("c and v must be > 0")
     if t < 0:
@@ -179,13 +188,14 @@ def talagrand_v(sigma_sq_blocks, EZ: float) -> float:
     deviation certificate for the supremum of the centered process; the
     refined variant takes unit weights and c = sum_k chi_f(G_k).
     """
-    if EZ < 0:
-        raise DomainError("E[Z] must be >= 0 for a supremum of a centered process")
+    if not 0 <= EZ < math.inf:
+        raise DomainError("E[Z] must be finite and >= 0 for a supremum of a "
+                          "centered process")
     total = 0.0
     for task in sigma_sq_blocks:
         for w_kj, s_kj in task:
-            if s_kj < 0:
-                raise DomainError(f"sigma_kj^2 must be >= 0, got {s_kj}")
+            if not 0 <= s_kj < math.inf:
+                raise DomainError(f"sigma_kj^2 must be finite and >= 0, got {s_kj}")
             total += w_kj * s_kj
     return total + 2.0 * EZ
 

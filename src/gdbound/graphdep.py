@@ -24,6 +24,8 @@ from scipy.optimize import linprog
 from .errors import DomainError, ParseError, SizeError, StructuralError
 
 COVER_SUM_TOL = 1e-12  # per-vertex weight sums must hit 1 to this tolerance
+MAX_VERTICES = 10**7  # largest vertex count a graph file may declare
+MAX_VERTEX_LINES = 10  # bad vertex sums listed one by one in a cover report
 _LP_TOL = 1e-9
 
 
@@ -93,6 +95,8 @@ class DependencyGraph:
         if not rows:
             raise StructuralError("empty graph text")
         (n,) = _ints(rows[0][1], 1, rows[0][0])
+        if n > MAX_VERTICES:
+            raise ParseError(f"vertex count {n} exceeds {MAX_VERTICES}", line=rows[0][0])
         edges = [_ints(tokens, 2, k) for k, tokens in rows[1:]]
         return cls.from_edges(n, edges, label=label)
 
@@ -166,7 +170,8 @@ def validate_cover(graph: DependencyGraph, cover: FractionalCover) -> CoverRepor
 
     Violations reported: a class that is not an independent set, a class
     weight outside (0, 1], and a vertex whose class weights do not sum to 1
-    (tolerance COVER_SUM_TOL).
+    (tolerance COVER_SUM_TOL; the first MAX_VERTEX_LINES such vertices are
+    listed, the rest counted in one line).
     """
     if cover.graph.n_vertices != graph.n_vertices:
         raise StructuralError(
@@ -183,9 +188,12 @@ def validate_cover(graph: DependencyGraph, cover: FractionalCover) -> CoverRepor
         if not graph.is_independent(vs):
             violations.append(f"class {idx}: not an independent set")
     sums = cover.vertex_weight_sums()
-    for v in range(graph.n_vertices):
-        if abs(sums[v] - 1.0) > COVER_SUM_TOL:
-            violations.append(f"vertex {v}: weight sum {sums[v]!r} != 1")
+    bad = np.flatnonzero(np.abs(sums - 1.0) > COVER_SUM_TOL)
+    violations += [f"vertex {v}: weight sum {float(sums[v])!r} != 1"
+                   for v in bad[:MAX_VERTEX_LINES]]
+    if bad.size > MAX_VERTEX_LINES:
+        violations.append(f"... and {bad.size - MAX_VERTEX_LINES} more vertices "
+                          "with weight sum != 1")
     if graph.n_vertices > 0 and cover.total_weight < 1.0 - COVER_SUM_TOL:
         violations.append(f"total weight {cover.total_weight} < 1")
     return CoverReport(ok=not violations, violations=violations)

@@ -14,12 +14,17 @@ range) derived from the base and the kernel; the (v, sigma^2, W, U)
 bundle, the almost-sure bound b = hi and the Talagrand amplitude are all
 read from it.
 
+Every kernel's pair task sum factorizes over the task's draws u and w
+(for the product kernel, sum_pq u_p w_q = (sum u)(sum w)), so a task sum
+and its sum of squared summands cost O(n_pos + n_neg), not
+O(n_pos * n_neg), and no pair array is ever formed.
+
 Reproducibility: trials are simulated in fixed-size batches; batch i uses
 the i-th child stream of numpy's SeedSequence(master_seed).  Every draw
-goes through one batch loop that reduces each batch before drawing the
-next, so only one batch of summands is held in memory.  Aggregation over
-batches is order-independent, so batches could run concurrently without
-changing any reported number.
+goes through one batch loop that reduces each batch to its (trials, K)
+per-task sums before drawing the next, so one batch of draws and its task
+sums are held in memory.  Aggregation over batches is order-independent,
+so batches could run concurrently without changing any reported number.
 """
 
 from __future__ import annotations
@@ -179,29 +184,59 @@ def _draw_base(rng, sampler, shape):
     return lo + (hi - lo) * (rng.random(shape) < sampler.base_p)
 
 
-def _draw_summands(rng, sampler, base_mean, size):
-    """(size, K, m) iid summands or (size, K, n_pos, n_neg) pair values."""
+def _draw_task_sums(rng, sampler, base_mean, size, squares):
+    """(size, K) task sums of one batch, and with squares=True also the
+    (size, K) task sums of squared summands (None otherwise).
+
+    A pair task sum factorizes over its draws u (n_pos) and w (n_neg), so
+    no (n_pos, n_neg) pair array is formed:
+        product           sum g = Su * Sw,
+                          sum g^2 = S(u^2) * S(w^2);
+        centered_product  sum g = (Su - n_pos mu) (Sw - n_neg mu),
+                          sum g^2 = S((u-mu)^2) * S((w-mu)^2);
+        mean              sum g = (n_neg Su + n_pos Sw) / 2,
+                          sum g^2 = (n_neg S(u^2) + 2 Su Sw + n_pos S(w^2)) / 4.
+    The centered sum subtracts n_pos mu from Su rather than summing u - mu,
+    so trials with equal (Su, Sw) get bit-equal task sums: on a two-point
+    base, every trial at a lattice point that ties a threshold falls on
+    the same side of it.
+    """
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
         draws = _draw_base(rng, sampler, shape + (sampler.m,))
-        return draws - base_mean if sampler.centered else draws
-    u = _draw_base(rng, sampler, shape + (sampler.n_pos,))[..., :, None]
-    w = _draw_base(rng, sampler, shape + (sampler.n_neg,))[..., None, :]
+        if sampler.centered:
+            draws = draws - base_mean
+        return draws.sum(axis=2), _square_sum(draws) if squares else None
+    u = _draw_base(rng, sampler, shape + (sampler.n_pos,))
+    w = _draw_base(rng, sampler, shape + (sampler.n_neg,))
+    su, sw = u.sum(axis=2), w.sum(axis=2)
+    n_pos, n_neg = sampler.n_pos, sampler.n_neg
     if sampler.kernel == "product":
-        return u * w
-    if sampler.kernel == "centered_product":
-        return (u - base_mean) * (w - base_mean)
-    return 0.5 * (u + w)
+        sums = su * sw
+        sq = _square_sum(u) * _square_sum(w) if squares else None
+    elif sampler.kernel == "centered_product":
+        sums = (su - n_pos * base_mean) * (sw - n_neg * base_mean)
+        sq = _square_sum(u - base_mean) * _square_sum(w - base_mean) if squares else None
+    else:
+        sums = 0.5 * (n_neg * su + n_pos * sw)
+        sq = (0.25 * (n_neg * _square_sum(u) + 2.0 * su * sw + n_pos * _square_sum(w))
+              if squares else None)
+    return sums, sq
 
 
-def _reduce_batches(sampler, n_trials, stream_offset, reduce):
-    """[reduce(summands of batch i)] over the batches of n_trials trials;
-    batch i draws from child stream stream_offset + i.  Each batch is
-    reduced before the next is drawn, so one batch tensor is alive."""
+def _square_sum(x):
+    return (x * x).sum(axis=2)
+
+
+def _reduce_batches(sampler, n_trials, stream_offset, reduce, squares=False):
+    """[reduce(task sums, task square sums) of batch i] over the batches of
+    n_trials trials; batch i draws from child stream stream_offset + i.
+    Each batch is reduced before the next is drawn, so one batch of draws
+    is alive."""
     seqs = np.random.SeedSequence(sampler.seed).spawn(stream_offset + _n_batches(n_trials))
     base_mean = _base_law(sampler).mean
-    return [reduce(_draw_summands(np.random.default_rng(seq), sampler, base_mean,
-                                  min(BATCH, n_trials - i * BATCH)))
+    return [reduce(*_draw_task_sums(np.random.default_rng(seq), sampler, base_mean,
+                                    min(BATCH, n_trials - i * BATCH), squares))
             for i, seq in enumerate(seqs[stream_offset:])]
 
 
@@ -215,8 +250,7 @@ def _simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
         amp = _sup_amp(law)
         shift = _task_shape(sampler)[2] * law.mean
 
-    def reduce(vals):
-        task_sums = vals.sum(axis=tuple(range(2, vals.ndim)))
+    def reduce(task_sums, _):
         if sup_mode:
             task_sums = np.abs(task_sums - shift) / amp
         return task_sums.sum(axis=1)
@@ -262,13 +296,13 @@ def sample_Z(sampler: DependentSampler, n_trials: int,
 def _calibrate(sampler, n_cal, stream_offset):
     """Pooled empirical (mean, second moment) of one summand, from a
     calibration run on separate seed streams."""
-    s1, s2, count = 0.0, 0.0, 0
-    for b1, b2, n in _reduce_batches(
+    s1, s2 = 0.0, 0.0
+    for b1, b2 in _reduce_batches(
             sampler, n_cal, stream_offset,
-            lambda vals: (float(vals.sum()), float((vals**2).sum()), vals.size)):
+            lambda sums, sq: (float(sums.sum()), float(sq.sum())), squares=True):
         s1 += b1
         s2 += b2
-        count += n
+    count = n_cal * sampler.k_tasks * _task_shape(sampler)[2]
     return s1 / count, s2 / count
 
 

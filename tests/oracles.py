@@ -5,8 +5,10 @@ the library path it checks: projected gradient ascent with Dykstra
 projections for the constrained linear supremum, characteristic-polynomial
 root finding for eigenvalues, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points, a greedy
-coloring that rescans the edge list for every neighbourhood, and SGD that
-trains one label at a time with one scalar step per sampled pair.
+coloring that rescans the edge list for every neighbourhood, SGD that
+trains one label at a time with one scalar step per sampled pair, and
+Monte Carlo task sums that add up the whole (trials, K, n_pos, n_neg) pair
+tensor.
 """
 
 import math
@@ -17,6 +19,7 @@ from scipy.optimize import brentq
 
 from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
     UndefinedMetricError
+from gdbound import mcverify
 from gdbound.graphdep import FractionalCover
 from gdbound.macroauc import LAMBDA_GRID, LinearRanker, TrainConfig, derive_seed, \
     macro_auc, pair_transform
@@ -273,3 +276,58 @@ def loop_cv_select(dataset, grid=LAMBDA_GRID, folds=3, config=TrainConfig()):
     final_cfg = TrainConfig(lr=config.lr, epochs=config.epochs,
                             weight_decay=best_lam, seed=config.seed)
     return best_lam, loop_train_sgd(dataset, final_cfg)
+
+
+def _pair_tensor_draw(rng, sampler, base_mean, size):
+    """(size, K, m) iid summands or (size, K, n_pos, n_neg) pair values,
+    drawn with the library's draw calls in the library's order."""
+    shape = (size, sampler.k_tasks)
+    if sampler.structure == "iid_blocks":
+        draws = mcverify._draw_base(rng, sampler, shape + (sampler.m,))
+        return draws - base_mean if sampler.centered else draws
+    u = mcverify._draw_base(rng, sampler, shape + (sampler.n_pos,))[..., :, None]
+    w = mcverify._draw_base(rng, sampler, shape + (sampler.n_neg,))[..., None, :]
+    if sampler.kernel == "product":
+        return u * w
+    if sampler.kernel == "centered_product":
+        return (u - base_mean) * (w - base_mean)
+    return 0.5 * (u + w)
+
+
+def _pair_tensor_batches(sampler, n_trials, stream_offset, reduce):
+    seqs = np.random.SeedSequence(sampler.seed).spawn(
+        stream_offset + mcverify._n_batches(n_trials))
+    base_mean = mcverify._base_law(sampler).mean
+    return [reduce(_pair_tensor_draw(np.random.default_rng(seq), sampler, base_mean,
+                                     min(mcverify.BATCH, n_trials - i * mcverify.BATCH)))
+            for i, seq in enumerate(seqs[stream_offset:])]
+
+
+def pair_tensor_simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
+    """Z realizations from the summed pair tensor; the reference for
+    `mcverify._simulate`."""
+    if sup_mode:
+        law = mcverify._summand_law(sampler)
+        amp = mcverify._sup_amp(law)
+        shift = mcverify._task_shape(sampler)[2] * law.mean
+
+    def reduce(vals):
+        task_sums = vals.sum(axis=tuple(range(2, vals.ndim)))
+        if sup_mode:
+            task_sums = np.abs(task_sums - shift) / amp
+        return task_sums.sum(axis=1)
+
+    return np.concatenate(_pair_tensor_batches(sampler, n_trials, stream_offset, reduce))
+
+
+def pair_tensor_calibrate(sampler, n_cal, stream_offset):
+    """Pooled (mean, second moment) of every summand of the pair tensor;
+    the reference for `mcverify._calibrate`."""
+    s1, s2, count = 0.0, 0.0, 0
+    for b1, b2, n in _pair_tensor_batches(
+            sampler, n_cal, stream_offset,
+            lambda vals: (float(vals.sum()), float((vals**2).sum()), vals.size)):
+        s1 += b1
+        s2 += b2
+        count += n
+    return s1 / count, s2 / count

@@ -228,6 +228,15 @@ class TestExcessBoundGeneral:
         with pytest.raises(DomainError):
             excess_bound_general(-0.1, params)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        general = BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,))
+        pair = BoundParams.pair_transformed([0.3], 100.0)
+        for bound, params in ((excess_bound_general, general),
+                              (bound_ours_macroauc, pair), (bound_kernel_macroauc, pair)):
+            with pytest.raises(DomainError, match="must be finite"):
+                bound(r, params)
+
     @pytest.mark.parametrize("name", ["m_tilde", "m_bar", "mu", "B", "t"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_constant_rejected(self, name, value):

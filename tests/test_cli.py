@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ class TestBoundCommand:
                                 "--t", "ln100", "--mu", "1"])
         assert code == 0
         assert "1.74016" in out
+
+    @pytest.mark.parametrize("args", [
+        ["bernstein", "--c", "nan", "--v", "1", "--t", "1"],
+        ["bernstein", "--c", "1", "--v", "inf", "--t", "1"],
+        ["bennett-general", "--ez", "nan", "--sigma2", "1", "--chi", "1", "--t", "1"],
+        ["bennett-general", "--ez", "1", "--sigma2", "1", "--chi", "1", "--t", "inf"],
+        ["talagrand-v", "--ez", "nan", "--sigma2", "1"],
+        ["ours-macroauc", "--rstar", "nan", "--K", "1", "--tau", "0.3", "--n", "10",
+         "--t", "1"],
+        ["prior-macroauc", "--mu", "1e300", "--mbar", "1e300", "--mtilde", "0", "--K", "1",
+         "--tau", "0.3", "--n", "100", "--t", "1"],
+    ])
+    def test_non_finite_input_exit_2(self, args):
+        code, out, err = run_cli(["bound", *args])
+        assert code == 2
+        assert "error:" in err and out == ""
+
+    def test_bad_config_value_exit_2(self, tmp_path):
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text("c = abc\nv = 1\nt = 1\n")
+        code, _, err = run_cli(["bound", "bernstein", "--config", str(cfg)])
+        assert code == 2 and "--c" in err
 
     def test_missing_option_exit_2(self):
         code, _, err = run_cli(["bound", "bernstein", "--c", "1", "--v", "1"])
@@ -138,6 +161,31 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--structure", "ring:4", "--ineq",
                               "bennett_general", "--trials", "100"])
         assert code == 2
+
+    @pytest.mark.parametrize("structure", ["bipartite:5", "bipartite:a,b",
+                                           "bipartite:1,2,3", "iid:x", "iid:", "iid:2,3"])
+    def test_malformed_structure_sizes_exit_2(self, structure):
+        code, _, err = run_cli(["verify", "--structure", structure, "--ineq",
+                                "bennett_general", "--trials", "100"])
+        assert code == 2 and "--structure" in err
+
+    @pytest.mark.parametrize("line", ["trials = abc", "k = two", "base-p = x",
+                                      "seed = 1.5"])
+    def test_bad_config_value_exit_2(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("structure = iid:10\nineq = bennett_refined\ntrials = 100\n"
+                       f"{line}\n")
+        code, _, err = run_cli(["verify", "--config", str(cfg)])
+        assert code == 2
+        assert "--" + line.split()[0] in err
+
+    def test_large_bipartite_task_in_seconds(self):
+        # the pair tensor of this run would take 64 GB; the per-task sums a few MB
+        start = time.perf_counter()
+        code, out, _ = run_cli(["verify", "--structure", "bipartite:1000,800", "--ineq",
+                                "bennett_general", "--trials", "10000", "--seed", "2"])
+        assert code == 0 and "violations: 0" in out
+        assert time.perf_counter() - start < 10.0
 
     def test_byte_identical_reports(self, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -55,6 +55,10 @@ class TestPhiPsi:
     def test_phi_one_closed_form(self):
         assert phi(1.0) == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-15)
 
+    def test_phi_at_infinity(self):
+        # an overflowing argument must give an infinite exponent, not nan
+        assert phi(math.inf) == math.inf
+
     def test_phi_domain(self):
         with pytest.raises(DomainError):
             phi(-0.1)
@@ -121,6 +125,41 @@ class TestBennettGeneral:
                            blocks=(((1.0, 5.0),),))
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["b", "EZ", "sigma_sq", "chi"])
+    def test_non_finite_fields_rejected(self, field, bad):
+        kw = dict(b=0.0, EZ=0.5, sigma_sq=0.5, chi_list=(1.0,))
+        if field == "chi":
+            kw["chi_list"] = (1.0, bad)
+        else:
+            kw[field] = bad
+        with pytest.raises(DomainError):
+            TailBoundInput(**kw)
+
+    def test_non_finite_block_v_rejected(self):
+        with pytest.raises(DomainError):
+            single_block_input(v=math.nan)
+
+    def test_overflowing_v_rejected(self):
+        # (1 + b) E[Z] overflows to inf, which would turn the bound into nan
+        with pytest.raises(DomainError):
+            TailBoundInput(b=1.0, EZ=1e308, sigma_sq=1e308, chi_list=(1.0,))
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_t_rejected(self, t):
+        inp = single_block_input()
+        for tail in (lambda: bennett_tail_general(inp, t),
+                     lambda: bennett_tail_refined(inp, t),
+                     lambda: bennett_lower_tail(inp, t)):
+            with pytest.raises(DomainError):
+                tail()
+
+    def test_subnormal_v_gives_zero_not_nan(self):
+        inp = TailBoundInput(b=0.0, EZ=1e-320, sigma_sq=0.0, chi_list=(1.0,))
+        assert bennett_tail_general(inp, 1.0) == (0.0, 0.0)
+        assert bennett_tail_refined(inp, 1.0) == 0.0
+
+
 class TestBernsteinDeviation:
     def test_unit_example(self):
         assert bernstein_deviation(1.0, 1.0, 1.0) == pytest.approx(
@@ -142,6 +181,13 @@ class TestBernsteinDeviation:
             bernstein_deviation(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             bernstein_deviation(1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                      (1.0, 1.0, math.inf), (math.inf, 1.0, 1.0),
+                                      (1.0, 1.0, math.nan)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(DomainError):
+            bernstein_deviation(*args)
 
     def test_inversion_consistency(self):
         # plugging d(t) into the simple probability form with W = (16/25)c
@@ -223,3 +269,9 @@ class TestTalagrandV:
             talagrand_v([[(1.0, -0.5)]], 0.0)
         with pytest.raises(DomainError):
             talagrand_v([[(1.0, 0.5)]], -1.0)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DomainError):
+            talagrand_v([[(1.0, math.nan)]], 0.0)
+        with pytest.raises(DomainError):
+            talagrand_v([[(1.0, 0.5)]], math.inf)

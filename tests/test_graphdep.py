@@ -58,6 +58,13 @@ class TestValidateCover:
         assert not report.ok
         assert any("vertex 2" in v for v in report.violations)
 
+    def test_bad_vertex_lines_capped(self):
+        g = empty_graph(200_000)
+        report = validate_cover(g, cover_of(g, [({0}, 1.0)]))
+        assert report.violations == [
+            *(f"vertex {v}: weight sum 0.0 != 1" for v in range(1, 11)),
+            "... and 199989 more vertices with weight sum != 1"]
+
     def test_partial_weight_flagged(self):
         g = empty_graph(2)
         report = validate_cover(g, cover_of(g, [({0, 1}, 0.5)]))
@@ -113,6 +120,7 @@ class TestGraphBasics:
         ("3\n\n0 1\n1\n", 4),      # one token on an edge line
         ("three\n", 1),              # non-integer vertex count
         ("3 4\n0 1\n", 1),          # two tokens on the count line
+        ("\n10000001\n", 2),        # vertex count above MAX_VERTICES
     ])
     def test_malformed_graph_text_is_parse_error(self, text, line):
         with pytest.raises(ParseError) as info:

@@ -8,7 +8,7 @@ import pytest
 
 from gdbound import mcverify
 from gdbound.concentration import TailBoundInput
-from gdbound.errors import ConfigError, DomainError
+from gdbound.errors import ConfigError, DomainError, ModeError
 from gdbound.mcverify import (
     DependentSampler,
     analytic_input,
@@ -16,6 +16,7 @@ from gdbound.mcverify import (
     sample_Z,
     verify_inequality,
 )
+from oracles import pair_tensor_calibrate, pair_tensor_simulate
 
 
 def bipartite(n_pos, n_neg, seed=0, **kw):
@@ -154,6 +155,54 @@ class TestSampleZ:
     def test_trial_count_validated(self):
         with pytest.raises(DomainError):
             sample_Z(iid(5), 0)
+
+
+BASES = {
+    "uniform": {},
+    "two_point_01": dict(base="two_point", base_p=0.3, base_lo=0.0, base_hi=1.0),
+    "two_point_27": dict(base="two_point", base_p=0.4, base_lo=0.2, base_hi=0.7),
+    "point_mass": dict(base="two_point", base_p=0.5, base_lo=0.5, base_hi=0.5),
+}
+
+
+@pytest.mark.parametrize("structure,base,kernel,centered,k_tasks,trials", itertools.product(
+    ("iid", "bip"), BASES, ("product", "centered_product", "mean"), (False, True),
+    (1, 3), (257, mcverify.BATCH + 3)))
+def test_task_sums_match_pair_tensor_oracle(structure, base, kernel, centered,
+                                            k_tasks, trials):
+    # iid summands ignore the kernel; pair variables ignore `centered`
+    kw = dict(kernel=kernel, centered=centered, k_tasks=k_tasks, seed=41, **BASES[base])
+    s = iid(5, **kw) if structure == "iid" else bipartite(4, 3, **kw)
+    law = mcverify._summand_law(s)
+    # cancellation in centered sums: absolute error on the scale of |Z|'s range
+    scale = k_tasks * mcverify._task_shape(s)[2] * max(abs(law.lo), abs(law.hi))
+    z = mcverify._simulate(s, trials)
+    ref = pair_tensor_simulate(s, trials)
+    if structure == "iid":
+        assert np.array_equal(z, ref)
+    np.testing.assert_allclose(z, ref, rtol=1e-12, atol=1e-12 * scale)
+
+    if law.hi == law.lo:
+        with pytest.raises(ModeError):
+            mcverify._simulate(s, trials, sup_mode=True)
+    else:
+        sup = mcverify._simulate(s, trials, sup_mode=True, stream_offset=2)
+        sup_ref = pair_tensor_simulate(s, trials, sup_mode=True, stream_offset=2)
+        np.testing.assert_allclose(sup, sup_ref, rtol=1e-12,
+                                   atol=1e-12 * scale / mcverify._sup_amp(law))
+
+    moments = mcverify._calibrate(s, trials, stream_offset=1)
+    moments_ref = pair_tensor_calibrate(s, trials, stream_offset=1)
+    np.testing.assert_allclose(moments, moments_ref, rtol=1e-12,
+                               atol=1e-12 * max(abs(law.lo), abs(law.hi)) ** 2)
+
+
+def test_lattice_task_sums_tie_exactly():
+    # On a {0, 1} base a centered-product task sum depends on the draws only
+    # through (sum u, sum w), so Z takes at most (n_pos + 1)(n_neg + 1) values
+    s = bipartite(6, 5, seed=16, base="two_point", base_p=0.3,
+                  kernel="centered_product")
+    assert np.unique(mcverify._simulate(s, 20000)).size <= 7 * 6
 
 
 class TestEmpiricalTail:
