@@ -109,8 +109,10 @@ class BoundParams:
                 raise DomainError(f"{name} must be > 0")
         if self.t < 0:
             raise DomainError("t must be >= 0")
-        if any(m <= 0 for m in self.m_list) or any(chi <= 0 for chi in self.chi_list):
-            raise DomainError("m_k and chi_k must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (*self.m_list, *self.chi_list)):
+            raise DomainError("m_k and chi_k must be finite and > 0")
+        if not all(math.isfinite(ratio) for ratio in self.chi_over_m):
+            raise DomainError("chi_k / m_k overflows")
         if self.tau_list is not None:
             if any(not (0.0 < tau <= 0.5) for tau in self.tau_list):
                 raise DomainError("every tau_k must lie in (0, 0.5]")
@@ -121,7 +123,10 @@ class BoundParams:
         tau_list = tuple(float(t) for t in tau_list)
         if any(tau <= 0 for tau in tau_list):
             raise DomainError("degenerate label: tau_k must be > 0")
-        m_list = tuple(n_tilde**2 * tau * (1.0 - tau) for tau in tau_list)
+        try:
+            m_list = tuple(n_tilde**2 * tau * (1.0 - tau) for tau in tau_list)
+        except OverflowError as exc:
+            raise DomainError(f"n_tilde^2 overflows, n_tilde = {n_tilde}") from exc
         chi_list = tuple((1.0 - tau) * n_tilde for tau in tau_list)
         return cls(K=len(tau_list), m_list=m_list, chi_list=chi_list,
                    tau_list=tau_list, n_tilde=float(n_tilde), **kw)
@@ -156,6 +161,9 @@ def rstar_kernel(spectra, params: BoundParams):
         d_best = int(np.argmin(cand))
         cuts.append(d_best)
         total += float(cand[d_best])
+    if not math.isfinite(total):
+        raise DomainError(f"r* is not finite ({total}): chi_k/(K m_k) times the spectrum "
+                          "overflows")
     return total, cuts
 
 
@@ -173,14 +181,22 @@ def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
     tails = spectrum.tail_sums()
     hi = tails.size - 1
     if d_max is not None:
+        if d_max < 0:
+            raise DomainError(f"d_max must be >= 0, got {d_max}")
         hi = min(hi, int(d_max))
     ratios = np.array(params.chi_over_m) / params.K
     d_grid = np.arange(hi + 1)
-    head = d_grid[:, None] / params.m_bar**2 * ratios[None, :]
+    try:
+        head = d_grid[:, None] / params.m_bar**2 * ratios[None, :]
+    except OverflowError as exc:
+        raise DomainError(f"m_bar^2 overflows, m_bar = {params.m_bar}") from exc
     tail_term = params.m_tilde * np.sqrt(ratios[None, :] * tails[d_grid][:, None])
     cand = (head + tail_term).sum(axis=1)
     d_best = int(np.argmin(cand))
     value = float(cand[d_best])
+    if not math.isfinite(value):
+        raise DomainError(f"r* is not finite ({value}): chi_k/(K m_k) times the spectrum, "
+                          "or d / m_bar^2, overflows")
     if experiment_mode:
         value *= 2.0
     return value, d_best

@@ -326,8 +326,8 @@ def cmd_lfrc_fixed_point(cfg):
     if cfg["family"] != "sqrt":
         raise ConfigError("only the sqrt family a*sqrt(r)+b is supported")
     a, b = _number(cfg, "a"), _number(cfg, "b")
-    if a <= 0 or b < 0:
-        raise ConfigError("need a > 0 and b >= 0")
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
+        raise ConfigError(f"need finite a > 0 and b >= 0, got a = {a}, b = {b}")
     handle = lfrc.SubRootHandle(fn=lambda r: a * math.sqrt(r) + b,
                                 r_hi=_number(cfg, "r_hi"))
     r_star = lfrc.fixed_point(handle, tol=_number(cfg, "tol"))

@@ -25,6 +25,10 @@ class ModeError(GdboundError, ValueError):
     """Operation called in a mode its assumptions do not cover."""
 
 
+class ConvergenceError(GdboundError, RuntimeError):
+    """A numerical search failed to bracket its root or to reach its tolerance."""
+
+
 class StateError(GdboundError, RuntimeError):
     """Object not in the state the operation requires (e.g. untrained model)."""
 

@@ -2,7 +2,9 @@
 
 Each oracle re-derives its target quantity by a different algorithm than
 the library path it checks: projected gradient ascent with Dykstra
-projections for the constrained linear supremum, characteristic-polynomial
+projections for the constrained linear supremum, one eigendecomposition
+and one scalar brentq per (draw, task) for the localized complexity
+estimate, characteristic-polynomial
 root finding for eigenvalues, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points, a greedy
 coloring that rescans the edge list for every neighbourhood, SGD that
@@ -18,9 +20,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
-    UndefinedMetricError
+    InvariantError, StructuralError, UndefinedMetricError
 from gdbound import mcverify
 from gdbound.graphdep import FractionalCover
+from gdbound.lfrc import _EIG_CLIP
 from gdbound.macroauc import LAMBDA_GRID, LinearRanker, TrainConfig, derive_seed, \
     macro_auc, pair_transform
 
@@ -88,6 +91,91 @@ def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
             stable = 0
         prev = v
     return v
+
+
+def scalar_sup_one(c, S, m_tilde, r):
+    """max c.theta subject to ||theta|| <= m_tilde and theta' S theta <= r.
+
+    Solved on the KKT path theta(a) ~ (I + a S)^{-1} c: a = 0 when the
+    norm ball alone binds, the pure-ellipsoid solution when the ball is
+    slack, otherwise the a > 0 making both constraints active (root of a
+    monotone scalar equation in the eigenbasis of S).
+    """
+    c = np.asarray(c, dtype=float)
+    norm_c = float(np.linalg.norm(c))
+    if norm_c == 0.0:
+        return 0.0
+    if not math.isfinite(r):
+        return m_tilde * norm_c
+
+    lam, Q = np.linalg.eigh(np.asarray(S, dtype=float))
+    if lam[0] < -1e-8 * max(1.0, abs(lam[-1])):
+        raise InvariantError(f"second-moment matrix has eigenvalue {lam[0]} < 0")
+    lam = np.clip(lam, 0.0, None)
+    ct = Q.T @ c
+
+    def quad_on_ball(a):
+        # theta(a) scaled onto the ball boundary; returns theta' S theta
+        u = ct / (1.0 + a * lam)
+        nsq = float(u @ u)
+        return m_tilde**2 * float(lam @ (u * u)) / nsq
+
+    if quad_on_ball(0.0) <= r:
+        return m_tilde * norm_c
+
+    active = lam > _EIG_CLIP
+    if np.all(active | (np.abs(ct) <= _EIG_CLIP * norm_c)):
+        # c lives in range(S): pure ellipsoid candidate theta ~ S^+ c
+        s1 = float(np.sum(ct[active] ** 2 / lam[active]))
+        s2 = float(np.sum(ct[active] ** 2 / lam[active] ** 2))
+        if r * s2 / s1 <= m_tilde**2:
+            return math.sqrt(r * s1)
+
+    a_hi = 1.0
+    while quad_on_ball(a_hi) > r:
+        a_hi *= 4.0
+        if a_hi > 1e18:
+            raise RuntimeError("failed to bracket the active-constraint multiplier")
+    a = brentq(lambda x: quad_on_ball(x) - r, 0.0, a_hi, xtol=1e-15, rtol=1e-14)
+    u = ct / (1.0 + a * lam)
+    theta = m_tilde * u / np.linalg.norm(u)
+    return float(ct @ theta)
+
+
+def loop_estimate_lfrc(features_per_task, covers, spec, n_draws, seed):
+    """Monte Carlo estimate of the empirical localized complexity.
+
+    Each draw assigns one Rademacher sign per sample.  Because every
+    vertex's cover weights sum to 1, the cover-weighted aggregate for task
+    k collapses to c_k = (1/m_k) sum_i zeta_i x_i; the estimate is the
+    average over draws of sup_linear(c, spec) / K, with its standard error.
+    """
+    if n_draws < 1:
+        raise DomainError("n_draws must be >= 1")
+    K = len(features_per_task)
+    if len(covers) != K or len(spec.second_moments) != K:
+        raise StructuralError("features, covers and second moments must align per task")
+    mats = []
+    for X, cover in zip(features_per_task, covers):
+        X = np.asarray(X, dtype=float)
+        if cover is not None and cover.graph.n_vertices != X.shape[0]:
+            raise StructuralError(
+                f"cover graph has {cover.graph.n_vertices} vertices, task has "
+                f"{X.shape[0]} samples"
+            )
+        mats.append(X)
+    rng = np.random.default_rng(seed)
+    vals = np.empty(n_draws)
+    for d in range(n_draws):
+        total = 0.0
+        for k, X in enumerate(mats):
+            zeta = rng.integers(0, 2, size=X.shape[0]) * 2.0 - 1.0
+            c = zeta @ X / X.shape[0]
+            total += scalar_sup_one(c, spec.second_moments[k], spec.m_tilde, spec.r)
+        vals[d] = total / K
+    est = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
+    return est, stderr
 
 
 def charpoly_eigenvalues(matrix):

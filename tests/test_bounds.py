@@ -184,6 +184,13 @@ class TestRstarLinear:
         assert capped == pytest.approx(got_c, rel=1e-12)
         assert cut_c == want_c <= 2
 
+    def test_negative_cut_cap_rejected(self):
+        spec = SpectrumProfile(values=np.array([0.5, 0.25]), source="weight_svd")
+        params = BoundParams(K=1, m_list=(100.0,), chi_list=(1.0,))
+        with pytest.raises(DomainError, match="d_max"):
+            rstar_linear(spec, params, d_max=-1)
+        assert rstar_linear(spec, params, d_max=0)[1] == 0
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -242,6 +249,14 @@ class TestExcessBoundGeneral:
     def test_non_finite_constant_rejected(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,), **{name: value})
+
+    @pytest.mark.parametrize("field", ["m_list", "chi_list"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_zero_m_chi_rejected(self, field, value):
+        kw = {"m_list": (10.0, 20.0), "chi_list": (1.0, 2.0)}
+        kw[field] = (10.0, value)
+        with pytest.raises(DomainError, match="m_k and chi_k"):
+            BoundParams(K=2, **kw)
 
 
 class TestMacroAucBounds:

@@ -299,6 +299,81 @@ class TestLfrcAndRstarCommands:
         assert code == 3 and "bad.txt" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["lfrc", "estimate", "--r", "nan"],
+        ["lfrc", "estimate", "--mtilde", "nan"],
+        ["lfrc", "estimate", "--mtilde", "inf"],
+        ["lfrc", "estimate", "--seed=-1"],
+    ])
+    def test_bad_lfrc_estimate_input_exit_2(self, tmp_path, args):
+        feats = tmp_path / "x.txt"
+        np.savetxt(feats, np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 1.0]]))
+        code, out, err = run_cli(args + ["--features", str(feats)])
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    def test_unbracketable_multiplier_exit_2(self, tmp_path):
+        # a direction with eigenvalue 1e-16, below the rank cut-off, keeps
+        # the aggregates outside range(S); r = 1e-20 puts the multiplier
+        # past the bracket limit
+        feats = tmp_path / "x.txt"
+        feats.write_text("1 1e-8\n-1 2e-8\n0.5 -1e-8\n")
+        code, out, err = run_cli(["lfrc", "estimate", "--features", str(feats),
+                                  "--r", "1e-20"])
+        assert code == 2 and out == "" and "bracket" in err
+        assert "Traceback" not in err
+
+    def test_huge_ball_leaves_the_ellipsoid(self, tmp_path):
+        # m_tilde^2 overflows: the ball never binds, so the value is the
+        # ellipsoid-only supremum, not an OverflowError
+        feats = tmp_path / "x.txt"
+        np.savetxt(feats, np.random.default_rng(0).normal(size=(7, 3)))
+        code, out, err = run_cli(["lfrc", "estimate", "--features", str(feats),
+                                  "--r", "0.1", "--mtilde", "1e300"])
+        assert code == 0 and "lfrc_estimate = 0.204838" in out
+
+    @pytest.mark.parametrize("args", [
+        ["lfrc", "fixed-point", "--a", "nan"],
+        ["lfrc", "fixed-point", "--a", "2", "--b", "inf"],
+        ["lfrc", "fixed-point", "--a", "2", "--r-hi", "nan"],
+        ["lfrc", "fixed-point", "--a", "2", "--r-hi", "inf"],
+        ["lfrc", "fixed-point", "--a", "2", "--r-hi", "0"],
+        ["lfrc", "fixed-point", "--a", "2", "--tol", "nan"],
+        ["lfrc", "fixed-point", "--a", "2", "--tol", "0"],
+        ["rstar", "kernel", "--chi", "1", "--m", "nan", "--gram", "MATRIX"],
+        ["rstar", "kernel", "--chi", "inf", "--m", "100", "--gram", "MATRIX"],
+        ["rstar", "linear", "--chi", "1", "--m", "nan", "--weights", "MATRIX"],
+        ["rstar", "linear", "--tau", "0.5", "--n", "100", "--d-max=-1", "--weights", "MATRIX"],
+        ["rstar", "kernel", "--chi", "1", "--m", "1e-320", "--gram", "MATRIX"],
+        # chi/m times the spectrum overflows: 0 * inf and inf
+        ["rstar", "kernel", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--gram", "BIG"],
+        ["rstar", "kernel", "--chi", "1e300", "--m", "1e-8", "--gram", "BIG"],
+        ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--weights", "BIG"],
+        ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mbar", "1e-300",
+         "--weights", "BIG"],
+        # n_tilde^2 and m_bar^2 overflow a Python float
+        ["rstar", "linear", "--tau", "0.5", "--n", "1e300", "--weights", "MATRIX"],
+        ["rstar", "linear", "--chi", "1", "--m", "10", "--mbar", "1e300", "--weights", "MATRIX"],
+        ["bound", "ours-macroauc", "--rstar", "0.01", "--K", "1", "--tau", "0.3", "--n", "1e300",
+         "--t", "1"],
+    ])
+    def test_bad_fixed_point_or_rstar_input_exit_2(self, tmp_path, args):
+        matrix, big = tmp_path / "m.txt", tmp_path / "big.txt"
+        np.savetxt(matrix, np.diag([1.0, 0.5]))
+        np.savetxt(big, np.diag([1e300, 1e299]))
+        args = [{"MATRIX": str(matrix), "BIG": str(big)}.get(a, a) for a in args]
+        code, out, err = run_cli(args)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    def test_rstar_linear_zero_cut_cap_allowed(self, tmp_path):
+        # report_bounds caps the cut at 0 when rate < 1 / min(D, K)
+        w = tmp_path / "w.txt"
+        np.savetxt(w, np.diag([1.0, 0.5]))
+        code, out, _ = run_cli(["rstar", "linear", "--weights", str(w), "--tau", "0.5",
+                                "--n", "100", "--d-max", "0"])
+        assert code == 0 and "cut = 0" in out
+
     def test_rstar_linear_macro_mode(self, tmp_path):
         w = tmp_path / "w.txt"
         np.savetxt(w, np.zeros((2, 3)))

@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from gdbound.errors import DomainError, InvariantError, StructuralError
+from gdbound import lfrc
+from gdbound.errors import ConfigError, ConvergenceError, DomainError, InvariantError, \
+    StructuralError
 from gdbound.graphdep import bipartite_ranking_graph
 from gdbound.lfrc import (
     LinearClassSpec,
@@ -14,7 +19,8 @@ from gdbound.lfrc import (
     sup_linear,
 )
 
-from oracles import pga_sup_linear, sqrt_affine_fixed_point
+from oracles import loop_estimate_lfrc, pga_sup_linear, scalar_sup_one, \
+    sqrt_affine_fixed_point
 
 
 def spec_for(S_list, m_tilde=1.0, r=math.inf):
@@ -80,6 +86,195 @@ class TestSupLinear:
         val = sup_linear([c], spec_for([S], m_tilde=1.0, r=0.01))
         oracle = pga_sup_linear(c, S, 1.0, 0.01)
         assert val == pytest.approx(oracle, rel=1e-8)
+
+
+def scalar_rows(C, S, m_tilde, r):
+    return np.array([scalar_sup_one(c, S, m_tilde, r) for c in C])
+
+
+def pair_features(rng, n_pos, n_neg, d):
+    """Pair-differenced features: rank n_pos + n_neg - 1 when d exceeds it,
+    with a spread spectrum, as in a pair-transformed Macro-AUC task."""
+    scales = np.geomspace(0.05, 1.5, d)
+    pos = rng.normal(size=(n_pos, d)) * scales + 0.2 * scales
+    neg = rng.normal(size=(n_neg, d)) * scales
+    return (pos[:, None, :] - neg[None, :, :]).reshape(n_pos * n_neg, d)
+
+
+def aggregates(rng, X, n):
+    zeta = rng.integers(0, 2, size=(n, X.shape[0])) * 2.0 - 1.0
+    return zeta @ X / X.shape[0]
+
+
+class TestBatchSolver:
+    """The batch solver row by row against the scalar per-draw solver."""
+
+    def test_ball_only(self):
+        # every aggregate leans on the small eigenvalues, so the ball alone
+        # meets the ellipsoid: value m_tilde |c|
+        rng = np.random.default_rng(1)
+        S = np.diag([1e-3, 2e-3, 4.0])
+        C = rng.normal(size=(40, 3)) * [1.0, 1.0, 1e-3]
+        got = lfrc._sup_rows(C, S, 1.5, 0.5)
+        np.testing.assert_allclose(got, 1.5 * np.linalg.norm(C, axis=1), rtol=1e-12)
+        # m_tilde |c| is one product on both paths: equal, not just close
+        assert np.array_equal(got, scalar_rows(C, S, 1.5, 0.5))
+
+    def test_pure_ellipsoid(self):
+        # c in range(S) and r small: the ball is slack, value sqrt(r c'S^-1 c)
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(5, 5))
+        S = A.T @ A / 5 + 0.1 * np.eye(5)
+        C = rng.normal(size=(40, 5))
+        r = 1e-4
+        got = lfrc._sup_rows(C, S, 2.0, r)
+        closed = np.sqrt(r * np.einsum("ij,ij->i", C, np.linalg.solve(S, C.T).T))
+        np.testing.assert_allclose(got, closed, rtol=1e-10)
+        np.testing.assert_allclose(got, scalar_rows(C, S, 2.0, r), rtol=1e-12, atol=0)
+
+    def test_huge_m_tilde_gives_ellipsoid_value(self):
+        # m_tilde^2 overflows to inf: the ball never binds
+        rng = np.random.default_rng(8)
+        X = pair_features(rng, 4, 3, 5)
+        S = second_moment_matrix(X)
+        C = aggregates(rng, X, 20)
+        r = 0.3
+        closed = np.sqrt(r * np.einsum("ij,ij->i", C, (np.linalg.pinv(S) @ C.T).T))
+        with np.errstate(over="ignore"):
+            got = lfrc._sup_rows(C, S, 1e300, r)
+        np.testing.assert_allclose(got, closed, rtol=1e-9)
+
+    def test_both_active(self):
+        rng = np.random.default_rng(3)
+        X = pair_features(rng, 6, 5, 12)
+        S = second_moment_matrix(X)
+        C = aggregates(rng, X, 60)
+        r = 0.5 * np.trace(S) / 12
+        got = lfrc._sup_rows(C, S, 1.0, r)
+        # both constraints bind: each row lies strictly below the ball-only
+        # value m_tilde |c| and the ellipsoid-only value sqrt(r c'S^+c)
+        ellipsoid = np.sqrt(r * np.einsum("ij,ij->i", C, (np.linalg.pinv(S) @ C.T).T))
+        assert (got < np.minimum(np.linalg.norm(C, axis=1), ellipsoid) * (1 - 1e-9)).all()
+        np.testing.assert_allclose(got, scalar_rows(C, S, 1.0, r), rtol=1e-12, atol=0)
+
+    def test_zero_rows_and_infinite_r(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(9, 4))
+        S = second_moment_matrix(X)
+        C = aggregates(rng, X, 10)
+        C[[0, 3, 7]] = 0.0
+        for r in (0.05, math.inf):
+            got = lfrc._sup_rows(C, S, 1.3, r)
+            assert (got[[0, 3, 7]] == 0.0).all()
+            np.testing.assert_allclose(got, scalar_rows(C, S, 1.3, r), rtol=1e-12, atol=0)
+        assert (lfrc._sup_rows(np.zeros((4, 4)), S, 1.3, 0.05) == 0.0).all()
+
+    @pytest.mark.parametrize("radius", [0.002, 0.02, 0.2, 2.0, 20.0])
+    def test_rank_deficient_every_regime(self, radius):
+        # D = 30 > rank 19: every aggregate lies in range(S); the radii move
+        # the rows from pure ellipsoid through both active to ball only
+        rng = np.random.default_rng(5)
+        X = pair_features(rng, 5, 4, 30)
+        S = second_moment_matrix(X)
+        assert np.linalg.matrix_rank(S) < 30
+        C = aggregates(rng, X, 80)
+        r = radius * np.trace(S) / 30
+        np.testing.assert_allclose(lfrc._sup_rows(C, S, 1.0, r), scalar_rows(C, S, 1.0, r),
+                                   rtol=1e-12, atol=0)
+
+    def test_mixed_regimes_in_one_batch(self):
+        # one batch holding zero, ball-only, pure-ellipsoid, both-active
+        # and out-of-range rows; each row must get its own case
+        S = np.diag([0.0, 1e-3, 0.5, 2.0])
+        C = np.array([
+            [0.0, 0.0, 0.0, 0.0],      # zero
+            [1.0, 0.0, 0.0, 0.0],      # null space only: ball
+            [0.0, 1.0, 0.0, 0.0],      # small eigenvalue: ball
+            [0.0, 0.0, 1e-3, 1e-3],    # in range, r large relative: ball
+            [0.0, 0.0, 1.0, 1.0],      # in range
+            [0.0, 0.3, 1.0, 0.2],      # in range
+            [1.0, 0.0, 1.0, 1.0],      # outside range(S)
+            [0.2, 0.1, 0.0, 3.0],      # outside range(S)
+        ])
+        for m_tilde in (0.3, 1.0, 7.0):
+            for r in (1e-5, 1e-3, 0.05, 0.4):
+                got = lfrc._sup_rows(C, S, m_tilde, r)
+                want = scalar_rows(C, S, m_tilde, r)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                # the same rows one at a time: a row does not see the others
+                single = np.array([lfrc._sup_rows(c[None], S, m_tilde, r)[0] for c in C])
+                assert np.array_equal(got, single)
+
+    def test_multiplier_is_the_scalar_brent_root(self):
+        # random spectra over six decades and aggregates over four: rows take
+        # different numbers of bracket and search steps, and every row's
+        # multiplier equals a scalar search on that row alone, bit for bit
+        rows = 0
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            D = int(rng.integers(2, 8))
+            lam = np.sort(10.0 ** rng.uniform(-4, 2, D))
+            CT = rng.normal(size=(40, D)) * 10.0 ** rng.uniform(-2, 2, (40, D))
+            r = float(10.0 ** rng.uniform(-3, 1)) * lam.mean()
+
+            def quad(ct, a):
+                u = ct / (1.0 + a * lam)
+                return 1.0 * float(lam @ (u * u)) / float(u @ u)
+
+            want, keep = [], []
+            for ct in CT:
+                a_hi = 1.0
+                while quad(ct, 0.0) > r and quad(ct, a_hi) > r and a_hi <= 1e18:
+                    a_hi *= 4.0
+                if quad(ct, 0.0) > r and a_hi <= 1e18:
+                    keep.append(True)
+                    want.append(brentq(lambda a: quad(ct, a) - r, 0.0, a_hi,
+                                       xtol=1e-15, rtol=1e-14))
+                else:
+                    keep.append(False)
+            if want:
+                assert np.array_equal(lfrc._multiplier(CT[keep], lam, 1.0, r), want)
+                rows += len(want)
+        assert rows > 500
+
+    def test_outside_range_of_rank_deficient_S(self):
+        rng = np.random.default_rng(6)
+        B = rng.normal(size=(6, 3))
+        S = B @ B.T / 3  # rank 3 in dimension 6
+        C = rng.normal(size=(50, 6))
+        for r in (1e-3, 0.1, 1.0):
+            np.testing.assert_allclose(lfrc._sup_rows(C, S, 1.2, r),
+                                       scalar_rows(C, S, 1.2, r), rtol=1e-12, atol=0)
+
+    def test_non_psd_rejected_like_scalar(self):
+        S = np.array([[1.0, 0.0], [0.0, -0.5]])
+        C = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(InvariantError):
+            scalar_sup_one(C[1], S, 1.0, 1.0)
+        with pytest.raises(InvariantError):
+            lfrc._sup_rows(C, S, 1.0, 1.0)
+        # zero aggregates and r = inf never decompose S, in either solver
+        assert (lfrc._sup_rows(C[:1], S, 1.0, 1.0) == 0.0).all()
+        assert lfrc._sup_rows(C, S, 1.0, math.inf)[1] == scalar_sup_one(C[1], S, 1.0, math.inf)
+
+    def test_unbracketable_multiplier_raises(self):
+        # c almost orthogonal to range(S) and a tiny r: the root lies past
+        # a = 1e18, in both solvers
+        S = np.diag([1.0, 0.0])
+        c = np.array([1.0, 1e-3])
+        with pytest.raises(RuntimeError, match="bracket"):
+            scalar_sup_one(c, S, 1.0, 1e-40)
+        with pytest.raises(ConvergenceError, match="bracket"):
+            lfrc._sup_rows(c[None], S, 1.0, 1e-40)
+
+    def test_sup_linear_is_one_row_case(self):
+        rng = np.random.default_rng(7)
+        X = pair_features(rng, 4, 3, 8)
+        S = second_moment_matrix(X)
+        c_list = list(aggregates(rng, X, 3))
+        spec = spec_for([S] * 3, m_tilde=1.0, r=0.3 * np.trace(S) / 8)
+        want = sum(scalar_sup_one(c, S, spec.m_tilde, spec.r) for c in c_list)
+        assert sup_linear(c_list, spec) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestEstimateLfrc:
@@ -171,6 +366,89 @@ class TestEstimateLfrc:
         assert a == b
 
 
+    @pytest.mark.parametrize("r", [0.05, 0.5, math.inf])
+    @pytest.mark.parametrize("with_covers", [False, True])
+    def test_matches_loop_oracle_three_tasks_across_blocks(self, monkeypatch, r, with_covers):
+        # odd m_k = 9, 5, 7 (rook graphs 3x3, 1x5, 1x7), 7 draws per
+        # block, 20 draws: blocks of 7, 7 and 6
+        monkeypatch.setattr(lfrc, "_SIGN_BLOCK", 7 * 21)
+        rng = np.random.default_rng(31)
+        shapes = [(3, 3), (1, 5), (1, 7)]
+        feats = [pair_features(rng, p, q, 4) for p, q in shapes]
+        covers = ([bipartite_ranking_graph(p, q)[1] for p, q in shapes] if with_covers
+                  else [None] * 3)
+        spec = spec_for([second_moment_matrix(X) for X in feats], m_tilde=1.1, r=r)
+        got = estimate_lfrc(feats, covers, spec, n_draws=20, seed=5)
+        want = loop_estimate_lfrc(feats, covers, spec, n_draws=20, seed=5)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_draws", [1, 2, 3])
+    def test_matches_loop_oracle_one_draw_per_block(self, n_draws):
+        # m = 2^17 + 1 samples: the sign block holds one draw, so every
+        # draw is its own block with the real block constant
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(2**17 + 1, 2)) * [1.0, 0.1]
+        assert lfrc._SIGN_BLOCK // X.shape[0] == 1
+        spec = spec_for([second_moment_matrix(X)], m_tilde=1.0, r=0.002)
+        got = estimate_lfrc([X], [None], spec, n_draws=n_draws, seed=9)
+        want = loop_estimate_lfrc([X], [None], spec, n_draws=n_draws, seed=9)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("radius", [0.02, 0.2, 2.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certify_shape_is_bit_identical(self, seed, radius):
+        # a pair-transformed task with a rank-deficient second moment; the
+        # radii put the rows in the pure-ellipsoid case, split them between
+        # it and the both-active case, and add ball-only rows: the batch
+        # repeats the per-draw arithmetic
+        rng = np.random.default_rng(seed)
+        X = pair_features(rng, 9, 8, 24)
+        S = second_moment_matrix(X)
+        spec = spec_for([S], m_tilde=1.0, r=radius * float(np.trace(S)) / 24)
+        _, cover = bipartite_ranking_graph(9, 8)
+        got = estimate_lfrc([X], [cover], spec, n_draws=120, seed=seed)
+        assert got == loop_estimate_lfrc([X], [cover], spec, n_draws=120, seed=seed)
+
+    def test_sign_draws_stay_within_the_block(self, monkeypatch):
+        # each integers call draws at most _SIGN_BLOCK signs (one draw's
+        # worth when a single draw is larger), whatever K and n_draws are
+        sizes = []
+        make_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def integers(self, low, high, size):
+                sizes.append(size)
+                return self.rng.integers(low, high, size=size)
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        monkeypatch.setattr(lfrc, "_SIGN_BLOCK", 100)
+        rng = make_rng(4)
+        feats = [rng.normal(size=(m, 2)) for m in (7, 13, 5)]
+        spec = spec_for([second_moment_matrix(X) for X in feats], r=0.5)
+        estimate_lfrc(feats, [None] * 3, spec, n_draws=9, seed=1)
+        assert sizes == [(4, 25), (4, 25), (1, 25)]
+        sizes.clear()
+        estimate_lfrc([feats[0]] * 3, [None] * 3, spec_for([spec.second_moments[0]] * 3),
+                      n_draws=9, seed=1)
+        assert sizes == [(4, 21), (4, 21), (1, 21)]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed(self, seed):
+        X = np.ones((2, 2))
+        spec = spec_for([second_moment_matrix(X)])
+        with pytest.raises(ConfigError, match="seed"):
+            estimate_lfrc([X], [None], spec, n_draws=2, seed=seed)
+
+    def test_overflowing_supremum_rejected(self):
+        # finite features whose aggregate norm overflows
+        X = np.full((1, 4), 1e154)
+        spec = spec_for([second_moment_matrix(X)], m_tilde=1.0)
+        with pytest.raises(DomainError, match="overflow"), np.errstate(over="ignore"):
+            estimate_lfrc([X], [None], spec, n_draws=2, seed=0)
+
 class TestFixedPoint:
     def test_pure_sqrt(self):
         h = SubRootHandle(fn=math.sqrt)
@@ -218,3 +496,44 @@ class TestFixedPoint:
         # bracketing expands upward past the declared search ceiling
         h = SubRootHandle(fn=lambda r: 2e4 * math.sqrt(r), r_hi=1e3)
         assert fixed_point(h) == pytest.approx(4e8, rel=1e-9)
+
+    @pytest.mark.parametrize("r_hi", [math.nan, math.inf, 0.0, -1.0, 1e-320])
+    def test_bad_r_hi_rejected(self, r_hi):
+        with pytest.raises(DomainError, match="r_hi"):
+            SubRootHandle(fn=math.sqrt, r_hi=r_hi)
+        handle = SubRootHandle(fn=math.sqrt)
+        handle.r_hi = r_hi
+        with pytest.raises(DomainError, match="r_hi"):
+            fixed_point(handle)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            fixed_point(SubRootHandle(fn=math.sqrt), tol=tol)
+
+
+class TestLinearClassSpec:
+    @pytest.mark.parametrize("m_tilde", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_m_tilde(self, m_tilde):
+        with pytest.raises(DomainError, match="m_tilde"):
+            spec_for([np.eye(2)], m_tilde=m_tilde)
+
+    @pytest.mark.parametrize("r", [math.nan, 0.0, -1.0, -math.inf])
+    def test_bad_radius(self, r):
+        with pytest.raises(DomainError, match="radius"):
+            spec_for([np.eye(2)], r=r)
+
+    def test_infinite_radius_allowed(self):
+        assert spec_for([np.eye(2)], r=math.inf).r == math.inf
+
+    def test_non_finite_second_moment(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            spec_for([np.array([[1.0, np.inf], [np.inf, 1.0]])])
+
+
+def test_import_does_not_load_scipy_optimize():
+    code = ("import sys, gdbound.lfrc; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
