@@ -3,13 +3,16 @@
 Subcommands: verify, bound <formula>, lfrc estimate|fixed-point,
 rstar kernel|linear, experiment, graph chi|cover-check.
 
-Configuration is flat `key = value` text (keys match the long option
-names); command-line flags override file values, and the GDBOUND_SEED
-environment variable overrides any configured seed (explicit --seed still
-wins).  Every run is deterministic under a fixed (config, seed): reports
-embed the resolved configuration and replaying it reproduces the report
-byte for byte.  Numeric output on stdout uses 6 significant digits;
-report files store full precision.
+Each subcommand declares its options in one table (`COMMANDS`): flag,
+converter, default and choices.  Configuration is flat `key = value` text
+(keys are the option names, with dashes or underscores).  A value comes
+from its flag, else from the GDBOUND_SEED environment variable (seed
+only), else from the config file, else from the table default, and
+whatever its source it is converted by the same converter.  Every run is
+deterministic under a fixed (config, seed): reports embed the resolved
+configuration and replaying it reproduces the report byte for byte.
+Numeric output on stdout uses 6 significant digits; report files store
+full precision.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +42,10 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
+# ---------------------------------------------------------------- converters
+# Each turns the text of a flag, a config line or a default into a value.
+# A ConfigError names what was expected; int and float raise ValueError.
+
 def parse_t(value):
     """Accept plain floats plus the literal ln100 (and lnN generally)."""
     s = str(value).strip()
@@ -49,38 +57,121 @@ def parse_t(value):
         raise ConfigError(f"bad t value {value!r}") from exc
 
 
-def _number(cfg, key, kind=float):
-    """cfg[key] as an int or a float; ConfigError (exit 2) on a bad value."""
+def _floats(text):
+    """Comma-separated numbers; empty items are skipped, an empty list is not."""
     try:
-        return kind(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--{key.replace('_', '-')}: expected {kind.__name__}, "
-                          f"got {cfg[key]!r}") from exc
+        values = [float(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
-def _float_list(s):
+def _seeds(text):
     try:
-        return [float(tok) for tok in str(s).split(",") if tok != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {s!r}") from exc
-
-
-def _seed_list(s):
-    try:
-        seeds = [int(tok) for tok in str(s).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--seeds: expected comma-separated integers, got {s!r}") from exc
+        seeds = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        seeds = [-1]
     if min(seeds) < 0:
-        raise ConfigError(f"--seeds must be >= 0, got {s!r}")
+        raise ConfigError(f"expected comma-separated non-negative integers, got {text!r}")
     return seeds
 
 
-def _path_list(value):
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _bool(text):
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ConfigError(f"expected one of 1/true/yes/0/false/no, got {text!r}") from None
+
+
+def _radius(text):
+    """A float, or inf/none for the unlocalized class."""
+    if text.lower() in ("inf", "none"):
+        return math.inf
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected float, inf or none, got {text!r}") from None
+
+
+def _paths(value):
     """Repeatable path options arrive as lists from flags and as
-    comma-separated strings from config files."""
+    comma-separated text from config files."""
     if isinstance(value, str):
         return [tok for tok in value.split(",") if tok]
     return list(value)
+
+
+_STRUCTURES = {"bipartite": ("bipartite_ranking", ("n_pos", "n_neg")),
+               "iid": ("iid_blocks", ("m",))}
+
+
+def _structure(text):
+    """bipartite:P,N or iid:M as DependentSampler keyword arguments."""
+    kind, _, sizes = text.partition(":")
+    structure, names = _STRUCTURES.get(kind, (None, ()))
+    try:
+        values = [int(tok) for tok in sizes.split(",")]
+    except ValueError:
+        values = []
+    if not names or len(values) != len(names):
+        raise ConfigError(f"expected bipartite:P,N or iid:M, got {text!r}")
+    return {"structure": structure, **dict(zip(names, values))}
+
+
+# ---------------------------------------------------------------- option table
+
+class Opt(NamedTuple):
+    """One option: `flag` on the command line (no dashes: positional),
+    `dest` as config key and report key, `convert` for any text value,
+    `default` as text.  A `_paths` option may be given more than once."""
+    flag: str
+    dest: str
+    convert: Callable = str
+    default: str | None = None
+    choices: tuple = ()
+    help: str | None = None
+
+    def parse(self, raw):
+        try:
+            value = self.convert(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.flag}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{self.flag}: expected {self.convert.__name__}, "
+                              f"got {raw!r}") from exc
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{self.flag}: invalid choice {raw!r} "
+                              f"(choose from {', '.join(self.choices)})")
+        return value
+
+    def report_text(self, raw, value, verbatim):
+        """Report text: config and environment text as written; a number
+        from a flag or a default as str of its value, so --mtilde 1 is 1.0."""
+        numeric = self.convert in (int, float) and not verbatim
+        return str(value if numeric else raw)
+
+
+def _opt(flag, convert=str, default=None, choices=(), help=None, dest=None):
+    dest = dest or flag.lstrip("-").replace("-", "_").lower()
+    return Opt(flag, dest, convert, default, tuple(choices), help)
+
+
+class Options(dict):
+    """Converted values of one run keyed by dest; `embedded` holds the text
+    a report embeds.  Reading an option with no value raises ConfigError."""
+
+    def __init__(self, values, embedded, flags):
+        super().__init__(values)
+        self.embedded = embedded
+        self.flags = flags
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required option(s): {self.flags[key]}")
 
 
 def _read_text(path):
@@ -104,100 +195,55 @@ def read_config_file(path):
     return cfg
 
 
-def resolve_config(args, parser_keys, file_key="config"):
-    """Merge flag > GDBOUND_SEED > config file > parser default.
-
-    Returns the resolved flat dict (strings still unconverted for
-    file-sourced values are converted by each command as needed).
-    """
-    resolved = {k: v for k, v in vars(args).items() if k in parser_keys}
-    path = getattr(args, file_key, None)
-    if path:
-        file_cfg = read_config_file(path)
-        for key, val in file_cfg.items():
-            attr = key.replace("-", "_")
-            if attr not in parser_keys:
+def resolve_options(table, args):
+    """Options from flag > GDBOUND_SEED > config file > default, each value
+    converted once by its table entry."""
+    keys = {opt.dest for opt in table if opt.flag.startswith("-")}
+    written = {}  # config file and environment text
+    if args.config:
+        for key, text in read_config_file(args.config).items():
+            dest = key.replace("-", "_")
+            if dest not in keys:
                 raise ConfigError(f"unknown config key {key!r}")
-            if resolved.get(attr) is None:
-                resolved[attr] = val
-    env_seed = os.environ.get("GDBOUND_SEED")
-    if env_seed is not None and "seed" in parser_keys:
-        if getattr(args, "seed", None) is None:
-            resolved["seed"] = env_seed
-    return resolved
+            written.setdefault(dest, text)
+    if "seed" in keys and "GDBOUND_SEED" in os.environ:
+        written["seed"] = os.environ["GDBOUND_SEED"]
+    values, embedded = {}, {}
+    for opt in table:
+        raw, verbatim = getattr(args, opt.dest), False
+        if raw is None and opt.dest in written:
+            raw, verbatim = written[opt.dest], True
+        if raw is None:
+            raw = opt.default
+        if raw is None:
+            embedded[opt.dest] = "None"
+            continue
+        values[opt.dest] = opt.parse(raw)
+        embedded[opt.dest] = opt.report_text(raw, values[opt.dest], verbatim)
+    # output paths are not part of the run semantics and would break
+    # byte-identity across locations
+    embedded.pop("out", None)
+    return Options(values, dict(sorted(embedded.items())),
+                   {opt.dest: opt.flag for opt in table})
 
 
-def _require(cfg, *keys):
-    missing = [k for k in keys if cfg.get(k) is None]
-    if missing:
-        raise ConfigError("missing required option(s): "
-                          + ", ".join("--" + k.replace("_", "-") for k in missing))
-
-
-def _embeddable(cfg):
-    """Resolved config for report embedding; output paths are not part of
-    the run semantics and would break byte-identity across locations."""
-    return {k: str(v) for k, v in sorted(cfg.items()) if k != "out"}
-
-
-def _write_or_print(text, out):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _report(payload, cfg):
+    """JSON report text with the resolved configuration embedded."""
+    return json.dumps({**payload, "resolved_config": cfg.embedded}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------- verify
 
-def _structure_sizes(structure, count):
-    """The `count` comma-separated integers after `name:` in --structure."""
-    try:
-        sizes = [int(tok) for tok in structure.split(":", 1)[1].split(",")]
-    except ValueError:
-        sizes = []
-    if len(sizes) != count:
-        raise ConfigError(f"bad --structure {structure!r}; use bipartite:P,N or iid:M")
-    return sizes
-
-
-def _sampler_from_config(cfg):
-    structure = str(cfg["structure"])
-    kwargs = {
-        "k_tasks": _number(cfg, "k", int),
-        "base": str(cfg["base"]),
-        "base_p": _number(cfg, "base_p"),
-        "base_lo": _number(cfg, "base_lo"),
-        "base_hi": _number(cfg, "base_hi"),
-        "kernel": str(cfg["kernel"]),
-        "centered": str(cfg["centered"]).lower() in ("1", "true", "yes"),
-        "seed": _number(cfg, "seed", int),
-    }
-    if structure.startswith("bipartite:"):
-        n_pos, n_neg = _structure_sizes(structure, 2)
-        return mcverify.DependentSampler(structure="bipartite_ranking",
-                                         n_pos=n_pos, n_neg=n_neg, **kwargs)
-    if structure.startswith("iid:"):
-        (m,) = _structure_sizes(structure, 1)
-        return mcverify.DependentSampler(structure="iid_blocks", m=m, **kwargs)
-    raise ConfigError(f"bad --structure {structure!r}; use bipartite:P,N or iid:M")
-
-
 def cmd_verify(cfg):
-    _require(cfg, "structure", "ineq", "trials")
-    trials = _number(cfg, "trials", int)
-    if trials < 1:
-        raise ConfigError("--trials must be >= 1")
-    sampler = _sampler_from_config(cfg)
-    t_grid = _float_list(cfg["t_grid"])
-    report = mcverify.verify_inequality(
-        sampler, str(cfg["ineq"]), t_grid, trials,
-        form=str(cfg["form"]), moments=str(cfg["moments"]),
-    )
-    payload = report.as_dict()
-    payload["resolved_config"] = _embeddable(cfg)
-    text = json.dumps(payload, indent=2) + "\n"
+    ineq, trials = cfg["ineq"], cfg["trials"]
+    sampler = mcverify.DependentSampler(
+        **cfg["structure"], k_tasks=cfg["k"], base=cfg["base"], base_p=cfg["base_p"],
+        base_lo=cfg["base_lo"], base_hi=cfg["base_hi"], kernel=cfg["kernel"],
+        centered=cfg["centered"], seed=cfg["seed"])
+    report = mcverify.verify_inequality(sampler, ineq, cfg["t_grid"], trials,
+                                        form=cfg["form"], moments=cfg["moments"])
     if cfg.get("out"):
-        Path(cfg["out"]).write_text(text)
+        Path(cfg["out"]).write_text(_report(report.as_dict(), cfg))
     print(report.to_table())
     n_viol = len(report.violations)
     print(f"violations: {n_viol}")
@@ -207,88 +253,78 @@ def cmd_verify(cfg):
 # ---------------------------------------------------------------- bound
 
 def _macro_params(cfg, need_norms=False):
-    _require(cfg, "k", "tau", "n", "t")
-    taus = _float_list(cfg["tau"])
-    if len(taus) != _number(cfg, "k", int):
+    taus = cfg["tau"]
+    if len(taus) != cfg["k"]:
         raise ConfigError("--tau list length must equal --K")
-    kw = dict(mu=_number(cfg, "mu"), B=_number(cfg, "b_const"), t=parse_t(cfg["t"]))
+    kw = dict(mu=cfg["mu"], B=cfg["b_const"], t=cfg["t"])
     if need_norms:
-        _require(cfg, "mbar", "mtilde")
-        kw.update(m_bar=_number(cfg, "mbar"), m_tilde=_number(cfg, "mtilde"))
-    return bnd.BoundParams.pair_transformed(taus, _number(cfg, "n"), **kw)
+        kw.update(m_bar=cfg["mbar"], m_tilde=cfg["mtilde"])
+    return bnd.BoundParams.pair_transformed(taus, cfg["n"], **kw)
+
+
+def _task_params(cfg, **kw):
+    """BoundParams with one --chi and one --m entry per task."""
+    chi, m = cfg["chi"], cfg["m"]
+    return bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi), **kw)
 
 
 def _tail_input(cfg):
-    _require(cfg, "ez", "sigma2", "chi")
-    return conc.TailBoundInput(
-        b=_number(cfg, "b_shift"), EZ=_number(cfg, "ez"),
-        sigma_sq=_number(cfg, "sigma2"),
-        chi_list=tuple(_float_list(cfg["chi"])),
-    )
+    return conc.TailBoundInput(b=cfg["b_shift"], EZ=cfg["ez"], sigma_sq=cfg["sigma2"],
+                               chi_list=tuple(cfg["chi"]))
+
+
+def _bennett_general(cfg):
+    p_tight, p_simple = conc.bennett_tail_general(_tail_input(cfg), cfg["t"])
+    return {"p_tight": p_tight, "p_simple": p_simple}
+
+
+# formula: (stdout line per value, value from the options); a formula with
+# two values reports them as a dict in the order of its lines
+BOUND_FORMULAS = {
+    "bernstein": (
+        ("bernstein [sqrt(2cvt) + 2ct/3]",),
+        lambda o: conc.bernstein_deviation(o["c"], o["v"], o["t"])),
+    "bennett-general": (
+        ("bennett-general [exp(-(v/W) phi(tW/(Uv)))]",
+         "bennett-general-simple [exp(-(v/W) phi(4t/(5v)))]"),
+        _bennett_general),
+    "bennett-refined": (
+        ("bennett-refined [exp(-v phi(t/(vW)))]",),
+        lambda o: conc.bennett_tail_refined(_tail_input(o), o["t"])),
+    "lower-tail": (
+        ("lower-tail [exp(-(v/W) phi(4t/(5v))) on the lower tail]",),
+        lambda o: conc.bennett_lower_tail(_tail_input(o), o["t"])),
+    "talagrand-v": (
+        ("talagrand-v [sum(w sigma_kj^2) + 2 E[Z]]",),
+        lambda o: conc.talagrand_v([[(1.0, o["sigma2"])]], o["ez"])),
+    "ours-macroauc": (
+        ("ours-macroauc [704*mu*r* + (75/K)*sum(1/tau)*t/n]",),
+        lambda o: bnd.bound_ours_macroauc(o["rstar"], _macro_params(o))),
+    "prior-macroauc": (
+        ("prior-macroauc [2*(4*mu*mbar*mtilde/sqrt(n)*avg(sqrt(1/tau)) + "
+         "3*sqrt((log2+t)/2n)*sqrt(avg(1/tau)))]",),
+        lambda o: bnd.bound_prior_macroauc(_macro_params(o, need_norms=True))),
+    "kernel-macroauc": (
+        ("kernel-macroauc [(704/B)*r* + (26B+22)*(25/16)*sum(1/tau)*t/(K*n)]",),
+        lambda o: bnd.bound_kernel_macroauc(o["rstar"], _macro_params(o))),
+    "excess-general": (
+        ("excess-general [(704/B)*r + (26B+22)*(25/16)*sum(chi/m)*t/K]",),
+        lambda o: bnd.excess_bound_general(
+            o["r"], _task_params(o, B=o["b_const"], mu=o["mu"], t=o["t"]))),
+}
 
 
 def cmd_bound(cfg):
     formula = cfg["formula"]
-    if formula == "bernstein":
-        _require(cfg, "c", "v", "t")
-        val = conc.bernstein_deviation(_number(cfg, "c"), _number(cfg, "v"),
-                                       parse_t(cfg["t"]))
-        tag = "sqrt(2cvt) + 2ct/3"
-    elif formula == "bennett-general":
-        _require(cfg, "t")
-        p_tight, p_simple = conc.bennett_tail_general(_tail_input(cfg), parse_t(cfg["t"]))
-        print(f"bennett-general [exp(-(v/W) phi(tW/(Uv)))] = {_fmt(p_tight)}")
-        print(f"bennett-general-simple [exp(-(v/W) phi(4t/(5v)))] = {_fmt(p_simple)}")
-        if cfg.get("out"):
-            payload = {"formula": formula,
-                       "value": {"p_tight": p_tight, "p_simple": p_simple},
-                       "resolved_config": _embeddable(cfg)}
-            Path(cfg["out"]).write_text(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
-    elif formula == "bennett-refined":
-        _require(cfg, "t")
-        val = conc.bennett_tail_refined(_tail_input(cfg), parse_t(cfg["t"]))
-        tag = "exp(-v phi(t/(vW)))"
-    elif formula == "lower-tail":
-        _require(cfg, "t")
-        val = conc.bennett_lower_tail(_tail_input(cfg), parse_t(cfg["t"]))
-        tag = "exp(-(v/W) phi(4t/(5v))) on the lower tail"
-    elif formula == "talagrand-v":
-        _require(cfg, "sigma2", "ez")
-        val = conc.talagrand_v([[(1.0, _number(cfg, "sigma2"))]], _number(cfg, "ez"))
-        tag = "sum(w sigma_kj^2) + 2 E[Z]"
-    elif formula == "ours-macroauc":
-        _require(cfg, "rstar")
-        params = _macro_params(cfg)
-        val = bnd.bound_ours_macroauc(_number(cfg, "rstar"), params)
-        tag = "704*mu*r* + (75/K)*sum(1/tau)*t/n"
-    elif formula == "prior-macroauc":
-        params = _macro_params(cfg, need_norms=True)
-        val = bnd.bound_prior_macroauc(params)
-        tag = "2*(4*mu*mbar*mtilde/sqrt(n)*avg(sqrt(1/tau)) + 3*sqrt((log2+t)/2n)*sqrt(avg(1/tau)))"
-    elif formula == "kernel-macroauc":
-        _require(cfg, "rstar")
-        params = _macro_params(cfg)
-        val = bnd.bound_kernel_macroauc(_number(cfg, "rstar"), params)
-        tag = "(704/B)*r* + (26B+22)*(25/16)*sum(1/tau)*t/(K*n)"
-    elif formula == "excess-general":
-        _require(cfg, "r", "chi", "m", "t")
-        chi = _float_list(cfg["chi"])
-        m = _float_list(cfg["m"])
-        params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                                 B=_number(cfg, "b_const"), mu=_number(cfg, "mu"),
-                                 t=parse_t(cfg["t"]))
-        val = bnd.excess_bound_general(_number(cfg, "r"), params)
-        tag = "(704/B)*r + (26B+22)*(25/16)*sum(chi/m)*t/K"
-    else:
-        raise ConfigError(f"unknown bound formula {formula!r}")
-    if math.isnan(val):  # finite inputs whose products overflow, e.g. 0 * inf
+    lines, evaluate = BOUND_FORMULAS[formula]
+    value = evaluate(cfg)
+    numbers = list(value.values()) if isinstance(value, dict) else [value]
+    if any(math.isnan(x) for x in numbers):  # finite inputs whose products overflow
         raise DomainError(f"{formula} is undefined for these inputs (overflow)")
-    print(f"{formula} [{tag}] = {_fmt(val)}")
+    for line, x in zip(lines, numbers):
+        print(f"{line} = {_fmt(x)}")
     if cfg.get("out"):
-        payload = {"formula": formula, "value": val,
-                   "resolved_config": _embeddable(cfg)}
-        Path(cfg["out"]).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(cfg["out"]).write_text(_report({"formula": formula, "value": value}, cfg))
     return EXIT_OK
 
 
@@ -307,30 +343,24 @@ def _load_matrix(path):
 
 
 def cmd_lfrc_estimate(cfg):
-    _require(cfg, "features")
-    feats = [_load_matrix(p) for p in _path_list(cfg["features"])]
-    r = math.inf if str(cfg["r"]).lower() in ("inf", "none") else _number(cfg, "r")
+    feats = [_load_matrix(p) for p in cfg["features"]]
     spec = lfrc.LinearClassSpec(
-        m_tilde=_number(cfg, "mtilde"),
+        m_tilde=cfg["mtilde"],
         second_moments=tuple(lfrc.second_moment_matrix(X) for X in feats),
-        r=r,
+        r=cfg["r"],
     )
     est, se = lfrc.estimate_lfrc(feats, [None] * len(feats), spec,
-                                 n_draws=_number(cfg, "draws", int),
-                                 seed=_number(cfg, "seed", int))
+                                 n_draws=cfg["draws"], seed=cfg["seed"])
     print(f"lfrc_estimate = {_fmt(est)} stderr = {_fmt(se)}")
     return EXIT_OK
 
 
 def cmd_lfrc_fixed_point(cfg):
-    if cfg["family"] != "sqrt":
-        raise ConfigError("only the sqrt family a*sqrt(r)+b is supported")
-    a, b = _number(cfg, "a"), _number(cfg, "b")
+    a, b = cfg["a"], cfg["b"]
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b >= 0):
         raise ConfigError(f"need finite a > 0 and b >= 0, got a = {a}, b = {b}")
-    handle = lfrc.SubRootHandle(fn=lambda r: a * math.sqrt(r) + b,
-                                r_hi=_number(cfg, "r_hi"))
-    r_star = lfrc.fixed_point(handle, tol=_number(cfg, "tol"))
+    handle = lfrc.SubRootHandle(fn=lambda r: a * math.sqrt(r) + b, r_hi=cfg["r_hi"])
+    r_star = lfrc.fixed_point(handle, tol=cfg["tol"])
     print(f"r_star = {_fmt(r_star)}")
     return EXIT_OK
 
@@ -338,41 +368,24 @@ def cmd_lfrc_fixed_point(cfg):
 # ---------------------------------------------------------------- rstar
 
 def cmd_rstar_kernel(cfg):
-    _require(cfg, "gram", "chi", "m", "mtilde")
-    spectra = [bnd.spectrum_from_gram(_load_matrix(p))
-               for p in _path_list(cfg["gram"])]
-    chi = _float_list(cfg["chi"])
-    m = _float_list(cfg["m"])
+    paths, chi, m = cfg["gram"], cfg["chi"], cfg["m"]
+    spectra = [bnd.spectrum_from_gram(_load_matrix(p)) for p in paths]
     if not (len(spectra) == len(chi) == len(m)):
         raise ConfigError("--gram, --chi and --m must have one entry per task")
-    params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                             m_tilde=_number(cfg, "mtilde"))
-    r_star, cuts = bnd.rstar_kernel(spectra, params)
+    r_star, cuts = bnd.rstar_kernel(spectra, _task_params(cfg, m_tilde=cfg["mtilde"]))
     print(f"r_star = {_fmt(r_star)} cuts = {','.join(str(c) for c in cuts)}")
     return EXIT_OK
 
 
 def cmd_rstar_linear(cfg):
-    _require(cfg, "weights", "mtilde", "mbar")
     spectrum = bnd.spectrum_from_weights(_load_matrix(cfg["weights"]))
-    experiment = str(cfg["experiment_mode"]).lower() in ("1", "true", "yes")
+    norms = dict(m_tilde=cfg["mtilde"], m_bar=cfg["mbar"])
     if cfg.get("tau") is not None:
-        _require(cfg, "n")
-        taus = _float_list(cfg["tau"])
-        params = bnd.BoundParams.pair_transformed(
-            taus, _number(cfg, "n"), m_tilde=_number(cfg, "mtilde"),
-            m_bar=_number(cfg, "mbar"))
+        params = bnd.BoundParams.pair_transformed(cfg["tau"], cfg["n"], **norms)
     else:
-        _require(cfg, "chi", "m")
-        chi = _float_list(cfg["chi"])
-        m = _float_list(cfg["m"])
-        params = bnd.BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi),
-                                 m_tilde=_number(cfg, "mtilde"), m_bar=_number(cfg, "mbar"))
-    d_max = None
-    if cfg.get("d_max") is not None:
-        d_max = _number(cfg, "d_max", int)
-    r_star, cut = bnd.rstar_linear(spectrum, params, experiment_mode=experiment,
-                                   d_max=d_max)
+        params = _task_params(cfg, **norms)
+    r_star, cut = bnd.rstar_linear(spectrum, params, experiment_mode=cfg["experiment_mode"],
+                                   d_max=cfg.get("d_max"))
     print(f"r_star = {_fmt(r_star)} cut = {cut}")
     return EXIT_OK
 
@@ -380,16 +393,12 @@ def cmd_rstar_linear(cfg):
 # ---------------------------------------------------------------- experiment
 
 def cmd_experiment(cfg):
-    _require(cfg, "data")
-    seeds = _seed_list(cfg["seeds"])
-    grid = tuple(_float_list(cfg["grid"]))
-    folds, epochs = _number(cfg, "folds", int), _number(cfg, "epochs", int)
-    lr, t, rate = _number(cfg, "lr"), parse_t(cfg["t"]), _number(cfg, "rate")
+    paths = cfg["data"]
     out_dir = Path(cfg["out"]) if cfg.get("out") else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for path in _path_list(cfg["data"]):
+    for path in paths:
         try:
             ds = macroauc.load_dataset(path)
         except (ParseError, FormatError) as exc:
@@ -397,17 +406,12 @@ def cmd_experiment(cfg):
             return EXIT_PARSE
         name = Path(path).stem
         result = macroauc.run_experiment(
-            ds, name=name, seeds=seeds, grid=grid, folds=folds, lr=lr,
-            epochs=epochs, t=t, rate=rate)
+            ds, name=name, seeds=cfg["seeds"], grid=tuple(cfg["grid"]), folds=cfg["folds"],
+            lr=cfg["lr"], epochs=cfg["epochs"], t=cfg["t"], rate=cfg["rate"])
         summary = result.summary()
         if out_dir:
-            payload = {
-                "summary": summary,
-                "per_seed_reports": result.reports,
-                "resolved_config": _embeddable(cfg),
-            }
-            (out_dir / f"{name}.report.json").write_text(
-                json.dumps(payload, indent=2) + "\n")
+            (out_dir / f"{name}.report.json").write_text(_report(
+                {"summary": summary, "per_seed_reports": result.reports}, cfg))
         rows.append(summary)
     header = (f"{'dataset':<20} {'ours':>16} {'prior':>16} "
               f"{'r_star':>12} {'test_auc':>9} {'smaller':>8}")
@@ -430,18 +434,21 @@ def cmd_experiment(cfg):
 # ---------------------------------------------------------------- graph
 
 def cmd_graph_chi(cfg):
-    _require(cfg, "edges")
     graph = graphdep.DependencyGraph.from_text(_read_text(cfg["edges"]))
     chi, cover = graphdep.chromatic_fractional_exact(graph)
     print(f"chi_f = {_fmt(chi)}")
-    _write_or_print(cover.to_text(), cfg.get("out"))
+    text = cover.to_text()
+    if cfg.get("out"):
+        Path(cfg["out"]).write_text(text)
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return EXIT_OK
 
 
 def cmd_graph_cover_check(cfg):
-    _require(cfg, "edges", "cover")
-    graph = graphdep.DependencyGraph.from_text(_read_text(cfg["edges"]))
-    cover = graphdep.FractionalCover.from_text(_read_text(cfg["cover"]), graph)
+    edges, cover_path = cfg["edges"], cfg["cover"]
+    graph = graphdep.DependencyGraph.from_text(_read_text(edges))
+    cover = graphdep.FractionalCover.from_text(_read_text(cover_path), graph)
     report = graphdep.validate_cover(graph, cover)
     if report.ok:
         print(f"PASS total_weight = {_fmt(cover.total_weight)}")
@@ -452,171 +459,130 @@ def cmd_graph_cover_check(cfg):
     return EXIT_FAIL
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- commands
 
-def build_parser():
+OUT = _opt("--out", help="write the full-precision report here")
+TAU = _opt("--tau", _floats, help="minority-label fraction tau_k per task")
+CHI = _opt("--chi", _floats, help="fractional chromatic number chi_k per task")
+M = _opt("--m", _floats, help="sample size m_k per task")
+MTILDE = _opt("--mtilde", float, "1")
+
+GROUPS = {"lfrc": "localized complexity tools",
+          "rstar": "closed-form localization radius bounds",
+          "graph": "fractional cover utilities"}
+
+# (command path, help, function, option table)
+COMMANDS = [
+    (("verify",), "Monte Carlo check of one inequality", cmd_verify, (
+        _opt("--structure", _structure, help="bipartite:P,N or iid:M"),
+        _opt("--ineq", choices=mcverify.INEQUALITIES),
+        _opt("--trials", int),
+        _opt("--k", int, "1", help="number of tasks"),
+        _opt("--base", default="uniform", choices=("uniform", "two_point")),
+        _opt("--base-p", float, "0.5"),
+        _opt("--base-lo", float, "0"),
+        _opt("--base-hi", float, "1"),
+        _opt("--kernel", default="product", choices=("product", "centered_product", "mean")),
+        _opt("--centered", _bool, "false"),
+        _opt("--form", default="probability", choices=("probability", "deviation")),
+        _opt("--t-grid", _floats, "0.25,0.5,1,2,4"),
+        _opt("--moments", default="analytic", choices=("analytic", "plugin")),
+        _opt("--seed", int, "0"),
+        OUT)),
+    (("bound",), "evaluate one closed-form bound", cmd_bound, (
+        _opt("formula", choices=BOUND_FORMULAS),
+        _opt("--c", float), _opt("--v", float), _opt("--t", parse_t, help="a number or lnN"),
+        _opt("--r", float), _opt("--rstar", float),
+        _opt("--K", int, help="number of tasks"), TAU, _opt("--n", float),
+        _opt("--mu", float, "1"), _opt("--B", float, "1", dest="b_const"),
+        _opt("--mbar", float), _opt("--mtilde", float), CHI, M,
+        _opt("--b-shift", float, "0", help="uniform block bound b of the tail-bound bundle"),
+        _opt("--ez", float, help="E[Z] of the tail-bound bundle"),
+        _opt("--sigma2", float, help="sum of weighted block variance factors"),
+        OUT)),
+    (("lfrc", "estimate"), "Monte Carlo estimate of the localized complexity",
+     cmd_lfrc_estimate, (
+        _opt("--features", _paths, help="matrix file, one per task (repeatable)"),
+        MTILDE,
+        _opt("--r", _radius, "inf", help="localization radius; inf or none: unlocalized"),
+        _opt("--draws", int, "200"),
+        _opt("--seed", int, "0"),
+        OUT)),
+    (("lfrc", "fixed-point"), "fixed point r* of a sub-root function",
+     cmd_lfrc_fixed_point, (
+        _opt("--family", default="sqrt", choices=("sqrt",), help="a*sqrt(r)+b"),
+        _opt("--a", float), _opt("--b", float, "0"),
+        _opt("--tol", float, "1e-10"), _opt("--r-hi", float, "1e6"),
+        OUT)),
+    (("rstar", "kernel"), "r* from per-task Gram spectra", cmd_rstar_kernel, (
+        _opt("--gram", _paths, help="Gram matrix file per task (repeatable)"),
+        CHI, M, MTILDE, OUT)),
+    (("rstar", "linear"), "r* from a weight matrix spectrum", cmd_rstar_linear, (
+        _opt("--weights", help="weight matrix file"),
+        MTILDE, _opt("--mbar", float, "1"), CHI, M, TAU, _opt("--n", float),
+        _opt("--d-max", int, help="largest cut to try"),
+        _opt("--experiment-mode", _bool, "false"),
+        OUT)),
+    (("experiment",), "full Macro-AUC bound comparison", cmd_experiment, (
+        _opt("--data", _paths, help="mlsvm dataset (repeatable)"),
+        _opt("--seeds", _seeds, "0,1,2,3,4"),
+        _opt("--epochs", int, "300"),
+        _opt("--lr", float, "0.05"),
+        _opt("--folds", int, "3"),
+        _opt("--grid", _floats, "0.0001,0.001,0.01,0.1", help="weight-decay grid"),
+        _opt("--t", parse_t, "ln100", help="a number or lnN"),
+        _opt("--rate", float, "1"),
+        OUT)),
+    (("graph", "chi"), "exact fractional chromatic number and cover", cmd_graph_chi, (
+        _opt("--edges", help="graph file"), OUT)),
+    (("graph", "cover-check"), "check a fractional cover", cmd_graph_cover_check, (
+        _opt("--edges", help="graph file"), _opt("--cover", help="cover file"), OUT)),
+]
+
+
+def _add_option(parser, opt):
+    default = None if opt.default is None else f"(default: {opt.default})"
+    help_text = " ".join(filter(None, (opt.help, default))) or None
+    metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+    if opt.flag.startswith("-"):
+        parser.add_argument(opt.flag, dest=opt.dest, metavar=metavar, help=help_text,
+                            action="append" if opt.convert is _paths else "store")
+    else:
+        parser.add_argument(opt.flag, metavar=metavar, help=help_text)
+
+
+def build_parser(argv=None):
+    """The gdbound parser.  Given the arguments it is to parse, it declares
+    only the options of the command they name: parsing needs no others."""
     p = argparse.ArgumentParser(prog="gdbound",
                                 description="Generalization-bound machinery for "
                                             "multi-task graph-dependent data")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--out", help="write the full-precision report here")
-
-    sp = sub.add_parser("verify", help="Monte Carlo check of one inequality")
-    add_common(sp)
-    sp.add_argument("--structure", help="bipartite:P,N or iid:M")
-    sp.add_argument("--ineq", choices=mcverify.INEQUALITIES)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--base", choices=["uniform", "two_point"])
-    sp.add_argument("--base-p", type=float, dest="base_p")
-    sp.add_argument("--base-lo", type=float, dest="base_lo")
-    sp.add_argument("--base-hi", type=float, dest="base_hi")
-    sp.add_argument("--kernel", choices=["product", "centered_product", "mean"])
-    sp.add_argument("--centered")
-    sp.add_argument("--form", choices=["probability", "deviation"])
-    sp.add_argument("--t-grid", dest="t_grid")
-    sp.add_argument("--moments", choices=["analytic", "plugin"])
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_verify, defaults={
-        "k": 1, "base": "uniform", "base_p": 0.5, "base_lo": 0.0, "base_hi": 1.0,
-        "kernel": "product", "centered": "false", "form": "probability",
-        "t_grid": "0.25,0.5,1,2,4", "moments": "analytic", "seed": 0,
-    })
-
-    sp = sub.add_parser("bound", help="evaluate one closed-form bound")
-    add_common(sp)
-    sp.add_argument("formula", choices=["bernstein", "bennett-general",
-                                        "bennett-refined", "lower-tail",
-                                        "talagrand-v", "ours-macroauc",
-                                        "prior-macroauc", "kernel-macroauc",
-                                        "excess-general"])
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--v", type=float)
-    sp.add_argument("--t")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--rstar", type=float)
-    sp.add_argument("--K", type=int, dest="k")
-    sp.add_argument("--tau")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--mu", type=float)
-    sp.add_argument("--B", type=float, dest="b_const")
-    sp.add_argument("--mbar", type=float)
-    sp.add_argument("--mtilde", type=float)
-    sp.add_argument("--chi")
-    sp.add_argument("--m")
-    sp.add_argument("--b-shift", type=float, dest="b_shift",
-                    help="uniform block bound b of the tail-bound bundle")
-    sp.add_argument("--ez", type=float, help="E[Z] of the tail-bound bundle")
-    sp.add_argument("--sigma2", type=float,
-                    help="sum of weighted block variance factors")
-    sp.set_defaults(func=cmd_bound, defaults={"mu": 1.0, "b_const": 1.0,
-                                              "b_shift": 0.0})
-
-    sp = sub.add_parser("lfrc", help="localized complexity tools")
-    lfrc_sub = sp.add_subparsers(dest="subcommand", required=True)
-
-    spe = lfrc_sub.add_parser("estimate")
-    add_common(spe)
-    spe.add_argument("--features", action="append",
-                     help="matrix file, one per task (repeatable)")
-    spe.add_argument("--mtilde", type=float)
-    spe.add_argument("--r")
-    spe.add_argument("--draws", type=int)
-    spe.add_argument("--seed", type=int)
-    spe.set_defaults(func=cmd_lfrc_estimate, defaults={
-        "mtilde": 1.0, "r": "inf", "draws": 200, "seed": 0,
-    })
-
-    spf = lfrc_sub.add_parser("fixed-point")
-    add_common(spf)
-    spf.add_argument("--family", choices=["sqrt"])
-    spf.add_argument("--a", type=float)
-    spf.add_argument("--b", type=float)
-    spf.add_argument("--tol", type=float)
-    spf.add_argument("--r-hi", type=float, dest="r_hi")
-    spf.set_defaults(func=cmd_lfrc_fixed_point, defaults={
-        "family": "sqrt", "b": 0.0, "tol": 1e-10, "r_hi": 1e6,
-    })
-
-    sp = sub.add_parser("rstar", help="closed-form localization radius bounds")
-    rstar_sub = sp.add_subparsers(dest="subcommand", required=True)
-
-    spk = rstar_sub.add_parser("kernel")
-    add_common(spk)
-    spk.add_argument("--gram", action="append", help="Gram matrix file per task")
-    spk.add_argument("--chi")
-    spk.add_argument("--m")
-    spk.add_argument("--mtilde", type=float)
-    spk.set_defaults(func=cmd_rstar_kernel, defaults={"mtilde": 1.0})
-
-    spl = rstar_sub.add_parser("linear")
-    add_common(spl)
-    spl.add_argument("--weights")
-    spl.add_argument("--mtilde", type=float)
-    spl.add_argument("--mbar", type=float)
-    spl.add_argument("--chi")
-    spl.add_argument("--m")
-    spl.add_argument("--tau")
-    spl.add_argument("--n", type=float)
-    spl.add_argument("--d-max", type=int, dest="d_max")
-    spl.add_argument("--experiment-mode", dest="experiment_mode")
-    spl.set_defaults(func=cmd_rstar_linear, defaults={
-        "mtilde": 1.0, "mbar": 1.0, "experiment_mode": "false",
-    })
-
-    sp = sub.add_parser("experiment", help="full Macro-AUC bound comparison")
-    add_common(sp)
-    sp.add_argument("--data", action="append", help="mlsvm dataset (repeatable)")
-    sp.add_argument("--seeds")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--folds", type=int)
-    sp.add_argument("--grid")
-    sp.add_argument("--t")
-    sp.add_argument("--rate", type=float)
-    sp.set_defaults(func=cmd_experiment, defaults={
-        "seeds": "0,1,2,3,4", "epochs": 300, "lr": 0.05, "folds": 3,
-        "grid": "0.0001,0.001,0.01,0.1", "t": "ln100", "rate": 1.0,
-    })
-
-    sp = sub.add_parser("graph", help="fractional cover utilities")
-    graph_sub = sp.add_subparsers(dest="subcommand", required=True)
-
-    spc = graph_sub.add_parser("chi")
-    add_common(spc)
-    spc.add_argument("--edges")
-    spc.set_defaults(func=cmd_graph_chi, defaults={})
-
-    spv = graph_sub.add_parser("cover-check")
-    add_common(spv)
-    spv.add_argument("--edges")
-    spv.add_argument("--cover")
-    spv.set_defaults(func=cmd_graph_cover_check, defaults={})
-
+    groups = {}
+    for path, help_text, func, table in COMMANDS:
+        parent = sub
+        if len(path) == 2:
+            if path[0] not in groups:
+                group = sub.add_parser(path[0], help=GROUPS[path[0]])
+                groups[path[0]] = group.add_subparsers(dest="subcommand", required=True)
+            parent = groups[path[0]]
+        sp = parent.add_parser(path[-1], help=help_text)
+        if argv is None or list(path) == argv[:len(path)]:
+            sp.add_argument("--config", help="flat key = value config file")
+            for opt in table:
+                _add_option(sp, opt)
+        sp.set_defaults(func=func, table=table)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = dict(args.defaults)
-    known = {k for k in vars(args)
-             if k not in ("func", "defaults", "command", "subcommand", "config")}
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
-        cfg = resolve_config(args, known)
-        for key, val in defaults.items():
-            if cfg.get(key) is None:
-                cfg[key] = val
-        return args.func(cfg)
-    except (ConfigError, GdboundError) as exc:
-        if isinstance(exc, (ParseError, FormatError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        return args.func(resolve_options(args.table, args))
+    except GdboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_PARSE if isinstance(exc, (ParseError, FormatError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

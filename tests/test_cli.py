@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gdbound.cli import main, parse_t
+from gdbound.cli import COMMANDS, main, parse_t
 from gdbound.graphdep import DependencyGraph, bipartite_ranking_graph
 from gdbound.macroauc import TrainConfig, report_bounds, save_dataset, train_sgd
 
@@ -522,6 +522,133 @@ class TestExperimentCommand:
         payload = json.loads((tmp_path / "mid_out" / "mid.report.json").read_text())
         assert payload["summary"]["smaller_bound"] == "ours"
         assert payload["summary"]["ours"]["mean"] < payload["summary"]["prior"]["mean"]
+
+
+class TestOptionTable:
+    """Flags and config lines go through one converter per option."""
+
+    VERIFY = ["verify", "--structure", "iid:5", "--ineq", "lower_tail", "--trials", "200"]
+    BERNSTEIN = ["bound", "bernstein", "--c", "1", "--v", "1", "--t", "1"]
+
+    @staticmethod
+    def run_with_config(tmp_path, argv, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        return run_cli(argv + ["--config", str(cfg)])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (VERIFY + ["--t-grid", ""], "--t-grid"),
+        (VERIFY + ["--t-grid", ",,"], "--t-grid"),
+        (BERNSTEIN + ["--tau", ""], "--tau"),
+        (BERNSTEIN + ["--chi", ","], "--chi"),
+        (BERNSTEIN + ["--m", ""], "--m"),
+        (["experiment", "--data", "absent.mlsvm", "--grid", ","], "--grid"),
+        (["experiment", "--data", "absent.mlsvm", "--seeds", ""], "--seeds"),
+    ])
+    def test_empty_list_exit_2(self, argv, flag):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"error: {flag}: expected comma-separated" in err
+
+    def test_empty_items_are_skipped(self):
+        assert run_cli(self.VERIFY + ["--t-grid", "1,,2"])[1] == \
+            run_cli(self.VERIFY + ["--t-grid", "1,2"])[1]
+
+    @pytest.mark.parametrize("value, same_as", [("TRUE", "1"), ("Yes", "true"), ("No", "0"),
+                                                ("FALSE", "no")])
+    def test_boolean_spellings(self, value, same_as):
+        base = self.VERIFY + ["--kernel", "centered_product", "--centered"]
+        code, out, _ = run_cli(base + [value])
+        assert code == 0 and out == run_cli(base + [same_as])[1]
+
+    def test_malformed_boolean_exit_2(self, tmp_path):
+        code, out, err = run_cli(self.VERIFY + ["--centered", "maybe"])
+        assert code == 2 and out == "" and "--centered" in err
+        w = tmp_path / "w.txt"
+        np.savetxt(w, np.diag([1.0, 0.5]))
+        code, out, err = self.run_with_config(
+            tmp_path, ["rstar", "linear", "--weights", str(w), "--tau", "0.5", "--n", "100"],
+            "experiment-mode = maybe\n")
+        assert code == 2 and out == "" and "--experiment-mode" in err
+
+    @pytest.mark.parametrize("line, flag", [("rstar = x", "--rstar"), ("tau = x", "--tau"),
+                                            ("k = 2.5", "--K"), ("b-const = x", "--B")])
+    def test_unread_config_value_is_converted(self, tmp_path, line, flag):
+        # the flag run exits 2 too, although bernstein reads none of these
+        code, out, err = self.run_with_config(tmp_path, self.BERNSTEIN, line + "\n")
+        assert code == 2 and out == "" and f"error: {flag}: expected" in err
+
+    def test_config_choice_is_checked(self, tmp_path):
+        # talagrand never reads the moments mode
+        code, out, err = self.run_with_config(
+            tmp_path, ["verify", "--structure", "iid:5", "--ineq", "talagrand",
+                       "--trials", "200"], "moments = bogus\n")
+        assert code == 2 and out == "" and "--moments: invalid choice 'bogus'" in err
+
+    def test_seed_precedence(self, tmp_path):
+        # flag, then GDBOUND_SEED, then config file, then default
+        out, cfg = tmp_path / "r.json", tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        argv = self.VERIFY + ["--out", str(out), "--config", str(cfg)]
+        for extra, env, seed, text in [([], {}, 5, "5"),
+                                       ([], {"GDBOUND_SEED": "0123"}, 123, "0123"),
+                                       (["--seed", "09"], {"GDBOUND_SEED": "123"}, 9, "9")]:
+            assert run_cli(argv + extra, env=env)[0] == 0
+            payload = json.loads(out.read_text())
+            assert (payload["config"]["seed"], payload["resolved_config"]["seed"]) == (seed, text)
+
+    def test_formula_is_not_a_config_key(self, tmp_path):
+        code, _, err = self.run_with_config(tmp_path, self.BERNSTEIN, "formula = talagrand-v\n")
+        assert code == 2 and "unknown config key 'formula'" in err
+
+    def test_bad_formula_exit_2(self):
+        code, out, err = run_cli(["bound", "nonsense"])
+        assert code == 2 and out == "" and "formula: invalid choice 'nonsense'" in err
+
+    def test_embedded_strings(self, tmp_path):
+        out = tmp_path / "prior.json"
+        prior = ["bound", "prior-macroauc", "--K", "1", "--tau", "0.3", "--n", "100",
+                 "--mbar", "1", "--t", "ln100", "--out", str(out)]
+        assert run_cli(prior + ["--mtilde", "1"])[0] == 0
+        embedded = json.loads(out.read_text())["resolved_config"]
+        # a numeric flag or default as its value, other flags as written
+        assert (embedded["mtilde"], embedded["mu"], embedded["t"], embedded["rstar"]) == \
+            ("1.0", "1.0", "ln100", "None")
+        assert self.run_with_config(tmp_path, prior, "mtilde = 1\nmu = 1e0\n")[0] == 0
+        embedded = json.loads(out.read_text())["resolved_config"]
+        assert (embedded["mtilde"], embedded["mu"]) == ("1", "1e0")  # config text as written
+
+    def test_bennett_general_report(self, tmp_path):
+        out = tmp_path / "b.json"
+        code, text, _ = run_cli(["bound", "bennett-general", "--ez", "0.5", "--sigma2", "0.5",
+                                 "--chi", "1", "--t", "1", "--out", str(out)])
+        assert code == 0 and text.splitlines()[1].startswith("bennett-general-simple [")
+        value = json.loads(out.read_text())["value"]
+        assert list(value) == ["p_tight", "p_simple"]
+        assert f"= {value['p_simple']:.6g}" in text
+
+    @pytest.mark.parametrize("path, table", [(path, table) for path, _, _, table in COMMANDS],
+                             ids=[" ".join(path) for path, _, _, _ in COMMANDS])
+    def test_help_lists_every_option_with_its_default(self, capsys, path, table):
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        # an option's entry starts two spaces in; its help may wrap onto
+        # more deeply indented lines
+        entries, current = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  ") and not line.startswith("   "):
+                current = line.split()[0]
+                entries[current] = line
+            elif current and line.startswith("   "):
+                entries[current] += line
+        for opt in table:
+            key = opt.flag if opt.flag.startswith("-") else "{" + ",".join(opt.choices) + "}"
+            entry = " ".join(entries[key].split())
+            if opt.default is None:
+                assert "default:" not in entry, entry
+            else:
+                assert f"(default: {opt.default})" in entry, entry
 
 
 class TestEntryPoint:

@@ -2,11 +2,11 @@
 
 Whatever the options and matrix files hold, both commands must answer with
 a documented exit code (0 ok, 1 failed check, 2 usage, 3 parse), print no
-traceback and never print `nan`.  The CLI runs in-process, so an uncaught
-exception fails the test; argparse rejects a malformed typed flag with
-SystemExit(2), exit code 2.  Matrix files come from a fixed set that holds
-rank-deficient, zero, non-PSD and badly scaled (1e-150, 1e150, 1e200)
-matrices; draws stay at or below 17, so every example runs in
+traceback and never print `nan`, and the same options written to a
+`--config` file must answer the same.  The CLI runs in-process, so an
+uncaught exception fails the test.  Matrix files come from a fixed set
+that holds rank-deficient, zero, non-PSD and badly scaled (1e-150, 1e150,
+1e200) matrices; draws stay at or below 17, so every example runs in
 milliseconds.
 """
 
@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from test_verify_bound_fuzz import NUMBER, assert_clean, flags
+from test_verify_bound_fuzz import NUMBER, assert_clean, config_path  # noqa: F401
 
 rng = np.random.default_rng(0)
 MATRICES = {
@@ -80,35 +80,43 @@ def with_changes(defaults, changes):
             if value is not None}
 
 
-def matrix_flags(flag, names, root):
-    return [f"{flag}={root / f'{name}.txt'}" for name in names]
+def matrix_files(names, root):
+    return [str(root / f"{name}.txt") for name in names]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(names=files, options=estimate_options)
-def test_lfrc_estimate_fails_cleanly(matrix_dir, names, options):
-    assert_clean(["lfrc", "estimate", *matrix_flags("--features", names, matrix_dir),
-                  *flags(options)])
+@given(names=files, options=estimate_options, underscores=st.booleans())
+def test_lfrc_estimate_fails_cleanly(matrix_dir, config_path, names, options, underscores):
+    assert_clean(["lfrc", "estimate"],
+                 {"--features": matrix_files(names, matrix_dir), **options},
+                 config_path, underscores)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(options=changes(FIXED_POINT_DEFAULTS, st.one_of(NUMBER, st.just("x"), st.none())))
-def test_lfrc_fixed_point_fails_cleanly(options):
-    assert_clean(["lfrc", "fixed-point", *flags(with_changes(FIXED_POINT_DEFAULTS, options))])
+@given(options=changes(FIXED_POINT_DEFAULTS, st.one_of(NUMBER, st.just("x"), st.none())),
+       underscores=st.booleans())
+def test_lfrc_fixed_point_fails_cleanly(config_path, options, underscores):
+    assert_clean(["lfrc", "fixed-point"], with_changes(FIXED_POINT_DEFAULTS, options),
+                 config_path, underscores)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(names=grams, options=changes(["--chi", "--m", "--mtilde"], OPTION_VALUE))
-def test_rstar_kernel_fails_cleanly(matrix_dir, names, options):
+@given(names=grams, options=changes(["--chi", "--m", "--mtilde"], OPTION_VALUE),
+       underscores=st.booleans())
+def test_rstar_kernel_fails_cleanly(matrix_dir, config_path, names, options, underscores):
     # one chi and one m per Gram file unless the example changes them
     defaults = {"--chi": ",".join(["1"] * len(names)), "--m": ",".join(["100"] * len(names)),
                 "--mtilde": "1"}
-    assert_clean(["rstar", "kernel", *matrix_flags("--gram", names, matrix_dir),
-                  *flags(with_changes(defaults, options))])
+    assert_clean(["rstar", "kernel"],
+                 {"--gram": matrix_files(names, matrix_dir), **with_changes(defaults, options)},
+                 config_path, underscores)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(NAMES), options=changes(LINEAR_DEFAULTS, LINEAR_VALUE))
-def test_rstar_linear_fails_cleanly(matrix_dir, name, options):
-    assert_clean(["rstar", "linear", *matrix_flags("--weights", [name], matrix_dir),
-                  *flags(with_changes(LINEAR_DEFAULTS, options))])
+@given(name=st.sampled_from(NAMES), options=changes(LINEAR_DEFAULTS, LINEAR_VALUE),
+       underscores=st.booleans())
+def test_rstar_linear_fails_cleanly(matrix_dir, config_path, name, options, underscores):
+    assert_clean(["rstar", "linear"],
+                 {"--weights": matrix_files([name], matrix_dir)[0],
+                  **with_changes(LINEAR_DEFAULTS, options)},
+                 config_path, underscores)

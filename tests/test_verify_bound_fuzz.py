@@ -2,16 +2,17 @@
 
 Whatever the options hold, both commands must answer with a documented exit
 code (0 ok, 1 failed check, 2 usage, 3 parse), print no traceback and never
-print `nan`.  The CLI runs in-process, so an uncaught exception fails the
-test; argparse rejects a malformed typed flag with SystemExit(2), exit
-code 2.  Structure sizes stay at or below 50 and trials at or below 2,000,
-so every example runs in milliseconds.
+print `nan`.  The same options written to a `--config` file must give the
+same exit code and the same stdout as the flags.  The CLI runs in-process,
+so an uncaught exception fails the test; an argparse usage error is
+SystemExit(2), exit code 2.  Structure sizes stay at or below 50 and
+trials at or below 2,000, so every example runs in milliseconds.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gdbound.mcverify import INEQUALITIES
 from test_cli import run_cli
@@ -61,28 +62,56 @@ def run(argv):
         return exc.code, "", ""
 
 
+def values(value):
+    """A repeatable option holds a list of values."""
+    return value if isinstance(value, list) else [value]
+
+
 def flags(options):
     # `--opt=value` keeps argparse from reading a value such as -1 as a flag
-    return [f"{key}={value}" for key, value in options.items()]
+    return [f"{key}={v}" for key, value in options.items() for v in values(value)]
 
 
-def assert_clean(argv):
+# config keys are the option names; these two flags are spelled differently
+CONFIG_KEYS = {"--K": "k", "--B": "b-const"}
+
+
+def config_text(options, underscores):
+    lines = []
+    for flag, value in options.items():
+        key = CONFIG_KEYS.get(flag, flag[2:])
+        key = key.replace("-", "_") if underscores else key
+        lines.append(f"{key} = {','.join(values(value))}\n")
+    return "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "run.cfg"
+
+
+def assert_clean(command, options, config_path, underscores):
+    """Run the options as flags, check the answer, then run them from a
+    config file and check that it answers the same."""
+    argv = [*command, *flags(options)]
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     assert "nan" not in out, (argv, out)
+    config_path.write_text(config_text(options, underscores))
+    assert run([*command, "--config", str(config_path)])[:2] == (code, out), \
+        (argv, config_path.read_text())
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(structure=structure, ineq=st.sampled_from(INEQUALITIES), trials=trials,
-       options=verify_options)
-def test_verify_fails_cleanly(structure, ineq, trials, options):
-    assert_clean(["verify", f"--structure={structure}", "--ineq", ineq,
-                  f"--trials={trials}", *flags(options)])
+       options=verify_options, underscores=st.booleans())
+def test_verify_fails_cleanly(config_path, structure, ineq, trials, options, underscores):
+    options = {"--structure": structure, "--ineq": ineq, "--trials": trials, **options}
+    assert_clean(["verify"], options, config_path, underscores)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(formula=st.sampled_from(FORMULAS), options=bound_options)
-def test_bound_fails_cleanly(formula, options):
-    assert_clean(["bound", formula, *flags(options)])
+@given(formula=st.sampled_from(FORMULAS), options=bound_options, underscores=st.booleans())
+def test_bound_fails_cleanly(config_path, formula, options, underscores):
+    assert_clean(["bound", formula], options, config_path, underscores)
