@@ -149,11 +149,11 @@ class Opt(NamedTuple):
                               f"(choose from {', '.join(self.choices)})")
         return value
 
-    def report_text(self, raw, value, verbatim):
-        """Report text: config and environment text as written; a number
-        from a flag or a default as str of its value, so --mtilde 1 is 1.0."""
-        numeric = self.convert in (int, float) and not verbatim
-        return str(value if numeric else raw)
+    def report_text(self, raw, value):
+        """Report text of a flag or a default: a number as str of its value,
+        so --mtilde 1 is 1.0, anything else as written.  Config and
+        environment text is embedded as written."""
+        return str(value if self.convert in (int, float) else raw)
 
 
 def _opt(flag, convert=str, default=None, choices=(), help=None, dest=None):
@@ -197,29 +197,40 @@ def read_config_file(path):
 
 def resolve_options(table, args):
     """Options from flag > GDBOUND_SEED > config file > default, each value
-    converted once by its table entry."""
-    keys = {opt.dest for opt in table if opt.flag.startswith("-")}
-    written = {}  # config file and environment text
+    converted once by its table entry; every config-file value is converted,
+    also where a flag wins."""
+    flags = {opt.dest: opt for opt in table if opt.flag.startswith("-")}
+    positional = {opt.dest for opt in table} - flags.keys()
+    written = {}  # dest: (text, value) from the config file and environment
     if args.config:
         for key, text in read_config_file(args.config).items():
             dest = key.replace("-", "_")
-            if dest not in keys:
+            if dest in positional:  # as in a replayed report's configuration
+                if text != getattr(args, dest):
+                    raise ConfigError(f"config {key} = {text!r} disagrees with "
+                                      f"the command line ({getattr(args, dest)!r})")
+                continue
+            if dest not in flags:
                 raise ConfigError(f"unknown config key {key!r}")
-            written.setdefault(dest, text)
-    if "seed" in keys and "GDBOUND_SEED" in os.environ:
-        written["seed"] = os.environ["GDBOUND_SEED"]
+            value = flags[dest].parse(text)  # checked even where a flag wins
+            written.setdefault(dest, (text, value))
+    if "seed" in flags and "GDBOUND_SEED" in os.environ and args.seed is None:
+        text = os.environ["GDBOUND_SEED"]
+        written["seed"] = (text, flags["seed"].parse(text))
     values, embedded = {}, {}
     for opt in table:
-        raw, verbatim = getattr(args, opt.dest), False
+        raw = getattr(args, opt.dest)
         if raw is None and opt.dest in written:
-            raw, verbatim = written[opt.dest], True
+            text, values[opt.dest] = written[opt.dest]
+            embedded[opt.dest] = text
+            continue
         if raw is None:
             raw = opt.default
         if raw is None:
             embedded[opt.dest] = "None"
             continue
         values[opt.dest] = opt.parse(raw)
-        embedded[opt.dest] = opt.report_text(raw, values[opt.dest], verbatim)
+        embedded[opt.dest] = opt.report_text(raw, values[opt.dest])
     # output paths are not part of the run semantics and would break
     # byte-identity across locations
     embedded.pop("out", None)
@@ -551,9 +562,7 @@ def _add_option(parser, opt):
         parser.add_argument(opt.flag, metavar=metavar, help=help_text)
 
 
-def build_parser(argv=None):
-    """The gdbound parser.  Given the arguments it is to parse, it declares
-    only the options of the command they name: parsing needs no others."""
+def build_parser():
     p = argparse.ArgumentParser(prog="gdbound",
                                 description="Generalization-bound machinery for "
                                             "multi-task graph-dependent data")
@@ -567,17 +576,15 @@ def build_parser(argv=None):
                 groups[path[0]] = group.add_subparsers(dest="subcommand", required=True)
             parent = groups[path[0]]
         sp = parent.add_parser(path[-1], help=help_text)
-        if argv is None or list(path) == argv[:len(path)]:
-            sp.add_argument("--config", help="flat key = value config file")
-            for opt in table:
-                _add_option(sp, opt)
+        sp.add_argument("--config", help="flat key = value config file")
+        for opt in table:
+            _add_option(sp, opt)
         sp.set_defaults(func=func, table=table)
     return p
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(resolve_options(args.table, args))
     except GdboundError as exc:

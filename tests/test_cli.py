@@ -597,9 +597,32 @@ class TestOptionTable:
             payload = json.loads(out.read_text())
             assert (payload["config"]["seed"], payload["resolved_config"]["seed"]) == (seed, text)
 
-    def test_formula_is_not_a_config_key(self, tmp_path):
-        code, _, err = self.run_with_config(tmp_path, self.BERNSTEIN, "formula = talagrand-v\n")
-        assert code == 2 and "unknown config key 'formula'" in err
+    def test_config_formula_must_match_the_positional(self, tmp_path):
+        code, out, err = self.run_with_config(tmp_path, self.BERNSTEIN,
+                                              "formula = talagrand-v\n")
+        assert code == 2 and out == ""
+        assert "config formula = 'talagrand-v' disagrees with the command line" in err
+        code, out, _ = self.run_with_config(tmp_path, self.BERNSTEIN, "formula = bernstein\n")
+        assert code == 0 and out == run_cli(self.BERNSTEIN)[1]
+
+    def test_replaying_embedded_bound_config_reproduces_report(self, tmp_path):
+        out1, out2, cfg = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "replay.cfg"
+        argv = ["bound", "bernstein", "--c", "1", "--v", "2", "--t", "ln100"]
+        code, stdout, _ = run_cli(argv + ["--out", str(out1)])
+        assert code == 0
+        embedded = json.loads(out1.read_text())["resolved_config"]
+        assert embedded["formula"] == "bernstein"
+        cfg.write_text("".join(f"{k.replace('_', '-')} = {v}\n"
+                               for k, v in embedded.items() if v != "None"))
+        code, replayed, _ = run_cli(["bound", "bernstein", "--config", str(cfg),
+                                     "--out", str(out2)])
+        assert code == 0 and replayed == stdout
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_config_value_overridden_by_a_flag_is_converted(self, tmp_path):
+        code, out, err = self.run_with_config(tmp_path, self.BERNSTEIN + ["--rstar", "1"],
+                                              "rstar = x\n")
+        assert code == 2 and out == "" and "error: --rstar: expected float" in err
 
     def test_bad_formula_exit_2(self):
         code, out, err = run_cli(["bound", "nonsense"])
