@@ -17,7 +17,7 @@ assembly fixes B = 1 so the deviation coefficient is exactly 75 / K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class SpectrumProfile:
 
     values: np.ndarray
     source: str = "kernel_gram"
-    label: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -50,7 +49,7 @@ class SpectrumProfile:
         return np.concatenate([np.cumsum(self.values[::-1])[::-1], [0.0]])
 
 
-def spectrum_from_gram(gram, label="") -> SpectrumProfile:
+def spectrum_from_gram(gram) -> SpectrumProfile:
     """Operator-spectrum estimate: eigenvalues of gram/m, nonincreasing.
 
     The Gram matrix must be symmetric PSD within 1e-8; small negative
@@ -66,14 +65,14 @@ def spectrum_from_gram(gram, label="") -> SpectrumProfile:
     if eigs.size and eigs.min() < -1e-8:
         raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
     vals = np.clip(np.sort(eigs)[::-1], 0.0, None)
-    return SpectrumProfile(values=vals, source="kernel_gram", label=label)
+    return SpectrumProfile(values=vals, source="kernel_gram")
 
 
-def spectrum_from_weights(theta, label="") -> SpectrumProfile:
+def spectrum_from_weights(theta) -> SpectrumProfile:
     """Squared singular values of a weight matrix, nonincreasing."""
     T = np.atleast_2d(np.asarray(theta, dtype=float))
     sv = np.linalg.svd(T, compute_uv=False)
-    return SpectrumProfile(values=np.sort(sv**2)[::-1], source="weight_svd", label=label)
+    return SpectrumProfile(values=np.sort(sv**2)[::-1], source="weight_svd")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class BoundParams:
             raise DomainError("t must be >= 0")
         if not all(math.isfinite(v) and v > 0 for v in (*self.m_list, *self.chi_list)):
             raise DomainError("m_k and chi_k must be finite and > 0")
-        if not all(math.isfinite(ratio) for ratio in self.chi_over_m):
+        if not all(math.isfinite(x) for x in self.chi_over_m):
             raise DomainError("chi_k / m_k overflows")
         if self.tau_list is not None:
             if any(not (0.0 < tau <= 0.5) for tau in self.tau_list):
@@ -154,10 +153,10 @@ def rstar_kernel(spectra, params: BoundParams):
     total = 0.0
     cuts = []
     for spec, chi, m in zip(spectra, params.chi_list, params.m_list):
-        ratio = chi / (params.K * m)
+        coef = chi / (params.K * m)
         tails = spec.tail_sums()
         d_grid = np.arange(tails.size)
-        cand = d_grid * ratio + params.m_tilde * np.sqrt(ratio * tails)
+        cand = d_grid * coef + params.m_tilde * np.sqrt(coef * tails)
         d_best = int(np.argmin(cand))
         cuts.append(d_best)
         total += float(cand[d_best])
@@ -252,7 +251,8 @@ def bound_kernel_macroauc(rstar: float, params: BoundParams) -> float:
 
 @dataclass
 class BoundReport:
-    """Serializable record of one bound computation."""
+    """Serializable record of one bound computation; the field order is
+    the key order of its report."""
 
     bound_ours: float
     bound_prior: float
@@ -262,12 +262,4 @@ class BoundReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self):
-        # deterministic field order
-        return {
-            "bound_ours": self.bound_ours,
-            "bound_prior": self.bound_prior,
-            "r_star": self.r_star,
-            "d_star": self.d_star,
-            "params": self.params,
-            "provenance": self.provenance,
-        }
+        return asdict(self)

@@ -5,14 +5,14 @@ rstar kernel|linear, experiment, graph chi|cover-check.
 
 Each subcommand declares its options in one table (`COMMANDS`): flag,
 converter, default and choices.  Configuration is flat `key = value` text
-(keys are the option names, with dashes or underscores).  A value comes
-from its flag, else from the GDBOUND_SEED environment variable (seed
-only), else from the config file, else from the table default, and
-whatever its source it is converted by the same converter.  Every run is
-deterministic under a fixed (config, seed): reports embed the resolved
-configuration and replaying it reproduces the report byte for byte.
-Numeric output on stdout uses 6 significant digits; report files store
-full precision.
+(keys are the option names, with dashes or underscores; the last line
+for an option wins).  A value comes from its flag, else from the
+GDBOUND_SEED environment variable (seed only), else from the config
+file, else from the table default, and whatever its source it is
+converted by the same converter.  Every run is deterministic under a
+fixed (config, seed): reports embed the resolved configuration and
+replaying it reproduces the report byte for byte.  Numeric output on
+stdout uses 6 significant digits; report files store full precision.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def _read_text(path):
 
 
 def read_config_file(path):
+    """{dest: (key as written, value text)}; a key may be written with
+    dashes or underscores, and the last line for an option wins."""
     cfg = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,7 +193,7 @@ def read_config_file(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        cfg[key] = val
+        cfg[key.replace("-", "_")] = (key, val)
     return cfg
 
 
@@ -203,8 +205,7 @@ def resolve_options(table, args):
     positional = {opt.dest for opt in table} - flags.keys()
     written = {}  # dest: (text, value) from the config file and environment
     if args.config:
-        for key, text in read_config_file(args.config).items():
-            dest = key.replace("-", "_")
+        for dest, (key, text) in read_config_file(args.config).items():
             if dest in positional:  # as in a replayed report's configuration
                 if text != getattr(args, dest):
                     raise ConfigError(f"config {key} = {text!r} disagrees with "
@@ -212,8 +213,7 @@ def resolve_options(table, args):
                 continue
             if dest not in flags:
                 raise ConfigError(f"unknown config key {key!r}")
-            value = flags[dest].parse(text)  # checked even where a flag wins
-            written.setdefault(dest, (text, value))
+            written[dest] = (text, flags[dest].parse(text))  # checked even where a flag wins
     if "seed" in flags and "GDBOUND_SEED" in os.environ and args.seed is None:
         text = os.environ["GDBOUND_SEED"]
         written["seed"] = (text, flags["seed"].parse(text))
@@ -517,23 +517,20 @@ COMMANDS = [
         MTILDE,
         _opt("--r", _radius, "inf", help="localization radius; inf or none: unlocalized"),
         _opt("--draws", int, "200"),
-        _opt("--seed", int, "0"),
-        OUT)),
+        _opt("--seed", int, "0"))),
     (("lfrc", "fixed-point"), "fixed point r* of a sub-root function",
      cmd_lfrc_fixed_point, (
         _opt("--family", default="sqrt", choices=("sqrt",), help="a*sqrt(r)+b"),
         _opt("--a", float), _opt("--b", float, "0"),
-        _opt("--tol", float, "1e-10"), _opt("--r-hi", float, "1e6"),
-        OUT)),
+        _opt("--tol", float, "1e-10"), _opt("--r-hi", float, "1e6"))),
     (("rstar", "kernel"), "r* from per-task Gram spectra", cmd_rstar_kernel, (
         _opt("--gram", _paths, help="Gram matrix file per task (repeatable)"),
-        CHI, M, MTILDE, OUT)),
+        CHI, M, MTILDE)),
     (("rstar", "linear"), "r* from a weight matrix spectrum", cmd_rstar_linear, (
         _opt("--weights", help="weight matrix file"),
         MTILDE, _opt("--mbar", float, "1"), CHI, M, TAU, _opt("--n", float),
         _opt("--d-max", int, help="largest cut to try"),
-        _opt("--experiment-mode", _bool, "false"),
-        OUT)),
+        _opt("--experiment-mode", _bool, "false"))),
     (("experiment",), "full Macro-AUC bound comparison", cmd_experiment, (
         _opt("--data", _paths, help="mlsvm dataset (repeatable)"),
         _opt("--seeds", _seeds, "0,1,2,3,4"),
@@ -547,7 +544,7 @@ COMMANDS = [
     (("graph", "chi"), "exact fractional chromatic number and cover", cmd_graph_chi, (
         _opt("--edges", help="graph file"), OUT)),
     (("graph", "cover-check"), "check a fractional cover", cmd_graph_cover_check, (
-        _opt("--edges", help="graph file"), _opt("--cover", help="cover file"), OUT)),
+        _opt("--edges", help="graph file"), _opt("--cover", help="cover file"))),
 ]
 
 

@@ -15,7 +15,7 @@ bracketing and bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -256,8 +256,10 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
     return est, stderr
 
 
-# The sub-root grid check spans [r_hi * GRID_SPAN, r_hi].
+# The sub-root grid check spans [r_hi * GRID_SPAN, r_hi] in GRID_POINTS
+# log-spaced points.
 _GRID_SPAN = 1e-12
+_GRID_POINTS = 64
 
 
 def _check_r_hi(r_hi):
@@ -277,8 +279,6 @@ class SubRootHandle:
 
     fn: Callable[[float], float]
     r_hi: float = 1e6
-    grid_points: int = 64
-    _grid_checked: bool = field(default=False, repr=False, init=False)
 
     def __post_init__(self):
         _check_r_hi(self.r_hi)
@@ -288,20 +288,19 @@ class SubRootHandle:
 
     def grid_check(self):
         """Verify sub-root properties on a grid; DomainError on failure."""
-        grid = np.geomspace(self.r_hi * _GRID_SPAN, self.r_hi, self.grid_points)
+        grid = np.geomspace(self.r_hi * _GRID_SPAN, self.r_hi, _GRID_POINTS)
         vals = np.array([self.fn(r) for r in grid])
         if (vals < -1e-12).any():
             raise DomainError("function is negative on the grid; not sub-root")
         diffs = np.diff(vals)
         if (diffs < -1e-9 * np.maximum(1.0, np.abs(vals[:-1]))).any():
             raise DomainError("function is decreasing on the grid; not sub-root")
-        ratio = vals / np.sqrt(grid)
-        rdiffs = np.diff(ratio)
-        if (rdiffs > 1e-9 * np.maximum(1.0, ratio[:-1])).any():
+        scaled = vals / np.sqrt(grid)
+        rdiffs = np.diff(scaled)
+        if (rdiffs > 1e-9 * np.maximum(1.0, scaled[:-1])).any():
             raise DomainError("f(r)/sqrt(r) increases on the grid; not sub-root")
         if vals.max() <= 0.0:
             raise DomainError("function is identically zero on the grid")
-        self._grid_checked = True
 
 
 def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
@@ -315,8 +314,7 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     _check_r_hi(handle.r_hi)
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
-    if not handle._grid_checked:
-        handle.grid_check()
+    handle.grid_check()
 
     def gap(r):
         return handle.fn(r) - r

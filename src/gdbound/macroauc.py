@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,13 +42,8 @@ class MultiLabelDataset:
 
     def subset(self, idx) -> "MultiLabelDataset":
         idx = np.asarray(idx)
-        return MultiLabelDataset(
-            n_samples=int(idx.size),
-            n_features=self.n_features,
-            n_labels=self.n_labels,
-            features=self.features[idx],
-            labels=self.labels[idx],
-        )
+        return replace(self, n_samples=int(idx.size), features=self.features[idx],
+                       labels=self.labels[idx])
 
     def dense_features(self) -> np.ndarray:
         return np.asarray(self.features.todense(), dtype=float)
@@ -58,7 +53,7 @@ class MultiLabelDataset:
         return float(np.sqrt(sq.max())) if sq.size else 0.0
 
 
-def load_dataset(path, fmt: str = "mlsvm") -> MultiLabelDataset:
+def load_dataset(path) -> MultiLabelDataset:
     """Parse the canonical mlsvm text format.
 
     Header: `#samples=<n> #features=<D> #labels=<K>`.  Each following line
@@ -66,8 +61,6 @@ def load_dataset(path, fmt: str = "mlsvm") -> MultiLabelDataset:
     0-based positive label indices (may be empty) and features are sparse
     0-based index:value pairs.
     """
-    if fmt != "mlsvm":
-        raise ConfigError(f"unknown dataset format {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -351,17 +344,17 @@ def macro_auc(ranker_or_scores, dataset: MultiLabelDataset) -> float:
     return float(np.mean(aucs))
 
 
-def _split_rows(n: int, seed: int, ratio=(2, 1)):
-    """Sorted (train, test) row indices of the seeded shuffle split."""
+def _split_rows(n: int, seed: int):
+    """Sorted (train, test) row indices of the seeded 2:1 shuffle split."""
     rng = np.random.default_rng(derive_seed(seed, 0xA11C))
     perm = rng.permutation(n)
-    n_train = int(round(n * ratio[0] / (ratio[0] + ratio[1])))
+    n_train = int(round(n * 2 / 3))
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def split_train_test(dataset: MultiLabelDataset, seed: int, ratio=(2, 1)):
-    """Seeded shuffle split (default 2:1 train:test)."""
-    train, test = _split_rows(dataset.n_samples, seed, ratio)
+def split_train_test(dataset: MultiLabelDataset, seed: int):
+    """Seeded 2:1 train:test shuffle split."""
+    train, test = _split_rows(dataset.n_samples, seed)
     return dataset.subset(train), dataset.subset(test)
 
 
@@ -380,12 +373,10 @@ def _cv_jobs(n: int, grid, folds: int, config: TrainConfig):
         for fi in range(folds):
             val_rows.append(np.sort(fold_idx[fi]))
             tr_idx = np.sort(np.concatenate([fold_idx[j] for j in range(folds) if j != fi]))
-            jobs.append((tr_idx, TrainConfig(lr=config.lr, epochs=config.epochs,
-                                             weight_decay=lam,
-                                             seed=derive_seed(config.seed, li, fi))))
+            jobs.append((tr_idx, replace(config, weight_decay=lam,
+                                         seed=derive_seed(config.seed, li, fi))))
     for lam in grid:
-        jobs.append((np.arange(n), TrainConfig(lr=config.lr, epochs=config.epochs,
-                                               weight_decay=lam, seed=config.seed)))
+        jobs.append((np.arange(n), replace(config, weight_decay=lam)))
     return jobs, val_rows
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -90,22 +90,6 @@ class DependentSampler:
             raise ConfigError("k_tasks must be >= 1")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-    def config_dict(self):
-        return {
-            "structure": self.structure,
-            "k_tasks": self.k_tasks,
-            "m": self.m,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "base": self.base,
-            "base_p": self.base_p,
-            "base_lo": self.base_lo,
-            "base_hi": self.base_hi,
-            "kernel": self.kernel,
-            "centered": self.centered,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -318,7 +302,8 @@ def empirical_tail(samples, threshold: float):
 
 @dataclass
 class TailReport:
-    """Empirical-vs-bound comparison over a grid of confidence exponents."""
+    """Empirical-vs-bound comparison over a grid of confidence exponents;
+    the field order is the key order of its report."""
 
     config: dict
     inequality: str
@@ -333,16 +318,7 @@ class TailReport:
         return [row["t"] for row in self.rows if row["violation"]]
 
     def as_dict(self):
-        return {
-            "config": self.config,
-            "inequality": self.inequality,
-            "form": self.form,
-            "moments_mode": self.moments_mode,
-            "n_trials": self.n_trials,
-            "t_grid": list(self.t_grid),
-            "rows": self.rows,
-            "violations": self.violations,
-        }
+        return {**asdict(self), "violations": self.violations}
 
     def to_json(self):
         return json.dumps(self.as_dict(), indent=2)
@@ -407,7 +383,7 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         c_dev = conc.general_bernstein_constant(inp.chi_list)
 
     report = TailReport(
-        config=sampler.config_dict(), inequality=inequality, form=form,
+        config=asdict(sampler), inequality=inequality, form=form,
         moments_mode=moments_mode, n_trials=n_trials, t_grid=list(t_grid),
     )
     lower = inequality == "lower_tail"

@@ -524,6 +524,31 @@ class TestExperimentCommand:
         assert payload["summary"]["ours"]["mean"] < payload["summary"]["prior"]["mean"]
 
 
+class TestReportKeyOrder:
+    """Reports serialize their records in field order; replayed and compared
+    reports rely on that order staying put."""
+
+    def test_verify_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--structure", "iid:5", "--ineq", "lower_tail",
+                        "--trials", "200", "--out", str(out)])[0] == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["config", "inequality", "form", "moments_mode", "n_trials",
+                                 "t_grid", "rows", "violations", "resolved_config"]
+        assert list(payload["config"]) == ["structure", "k_tasks", "m", "n_pos", "n_neg",
+                                           "base", "base_p", "base_lo", "base_hi",
+                                           "kernel", "centered", "seed"]
+
+    def test_experiment_per_seed_report(self, tmp_path):
+        data = tmp_path / "toy.mlsvm"
+        save_dataset(small_separable(n=24, d=3, k=2, seed=2), data)
+        assert run_cli(["experiment", "--data", str(data), "--seeds", "0", "--epochs", "1",
+                        "--out", str(tmp_path)])[0] == 0
+        report = json.loads((tmp_path / "toy.report.json").read_text())
+        assert list(report["per_seed_reports"][0]) == ["bound_ours", "bound_prior", "r_star",
+                                                      "d_star", "params", "provenance"]
+
+
 class TestOptionTable:
     """Flags and config lines go through one converter per option."""
 
@@ -596,6 +621,33 @@ class TestOptionTable:
             assert run_cli(argv + extra, env=env)[0] == 0
             payload = json.loads(out.read_text())
             assert (payload["config"]["seed"], payload["resolved_config"]["seed"]) == (seed, text)
+
+    @pytest.mark.parametrize("text", ["base-p = 0.3\nbase_p = 0.5\n",
+                                      "base-p = 0.3\nbase-p = 0.5\n"],
+                             ids=["both spellings", "one spelling"])
+    def test_last_config_line_wins_whatever_its_spelling(self, tmp_path, text):
+        argv = ["verify", "--structure", "bipartite:3,3", "--base", "two_point",
+                "--ineq", "bennett_general", "--trials", "500"]
+        out = tmp_path / "r.json"
+        code, stdout, _ = self.run_with_config(tmp_path, argv + ["--out", str(out)], text)
+        assert code == 0 and stdout == run_cli(argv + ["--base-p", "0.5"])[1]
+        payload = json.loads(out.read_text())
+        assert (payload["config"]["base_p"], payload["resolved_config"]["base_p"]) == \
+            (0.5, "0.5")
+
+    @pytest.mark.parametrize("argv", [
+        ["lfrc", "estimate", "--features", "x.txt"],
+        ["lfrc", "fixed-point", "--a", "2"],
+        ["rstar", "kernel", "--gram", "g.txt", "--chi", "1", "--m", "4"],
+        ["rstar", "linear", "--weights", "w.txt", "--tau", "0.5", "--n", "100"],
+        ["graph", "cover-check", "--edges", "e.txt", "--cover", "c.txt"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_out_only_where_something_is_written(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        code, out, err = self.run_with_config(tmp_path, argv, "out = r.json\n")
+        assert code == 2 and out == "" and "unknown config key 'out'" in err
 
     def test_config_formula_must_match_the_positional(self, tmp_path):
         code, out, err = self.run_with_config(tmp_path, self.BERNSTEIN,

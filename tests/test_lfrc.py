@@ -492,6 +492,14 @@ class TestFixedPoint:
         with pytest.raises(DomainError):
             fixed_point(SubRootHandle(fn=lambda r: 1.0 / (1.0 + r), r_hi=10.0))
 
+    def test_reused_handle_is_checked_again(self):
+        # a handle solved once is checked again after its function changes
+        h = SubRootHandle(fn=math.sqrt)
+        assert fixed_point(h) == pytest.approx(1.0, abs=1e-9)
+        h.fn = lambda r: 1.0 / (1.0 + r)
+        with pytest.raises(DomainError, match="decreasing"):
+            fixed_point(h)
+
     def test_large_fixed_point_beyond_r_hi(self):
         # bracketing expands upward past the declared search ceiling
         h = SubRootHandle(fn=lambda r: 2e4 * math.sqrt(r), r_hi=1e3)
