@@ -32,7 +32,6 @@ class SpectrumProfile:
     singular values); entries beyond the stored list are treated as zero."""
 
     values: np.ndarray
-    source: str = "kernel_gram"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -65,14 +64,14 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     if eigs.size and eigs.min() < -1e-8:
         raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
     vals = np.clip(np.sort(eigs)[::-1], 0.0, None)
-    return SpectrumProfile(values=vals, source="kernel_gram")
+    return SpectrumProfile(values=vals)
 
 
 def spectrum_from_weights(theta) -> SpectrumProfile:
     """Squared singular values of a weight matrix, nonincreasing."""
     T = np.atleast_2d(np.asarray(theta, dtype=float))
     sv = np.linalg.svd(T, compute_uv=False)
-    return SpectrumProfile(values=np.sort(sv**2)[::-1], source="weight_svd")
+    return SpectrumProfile(values=np.sort(sv**2)[::-1])
 
 
 @dataclass(frozen=True)

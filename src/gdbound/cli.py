@@ -472,7 +472,6 @@ def cmd_graph_cover_check(cfg):
 
 # ---------------------------------------------------------------- commands
 
-OUT = _opt("--out", help="write the full-precision report here")
 TAU = _opt("--tau", _floats, help="minority-label fraction tau_k per task")
 CHI = _opt("--chi", _floats, help="fractional chromatic number chi_k per task")
 M = _opt("--m", _floats, help="sample size m_k per task")
@@ -499,7 +498,7 @@ COMMANDS = [
         _opt("--t-grid", _floats, "0.25,0.5,1,2,4"),
         _opt("--moments", default="analytic", choices=("analytic", "plugin")),
         _opt("--seed", int, "0"),
-        OUT)),
+        _opt("--out", help="write the full-precision JSON report here"))),
     (("bound",), "evaluate one closed-form bound", cmd_bound, (
         _opt("formula", choices=BOUND_FORMULAS),
         _opt("--c", float), _opt("--v", float), _opt("--t", parse_t, help="a number or lnN"),
@@ -510,7 +509,7 @@ COMMANDS = [
         _opt("--b-shift", float, "0", help="uniform block bound b of the tail-bound bundle"),
         _opt("--ez", float, help="E[Z] of the tail-bound bundle"),
         _opt("--sigma2", float, help="sum of weighted block variance factors"),
-        OUT)),
+        _opt("--out", help="write the full-precision value as a JSON report here"))),
     (("lfrc", "estimate"), "Monte Carlo estimate of the localized complexity",
      cmd_lfrc_estimate, (
         _opt("--features", _paths, help="matrix file, one per task (repeatable)"),
@@ -540,9 +539,11 @@ COMMANDS = [
         _opt("--grid", _floats, "0.0001,0.001,0.01,0.1", help="weight-decay grid"),
         _opt("--t", parse_t, "ln100", help="a number or lnN"),
         _opt("--rate", float, "1"),
-        OUT)),
+        _opt("--out", help="directory for one full-precision JSON report per dataset "
+                           "and comparison.txt"))),
     (("graph", "chi"), "exact fractional chromatic number and cover", cmd_graph_chi, (
-        _opt("--edges", help="graph file"), OUT)),
+        _opt("--edges", help="graph file"),
+        _opt("--out", help="write the cover text here instead of to stdout"))),
     (("graph", "cover-check"), "check a fractional cover", cmd_graph_cover_check, (
         _opt("--edges", help="graph file"), _opt("--cover", help="cover file"))),
 ]

@@ -37,7 +37,6 @@ class DependencyGraph:
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
-    label: str = ""
     adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False,
                                                   compare=False)
 
@@ -61,12 +60,12 @@ class DependencyGraph:
         ))
 
     @classmethod
-    def from_edges(cls, n_vertices, edge_iter, label=""):
+    def from_edges(cls, n_vertices, edge_iter):
         """Build a graph, normalizing edge orientation and dropping duplicates."""
         edges = frozenset(
             (min(u, v), max(u, v)) for u, v in edge_iter
         )
-        return cls(n_vertices=n_vertices, edges=edges, label=label)
+        return cls(n_vertices=n_vertices, edges=edges)
 
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
@@ -88,7 +87,7 @@ class DependencyGraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, label=""):
+    def from_text(cls, text):
         """Parse `to_text` output; ParseError names the first bad line."""
         rows = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), start=1)
                 if ln.strip()]
@@ -98,7 +97,7 @@ class DependencyGraph:
         if n > MAX_VERTICES:
             raise ParseError(f"vertex count {n} exceeds {MAX_VERTICES}", line=rows[0][0])
         edges = [_ints(tokens, 2, k) for k, tokens in rows[1:]]
-        return cls.from_edges(n, edges, label=label)
+        return cls.from_edges(n, edges)
 
 
 def _ints(tokens, count, line):
@@ -218,7 +217,7 @@ def bipartite_ranking_graph(n_pos: int, n_neg: int):
             edges.append((vid(p, q), vid(p, q2)))
         for p2 in range(p + 1, n_pos):
             edges.append((vid(p, q), vid(p2, q)))
-    graph = DependencyGraph.from_edges(n, edges, label=f"bipartite({n_pos},{n_neg})")
+    graph = DependencyGraph.from_edges(n, edges)
 
     n_classes = max(n_pos, n_neg)
     classes = []

@@ -11,16 +11,13 @@ prior global-complexity bound on the training split.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.stats import rankdata
 
-from . import graphdep
 from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
 from .errors import ConfigError, DegenerateLabelError, DomainError, \
@@ -28,28 +25,34 @@ from .errors import ConfigError, DegenerateLabelError, DomainError, \
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
+MAX_CELLS = 10**8  # largest n*D or n*K a dataset header may declare
 
 
 @dataclass
 class MultiLabelDataset:
-    """n_samples x n_features sparse features with {-1,+1} label matrix."""
+    """Dense features with a {-1,+1} label matrix; the shape is read from
+    the arrays."""
 
-    n_samples: int
-    n_features: int
-    n_labels: int
-    features: sp.csr_matrix
-    labels: np.ndarray  # (n_samples, n_labels), entries in {-1, +1}
+    features: np.ndarray  # (n_samples, n_features), float
+    labels: np.ndarray  # (n_samples, n_labels), int8 entries in {-1, +1}
+
+    @property
+    def n_samples(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def n_labels(self) -> int:
+        return self.labels.shape[1]
 
     def subset(self, idx) -> "MultiLabelDataset":
-        idx = np.asarray(idx)
-        return replace(self, n_samples=int(idx.size), features=self.features[idx],
-                       labels=self.labels[idx])
-
-    def dense_features(self) -> np.ndarray:
-        return np.asarray(self.features.todense(), dtype=float)
+        return MultiLabelDataset(self.features[idx], self.labels[idx])
 
     def max_row_norm(self) -> float:
-        sq = np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
+        sq = (self.features * self.features).sum(axis=1)
         return float(np.sqrt(sq.max())) if sq.size else 0.0
 
 
@@ -59,7 +62,8 @@ def load_dataset(path) -> MultiLabelDataset:
     Header: `#samples=<n> #features=<D> #labels=<K>`.  Each following line
     is `l1,l2,...<TAB>f1:v1 f2:v2 ...` where the label list holds the
     0-based positive label indices (may be empty) and features are sparse
-    0-based index:value pairs.
+    0-based index:value pairs; a repeated index sums.  A header whose
+    n*D or n*K exceeds MAX_CELLS is rejected before anything is allocated.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,13 +84,16 @@ def load_dataset(path) -> MultiLabelDataset:
     if n < 0 or d < 1 or k < 1:
         raise FormatError("header counts must be positive")
 
-    labels = -np.ones((n, k), dtype=np.int8)
-    rows, cols, vals = [], [], []
     body = lines[1:]
     while body and not body[-1].strip():
         body.pop()
     if len(body) != n:
         raise FormatError(f"header promises {n} samples, file has {len(body)}")
+    if max(n * d, n * k) > MAX_CELLS:
+        raise FormatError(f"header declares {n} samples x {d} features and {k} labels; "
+                          f"n*D and n*K must not exceed {MAX_CELLS}")
+    labels = -np.ones((n, k), dtype=np.int8)
+    rows, cols, vals = [], [], []
     for i, line in enumerate(body):
         lineno = i + 2
         if "\t" in line:
@@ -118,9 +125,9 @@ def load_dataset(path) -> MultiLabelDataset:
             rows.append(i)
             cols.append(fi)
             vals.append(fv)
-    X = sp.csr_matrix((vals, (rows, cols)), shape=(n, d), dtype=float)
-    return MultiLabelDataset(n_samples=n, n_features=d, n_labels=k,
-                             features=X, labels=labels)
+    X = np.zeros((n, d))
+    np.add.at(X, (rows, cols), vals)
+    return MultiLabelDataset(X, labels)
 
 
 def save_dataset(ds: MultiLabelDataset, path):
@@ -128,14 +135,9 @@ def save_dataset(ds: MultiLabelDataset, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#samples={ds.n_samples} #features={ds.n_features} "
                  f"#labels={ds.n_labels}\n")
-        X = ds.features.tocsr()
-        for i in range(ds.n_samples):
-            pos = np.flatnonzero(ds.labels[i] == 1)
-            label_part = ",".join(str(p) for p in pos)
-            start, end = X.indptr[i], X.indptr[i + 1]
-            feat_part = " ".join(
-                f"{X.indices[j]}:{float(X.data[j])!r}" for j in range(start, end)
-            )
+        for x, y in zip(ds.features, ds.labels):
+            label_part = ",".join(str(p) for p in np.flatnonzero(y == 1))
+            feat_part = " ".join(f"{j}:{float(x[j])!r}" for j in np.flatnonzero(x))
             fh.write(f"{label_part}\t{feat_part}\n")
 
 
@@ -159,15 +161,6 @@ class MacroAucTask:
     @property
     def chi(self) -> int:
         return max(self.pos_idx.size, self.neg_idx.size)
-
-    def pairs(self):
-        """Lazy iterator over (positive, negative) sample index pairs."""
-        return itertools.product(self.pos_idx.tolist(), self.neg_idx.tolist())
-
-    def dependency_graph(self):
-        """Rook dependency graph plus optimal cover (materialized on demand;
-        quadratic in the pair count, intended for desk-scale checks)."""
-        return graphdep.bipartite_ranking_graph(self.pos_idx.size, self.neg_idx.size)
 
 
 def pair_transform(dataset: MultiLabelDataset, label: int) -> MacroAucTask:
@@ -217,7 +210,7 @@ class LinearRanker:
         return float(np.max(np.linalg.norm(self.weights, axis=1))) if self.weights.size else 0.0
 
     def scores(self, dataset: MultiLabelDataset) -> np.ndarray:
-        return np.asarray(dataset.features @ self.weights.T)
+        return dataset.features @ self.weights.T
 
 
 def derive_seed(*parts) -> int:
@@ -247,7 +240,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     Each chain's arithmetic is exactly that of a loop over its own steps, so
     a ranker does not depend on which other jobs share the call.
     """
-    X = dataset.dense_features()
+    X = dataset.features
     if not np.isfinite(X).all():
         raise DomainError("features hold a non-finite value")
     fits, chains = [], []
@@ -479,32 +472,30 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
 
 @dataclass
 class ExperimentResult:
-    """One dataset's multi-seed experiment summary."""
+    """One dataset's multi-seed experiment: per seed, the chosen weight
+    decay, the test Macro-AUC and the bound report as a dict."""
 
     dataset: str
-    n_seeds: int
     seeds: list
     lambda_selected: list
     test_macro_auc: list
-    ours: list
-    prior: list
-    r_star: list
-    d_star: list
-    reports: list = field(default_factory=list)
+    reports: list
 
     def summary(self):
         def ms(xs):
             arr = np.asarray(xs, dtype=float)
             return {"mean": float(arr.mean()),
                     "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0}
+        ours = [r["bound_ours"] for r in self.reports]
+        prior = [r["bound_prior"] for r in self.reports]
         return {
             "dataset": self.dataset,
-            "n_seeds": self.n_seeds,
-            "ours": ms(self.ours),
-            "prior": ms(self.prior),
-            "r_star": ms(self.r_star),
+            "n_seeds": len(self.seeds),
+            "ours": ms(ours),
+            "prior": ms(prior),
+            "r_star": ms([r["r_star"] for r in self.reports]),
             "test_macro_auc": ms(self.test_macro_auc),
-            "smaller_bound": "ours" if np.mean(self.ours) <= np.mean(self.prior) else "prior",
+            "smaller_bound": "ours" if np.mean(ours) <= np.mean(prior) else "prior",
         }
 
 
@@ -516,9 +507,8 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     the chosen decay's full-split fit, test Macro-AUC, and bound report on
     the training split.  Every seed's fits index the full dataset, so they
     all train in one `train_many` call."""
-    res = ExperimentResult(dataset=name, n_seeds=len(seeds), seeds=list(seeds),
-                           lambda_selected=[], test_macro_auc=[], ours=[],
-                           prior=[], r_star=[], d_star=[])
+    res = ExperimentResult(dataset=name, seeds=list(seeds), lambda_selected=[],
+                           test_macro_auc=[], reports=[])
     plans, jobs = [], []
     for seed in seeds:
         train_rows, test_rows = _split_rows(dataset.n_samples, seed)
@@ -536,9 +526,5 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
         report = report_bounds(train, ranker, t=t, rate=rate)
         res.lambda_selected.append(lam)
         res.test_macro_auc.append(macro_auc(ranker, dataset.subset(test_rows)))
-        res.ours.append(report.bound_ours)
-        res.prior.append(report.bound_prior)
-        res.r_star.append(report.r_star)
-        res.d_star.append(report.d_star)
         res.reports.append(report.to_dict())
     return res

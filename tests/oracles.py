@@ -297,7 +297,7 @@ def loop_train_sgd(dataset, config):
     the reference for the lockstep `train_many`."""
     if dataset.n_samples == 0:
         raise DomainError("cannot train on an empty dataset")
-    X = dataset.dense_features()
+    X = dataset.features
     n, d = X.shape
     K = dataset.n_labels
     W = np.zeros((K, d))

@@ -8,7 +8,6 @@ outlier rows so the max feature norm is stable across splits.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from gdbound.macroauc import MultiLabelDataset
 
@@ -43,7 +42,7 @@ def linear_teacher_dataset(n, d, k, seed, scale=1.0, pos_rate=(0.3, 0.45),
         # bound the per-label pair gap away from zero so hinge training
         # settles at a modest weight norm
         X = X + (Y.astype(float) * margin_boost) @ teachers
-    return MultiLabelDataset(n, d, k, sp.csr_matrix(X), Y)
+    return MultiLabelDataset(X, Y)
 
 
 def emotions_like(seed=0):

@@ -145,7 +145,7 @@ class TestRstarKernel:
 
 class TestRstarLinear:
     def test_worked_example(self):
-        spec = SpectrumProfile(values=np.array([0.5, 0.25]), source="weight_svd")
+        spec = SpectrumProfile(values=np.array([0.5, 0.25]))
         params = BoundParams(K=1, m_list=(100.0,), chi_list=(1.0,),
                              m_bar=1.0, m_tilde=1.0)
         r_star, cut = rstar_linear(spec, params)
@@ -166,7 +166,7 @@ class TestRstarLinear:
 
     def test_experiment_mode_doubles_and_caps(self):
         vals = np.sort(np.random.default_rng(0).uniform(0, 1, 8))[::-1]
-        spec = SpectrumProfile(values=vals, source="weight_svd")
+        spec = SpectrumProfile(values=vals)
         params = BoundParams.pair_transformed([0.3, 0.4], 500.0, m_bar=2.0,
                                               m_tilde=1.5)
         plain, _ = rstar_linear(spec, params)
@@ -185,7 +185,7 @@ class TestRstarLinear:
         assert cut_c == want_c <= 2
 
     def test_negative_cut_cap_rejected(self):
-        spec = SpectrumProfile(values=np.array([0.5, 0.25]), source="weight_svd")
+        spec = SpectrumProfile(values=np.array([0.5, 0.25]))
         params = BoundParams(K=1, m_list=(100.0,), chi_list=(1.0,))
         with pytest.raises(DomainError, match="d_max"):
             rstar_linear(spec, params, d_max=-1)
@@ -196,7 +196,7 @@ class TestRstarLinear:
         for _ in range(25):
             K = int(rng.integers(1, 4))
             vals = np.sort(rng.uniform(0, 2, size=int(rng.integers(1, 9))))[::-1]
-            spec = SpectrumProfile(values=vals, source="weight_svd")
+            spec = SpectrumProfile(values=vals)
             chis = [float(rng.uniform(1, 6)) for _ in range(K)]
             ms = [float(rng.uniform(10, 1e5)) for _ in range(K)]
             m_tilde = float(rng.uniform(0.1, 4))

@@ -473,6 +473,23 @@ class TestExperimentCommand:
                                 "--seeds", "0", "--epochs", "1"])
         assert code == 3 and "bad header line" in err
 
+    @pytest.mark.parametrize("n, d, k", [(12, 10**11, 1), (2, 1, 10**12)])
+    def test_header_too_large_exit_3(self, tmp_path, n, d, k):
+        bad = tmp_path / "huge.mlsvm"
+        bad.write_text(f"#samples={n} #features={d} #labels={k}\n" + "0\t0:1.0\n" * n)
+        code, out, err = run_cli(["experiment", "--data", str(bad),
+                                  "--seeds", "0", "--epochs", "1"])
+        assert code == 3 and out == "" and "Traceback" not in err
+        assert f"{n} samples x {d} features and {k} labels" in err
+        assert "must not exceed 100000000" in err
+
+    def test_huge_sample_count_checked_against_body_first(self, tmp_path):
+        bad = tmp_path / "huge.mlsvm"
+        bad.write_text("#samples=1000000000000 #features=1 #labels=1\n0\t0:1.0\n")
+        code, _, err = run_cli(["experiment", "--data", str(bad),
+                                "--seeds", "0", "--epochs", "1"])
+        assert code == 3 and "header promises 1000000000000 samples, file has 1" in err
+
     def test_missing_data_exit_3(self, tmp_path):
         code, _, err = run_cli(["experiment", "--data", str(tmp_path / "absent.mlsvm"),
                                 "--seeds", "0", "--epochs", "1"])
@@ -724,6 +741,20 @@ class TestOptionTable:
                 assert "default:" not in entry, entry
             else:
                 assert f"(default: {opt.default})" in entry, entry
+
+    @pytest.mark.parametrize("path, says", [
+        (("verify",), "write the full-precision JSON report here"),
+        (("bound",), "write the full-precision value as a JSON report here"),
+        (("experiment",), "directory for one full-precision JSON report per dataset "
+                          "and comparison.txt"),
+        (("graph", "chi"), "write the cover text here instead of to stdout"),
+    ], ids=["verify", "bound", "experiment", "graph chi"])
+    def test_out_help_says_what_is_written(self, capsys, path, says):
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--out OUT {says}" in help_text
 
 
 class TestEntryPoint:

@@ -110,7 +110,7 @@ class TestGraphBasics:
         for v in range(g.n_vertices):
             assert g.neighbors(v) == {u for u in range(g.n_vertices) if g.has_edge(u, v)}
             assert g.degree(v) == 5
-        back = DependencyGraph.from_text(g.to_text(), label=g.label)
+        back = DependencyGraph.from_text(g.to_text())
         assert back == g and hash(back) == hash(g)
         assert "adjacency" not in repr(g)
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gdbound.errors import (
     ConfigError,
@@ -13,7 +12,8 @@ from gdbound.errors import (
     StateError,
     UndefinedMetricError,
 )
-from gdbound.graphdep import validate_cover
+from gdbound import macroauc
+from gdbound.graphdep import bipartite_ranking_graph, validate_cover
 from gdbound.macroauc import (
     LinearRanker,
     MultiLabelDataset,
@@ -35,10 +35,7 @@ from synthdata import cal500_like, emotions_like, linear_teacher_dataset, small_
 
 
 def make_dataset(X, Y):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=np.int8)
-    return MultiLabelDataset(X.shape[0], X.shape[1], Y.shape[1],
-                             sp.csr_matrix(X), Y)
+    return MultiLabelDataset(np.asarray(X, dtype=float), np.asarray(Y, dtype=np.int8))
 
 
 TOY = """#samples=2 #features=2 #labels=1
@@ -106,13 +103,47 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(path)
 
+    def test_repeated_feature_index_sums(self, tmp_path):
+        path = tmp_path / "rep.mlsvm"
+        path.write_text("#samples=1 #features=2 #labels=1\n0\t0:1.0 0:2.0\n")
+        ds = load_dataset(path)
+        assert ds.features[0, 0] == 3.0 and ds.features[0, 1] == 0.0
+
+    def test_header_wider_than_indices_used(self, tmp_path):
+        path = tmp_path / "wide.mlsvm"
+        path.write_text("#samples=2 #features=5 #labels=1\n0\t0:1.0\n\t1:2.0\n")
+        ds = load_dataset(path)
+        assert ds.n_features == 5
+        assert all(ds.features[i, j] == 0.0 for i in range(2) for j in range(2, 5))
+
+    def test_empty_feature_part_is_a_zero_row(self, tmp_path):
+        path = tmp_path / "empty.mlsvm"
+        path.write_text("#samples=3 #features=2 #labels=2\n0,1\n1\t\n\t1:4.0\n")
+        ds = load_dataset(path)
+        assert ds.n_samples == 3 and ds.labels[0].tolist() == [1, 1]
+        assert all(ds.features[i, j] == 0.0 for i in range(2) for j in range(2))
+        assert ds.features[2, 1] == 4.0
+
+    @pytest.mark.parametrize("d, k, ok", [(3, 1, True), (1, 3, True),
+                                          (4, 1, False), (1, 4, False)])
+    def test_header_cells_capped(self, tmp_path, monkeypatch, d, k, ok):
+        monkeypatch.setattr(macroauc, "MAX_CELLS", 6)
+        path = tmp_path / "cap.mlsvm"
+        path.write_text(f"#samples=2 #features={d} #labels={k}\n0\t0:1.0\n\t0:2.0\n")
+        if ok:
+            ds = load_dataset(path)
+            assert (ds.n_samples, ds.n_features, ds.n_labels) == (2, d, k)
+        else:
+            with pytest.raises(FormatError, match="must not exceed 6"):
+                load_dataset(path)
+
     def test_round_trip(self, tmp_path):
         ds = small_separable(n=15, d=4, k=3, seed=2)
         path = tmp_path / "rt.mlsvm"
         save_dataset(ds, path)
         back = load_dataset(path)
         assert np.array_equal(back.labels, ds.labels)
-        assert np.allclose(back.features.toarray(), ds.features.toarray())
+        assert np.allclose(back.features, ds.features)
 
 
 class TestPairTransform:
@@ -140,21 +171,12 @@ class TestPairTransform:
         with pytest.raises(DegenerateLabelError):
             pair_transform(ds, 0)
 
-    def test_pairs_iterator_lazy_and_complete(self):
-        Y = -np.ones((5, 1), dtype=np.int8)
-        Y[:2, 0] = 1
-        ds = make_dataset(np.zeros((5, 1)), Y)
-        task = pair_transform(ds, 0)
-        pairs = list(task.pairs())
-        assert len(pairs) == task.m_pairs == 6
-        assert all(p in (0, 1) and q in (2, 3, 4) for p, q in pairs)
-
     def test_dependency_graph_matches_counts(self):
         Y = -np.ones((5, 1), dtype=np.int8)
         Y[:2, 0] = 1
         ds = make_dataset(np.zeros((5, 1)), Y)
         task = pair_transform(ds, 0)
-        graph, cover = task.dependency_graph()
+        graph, cover = bipartite_ranking_graph(task.pos_idx.size, task.neg_idx.size)
         assert graph.n_vertices == task.m_pairs
         assert cover.total_weight == task.chi
         assert validate_cover(graph, cover).ok
@@ -443,7 +465,7 @@ class TestSplitAndCv:
         ds = small_separable(n=30, d=4, k=2, seed=1)
         t1, _ = split_train_test(ds, seed=5)
         t2, _ = split_train_test(ds, seed=5)
-        assert np.allclose(t1.features.toarray(), t2.features.toarray())
+        assert np.allclose(t1.features, t2.features)
 
     def test_single_value_grid_selected(self):
         ds = small_separable(n=30, d=4, k=2, seed=3)
@@ -505,7 +527,7 @@ class TestReportBounds:
     def test_doubling_n_decreases_both_bounds(self):
         # duplicate every sample: same taus, same norms, doubled n~
         ds = small_separable(n=24, d=4, k=2, seed=7)
-        X = ds.features.toarray()
+        X = ds.features
         Y = ds.labels
         ds2 = make_dataset(np.vstack([X, X]), np.vstack([Y, Y]))
         ranker = train_sgd(ds, TrainConfig(epochs=5, seed=1))
