@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, ParseError, SizeError, StructuralError
 
@@ -301,6 +300,10 @@ def chromatic_fractional_exact(graph: DependencyGraph):
         )
     if n == 0:
         return 0.0, FractionalCover(classes=(), graph=graph)
+    # scipy is imported here, its one use in the package, so that no other
+    # command pays for loading it.
+    from scipy.optimize import linprog
+
     sets = maximal_independent_sets(graph)
     A = np.array([[v in s for v in range(n)] for s in sets], dtype=float)
     res = linprog(-np.ones(n), A_ub=A, b_ub=np.ones(len(sets)), bounds=(0, None),

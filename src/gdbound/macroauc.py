@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
@@ -85,7 +84,9 @@ def load_dataset(path) -> MultiLabelDataset:
         raise FormatError("header counts must be positive")
 
     body = lines[1:]
-    while body and not body[-1].strip():
+    # Trailing blank lines are padding; a lone tab is an all-negative zero
+    # row, which `save_dataset` writes.
+    while body and not body[-1].strip() and "\t" not in body[-1]:
         body.pop()
     if len(body) != n:
         raise FormatError(f"header promises {n} samples, file has {len(body)}")
@@ -272,7 +273,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     n_chains, d = len(chains), dataset.n_features
     n_rows = np.array([chain[0] for chain in chains], dtype=np.intp)
     epochs = np.array([fits[chain[1]][0].epochs for chain in chains])
-    lrs = np.array([fits[chain[1]][0].lr for chain in chains])
+    lr_col = np.array([fits[chain[1]][0].lr for chain in chains])[:, None]
     decays = np.array([fits[chain[1]][1] for chain in chains])
     W = np.zeros((n_chains, d))
     steps = int(n_rows.max(initial=0))
@@ -288,10 +289,11 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             pos_draw[:n, c] = pos[rng.integers(0, pos.size, size=n)]
             neg_draw[:n, c] = neg[rng.integers(0, neg.size, size=n)]
         # The decay spread over (chains x D) makes the per-step decay one
-        # elementwise product; a chain past its epochs decays by 1 and
-        # steps by 0.
+        # elementwise product.  A chain past its epochs decays by 1 and has
+        # a hinge threshold of -inf, which no margin falls below, so its
+        # weights keep their bits.
         decay = np.repeat(np.where(live, decays, 1.0), d).reshape(n_chains, d)
-        lr = np.where(live, lrs, 0.0)
+        hinge = np.where(live, 1.0, -np.inf)[:, None]
         for i in range(steps):
             wide = width[i]
             w = W[:wide]
@@ -299,10 +301,12 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             diff -= np.take(X, neg_draw[i, :wide], axis=0)
             # One (1 x D) @ (D x 1) product per chain: the same dot product
             # as w @ diff, bit for bit, which einsum does not promise.
-            margin = np.matmul(w[:, None, :], diff[:, :, None]).ravel()
+            margin = np.matmul(w[:, None, :], diff[:, :, None])
             w *= decay[:wide]
-            hit = np.flatnonzero(margin < 1.0)
-            W[hit] += lr[hit, None] * diff[hit]
+            # A masked add leaves every entry it skips untouched; adding a
+            # zero step instead would turn a -0.0 weight into +0.0.
+            diff *= lr_col[:wide]
+            np.add(w, diff, out=w, where=margin[:, :, 0] < hinge[:wide])
 
     weights = [np.zeros((dataset.n_labels, d)) for _ in fits]
     for c, (_, j, k, *_) in enumerate(chains):
@@ -312,28 +316,52 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             for w, (config, _, m_bar, excluded) in zip(weights, fits)]
 
 
+def average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks of each column of an (n x K) matrix, tied values sharing
+    the mean of their ranks; a column holding a nan is all nan.
+
+    One argsort orders every column; a tie group runs from a sorted position
+    where the value changes to the next such position, found with a forward
+    running max and a reverse running min.  A group's rank (first + last)/2
+    + 1 is a half-integer, so every rank is exact."""
+    n = scores.shape[0]
+    order = np.argsort(scores, axis=0)
+    ordered = np.take_along_axis(scores, order, axis=0)
+    change = ordered[1:] != ordered[:-1]
+    pos = np.arange(n, dtype=float)[:, None]
+    first = np.zeros(scores.shape)
+    first[1:] = np.where(change, pos[1:], 0.0)
+    np.maximum.accumulate(first, axis=0, out=first)
+    last = np.full(scores.shape, n - 1.0)
+    last[:-1] = np.where(change, pos[:-1], n - 1.0)
+    last = np.minimum.accumulate(last[::-1], axis=0)[::-1]
+    ranks = np.empty(scores.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=0)
+    ranks[:, np.isnan(scores).any(axis=0)] = np.nan
+    return ranks
+
+
 def macro_auc(ranker_or_scores, dataset: MultiLabelDataset) -> float:
     """Mean per-label AUC (fraction of correctly ordered positive/negative
-    score pairs, ties counted 0.5) over non-degenerate labels."""
+    score pairs, ties counted 0.5) over non-degenerate labels.  Every kept
+    label is ranked in one `average_ranks` pass; a label whose scores hold
+    a nan gives a nan AUC."""
     if isinstance(ranker_or_scores, LinearRanker):
         scores = ranker_or_scores.scores(dataset)
     else:
         scores = np.asarray(ranker_or_scores, dtype=float)
-    aucs = []
-    for k in range(dataset.n_labels):
-        col = dataset.labels[:, k]
-        pos = col == 1
-        neg = col == -1
-        n_pos, n_neg = int(pos.sum()), int(neg.sum())
-        if n_pos == 0 or n_neg == 0:
-            continue
-        s = scores[:, k]
-        ranks = rankdata(s, method="average")
-        # Mann-Whitney: rank sum of positives minus its minimum, over pair count
-        auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        aucs.append(auc)
-    if not aucs:
+    pos = dataset.labels == 1
+    n_pos = pos.sum(axis=0)
+    n_neg = (dataset.labels == -1).sum(axis=0)
+    kept = (n_pos > 0) & (n_neg > 0)
+    if not kept.any():
         raise UndefinedMetricError("every label is degenerate; Macro-AUC undefined")
+    n_pos, n_neg = n_pos[kept], n_neg[kept]
+    ranks = average_ranks(scores[:, kept])
+    # Mann-Whitney: rank sum of positives minus its minimum, over pair count.
+    # The sums hold half-integers, so they are exact in any order.
+    rank_sums = np.where(pos[:, kept], ranks, 0.0).sum(axis=0)
+    aucs = (rank_sums - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(np.mean(aucs))
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -766,3 +767,50 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "2.08088" in proc.stdout
+
+
+IMPORT_DIET = """
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+import gdbound.cli as cli
+from gdbound.graphdep import bipartite_ranking_graph
+from gdbound.macroauc import MultiLabelDataset, save_dataset
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cli.build_parser()
+print("parser", scipy_modules())
+cli.main(["bound", "bernstein", "--c", "1", "--v", "1", "--t", "1"])
+print("bound", scipy_modules())
+tmp = Path(tempfile.mkdtemp())
+rng = np.random.default_rng(0)
+save_dataset(MultiLabelDataset(rng.normal(size=(12, 3)),
+                               np.where(rng.random((12, 2)) < 0.5, 1, -1).astype(np.int8)),
+             tmp / "tiny.mlsvm")
+cli.main(["experiment", "--data", str(tmp / "tiny.mlsvm"), "--seeds", "0",
+          "--folds", "2", "--epochs", "1"])
+print("experiment", scipy_modules())
+graph, _ = bipartite_ranking_graph(3, 4)
+(tmp / "rook.txt").write_text(graph.to_text())
+cli.main(["graph", "chi", "--edges", str(tmp / "rook.txt")])
+print("chi loads scipy.optimize", "scipy.optimize" in sys.modules)
+"""
+
+
+def test_only_exact_chi_loads_scipy():
+    """In a fresh interpreter the parser, `bound` and `experiment` load no
+    scipy module; `graph chi` imports scipy.optimize when it solves its LP."""
+    import gdbound
+
+    src = str(Path(gdbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET], capture_output=True,
+                          text=True, env=env, check=True)
+    lines = proc.stdout.splitlines()
+    for stage in ("parser", "bound", "experiment"):
+        assert f"{stage} []" in lines, proc.stdout
+    assert "chi_f = 4" in proc.stdout
+    assert lines[-1] == "chi loads scipy.optimize True"

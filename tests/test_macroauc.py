@@ -20,6 +20,7 @@ from gdbound.macroauc import (
     TrainConfig,
     cv_select,
     load_dataset,
+    average_ranks,
     macro_auc,
     pair_transform,
     report_bounds,
@@ -30,7 +31,10 @@ from gdbound.macroauc import (
     train_sgd,
 )
 
-from oracles import brute_force_macro_auc, loop_cv_select, loop_train_sgd
+from scipy.stats import rankdata
+
+from oracles import brute_force_macro_auc, loop_cv_select, loop_train_sgd, \
+    rankdata_macro_auc
 from synthdata import cal500_like, emotions_like, linear_teacher_dataset, small_separable
 
 
@@ -136,6 +140,22 @@ class TestLoadDataset:
         else:
             with pytest.raises(FormatError, match="must not exceed 6"):
                 load_dataset(path)
+
+    def test_trailing_all_negative_zero_row_round_trips(self, tmp_path):
+        # save_dataset writes the last sample as a lone tab
+        ds = make_dataset([[1.0, 0.0], [0.0, 0.0]], [[1], [-1]])
+        path = tmp_path / "zero_tail.mlsvm"
+        save_dataset(ds, path)
+        assert path.read_text().endswith("\n\t\n")
+        back = load_dataset(path)
+        assert np.array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.features, ds.features)
+
+    def test_trailing_blank_lines_are_padding(self, tmp_path):
+        path = tmp_path / "padded.mlsvm"
+        path.write_text("#samples=2 #features=1 #labels=1\n0\t0:1.0\n\t0:2.0\n\n  \n\n")
+        ds = load_dataset(path)
+        assert ds.n_samples == 2 and ds.features[:, 0].tolist() == [1.0, 2.0]
 
     def test_round_trip(self, tmp_path):
         ds = small_separable(n=15, d=4, k=3, seed=2)
@@ -453,6 +473,73 @@ class TestMacroAuc:
                 continue
             assert got == pytest.approx(brute_force_macro_auc(scores, Y),
                                         rel=1e-12)
+
+    def test_nan_score_gives_nan(self):
+        Y = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]], dtype=np.int8)
+        scores = np.array([[1.0, 0.0], [2.0, 1.0], [np.nan, 3.0], [0.0, 2.0]])
+        ds = make_dataset(np.zeros((4, 1)), Y)
+        assert math.isnan(macro_auc(scores, ds))
+        assert math.isnan(rankdata_macro_auc(scores, ds))
+
+
+def _tie_heavy_matrices():
+    """Score matrices that stress tie handling: integer values with many
+    ties, constant columns, a single row, +-inf, mixed -0.0/+0.0, nans."""
+    rng = np.random.default_rng(31)
+    for case in range(600):
+        n, k = int(rng.integers(1, 41)), int(rng.integers(1, 9))
+        s = rng.integers(-3, 4, size=(n, k)).astype(float)
+        kind = case % 6
+        if kind == 1:
+            s[:, rng.integers(k)] = 2.0
+        elif kind == 2:
+            s[rng.random((n, k)) < 0.2] = np.inf
+            s[rng.random((n, k)) < 0.2] = -np.inf
+        elif kind == 3:
+            zero = s == 0
+            s[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        elif kind == 4:
+            s[rng.random((n, k)) < 0.1] = np.nan
+        elif kind == 5:
+            s = s[:1]
+        yield s
+
+
+class TestAverageRanks:
+    """The one-pass ranks against column-wise scipy `rankdata`, and
+    `macro_auc` against the per-label rankdata loop it replaced, bit for bit."""
+
+    def test_matches_columnwise_rankdata(self):
+        for s in _tie_heavy_matrices():
+            ref = np.column_stack([rankdata(s[:, j], method="average")
+                                   for j in range(s.shape[1])])
+            assert average_ranks(s).tobytes() == ref.tobytes(), s
+
+    def test_all_equal_and_empty(self):
+        assert average_ranks(np.full((5, 2), 7.0)).tolist() == [[3.0, 3.0]] * 5
+        assert average_ranks(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_macro_auc_matches_rankdata_oracle(self):
+        rng = np.random.default_rng(8)
+        for s in _tie_heavy_matrices():
+            n, k = s.shape
+            # label rates of 0 and 1 make degenerate labels
+            rate = rng.choice([0.0, 0.3, 0.5, 1.0], size=k)
+            Y = np.where(rng.random((n, k)) < rate, 1, -1).astype(np.int8)
+            ds = make_dataset(np.zeros((n, 1)), Y)
+            try:
+                want = rankdata_macro_auc(s, ds)
+            except UndefinedMetricError:
+                with pytest.raises(UndefinedMetricError):
+                    macro_auc(s, ds)
+                continue
+            assert np.float64(macro_auc(s, ds)).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("shape", ["emotions", "cal500"])
+    def test_ranker_scores_match_rankdata_oracle(self, shape):
+        ds = _shaped(shape, seed=4)
+        ranker = train_sgd(ds, TrainConfig(epochs=1, weight_decay=1e-3, seed=4))
+        assert macro_auc(ranker, ds) == rankdata_macro_auc(ranker, ds)
 
 
 class TestSplitAndCv:
