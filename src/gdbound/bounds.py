@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, finite_result
 
 _NEG_EIG_TOL = -1e-12
 
@@ -48,6 +48,7 @@ class SpectrumProfile:
         return np.concatenate([np.cumsum(self.values[::-1])[::-1], [0.0]])
 
 
+@finite_result
 def spectrum_from_gram(gram) -> SpectrumProfile:
     """Operator-spectrum estimate: eigenvalues of gram/m, nonincreasing.
 
@@ -67,6 +68,7 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     return SpectrumProfile(values=vals)
 
 
+@finite_result
 def spectrum_from_weights(theta) -> SpectrumProfile:
     """Squared singular values of a weight matrix, nonincreasing."""
     T = np.atleast_2d(np.asarray(theta, dtype=float))
@@ -109,8 +111,6 @@ class BoundParams:
             raise DomainError("t must be >= 0")
         if not all(math.isfinite(v) and v > 0 for v in (*self.m_list, *self.chi_list)):
             raise DomainError("m_k and chi_k must be finite and > 0")
-        if not all(math.isfinite(x) for x in self.chi_over_m):
-            raise DomainError("chi_k / m_k overflows")
         if self.tau_list is not None:
             if any(not (0.0 < tau <= 0.5) for tau in self.tau_list):
                 raise DomainError("every tau_k must lie in (0, 0.5]")
@@ -121,10 +121,7 @@ class BoundParams:
         tau_list = tuple(float(t) for t in tau_list)
         if any(tau <= 0 for tau in tau_list):
             raise DomainError("degenerate label: tau_k must be > 0")
-        try:
-            m_list = tuple(n_tilde**2 * tau * (1.0 - tau) for tau in tau_list)
-        except OverflowError as exc:
-            raise DomainError(f"n_tilde^2 overflows, n_tilde = {n_tilde}") from exc
+        m_list = tuple(n_tilde * n_tilde * tau * (1.0 - tau) for tau in tau_list)
         chi_list = tuple((1.0 - tau) * n_tilde for tau in tau_list)
         return cls(K=len(tau_list), m_list=m_list, chi_list=chi_list,
                    tau_list=tau_list, n_tilde=float(n_tilde), **kw)
@@ -140,6 +137,7 @@ class BoundParams:
         return float(sum(1.0 / tau for tau in self.tau_list))
 
 
+@finite_result
 def rstar_kernel(spectra, params: BoundParams):
     """r* upper bound for per-task kernel spectra.
 
@@ -155,16 +153,15 @@ def rstar_kernel(spectra, params: BoundParams):
         coef = chi / (params.K * m)
         tails = spec.tail_sums()
         d_grid = np.arange(tails.size)
-        cand = d_grid * coef + params.m_tilde * np.sqrt(coef * tails)
+        with np.errstate(over="ignore"):  # an overflowing candidate loses the minimum
+            cand = d_grid * coef + params.m_tilde * np.sqrt(coef * tails)
         d_best = int(np.argmin(cand))
         cuts.append(d_best)
         total += float(cand[d_best])
-    if not math.isfinite(total):
-        raise DomainError(f"r* is not finite ({total}): chi_k/(K m_k) times the spectrum "
-                          "overflows")
     return total, cuts
 
 
+@finite_result
 def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
                  d_max: int | None = None):
     """r* upper bound for a shared weight-SVD spectrum with one shared cut.
@@ -184,22 +181,18 @@ def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
         hi = min(hi, int(d_max))
     ratios = np.array(params.chi_over_m) / params.K
     d_grid = np.arange(hi + 1)
-    try:
+    with np.errstate(over="ignore"):  # an overflowing candidate loses the minimum
         head = d_grid[:, None] / params.m_bar**2 * ratios[None, :]
-    except OverflowError as exc:
-        raise DomainError(f"m_bar^2 overflows, m_bar = {params.m_bar}") from exc
-    tail_term = params.m_tilde * np.sqrt(ratios[None, :] * tails[d_grid][:, None])
-    cand = (head + tail_term).sum(axis=1)
+        tail_term = params.m_tilde * np.sqrt(ratios[None, :] * tails[d_grid][:, None])
+        cand = (head + tail_term).sum(axis=1)
     d_best = int(np.argmin(cand))
     value = float(cand[d_best])
-    if not math.isfinite(value):
-        raise DomainError(f"r* is not finite ({value}): chi_k/(K m_k) times the spectrum, "
-                          "or d / m_bar^2, overflows")
     if experiment_mode:
         value *= 2.0
     return value, d_best
 
 
+@finite_result
 def excess_bound_general(r: float, params: BoundParams) -> float:
     """Excess-risk bound (704/B) r + (26B + 22)(25/16) sum_k(chi_k/m_k) t / K.
 
@@ -212,6 +205,7 @@ def excess_bound_general(r: float, params: BoundParams) -> float:
     return 704.0 / params.B * r + (26.0 * params.B + 22.0) * c * params.t / params.K
 
 
+@finite_result
 def bound_ours_macroauc(rstar: float, params: BoundParams) -> float:
     """Pair-transformed excess-risk bound 704 mu r* + (75/K) sum_k(1/tau_k) t/n~."""
     if not 0 <= rstar < math.inf:
@@ -220,6 +214,7 @@ def bound_ours_macroauc(rstar: float, params: BoundParams) -> float:
     return 704.0 * params.mu * rstar + 75.0 / params.K * s * params.t / params.n_tilde
 
 
+@finite_result
 def bound_prior_macroauc(params: BoundParams) -> float:
     """Prior global-complexity bound
     2 [ 4 mu m_bar m_tilde / sqrt(n~) (1/K) sum_k sqrt(1/tau_k)
@@ -234,6 +229,7 @@ def bound_prior_macroauc(params: BoundParams) -> float:
     return 2.0 * (term1 + term2)
 
 
+@finite_result
 def bound_kernel_macroauc(rstar: float, params: BoundParams) -> float:
     """Kernel-mode pair-transformed bound with explicit constants:
     (704/B) r* + (26B + 22)(25/16)(1/n~) sum_k(1/tau_k) t/K.

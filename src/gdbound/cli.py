@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import bounds as bnd
 from . import concentration as conc
 from . import graphdep, lfrc, macroauc, mcverify
-from .errors import ConfigError, DomainError, FormatError, GdboundError, ParseError
+from .errors import ConfigError, FormatError, GdboundError, ParseError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -330,8 +331,6 @@ def cmd_bound(cfg):
     lines, evaluate = BOUND_FORMULAS[formula]
     value = evaluate(cfg)
     numbers = list(value.values()) if isinstance(value, dict) else [value]
-    if any(math.isnan(x) for x in numbers):  # finite inputs whose products overflow
-        raise DomainError(f"{formula} is undefined for these inputs (overflow)")
     for line, x in zip(lines, numbers):
         print(f"{line} = {_fmt(x)}")
     if cfg.get("out"):
@@ -343,10 +342,12 @@ def cmd_bound(cfg):
 
 def _load_matrix(path):
     """Whitespace-separated matrix of finite numbers; ParseError (exit 3)
-    names a malformed file."""
+    names a malformed or empty file."""
     try:
-        matrix = np.loadtxt(_read_text(path).splitlines(), ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt: "input contained no data"
+            matrix = np.loadtxt(_read_text(path).splitlines(), ndmin=2)
+    except (UserWarning, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not np.isfinite(matrix).all():
         raise ParseError(f"{path}: non-finite value")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantError, ModeError
+from .errors import DomainError, InvariantError, ModeError, finite_result
 
 _BLOCK_CONSISTENCY_TOL = 1e-9
 
@@ -128,6 +128,7 @@ def _check_t(t):
         raise DomainError(f"t must be finite and > 0, got {t}")
 
 
+@finite_result
 def bennett_tail_general(inp: TailBoundInput, t: float):
     """Upper-tail probabilities P(Z >= E[Z] + t) in tight and simple form.
 
@@ -143,6 +144,7 @@ def bennett_tail_general(inp: TailBoundInput, t: float):
     return math.exp(-exp_tight), math.exp(-exp_simple)
 
 
+@finite_result
 def bernstein_deviation(c: float, v: float, t: float) -> float:
     """Deviation sqrt(2 c v t) + 2 c t / 3.
 
@@ -159,6 +161,7 @@ def bernstein_deviation(c: float, v: float, t: float) -> float:
     return math.sqrt(2.0 * c * v * t) + 2.0 * c * t / 3.0
 
 
+@finite_result
 def bennett_tail_refined(inp: TailBoundInput, t: float) -> float:
     """Refined upper tail exp(-v phi(t / (v W))), valid when every w_kj = 1.
 
@@ -172,6 +175,7 @@ def bennett_tail_refined(inp: TailBoundInput, t: float) -> float:
     return math.exp(-v * phi(t / (v * W)))
 
 
+@finite_result
 def bennett_lower_tail(inp: TailBoundInput, t: float) -> float:
     """Lower-tail bound on P(Z <= E[Z] - t); numerically the simple upper form."""
     _check_t(t)
@@ -179,6 +183,7 @@ def bennett_lower_tail(inp: TailBoundInput, t: float) -> float:
     return math.exp(-(v / W) * phi(4.0 * t / (5.0 * v)))
 
 
+@finite_result
 def talagrand_v(sigma_sq_blocks, EZ: float) -> float:
     """Variance factor v = sum_k sum_j w_kj sigma_kj^2 + 2 E[Z] for suprema.
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its floating-point policy."""
+
+import dataclasses
+import functools
+
+import numpy as np
 
 
 class GdboundError(Exception):
@@ -57,3 +62,32 @@ class DegenerateLabelError(GdboundError, ValueError):
 
 class UndefinedMetricError(GdboundError, ValueError):
     """Metric undefined, e.g. Macro-AUC when every label is degenerate."""
+
+
+def finite_result(fn):
+    """The package's floating-point policy as a decorator: numpy overflow,
+    invalid values and division by zero in fn, an OverflowError, or a
+    non-finite number in its result raise a DomainError naming fn.
+    Underflow to 0 stays silent: a tail bound of 0 is valid."""
+    message = f"{fn.__name__} must be finite, but it overflows or is undefined for these inputs"
+
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                result = fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise DomainError(f"{message}: {exc}") from exc
+        if not _finite(result):
+            raise DomainError(message)
+        return result
+    functools.update_wrapper(guarded, fn)
+    del guarded.__wrapped__  # the guard is part of fn, not a layer to unwrap
+    return guarded
+
+
+def _finite(value):
+    """Whether every number in value, a number, array, or tuple or dataclass of them, is finite."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    parts = value if isinstance(value, tuple) else (value,)
+    return all(np.isfinite(part).all() for part in parts)

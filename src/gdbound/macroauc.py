@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
 from .errors import ConfigError, DegenerateLabelError, DomainError, \
-    FormatError, ParseError, StateError, UndefinedMetricError
+    FormatError, ParseError, StateError, UndefinedMetricError, finite_result
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
@@ -207,6 +207,7 @@ class LinearRanker:
     trained: bool = False
 
     @property
+    @finite_result
     def m_tilde(self) -> float:
         return float(np.max(np.linalg.norm(self.weights, axis=1))) if self.weights.size else 0.0
 

@@ -244,6 +244,30 @@ class TestExcessBoundGeneral:
             with pytest.raises(DomainError, match="must be finite"):
                 bound(r, params)
 
+    @pytest.mark.parametrize("name, call", [
+        # G - G' overflows in the symmetry check
+        ("spectrum_from_gram", lambda: spectrum_from_gram(np.array([[0.0, 1e308],
+                                                                    [-1e308, 0.0]]))),
+        ("spectrum_from_weights", lambda: spectrum_from_weights(np.diag([1e200, 1.0]))),
+        ("rstar_kernel", lambda: rstar_kernel(  # chi / m overflows: 0 * inf at d = 0
+            [SpectrumProfile(values=np.array([1.0]))],
+            BoundParams(K=1, m_list=(1e-10,), chi_list=(1e300,)))),
+        ("rstar_linear", lambda: rstar_linear(  # m_bar^2 overflows
+            SpectrumProfile(values=np.array([1.0])),
+            BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,), m_bar=1e300))),
+        ("excess_bound_general", lambda: excess_bound_general(
+            1e308, BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,), B=1e-10))),
+        ("bound_ours_macroauc", lambda: bound_ours_macroauc(
+            1e308, BoundParams.pair_transformed([0.3], 100.0, mu=10.0))),
+        ("bound_prior_macroauc", lambda: bound_prior_macroauc(
+            BoundParams.pair_transformed([0.3], 100.0, mu=1e300, m_bar=1e300))),
+        ("bound_kernel_macroauc", lambda: bound_kernel_macroauc(
+            1e308, BoundParams.pair_transformed([0.3], 100.0, B=1e-10))),
+    ])
+    def test_overflow_names_the_entry_point(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            call()
+
     @pytest.mark.parametrize("name", ["m_tilde", "m_bar", "mu", "B", "t"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_constant_rejected(self, name, value):

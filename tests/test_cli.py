@@ -72,6 +72,12 @@ class TestBoundCommand:
          "--t", "1"],
         ["prior-macroauc", "--mu", "1e300", "--mbar", "1e300", "--mtilde", "0", "--K", "1",
          "--tau", "0.3", "--n", "100", "--t", "1"],
+        # finite inputs whose bound overflows to inf
+        ["bernstein", "--c", "1e300", "--v", "1e300", "--t", "1"],
+        ["prior-macroauc", "--K", "1", "--tau", "0.5", "--n", "1", "--mbar", "1e300",
+         "--mtilde", "1e300", "--t", "1"],
+        ["talagrand-v", "--sigma2", "1e308", "--ez", "1e308"],
+        ["excess-general", "--r", "1e308", "--chi", "1", "--m", "1", "--t", "1", "--B", "1e-10"],
     ])
     def test_non_finite_input_exit_2(self, args):
         code, out, err = run_cli(["bound", *args])
@@ -157,6 +163,13 @@ class TestVerifyCommand:
                                   "bennett_general", "--trials", "1000", flag, value])
         assert code == 2
         assert "error:" in err and "nan" not in out
+
+    def test_overflowing_deviation_threshold_exit_2(self):
+        code, out, err = run_cli(["verify", "--structure", "bipartite:5,4", "--ineq",
+                                  "bennett_general", "--trials", "100", "--form", "deviation",
+                                  "--t-grid", "1,1e307"])
+        assert code == 2 and out == ""
+        assert "bernstein_deviation must be finite" in err
 
     def test_bad_structure_exit_2(self):
         code, _, _ = run_cli(["verify", "--structure", "ring:4", "--ineq",
@@ -292,13 +305,19 @@ class TestLfrcAndRstarCommands:
         (["rstar", "linear", "--tau", "0.5", "--n", "100", "--weights"], "1 2 3\n4 5\n"),
         (["rstar", "linear", "--tau", "0.5", "--n", "100", "--weights"], "1 nan\n0 1\n"),
         (["lfrc", "estimate", "--features"], "1.0 inf\n"),
+        # no numbers: an empty file and one of blank lines
+        (["rstar", "linear", "--chi", "1", "--m", "1", "--weights"], ""),
+        (["lfrc", "estimate", "--features"], ""),
+        (["rstar", "kernel", "--chi", "1", "--m", "100", "--gram"], "\n  \n\n"),
+        (["lfrc", "estimate", "--features"], "\n  \n\n"),
     ])
-    def test_malformed_matrix_file_exit_3(self, tmp_path, args, text):
+    def test_malformed_matrix_file_exit_3(self, tmp_path, recwarn, args, text):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
-        code, _, err = run_cli(args + [str(bad)])
+        code, out, err = run_cli(args + [str(bad)])
         assert code == 3 and "bad.txt" in err
         assert "Traceback" not in err
+        assert out == "" and not recwarn.list
 
     @pytest.mark.parametrize("args", [
         ["lfrc", "estimate", "--r", "nan"],
@@ -352,7 +371,7 @@ class TestLfrcAndRstarCommands:
         ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--weights", "BIG"],
         ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mbar", "1e-300",
          "--weights", "BIG"],
-        # n_tilde^2 and m_bar^2 overflow a Python float
+        # n_tilde^2 and m_bar^2 overflow
         ["rstar", "linear", "--tau", "0.5", "--n", "1e300", "--weights", "MATRIX"],
         ["rstar", "linear", "--chi", "1", "--m", "10", "--mbar", "1e300", "--weights", "MATRIX"],
         ["bound", "ours-macroauc", "--rstar", "0.01", "--K", "1", "--tau", "0.3", "--n", "1e300",

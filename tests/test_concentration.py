@@ -140,6 +140,21 @@ class TestBennettGeneral:
         with pytest.raises(DomainError):
             single_block_input(v=math.nan)
 
+    # bennett_tail_refined has no case: exp(-v phi(t / (v W))) holds no
+    # inf - inf or inf / inf, so finite inputs give a value in [0, 1]
+    @pytest.mark.parametrize("name, call", [
+        # t W and U v both overflow, so phi's argument is inf / inf
+        ("bennett_tail_general", lambda: bennett_tail_general(
+            TailBoundInput(b=0.0, EZ=1e300, sigma_sq=0.0, chi_list=(1e10,)), 1e300)),
+        ("bennett_lower_tail", lambda: bennett_lower_tail(  # 4t / (5v) is inf / inf
+            TailBoundInput(b=0.0, EZ=1e308, sigma_sq=0.0, chi_list=(1.0,)), 1e308)),
+        ("bernstein_deviation", lambda: bernstein_deviation(1e300, 1e300, 1.0)),
+        ("talagrand_v", lambda: talagrand_v([[(1.0, 1e308)]], 1e308)),
+    ])
+    def test_overflow_names_the_entry_point(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            call()
+
     def test_overflowing_v_rejected(self):
         # (1 + b) E[Z] overflows to inf, which would turn the bound into nan
         with pytest.raises(DomainError):

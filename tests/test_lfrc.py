@@ -442,6 +442,17 @@ class TestEstimateLfrc:
         with pytest.raises(ConfigError, match="seed"):
             estimate_lfrc([X], [None], spec, n_draws=2, seed=seed)
 
+    @pytest.mark.parametrize("name, call", [
+        ("second_moment_matrix", lambda: second_moment_matrix(np.full((2, 2), 1e200))),
+        # the aggregate norm overflows
+        ("estimate_lfrc", lambda: estimate_lfrc(
+            [np.full((1, 4), 1e154)], [None], spec_for([np.full((4, 4), 1e308)]),
+            n_draws=2, seed=0)),
+    ])
+    def test_overflow_names_the_entry_point(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            call()
+
     def test_overflowing_supremum_rejected(self):
         # finite features whose aggregate norm overflows
         X = np.full((1, 4), 1e154)

@@ -2,7 +2,7 @@
 
 Whatever the options and matrix files hold, both commands must answer with
 a documented exit code (0 ok, 1 failed check, 2 usage, 3 parse), print no
-traceback and never print `nan`, and the same options written to a
+traceback and never print `nan` or `inf`, and the same options written to a
 `--config` file must answer the same.  The CLI runs in-process, so an
 uncaught exception fails the test.  Matrix files come from a fixed set
 that holds rank-deficient, zero, non-PSD and badly scaled (1e-150, 1e150,

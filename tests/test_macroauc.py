@@ -597,6 +597,11 @@ class TestReportBounds:
         expect = (75.0 / 2.0) * sum(1.0 / tau for tau in taus) * t / 24
         assert report.bound_ours == pytest.approx(expect, rel=1e-12)
 
+    def test_overflowing_weight_norm_names_m_tilde(self):
+        ranker = LinearRanker(weights=np.full((1, 2), 1e200), config=TrainConfig())
+        with pytest.raises(DomainError, match="^m_tilde must be finite"):
+            ranker.m_tilde
+
     def test_untrained_rejected(self):
         ds = small_separable(n=12, d=3, k=1, seed=5)
         ranker = LinearRanker(weights=np.zeros((1, 3)),

@@ -2,7 +2,7 @@
 
 Whatever the options hold, both commands must answer with a documented exit
 code (0 ok, 1 failed check, 2 usage, 3 parse), print no traceback and never
-print `nan`.  The same options written to a `--config` file must give the
+print `nan` or `inf`.  The same options written to a `--config` file must give the
 same exit code and the same stdout as the flags.  The CLI runs in-process,
 so an uncaught exception fails the test; an argparse usage error is
 SystemExit(2), exit code 2.  Structure sizes stay at or below 50 and
@@ -97,7 +97,7 @@ def assert_clean(command, options, config_path, underscores):
     code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err
-    assert "nan" not in out, (argv, out)
+    assert "nan" not in out and "inf" not in out, (argv, out)
     config_path.write_text(config_text(options, underscores))
     assert run([*command, "--config", str(config_path)])[:2] == (code, out), \
         (argv, config_path.read_text())
