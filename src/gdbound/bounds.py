@@ -58,7 +58,10 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError("Gram matrix must be square")
-    if not np.allclose(G, G.T, atol=1e-8):
+    # G - G' may overflow on a huge asymmetric G; that is still asymmetric.
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = np.allclose(G, G.T, atol=1e-8)
+    if not symmetric:
         raise DomainError("Gram matrix must be symmetric within 1e-8")
     m = G.shape[0]
     eigs = np.linalg.eigvalsh(G / m)

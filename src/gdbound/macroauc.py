@@ -25,6 +25,7 @@ from .errors import ConfigError, DegenerateLabelError, DomainError, \
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
 MAX_CELLS = 10**8  # largest n*D or n*K a dataset header may declare
+_DRAW_BYTES = 1 << 20  # SGD row draws held at once, in bytes
 
 
 @dataclass
@@ -237,14 +238,19 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     and takes one step per pair: w <- w - lr (dL + 2 lambda w) with
     L = max(0, 1 - w.(x+ - x-)), the margin read before the decay.
 
-    Step i of every chain's epoch runs together on one (chains x D) weight
-    matrix; a chain with fewer rows or epochs sits the extra steps out.
-    Each chain's arithmetic is exactly that of a loop over its own steps, so
-    a ranker does not depend on which other jobs share the call.
+    A chain draws a block of epochs at once: one `integers` call with the
+    (positive, negative) counts as a broadcast `high` gives the same values,
+    and leaves the same stream state, as the two calls per epoch it stands
+    for.  Step i of every chain's epoch runs together on one (chains x D)
+    weight matrix; a chain with fewer rows or epochs sits the extra steps
+    out.  Each chain's arithmetic is exactly that of a loop over its own
+    steps, so a ranker does not depend on which other jobs share the call.
     """
     X = dataset.features
     if not np.isfinite(X).all():
         raise DomainError("features hold a non-finite value")
+    # Row indices are held in the narrowest type that holds any of them.
+    row_type = np.min_scalar_type(max(dataset.n_samples - 1, 0))
     fits, chains = [], []
     for j, (rows, config) in enumerate(jobs):
         rows = np.asarray(rows, dtype=np.intp)
@@ -255,18 +261,22 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
         decay = 1.0 - 2.0 * config.lr * config.weight_decay
         if decay <= 0:
             raise ConfigError("lr * weight_decay too large; update would flip sign")
-        sub = dataset.subset(rows)
-        streams = np.random.SeedSequence(config.seed).spawn(sub.n_labels)
+        # Per label, the job's positive rows and then its negative rows, each
+        # in row order: the pools `pair_transform` would give.
+        negative = dataset.labels[rows].T != 1
+        pools = rows.astype(row_type)[np.argsort(negative, axis=1, kind="stable")]
+        n_neg = negative.sum(axis=1)
+        streams = np.random.SeedSequence(config.seed).spawn(dataset.n_labels)
         excluded = []
-        for k in range(sub.n_labels):
-            try:
-                task = pair_transform(sub, k)
-            except DegenerateLabelError:
+        for k in range(dataset.n_labels):
+            if n_neg[k] in (0, rows.size):
                 excluded.append(k)
                 continue
-            chains.append((rows.size, j, k, rows[task.pos_idx], rows[task.neg_idx],
+            sizes = np.array([[rows.size - n_neg[k]], [n_neg[k]]])
+            chains.append((rows.size, j, k, pools[k], sizes,
                            np.random.default_rng(streams[k])))
-        fits.append((config, decay, sub.max_row_norm(), tuple(excluded)))
+        fits.append((config, decay, dataset.subset(rows).max_row_norm(),
+                     tuple(excluded)))
 
     # Most rows first, so the chains still inside their epoch at step i are
     # always the leading rows W[:width[i]].
@@ -279,22 +289,28 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     W = np.zeros((n_chains, d))
     steps = int(n_rows.max(initial=0))
     width = np.searchsorted(-n_rows, -np.arange(steps), side="left")
-    # Row draws of one epoch, (steps x chains); int32 holds any row index
-    # of a dense feature matrix that fits in memory.
-    pos_draw = np.zeros((steps, n_chains), dtype=np.int32)
-    neg_draw = np.zeros((steps, n_chains), dtype=np.int32)
-    for epoch in range(int(epochs.max(initial=0))):
+    # Row draws of a block of epochs, (block x side x steps x chains); the
+    # block is as many epochs as fit in _DRAW_BYTES, at least one.
+    epoch_bytes = 2 * steps * n_chains * row_type.itemsize
+    n_epochs = int(epochs.max(initial=0))
+    block = max(1, min(n_epochs, _DRAW_BYTES // max(epoch_bytes, 1)))
+    draws = np.zeros((block, 2, steps, n_chains), dtype=row_type)
+    for epoch in range(n_epochs):
         live = epoch < epochs
-        for c in np.flatnonzero(live):
-            n, _, _, pos, neg, rng = chains[c]
-            pos_draw[:n, c] = pos[rng.integers(0, pos.size, size=n)]
-            neg_draw[:n, c] = neg[rng.integers(0, neg.size, size=n)]
+        b = epoch % block
+        if b == 0:
+            for c in np.flatnonzero(live):
+                n, _, _, pool, sizes, rng = chains[c]
+                pick = rng.integers(0, sizes, size=(min(block, epochs[c] - epoch), 2, n))
+                pick[:, 1] += sizes[0]  # negatives follow the positives in a pool
+                draws[:len(pick), :, :n, c] = pool[pick]
         # The decay spread over (chains x D) makes the per-step decay one
         # elementwise product.  A chain past its epochs decays by 1 and has
         # a hinge threshold of -inf, which no margin falls below, so its
         # weights keep their bits.
         decay = np.repeat(np.where(live, decays, 1.0), d).reshape(n_chains, d)
         hinge = np.where(live, 1.0, -np.inf)[:, None]
+        pos_draw, neg_draw = draws[b]
         for i in range(steps):
             wide = width[i]
             w = W[:wide]

@@ -53,6 +53,12 @@ class TestSpectrumFromGram:
         with pytest.raises(DomainError):
             spectrum_from_gram(G)
 
+    def test_huge_asymmetric_rejected_as_asymmetric(self):
+        # G - G' overflows inside the symmetry check
+        G = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(DomainError, match="^Gram matrix must be symmetric within 1e-8$"):
+            spectrum_from_gram(G)
+
     def test_non_psd_rejected(self):
         G = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(DomainError):
@@ -245,9 +251,9 @@ class TestExcessBoundGeneral:
                 bound(r, params)
 
     @pytest.mark.parametrize("name, call", [
-        # G - G' overflows in the symmetry check
-        ("spectrum_from_gram", lambda: spectrum_from_gram(np.array([[0.0, 1e308],
-                                                                    [-1e308, 0.0]]))),
+        # an infinite entry has no finite eigenvalue
+        ("spectrum_from_gram", lambda: spectrum_from_gram(np.array([[np.inf, 0.0],
+                                                                    [0.0, 1.0]]))),
         ("spectrum_from_weights", lambda: spectrum_from_weights(np.diag([1e200, 1.0]))),
         ("rstar_kernel", lambda: rstar_kernel(  # chi / m overflows: 0 * inf at d = 0
             [SpectrumProfile(values=np.array([1.0]))],

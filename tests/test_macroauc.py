@@ -428,6 +428,50 @@ class TestTrainMany:
             cv_select(ds, folds=folds, config=TrainConfig(epochs=1))
 
 
+class TestBlockDraws:
+    """`train_many` draws a block of epochs per chain in one `integers` call
+    with a broadcast `high`; that must be the stream of the two calls per
+    epoch that `loop_train_sgd` makes."""
+
+    @pytest.mark.parametrize("n_pos, n_neg, n, epochs", [
+        (20, 33, 53, 10), (1, 5, 6, 3), (3, 4, 7, 5), (2**31, 5, 9, 2),
+        (40, 60, 100, 300), (1, 1, 2, 4)])
+    def test_broadcast_integers_is_the_per_call_stream(self, n_pos, n_neg, n, epochs):
+        stream = np.random.SeedSequence(17).spawn(2)[1]
+        block, per_call = np.random.default_rng(stream), np.random.default_rng(stream)
+        drawn = block.integers(0, np.array([[n_pos], [n_neg]]), size=(epochs, 2, n))
+        expected = [[per_call.integers(0, size, size=n) for size in (n_pos, n_neg)]
+                    for _ in range(epochs)]
+        message = ("numpy's Generator.integers with a broadcast high no longer gives "
+                   "the per-call stream that train_many's block draw relies on")
+        assert np.array_equal(drawn, expected), message
+        assert block.bit_generator.state == per_call.bit_generator.state, message
+
+    @pytest.mark.parametrize("n", [256, 257])  # row indices fit uint8, then uint16
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_multi_block_jobs_match_loop_oracle(self, monkeypatch, n, block):
+        rng = np.random.default_rng(n)
+        Y = -np.ones((n, 3), dtype=np.int8)
+        Y[:, 0] = np.where(rng.random(n) < 0.4, 1, -1)
+        Y[n - 1, 1] = 1  # one positive, in the last row; label 2 has none
+        ds = make_dataset(rng.normal(size=(n, 3)), Y)
+        # epoch counts that end inside a block; the last job drops the lone
+        # positive, so it excludes label 1
+        jobs = [(np.arange(n), TrainConfig(epochs=7, seed=1)),
+                (np.sort(rng.permutation(n)[:n // 2]),
+                 TrainConfig(epochs=4, weight_decay=1e-2, seed=2)),
+                (np.arange(n - 1), TrainConfig(epochs=5, lr=0.1, seed=3))]
+        # One epoch's row draws: 2 sides x n steps x chains, one byte or two each.
+        chains = sum(int(((ds.labels[rows] == 1).any(axis=0)
+                          & (ds.labels[rows] == -1).any(axis=0)).sum()) for rows, _ in jobs)
+        epoch_bytes = 2 * n * chains * np.min_scalar_type(n - 1).itemsize
+        monkeypatch.setattr(macroauc, "_DRAW_BYTES", block * epoch_bytes)
+        rankers = train_many(ds, jobs)
+        assert [r.excluded_labels for r in rankers][-1] == (1, 2)
+        for (rows, cfg), ranker in zip(jobs, rankers):
+            _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+
+
 class TestMacroAuc:
     def test_perfect_separation(self):
         Y = np.array([[1], [1], [-1], [-1]], dtype=np.int8)
