@@ -22,15 +22,20 @@ O(n_pos * n_neg), and no pair array is ever formed.
 Reproducibility: trials are simulated in fixed-size batches; batch i uses
 the i-th child stream of numpy's SeedSequence(master_seed).  Every draw
 goes through one batch loop that reduces each batch to its (trials, K)
-per-task sums before drawing the next, so one batch of draws and its task
-sums are held in memory.  Aggregation over batches is order-independent,
-so batches could run concurrently without changing any reported number.
+per-task sums before drawing the next.  Within a batch, each side's draws
+(the iid draws, or a pair task's u and then w) are drawn and reduced in
+row blocks of about 1 MiB, split across the available cores: one worker
+thread per contiguous range of rows, each on a generator advanced to its
+first row.  So one block per worker and the batch's task sums are held in
+memory, whatever the trial count or task width, and every draw is the
+one a single call per side would give.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,6 +45,7 @@ from .concentration import TailBoundInput
 from .errors import ConfigError, DomainError, ModeError
 
 BATCH = 1 << 16
+_DRAW_BYTES = 1 << 20  # base draws held at once per worker thread, in bytes
 
 INEQUALITIES = ("bennett_general", "bennett_refined", "lower_tail", "talagrand")
 
@@ -161,18 +167,80 @@ def _n_batches(n_trials):
     return (n_trials + BATCH - 1) // BATCH
 
 
-def _draw_base(rng, sampler, shape):
-    if sampler.base == "uniform":
-        return rng.random(shape)
-    lo, hi = sampler.base_lo, sampler.base_hi
-    return lo + (hi - lo) * (rng.random(shape) < sampler.base_p)
+def _workers():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
-def _draw_task_sums(rng, sampler, base_mean, size, squares):
-    """(size, K) task sums of one batch, and with squares=True also the
-    (size, K) task sums of squared summands (None otherwise).
+def _side_sums(seq, offset, sampler, shape, width, shift=0.0, sq_center=None):
+    """Per-row sums S(x) over `shape` rows of `width` base draws each, with
+    x = draw - shift, and S((x - sq_center)^2) unless sq_center is None.
 
-    A pair task sum factorizes over its draws u (n_pos) and w (n_neg), so
+    Row r holds doubles offset + r * width onward of the stream `seq`, so
+    the draws are those of one `random` call over every row from `offset`
+    on.  Rows are drawn and reduced in blocks of about _DRAW_BYTES; a side
+    of at least two blocks per core is split into contiguous row ranges,
+    one per worker thread, each on its own generator advanced to its first
+    row (`random` takes one 64-bit word per double).
+    """
+    sums = np.empty(shape)
+    sq = None if sq_center is None else np.empty(shape)
+    rows = sums.size
+    block = max(1, _DRAW_BYTES // (8 * width))
+    n_workers = max(1, min(_workers(), -(-rows // block) // 2))
+    two_point = sampler.base == "two_point"
+    lo, hi, p = sampler.base_lo, sampler.base_hi, sampler.base_p
+
+    # Workers only draw and sum, which cannot overflow: numpy's errstate is
+    # a context variable that worker threads do not inherit.
+    def work(first, last):
+        rng = np.random.Generator(np.random.PCG64(seq).advance(offset + first * width))
+        buf = np.empty(min(block, last - first) * width)
+        tmp = np.empty_like(buf) if sq is not None else None
+        mask = np.empty(buf.size, dtype=bool) if two_point else None
+        for start in range(first, last, block):
+            stop = min(start + block, last)
+            n = (stop - start) * width
+            x = buf[:n]
+            rng.random(out=x)
+            if two_point:
+                np.less(x, p, out=mask[:n])
+                np.multiply(mask[:n], hi - lo, out=x)
+                x += lo
+            if shift:
+                x -= shift
+            x.reshape(-1, width).sum(axis=1, out=sums.reshape(-1)[start:stop])
+            if sq is not None:
+                t = tmp[:n]
+                np.subtract(x, sq_center, out=t)
+                t *= t
+                t.reshape(-1, width).sum(axis=1, out=sq.reshape(-1)[start:stop])
+
+    bounds = [rows * i // n_workers for i in range(n_workers + 1)]
+    if n_workers == 1:
+        work(0, rows)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(n_workers - 1) as pool:
+            futures = [pool.submit(work, bounds[i], bounds[i + 1])
+                       for i in range(1, n_workers)]
+            work(bounds[0], bounds[1])
+            for future in futures:
+                future.result()
+    return sums, sq
+
+
+def _draw_task_sums(seq, sampler, base_mean, size, squares):
+    """(size, K) task sums of one batch drawn from stream seq, and with
+    squares=True also the (size, K) task sums of squared summands (None
+    otherwise).
+
+    An iid task sums its m draws (less the base mean when centered).  A
+    pair task sum factorizes over its draws u (n_pos) and w (n_neg), so
     no (n_pos, n_neg) pair array is formed:
         product           sum g = Su * Sw,
                           sum g^2 = S(u^2) * S(w^2);
@@ -183,45 +251,38 @@ def _draw_task_sums(rng, sampler, base_mean, size, squares):
     The centered sum subtracts n_pos mu from Su rather than summing u - mu,
     so trials with equal (Su, Sw) get bit-equal task sums: on a two-point
     base, every trial at a lattice point that ties a threshold falls on
-    the same side of it.
+    the same side of it.  The stream holds every u, then every w, each in
+    (trial, task, draw) order.
     """
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
-        draws = _draw_base(rng, sampler, shape + (sampler.m,))
-        if sampler.centered:
-            draws = draws - base_mean
-        return draws.sum(axis=2), _square_sum(draws) if squares else None
-    u = _draw_base(rng, sampler, shape + (sampler.n_pos,))
-    w = _draw_base(rng, sampler, shape + (sampler.n_neg,))
-    su, sw = u.sum(axis=2), w.sum(axis=2)
+        shift = base_mean if sampler.centered else 0.0
+        return _side_sums(seq, 0, sampler, shape, sampler.m, shift,
+                          0.0 if squares else None)
     n_pos, n_neg = sampler.n_pos, sampler.n_neg
-    if sampler.kernel == "product":
-        sums = su * sw
-        sq = _square_sum(u) * _square_sum(w) if squares else None
-    elif sampler.kernel == "centered_product":
-        sums = (su - n_pos * base_mean) * (sw - n_neg * base_mean)
-        sq = _square_sum(u - base_mean) * _square_sum(w - base_mean) if squares else None
-    else:
-        sums = 0.5 * (n_neg * su + n_pos * sw)
-        sq = (0.25 * (n_neg * _square_sum(u) + 2.0 * su * sw + n_pos * _square_sum(w))
-              if squares else None)
-    return sums, sq
-
-
-def _square_sum(x):
-    return (x * x).sum(axis=2)
+    sq_center = None
+    if squares:
+        sq_center = base_mean if sampler.kernel == "centered_product" else 0.0
+    su, squ = _side_sums(seq, 0, sampler, shape, n_pos, sq_center=sq_center)
+    sw, sqw = _side_sums(seq, size * sampler.k_tasks * n_pos, sampler, shape, n_neg,
+                         sq_center=sq_center)
+    if sampler.kernel == "mean":
+        return (0.5 * (n_neg * su + n_pos * sw),
+                0.25 * (n_neg * squ + 2.0 * su * sw + n_pos * sqw) if squares else None)
+    if sampler.kernel == "centered_product":
+        su, sw = su - n_pos * base_mean, sw - n_neg * base_mean
+    return su * sw, squ * sqw if squares else None
 
 
 def _reduce_batches(sampler, n_trials, stream_offset, reduce, squares=False):
     """[reduce(task sums, task square sums) of batch i] over the batches of
-    n_trials trials; batch i draws from child stream stream_offset + i.
-    Each batch is reduced before the next is drawn, so one batch of draws
-    is alive."""
-    seqs = np.random.SeedSequence(sampler.seed).spawn(stream_offset + _n_batches(n_trials))
+    n_trials trials; batch i draws from child stream stream_offset + i of
+    SeedSequence(seed).  Each batch is reduced before the next is drawn."""
     base_mean = _base_law(sampler).mean
-    return [reduce(*_draw_task_sums(np.random.default_rng(seq), sampler, base_mean,
-                                    min(BATCH, n_trials - i * BATCH), squares))
-            for i, seq in enumerate(seqs[stream_offset:])]
+    return [reduce(*_draw_task_sums(
+                np.random.SeedSequence(sampler.seed, spawn_key=(stream_offset + i,)),
+                sampler, base_mean, min(BATCH, n_trials - i * BATCH), squares))
+            for i in range(_n_batches(n_trials))]
 
 
 def _simulate(sampler, n_trials, sup_mode=False, stream_offset=0):

@@ -10,8 +10,8 @@ minima, closed-form quadratics for sub-root fixed points, a greedy
 coloring that rescans the edge list for every neighbourhood, SGD that
 trains one label at a time with one scalar step per sampled pair,
 Macro-AUC from one `scipy.stats.rankdata` call per label, and Monte Carlo
-task sums that add up the whole (trials, K, n_pos, n_neg) pair
-tensor.
+task sums drawn in one call per side and batch, or added up from the
+whole (trials, K, n_pos, n_neg) pair tensor.
 """
 
 import math
@@ -392,15 +392,52 @@ def loop_cv_select(dataset, grid=LAMBDA_GRID, folds=3, config=TrainConfig()):
     return best_lam, loop_train_sgd(dataset, final_cfg)
 
 
+def _one_call_base(rng, sampler, shape):
+    """Base draws of the given shape from one `random` call."""
+    if sampler.base == "uniform":
+        return rng.random(shape)
+    lo, hi = sampler.base_lo, sampler.base_hi
+    return lo + (hi - lo) * (rng.random(shape) < sampler.base_p)
+
+
+def one_call_task_sums(rng, sampler, base_mean, size, squares):
+    """(size, K) task sums and task sums of squared summands (or None) of
+    one batch, from one draw call per side over the whole batch; the
+    reference for the blocked, split draws of `mcverify._draw_task_sums`."""
+    shape = (size, sampler.k_tasks)
+    if sampler.structure == "iid_blocks":
+        draws = _one_call_base(rng, sampler, shape + (sampler.m,))
+        if sampler.centered:
+            draws = draws - base_mean
+        return draws.sum(axis=2), (draws * draws).sum(axis=2) if squares else None
+    u = _one_call_base(rng, sampler, shape + (sampler.n_pos,))
+    w = _one_call_base(rng, sampler, shape + (sampler.n_neg,))
+    su, sw = u.sum(axis=2), w.sum(axis=2)
+    n_pos, n_neg = sampler.n_pos, sampler.n_neg
+    if sampler.kernel == "centered_product":
+        sums = (su - n_pos * base_mean) * (sw - n_neg * base_mean)
+        u, w = u - base_mean, w - base_mean
+    elif sampler.kernel == "product":
+        sums = su * sw
+    else:
+        sums = 0.5 * (n_neg * su + n_pos * sw)
+    if not squares:
+        return sums, None
+    squ, sqw = (u * u).sum(axis=2), (w * w).sum(axis=2)
+    if sampler.kernel == "mean":
+        return sums, 0.25 * (n_neg * squ + 2.0 * su * sw + n_pos * sqw)
+    return sums, squ * sqw
+
+
 def _pair_tensor_draw(rng, sampler, base_mean, size):
     """(size, K, m) iid summands or (size, K, n_pos, n_neg) pair values,
     drawn with the library's draw calls in the library's order."""
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
-        draws = mcverify._draw_base(rng, sampler, shape + (sampler.m,))
+        draws = _one_call_base(rng, sampler, shape + (sampler.m,))
         return draws - base_mean if sampler.centered else draws
-    u = mcverify._draw_base(rng, sampler, shape + (sampler.n_pos,))[..., :, None]
-    w = mcverify._draw_base(rng, sampler, shape + (sampler.n_neg,))[..., None, :]
+    u = _one_call_base(rng, sampler, shape + (sampler.n_pos,))[..., :, None]
+    w = _one_call_base(rng, sampler, shape + (sampler.n_neg,))[..., None, :]
     if sampler.kernel == "product":
         return u * w
     if sampler.kernel == "centered_product":

@@ -1,6 +1,9 @@
+import concurrent.futures
 import itertools
 import json
 import math
+import threading
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +19,7 @@ from gdbound.mcverify import (
     sample_Z,
     verify_inequality,
 )
-from oracles import pair_tensor_calibrate, pair_tensor_simulate
+from oracles import one_call_task_sums, pair_tensor_calibrate, pair_tensor_simulate
 
 
 def bipartite(n_pos, n_neg, seed=0, **kw):
@@ -203,6 +206,81 @@ def test_lattice_task_sums_tie_exactly():
     s = bipartite(6, 5, seed=16, base="two_point", base_p=0.3,
                   kernel="centered_product")
     assert np.unique(mcverify._simulate(s, 20000)).size <= 7 * 6
+
+
+class TestBlockDraws:
+    """`_draw_task_sums` draws each side in row blocks split across worker
+    threads; its task sums must be those of one `random` call per side."""
+
+    @pytest.mark.parametrize("skip, n", [(0, 1), (0, 700), (3, 5), (700, 1), (699, 301)])
+    def test_advanced_generator_continues_the_stream(self, skip, n):
+        seq = np.random.SeedSequence(41, spawn_key=(3,))
+        one_call = np.random.default_rng(seq)
+        expected = one_call.random(skip + n)[skip:]
+        advanced = np.random.Generator(np.random.PCG64(seq).advance(skip))
+        message = ("numpy's Generator.random no longer takes one PCG64 word per double, "
+                   "or PCG64.advance no longer skips words; the split draws of "
+                   "mcverify._side_sums rely on both")
+        assert advanced.random(n).tobytes() == expected.tobytes(), message
+        assert advanced.bit_generator.state == one_call.bit_generator.state, message
+
+    SAMPLERS = {
+        "iid-uniform": lambda: iid(5, k_tasks=2),
+        "iid-uniform-centered": lambda: iid(5, k_tasks=2, centered=True),
+        "iid-two-point-centered": lambda: iid(5, k_tasks=2, centered=True,
+                                              **BASES["two_point_27"]),
+        "iid-wide-two-point": lambda: iid(40, k_tasks=2, **BASES["two_point_01"]),
+        **{f"bip-{base}-{kernel}": (lambda base=base, kernel=kernel: bipartite(
+            4, 30, k_tasks=2, kernel=kernel, **BASES[base]))
+           for base in ("uniform", "two_point_27")
+           for kernel in ("product", "centered_product", "mean")},
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("squares", [False, True])
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_blocked_split_sums_equal_one_call_draw(self, monkeypatch, name, squares,
+                                                    workers):
+        # 200-byte blocks: 5 rows of 5 draws (37 trials x 2 tasks end in a
+        # partial block), 6 rows of 4, and one row of 30 or 40 draws, which
+        # alone exceeds a block.
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
+        monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        s = self.SAMPLERS[name]()
+        base_mean = mcverify._base_law(s).mean
+        seq = np.random.SeedSequence(7, spawn_key=(2,))
+        sums, sq = mcverify._draw_task_sums(seq, s, base_mean, 37, squares)
+        ref_sums, ref_sq = one_call_task_sums(np.random.default_rng(seq), s, base_mean,
+                                              37, squares)
+        assert sums.tobytes() == ref_sums.tobytes()
+        if squares:
+            assert sq.tobytes() == ref_sq.tobytes()
+        else:
+            assert sq is None and ref_sq is None
+        assert set(pools) == ({workers - 1} if workers > 1 else set())
+
+
+def test_iid_batch_memory_stays_small(monkeypatch):
+    # One (BATCH, 3, 200) draw array would take 315 MB; blocks of about
+    # 1 MiB per worker keep the whole call near the size of its outputs.
+    monkeypatch.setattr(mcverify, "_workers", lambda: 3)
+    threads = threading.active_count()
+    tracemalloc.start()
+    try:
+        mcverify._simulate(iid(200, k_tasks=3), mcverify.BATCH + 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert threading.active_count() == threads
 
 
 class TestEmpiricalTail:
