@@ -29,12 +29,26 @@ _BLOCK_CONSISTENCY_TOL = 1e-9
 
 
 def phi(x: float) -> float:
-    """phi(x) = (1 + x) log(1 + x) - x, for x >= 0."""
+    """phi(x) = (1 + x) log(1 + x) - x, for x >= 0.
+
+    Below x = 2 the closed form cancels: it is off by up to 7 ulp near 1
+    and by 18 % at 1e-15, in either direction.  There log1p(x) = 2 atanh(u)
+    with u = x / (2 + x) gives phi(x) = x^2 / (2 + x)
+    + 2 (1 + x) sum_{j>=1} u^(2j+1) / (2j+1), a sum of positive terms, taken
+    until a term no longer changes it; both forms stay within 4 ulp."""
     if x < 0:
         raise DomainError(f"phi requires x >= 0, got {x}")
     if x == math.inf:  # (1 + x) log1p(x) - x would be inf - inf = nan
         return math.inf
-    return (1.0 + x) * math.log1p(x) - x
+    if not x < 2.0:
+        return (1.0 + x) * math.log1p(x) - x
+    u = x / (2.0 + x)
+    tail, power, k = 0.0, u * u * u, 3
+    while tail + power / k != tail:
+        tail += power / k
+        power *= u * u
+        k += 2
+    return x * x / (2.0 + x) + 2.0 * (1.0 + x) * tail
 
 
 @dataclass(frozen=True)

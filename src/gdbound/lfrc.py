@@ -252,7 +252,11 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
             vals[start:stop] += _sup_rows(C, S, spec.m_tilde, spec.r)
     vals /= K
     est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_draws)) if n_draws > 1 else 0.0
+    # The std of vals scaled by 2^-e, e the exponent of max |vals|, scaled
+    # back: the powers of two are exact, and the squares cannot overflow.
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(vals).max()))[1])
+    stderr = float((vals * scale).std(ddof=1) / scale / math.sqrt(n_draws)) \
+        if n_draws > 1 else 0.0
     return est, stderr
 
 

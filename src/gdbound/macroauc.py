@@ -227,6 +227,133 @@ def train_sgd(dataset: MultiLabelDataset, config: TrainConfig) -> LinearRanker:
     return train_many(dataset, [(np.arange(dataset.n_samples), config)])[0]
 
 
+class _ChainStreams:
+    """The row streams of a `train_many` call's chains, bit for bit those
+    of `default_rng(SeedSequence(seed).spawn(K)[k]).integers(0, [[n+], [n-]],
+    size=(epochs, 2, n~))`, but seeded and drawn for many chains at once.
+
+    Chain c is child k = labels[c] of seqs[jobs[c]]; sizes[c, 0, :, 0]
+    holds its (positive, negative) counts.  Its stream stays a bare PCG64
+    whose raw words `draw` maps to rows with numpy's 32-bit Lemire step,
+    until that step rejects a word: the chain is then rewound and handed to
+    a Generator's `integers`, which it keeps, since a Generator may hold a
+    half word buffered.  A chain with a one-row side (which `integers`
+    answers without a word) or a side of 2^32 rows or more (drawn with
+    64-bit words) uses its Generator from the start."""
+
+    def __init__(self, seqs, jobs, labels, sizes):
+        class Words(np.random.bit_generator.ISeedSequence):
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words
+
+        self.sizes = sizes
+        self.highs = sizes.astype(np.uint64)
+        # the step rejects a word u when the low half of u * high falls
+        # below (2^32 - high) % high
+        self.thresholds = (2**32 - self.highs) % self.highs
+        self.streams = [np.random.PCG64(Words(row)) for row in self.child_states(seqs, jobs, labels)]
+        sides = sizes.reshape(-1, 2)
+        for c in np.flatnonzero((sides.min(axis=1) == 1) | (sides.max(axis=1) >= 2**32)):
+            self.streams[c] = np.random.Generator(self.streams[c])
+
+    @staticmethod
+    def child_states(seqs, jobs, labels) -> np.ndarray:
+        """(chains, 4) uint64: `seqs[j].spawn(K)[k].generate_state(4, uint64)`
+        for each chain's (j, k) in zip(jobs, labels).
+
+        A transcription of numpy's SeedSequence: a child's entropy is its
+        parent's words, zero-padded to the four-word pool, then its spawn
+        key k.  Every hash constant follows from the word count alone, so
+        each parent's words are mixed once, in Python ints, and then every
+        chain's k is mixed in and its state generated at once in uint32
+        arrays, which wrap as numpy's C code does."""
+        mask = 0xFFFFFFFF
+
+        def hashmix(value, const):
+            value = value ^ const
+            const = const * 0x931E8875 & mask
+            value = value * const & mask
+            return value ^ value >> 16, const
+
+        def mix(x, y):
+            x = (0xCA01F9DD * x - 0x4973F715 * y) & mask
+            return x ^ x >> 16
+
+        def words(entropy):
+            # an int as little-endian 32-bit words, a sequence as its items'
+            if isinstance(entropy, (int, np.integer)):
+                e = int(entropy)
+                return [e >> s & mask for s in range(0, max(e.bit_length(), 1), 32)]
+            return [w for part in entropy for w in words(part)]
+
+        pools, consts = [], []
+        for seq in seqs:
+            run = words(seq.entropy)
+            run += [0] * (4 - len(run))
+            const, pool = 0x43B0D7E5, []
+            for w in run[:4]:
+                h, const = hashmix(w, const)
+                pool.append(h)
+            for src in range(4):
+                for dst in range(4):
+                    if src != dst:
+                        h, const = hashmix(pool[src], const)
+                        pool[dst] = mix(pool[dst], h)
+            for w in run[4:]:
+                for dst in range(4):
+                    h, const = hashmix(w, const)
+                    pool[dst] = mix(pool[dst], h)
+            pools.append(pool)
+            consts.append(const)
+        jobs = np.asarray(jobs, dtype=np.intp)
+        pool = list(np.array(pools, dtype=np.uint32).reshape(-1, 4)[jobs].T)
+        const = np.array(consts, dtype=np.uint32)[jobs]
+        key = np.asarray(labels, dtype=np.uint32)
+        for dst in range(4):
+            h, const = hashmix(key, const)
+            pool[dst] = mix(pool[dst], h)
+        const, state = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & mask
+            value = value * const & mask
+            state.append(value ^ value >> 16)
+        # word pairs read as little-endian uint64s, as generate_state does
+        return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+    def draw(self, chains, nb, n) -> np.ndarray:
+        """Pool positions of the next nb epochs of n (positive, negative)
+        draws of each chain in `chains`, (len(chains), nb, 2, n) int64: the
+        values of `integers(0, sizes[c, 0], size=(nb, 2, n))`, negatives
+        offset by the positive count, with each stream left where that call
+        leaves it."""
+        picks = np.empty((len(chains), nb, 2, n), dtype=np.int64)
+        fresh = [g for g, c in enumerate(chains)
+                 if not isinstance(self.streams[c], np.random.Generator)]
+        if fresh:
+            cs = [chains[g] for g in fresh]
+            raw = np.array([self.streams[c].random_raw(nb * n) for c in cs])
+            # 2 nb n uint32 words, the low half of each raw word first, as
+            # PCG64 hands them out; the count is even, so no half word is
+            # left buffered
+            words = raw.astype("<u8", copy=False).view("<u4").reshape(len(cs), nb, 2, n)
+            scaled = words * self.highs[cs]
+            rejected = ((scaled & 0xFFFFFFFF) < self.thresholds[cs]).any(axis=(1, 2, 3))
+            scaled >>= 32
+            picks[fresh] = scaled
+            for c in np.asarray(cs)[rejected]:
+                self.streams[c].advance(-nb * n)
+                self.streams[c] = np.random.Generator(self.streams[c])
+        for g, c in enumerate(chains):
+            if isinstance(self.streams[c], np.random.Generator):
+                picks[g] = self.streams[c].integers(0, self.sizes[c, 0], size=(nb, 2, n))
+        picks[:, :, 1] += self.sizes[chains][:, :, 0]  # negatives follow the positives
+        return picks
+
+
 def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     """Train one linear ranker per job, all SGD chains stepped in lockstep.
 
@@ -238,20 +365,23 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     and takes one step per pair: w <- w - lr (dL + 2 lambda w) with
     L = max(0, 1 - w.(x+ - x-)), the margin read before the decay.
 
-    A chain draws a block of epochs at once: one `integers` call with the
-    (positive, negative) counts as a broadcast `high` gives the same values,
-    and leaves the same stream state, as the two calls per epoch it stands
-    for.  Step i of every chain's epoch runs together on one (chains x D)
-    weight matrix; a chain with fewer rows or epochs sits the extra steps
-    out.  Each chain's arithmetic is exactly that of a loop over its own
-    steps, so a ranker does not depend on which other jobs share the call.
+    Chain k of a job draws the stream of `default_rng(SeedSequence(
+    config.seed).spawn(K)[k]).integers(0, [[n+], [n-]], size=(epochs, 2,
+    n~))`, bit for bit, a block of epochs at a time.  `_ChainStreams` seeds
+    every chain at once and draws the block of all chains of one (n~,
+    block) shape in a few array operations, through numpy's 32-bit Lemire
+    step on their raw PCG64 words.  Step i of every chain's epoch runs
+    together on one (chains x D) weight matrix; a chain with fewer rows or
+    epochs sits the extra steps out.  Each chain's arithmetic is exactly
+    that of a loop over its own steps, so a ranker does not depend on which
+    other jobs share the call.
     """
     X = dataset.features
     if not np.isfinite(X).all():
         raise DomainError("features hold a non-finite value")
     # Row indices are held in the narrowest type that holds any of them.
     row_type = np.min_scalar_type(max(dataset.n_samples - 1, 0))
-    fits, chains = [], []
+    fits, chains, seqs = [], [], []
     for j, (rows, config) in enumerate(jobs):
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == 0:
@@ -266,15 +396,13 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
         negative = dataset.labels[rows].T != 1
         pools = rows.astype(row_type)[np.argsort(negative, axis=1, kind="stable")]
         n_neg = negative.sum(axis=1)
-        streams = np.random.SeedSequence(config.seed).spawn(dataset.n_labels)
+        seqs.append(np.random.SeedSequence(config.seed))  # rejects a bad seed
         excluded = []
         for k in range(dataset.n_labels):
             if n_neg[k] in (0, rows.size):
                 excluded.append(k)
                 continue
-            sizes = np.array([[rows.size - n_neg[k]], [n_neg[k]]])
-            chains.append((rows.size, j, k, pools[k], sizes,
-                           np.random.default_rng(streams[k])))
+            chains.append((rows.size, j, k, pools[k], rows.size - n_neg[k]))
         fits.append((config, decay, dataset.subset(rows).max_row_norm(),
                      tuple(excluded)))
 
@@ -284,11 +412,24 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     n_chains, d = len(chains), dataset.n_features
     n_rows = np.array([chain[0] for chain in chains], dtype=np.intp)
     epochs = np.array([fits[chain[1]][0].epochs for chain in chains])
-    lr_col = np.array([fits[chain[1]][0].lr for chain in chains])[:, None]
     decays = np.array([fits[chain[1]][1] for chain in chains])
+    # The learning rate spread over (chains x D), as the decay is below,
+    # makes the step's scaling a same-shape product.
+    lr = np.repeat([fits[chain[1]][0].lr for chain in chains], d).reshape(n_chains, d)
     W = np.zeros((n_chains, d))
     steps = int(n_rows.max(initial=0))
     width = np.searchsorted(-n_rows, -np.arange(steps), side="left")
+
+    # Chain c draws from pools[c, :n~]: its positive rows, then its negative
+    # rows.
+    pools = np.zeros((n_chains, steps), dtype=row_type)
+    sizes = np.zeros((n_chains, 1, 2, 1), dtype=np.int64)
+    for c, (n, _, _, pool, n_pos) in enumerate(chains):
+        pools[c, :n] = pool
+        sizes[c, 0, :, 0] = n_pos, n - n_pos
+    streams = _ChainStreams(seqs, [chain[1] for chain in chains],
+                            [chain[2] for chain in chains], sizes)
+
     # Row draws of a block of epochs, (block x side x steps x chains); the
     # block is as many epochs as fit in _DRAW_BYTES, at least one.
     epoch_bytes = 2 * steps * n_chains * row_type.itemsize
@@ -299,11 +440,19 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
         live = epoch < epochs
         b = epoch % block
         if b == 0:
+            groups = {}
             for c in np.flatnonzero(live):
-                n, _, _, pool, sizes, rng = chains[c]
-                pick = rng.integers(0, sizes, size=(min(block, epochs[c] - epoch), 2, n))
-                pick[:, 1] += sizes[0]  # negatives follow the positives in a pool
-                draws[:len(pick), :, :n, c] = pool[pick]
+                nb = min(block, epochs[c] - epoch)
+                groups.setdefault((n_rows[c], nb), []).append(c)
+            for (n, nb), group in groups.items():
+                # a chunk's raw words take 1/32 of _DRAW_BYTES; its
+                # temporaries, about eight times as many bytes, stay below it
+                per_chunk = max(1, _DRAW_BYTES // 32 // (8 * nb * n))
+                for start in range(0, len(group), per_chunk):
+                    part = group[start:start + per_chunk]
+                    picks = streams.draw(part, nb, n)
+                    picks += np.multiply(part, steps)[:, None, None, None]
+                    draws[:nb, :, :n, part] = np.take(pools, picks).transpose(1, 2, 3, 0)
         # The decay spread over (chains x D) makes the per-step decay one
         # elementwise product.  A chain past its epochs decays by 1 and has
         # a hinge threshold of -inf, which no margin falls below, so its
@@ -322,7 +471,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             w *= decay[:wide]
             # A masked add leaves every entry it skips untouched; adding a
             # zero step instead would turn a -0.0 weight into +0.0.
-            diff *= lr_col[:wide]
+            diff *= lr[:wide]
             np.add(w, diff, out=w, where=margin[:, :, 0] < hinge[:wide])
 
     weights = [np.zeros((dataset.n_labels, d)) for _ in fits]

@@ -8,10 +8,12 @@ estimate, characteristic-polynomial
 root finding for eigenvalues, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points, a greedy
 coloring that rescans the edge list for every neighbourhood, SGD that
-trains one label at a time with one scalar step per sampled pair,
+trains one label at a time with one scalar step per sampled pair, SGD
+row draws from spawned `default_rng` streams and their `integers` calls,
 Macro-AUC from one `scipy.stats.rankdata` call per label, and Monte Carlo
 task sums drawn in one call per side and batch, or added up from the
-whole (trials, K, n_pos, n_neg) pair tensor.
+whole (trials, K, n_pos, n_neg) pair tensor, and phi in `mpmath` at a
+precision that outgrows its cancellation.
 """
 
 import math
@@ -358,6 +360,22 @@ def loop_train_sgd(dataset, config):
                         excluded_labels=tuple(excluded), trained=True)
 
 
+def spawned_block_draws(seed, n_labels, label, sizes, n, blocks):
+    """One SGD chain's pool positions as `train_many` drew them with a
+    Generator per chain: child `label` of SeedSequence(seed).spawn(n_labels)
+    seeds a `default_rng`, and each block of nb epochs in `blocks` is one
+    `integers(0, [[n+], [n-]], size=(nb, 2, n))` call, negatives offset by
+    n+.  Returns the blocks and the bit generator's final state."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(n_labels)[label])
+    high = np.array(sizes, dtype=np.int64).reshape(2, 1)
+    drawn = []
+    for nb in blocks:
+        pick = rng.integers(0, high, size=(nb, 2, n))
+        pick[:, 1] += high[0]
+        drawn.append(pick)
+    return drawn, rng.bit_generator.state
+
+
 def loop_cv_select(dataset, grid=LAMBDA_GRID, folds=3, config=TrainConfig()):
     """Cross-validation that trains each (lambda, fold) fit, then the chosen
     lambda's final fit, with `loop_train_sgd`; the reference for `cv_select`."""
@@ -482,3 +500,16 @@ def pair_tensor_calibrate(sampler, n_cal, stream_offset):
         s2 += b2
         count += n
     return s1 / count, s2 / count
+
+
+def mp_phi(x):
+    """phi(x) = (1 + x) log(1 + x) - x by its closed form in `mpmath`,
+    rounded to a float.  The form loses about 2 log10(1/x) digits to
+    cancellation (at 50 digits it gives 0 at x = 3.4e-51), so the working
+    precision grows with -log10(x)."""
+    import mpmath
+
+    digits = 40 + 2 * max(0, math.ceil(-math.log10(x))) if x > 0 else 40
+    with mpmath.workdps(digits):
+        v = mpmath.mpf(x)
+        return float((1 + v) * mpmath.log(1 + v) - v)

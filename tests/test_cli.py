@@ -110,6 +110,14 @@ class TestBoundCommand:
         assert code == 0
         assert "= 3" in out
 
+    def test_small_phi_argument_is_not_cancelled(self):
+        # phi(1e-12) * 1e24: the closed form (1 + x) log1p(x) - x printed
+        # 0.606516, below the exact exp(-0.5 + 1e-12 / 6) = 0.606531
+        code, out, _ = run_cli(["bound", "bennett-refined", "--b-shift", "0", "--ez", "0",
+                                "--sigma2", "1e24", "--chi", "1", "--t", "1e12"])
+        assert code == 0
+        assert "= 0.606531" in out
+
     def test_prior_matches_report_bit_identically(self, tmp_path):
         # same code path as report_bounds, so the value must agree exactly
         ds = small_separable(n=24, d=4, k=2, seed=1)
@@ -342,6 +350,18 @@ class TestLfrcAndRstarCommands:
                                   "--r", "1e-20"])
         assert code == 2 and out == "" and "bracket" in err
         assert "Traceback" not in err
+
+    def test_huge_estimate_has_a_finite_stderr(self, tmp_path):
+        # per-draw values near 1e299, whose squares overflow; the standard
+        # error is finite, and the command used to exit 2 on it
+        rng = np.random.default_rng(0)
+        rng.normal(size=(3, 2))
+        feats = tmp_path / "x.txt"
+        np.savetxt(feats, rng.normal(size=(7, 3)))
+        code, out, err = run_cli(["lfrc", "estimate", "--features", str(feats),
+                                  "--r", "inf", "--mtilde", "1e300"])
+        assert code == 0, err
+        assert out.strip() == "lfrc_estimate = 5.77071e+299 stderr = 1.75482e+298"
 
     def test_huge_ball_leaves_the_ellipsoid(self, tmp_path):
         # m_tilde^2 overflows: the ball never binds, so the value is the

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from gdbound import lfrc
@@ -459,6 +460,26 @@ class TestEstimateLfrc:
         spec = spec_for([second_moment_matrix(X)], m_tilde=1.0)
         with pytest.raises(DomainError, match="overflow"), np.errstate(over="ignore"):
             estimate_lfrc([X], [None], spec, n_draws=2, seed=0)
+
+
+class TestStderr:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 9), d=st.integers(1, 4),
+           n_draws=st.integers(2, 40), shift=st.integers(0, 1000))
+    def test_stderr_is_the_std_and_scales_exactly(self, seed, m, d, n_draws, shift):
+        # With r = inf each per-draw value is m_tilde |c| / K, so
+        # m_tilde = 2^shift scales every value, the estimate and the stderr
+        # by exactly 2^shift, also where the squares of the values overflow;
+        # at m_tilde = 1 the stderr is the oracle's plain vals.std(ddof=1).
+        X = np.random.default_rng(seed).normal(size=(m, d))
+        S = [second_moment_matrix(X)]
+        est, stderr = estimate_lfrc([X], [None], spec_for(S), n_draws=n_draws, seed=seed)
+        assert (est, stderr) == loop_estimate_lfrc([X], [None], spec_for(S),
+                                                   n_draws=n_draws, seed=seed)
+        scaled = estimate_lfrc([X], [None], spec_for(S, m_tilde=2.0**shift),
+                               n_draws=n_draws, seed=seed)
+        assert scaled == (math.ldexp(est, shift), math.ldexp(stderr, shift))
+
 
 class TestFixedPoint:
     def test_pure_sqrt(self):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdbound.errors import (
     ConfigError,
@@ -34,7 +36,7 @@ from gdbound.macroauc import (
 from scipy.stats import rankdata
 
 from oracles import brute_force_macro_auc, loop_cv_select, loop_train_sgd, \
-    rankdata_macro_auc
+    rankdata_macro_auc, spawned_block_draws
 from synthdata import cal500_like, emotions_like, linear_teacher_dataset, small_separable
 
 
@@ -429,9 +431,10 @@ class TestTrainMany:
 
 
 class TestBlockDraws:
-    """`train_many` draws a block of epochs per chain in one `integers` call
-    with a broadcast `high`; that must be the stream of the two calls per
-    epoch that `loop_train_sgd` makes."""
+    """A chain's block of epochs in `train_many` is the stream of one
+    `integers` call with a broadcast `high` (`spawned_block_draws`); that
+    must be the stream of the two calls per epoch that `loop_train_sgd`
+    makes."""
 
     @pytest.mark.parametrize("n_pos, n_neg, n, epochs", [
         (20, 33, 53, 10), (1, 5, 6, 3), (3, 4, 7, 5), (2**31, 5, 9, 2),
@@ -470,6 +473,121 @@ class TestBlockDraws:
         assert [r.excluded_labels for r in rankers][-1] == (1, 2)
         for (rows, cfg), ranker in zip(jobs, rankers):
             _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+
+
+def _state(state):
+    """What of a PCG64 state dict decides the stream: its 128-bit state and
+    increment, and the buffered half word if one is held.  `uinteger`
+    keeps the last half word it held after it is used (has_uint32 = 0),
+    and nothing reads it then."""
+    return state["state"], state["has_uint32"], state["uinteger"] * state["has_uint32"]
+
+
+class TestChainStreams:
+    """`_ChainStreams` seeds and draws every chain at once; each chain's
+    stream must stay that of its own spawned `default_rng` and its
+    `integers` calls, values and final state, bit for bit."""
+
+    SPAWN = ("numpy's SeedSequence no longer mixes a spawned child's entropy "
+             "the way _ChainStreams.child_states transcribes it")
+    LEMIRE = ("numpy's Generator.integers no longer maps PCG64's raw words, low "
+              "half first, through the 32-bit Lemire step that "
+              "_ChainStreams.draw transcribes")
+
+    # 2^128 and above take the extra-entropy step for the seed's own words;
+    # a sequence seed is its items' words in turn
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**128 + 12345, 2**200 + 3,
+             [3, 2**40, 0]]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_child_states_are_the_spawned_states(self, seed):
+        K = 70
+        seqs = [np.random.SeedSequence(seed)]
+        got = macroauc._ChainStreams.child_states(seqs, [0] * K, range(K))
+        want = [child.generate_state(4, np.uint64)
+                for child in np.random.SeedSequence(seed).spawn(K)]
+        assert np.array_equal(got, want), self.SPAWN
+
+    def test_mixed_seeds_in_one_call(self):
+        # seeds of one, two, five and seven words share one call
+        seeds = [5, 2**40 + 1, 2**130 + 9, 2**200 + 3]
+        jobs = [j for j in range(len(seeds)) for _ in range(6)]
+        labels = [k for _ in seeds for k in range(6)]
+        sizes = np.full((len(jobs), 1, 2, 1), 4, dtype=np.int64)
+        streams = macroauc._ChainStreams([np.random.SeedSequence(s) for s in seeds],
+                                         jobs, labels, sizes)
+        for stream, j, k in zip(streams.streams, jobs, labels):
+            child = np.random.SeedSequence(seeds[j]).spawn(6)[k]
+            assert stream.state == np.random.PCG64(child).state, self.SPAWN
+
+    def test_lemire_draw_is_the_integers_stream(self):
+        # chains of one draw call: Lemire rejections rare (high 20, 33, ...),
+        # about one word in two (2^31 + 1, so the block falls back), a
+        # one-row side (no word), a side of 2^32 rows (integers' unbounded
+        # 32-bit path) and one of 2^33 (its 64-bit path)
+        sizes = [(20, 33), (2**31 + 1, 5), (7, 2**31 + 1), (1, 9), (3, 1),
+                 (1000, 2**20), (2**32, 3), (2**33, 2)]
+        n, blocks, seed = 10, [3, 1, 4, 2], 23
+        C = len(sizes)
+        streams = macroauc._ChainStreams(
+            [np.random.SeedSequence(seed)], [0] * C, range(C),
+            np.array(sizes, dtype=np.int64).reshape(C, 1, 2, 1))
+        drawn = [streams.draw(list(range(C)), nb, n) for nb in blocks]
+        for c, chain_sizes in enumerate(sizes):
+            want, state = spawned_block_draws(seed, C, c, chain_sizes, n, blocks)
+            for got_block, want_block in zip(drawn, want):
+                assert np.array_equal(got_block[c], want_block), (c, self.LEMIRE)
+            stream = getattr(streams.streams[c], "bit_generator", streams.streams[c])
+            assert _state(stream.state) == _state(state), (c, self.LEMIRE)
+        # the array path ran, and the rejecting chains left it
+        assert isinstance(streams.streams[0], np.random.PCG64)
+        assert isinstance(streams.streams[1], np.random.Generator)
+        assert isinstance(streams.streams[2], np.random.Generator)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_train_many_matches_loop_oracle_on_drawn_labels(self, data):
+        # few rows, so labels with one positive or one negative (one-row
+        # sides) and excluded labels are common; the draw budget runs from
+        # one epoch per block and one chain per chunk to all epochs at once
+        n = data.draw(st.integers(2, 9))
+        k = data.draw(st.integers(1, 4))
+        Y = np.where(data.draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                                        min_size=n, max_size=n)), 1, -1)
+        X = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=(n, 2))
+        ds = make_dataset(X, Y)
+        jobs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+            cfg = TrainConfig(epochs=data.draw(st.integers(1, 5)),
+                              weight_decay=data.draw(st.sampled_from([0.0, 1e-2])),
+                              seed=data.draw(st.sampled_from([0, 7, 2**64 - 1, 2**130 + 1])))
+            jobs.append((np.sort(rows), cfg))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(macroauc, "_DRAW_BYTES", 1 << data.draw(st.integers(0, 16)))
+            rankers = train_many(ds, jobs)
+        for (rows, cfg), ranker in zip(jobs, rankers):
+            _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+
+    # tracemalloc peaks of the per-chain `integers` draw this replaced, on
+    # the experiment's jobs: 2.44 MiB (cal500-like, 5 epochs) and 1.28 MiB
+    # (emotions-like, 10 epochs)
+    @pytest.mark.parametrize("shape, epochs, before", [("cal500", 5, 2.44),
+                                                       ("emotions", 10, 1.28)])
+    def test_memory_stays_within_a_mib_of_the_per_chain_draw(self, shape, epochs, before):
+        ds = _shaped(shape, seed=0)
+        train_rows, _ = macroauc._split_rows(ds.n_samples, 0)
+        cv_jobs, _ = macroauc._cv_jobs(train_rows.size, macroauc.LAMBDA_GRID, 3,
+                                       TrainConfig(epochs=epochs, seed=0))
+        jobs = [(train_rows[rows], cfg) for rows, cfg in cv_jobs]
+        train_many(ds, jobs)  # numpy's lazy set-up stays out of the peak
+        tracemalloc.start()
+        try:
+            train_many(ds, jobs)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= before + 1.0, f"train_many peak {peak:.2f} MiB"
 
 
 class TestMacroAuc:
