@@ -232,8 +232,8 @@ class _ChainStreams:
     of `default_rng(SeedSequence(seed).spawn(K)[k]).integers(0, [[n+], [n-]],
     size=(epochs, 2, n~))`, but seeded and drawn for many chains at once.
 
-    Chain c is child k = labels[c] of seqs[jobs[c]]; sizes[c, 0, :, 0]
-    holds its (positive, negative) counts.  Its stream stays a bare PCG64
+    Chain c is child k = labels[c] of seqs[jobs[c]]; sizes[c] holds its
+    (positive, negative) counts.  Its stream stays a bare PCG64
     whose raw words `draw` maps to rows with numpy's 32-bit Lemire step,
     until that step rejects a word: the chain is then rewound and handed to
     a Generator's `integers`, which it keeps, since a Generator may hold a
@@ -250,13 +250,14 @@ class _ChainStreams:
                 return self.words
 
         self.sizes = sizes
-        self.highs = sizes.astype(np.uint64)
-        # the step rejects a word u when the low half of u * high falls
-        # below (2^32 - high) % high
+        # (chains, 1, side, 1), to scale a block of (chains, epoch, side, row)
+        # words; the Lemire step rejects a word u when the low half of
+        # u * high falls below (2^32 - high) % high
+        self.highs = sizes.astype(np.uint64)[:, None, :, None]
         self.thresholds = (2**32 - self.highs) % self.highs
-        self.streams = [np.random.PCG64(Words(row)) for row in self.child_states(seqs, jobs, labels)]
-        sides = sizes.reshape(-1, 2)
-        for c in np.flatnonzero((sides.min(axis=1) == 1) | (sides.max(axis=1) >= 2**32)):
+        self.streams = [np.random.PCG64(Words(row))
+                        for row in self.child_states(seqs, jobs, labels)]
+        for c in np.flatnonzero((sizes.min(axis=1) == 1) | (sizes.max(axis=1) >= 2**32)):
             self.streams[c] = np.random.Generator(self.streams[c])
 
     @staticmethod
@@ -327,7 +328,7 @@ class _ChainStreams:
     def draw(self, chains, nb, n) -> np.ndarray:
         """Pool positions of the next nb epochs of n (positive, negative)
         draws of each chain in `chains`, (len(chains), nb, 2, n) int64: the
-        values of `integers(0, sizes[c, 0], size=(nb, 2, n))`, negatives
+        values of `integers(0, [[n+], [n-]], size=(nb, 2, n))`, negatives
         offset by the positive count, with each stream left where that call
         leaves it."""
         picks = np.empty((len(chains), nb, 2, n), dtype=np.int64)
@@ -349,8 +350,9 @@ class _ChainStreams:
                 self.streams[c] = np.random.Generator(self.streams[c])
         for g, c in enumerate(chains):
             if isinstance(self.streams[c], np.random.Generator):
-                picks[g] = self.streams[c].integers(0, self.sizes[c, 0], size=(nb, 2, n))
-        picks[:, :, 1] += self.sizes[chains][:, :, 0]  # negatives follow the positives
+                picks[g] = self.streams[c].integers(0, self.sizes[c, :, None],
+                                                    size=(nb, 2, n))
+        picks[:, :, 1] += self.sizes[chains, :1, None]  # negatives follow the positives
         return picks
 
 
@@ -423,10 +425,10 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     # Chain c draws from pools[c, :n~]: its positive rows, then its negative
     # rows.
     pools = np.zeros((n_chains, steps), dtype=row_type)
-    sizes = np.zeros((n_chains, 1, 2, 1), dtype=np.int64)
+    sizes = np.zeros((n_chains, 2), dtype=np.int64)
     for c, (n, _, _, pool, n_pos) in enumerate(chains):
         pools[c, :n] = pool
-        sizes[c, 0, :, 0] = n_pos, n - n_pos
+        sizes[c] = n_pos, n - n_pos
     streams = _ChainStreams(seqs, [chain[1] for chain in chains],
                             [chain[2] for chain in chains], sizes)
 
@@ -446,12 +448,12 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
                 groups.setdefault((n_rows[c], nb), []).append(c)
             for (n, nb), group in groups.items():
                 # a chunk's raw words take 1/32 of _DRAW_BYTES; its
-                # temporaries, about eight times as many bytes, stay below it
+                # temporaries, some seven times as many bytes, stay below it
                 per_chunk = max(1, _DRAW_BYTES // 32 // (8 * nb * n))
                 for start in range(0, len(group), per_chunk):
                     part = group[start:start + per_chunk]
                     picks = streams.draw(part, nb, n)
-                    picks += np.multiply(part, steps)[:, None, None, None]
+                    picks += np.multiply(part, steps)[:, None, None, None]  # flat in pools
                     draws[:nb, :, :n, part] = np.take(pools, picks).transpose(1, 2, 3, 0)
         # The decay spread over (chains x D) makes the per-step decay one
         # elementwise product.  A chain past its epochs decays by 1 and has

@@ -513,7 +513,7 @@ class TestChainStreams:
         seeds = [5, 2**40 + 1, 2**130 + 9, 2**200 + 3]
         jobs = [j for j in range(len(seeds)) for _ in range(6)]
         labels = [k for _ in seeds for k in range(6)]
-        sizes = np.full((len(jobs), 1, 2, 1), 4, dtype=np.int64)
+        sizes = np.full((len(jobs), 2), 4, dtype=np.int64)
         streams = macroauc._ChainStreams([np.random.SeedSequence(s) for s in seeds],
                                          jobs, labels, sizes)
         for stream, j, k in zip(streams.streams, jobs, labels):
@@ -531,7 +531,7 @@ class TestChainStreams:
         C = len(sizes)
         streams = macroauc._ChainStreams(
             [np.random.SeedSequence(seed)], [0] * C, range(C),
-            np.array(sizes, dtype=np.int64).reshape(C, 1, 2, 1))
+            np.array(sizes, dtype=np.int64))
         drawn = [streams.draw(list(range(C)), nb, n) for nb in blocks]
         for c, chain_sizes in enumerate(sizes):
             want, state = spawned_block_draws(seed, C, c, chain_sizes, n, blocks)
