@@ -18,6 +18,7 @@ stdout uses 6 significant digits; report files store full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -582,8 +583,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The process's parser: built by the first `main` call and reused, as
+    parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(resolve_options(args.table, args))
     except GdboundError as exc:

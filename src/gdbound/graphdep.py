@@ -1,20 +1,21 @@
 """Dependency graphs, fractional independent vertex covers and fractional
 chromatic numbers.
 
+A graph is stored as the neighbour set of each vertex, its one representation.
 A fractional independent vertex cover of a graph G is a family
 {(I_j, w_j)} of independent sets with weights w_j in (0, 1] such that for
 every vertex v the weights of the classes containing v sum exactly to 1.
 The fractional chromatic number chi_f(G) is the minimum total weight over
 such covers.  The one construction needed in closed form is the
 bipartite-ranking (rook) graph on positive x negative index pairs, whose
-chi_f equals max(n_pos, n_neg).  Exact chi_f on small graphs comes from
-the covering LP, solved by scipy's HiGHS; larger graphs get a greedy
-coloring cover.
+chi_f equals max(n_pos, n_neg); its neighbour sets are built from its rows
+and columns.  Exact chi_f on small graphs comes from the covering LP over
+the maximal independent sets, solved by scipy's HiGHS; larger graphs get a
+greedy coloring cover.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,42 +33,37 @@ _LP_TOL = 1e-9
 class DependencyGraph:
     """Undirected simple graph on vertices 0..n-1; edges connect dependent pairs.
 
-    `adjacency[v]` is the neighbour set of v, built once from `edges`."""
+    Stored as its neighbour sets `adjacency[v]` alone, the one representation;
+    `edges` is derived from them.  `from_edges` checks outside input."""
 
     n_vertices: int
-    edges: frozenset[tuple[int, int]]
-    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False,
-                                                  compare=False)
-
-    def __post_init__(self):
-        if self.n_vertices < 0:
-            raise DomainError("n_vertices must be nonnegative")
-        nbrs: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            if u == v:
-                raise StructuralError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise StructuralError(f"edge ({u},{v}) outside vertex range")
-            if u > v:
-                raise StructuralError("edges must be stored as (min, max) pairs")
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
-        isolated = frozenset()  # shared, so a large edgeless graph stays small
-        object.__setattr__(self, "adjacency", tuple(
-            frozenset(nbrs[v]) if v in nbrs else isolated
-            for v in range(self.n_vertices)
-        ))
+    adjacency: tuple[frozenset[int], ...] = field(repr=False)
 
     @classmethod
     def from_edges(cls, n_vertices, edge_iter):
         """Build a graph, normalizing edge orientation and dropping duplicates."""
-        edges = frozenset(
-            (min(u, v), max(u, v)) for u, v in edge_iter
-        )
-        return cls(n_vertices=n_vertices, edges=edges)
+        if n_vertices < 0:
+            raise DomainError("n_vertices must be nonnegative")
+        nbrs: dict[int, list[int]] = {}
+        for u, v in frozenset((min(u, v), max(u, v)) for u, v in edge_iter):
+            if u == v:
+                raise StructuralError(f"self-loop at vertex {u}")
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise StructuralError(f"edge ({u},{v}) outside vertex range")
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        isolated = frozenset()  # shared, so a large edgeless graph stays small
+        return cls(n_vertices, tuple(frozenset(nbrs[v]) if v in nbrs else isolated
+                                     for v in range(n_vertices)))
+
+    @property
+    def edges(self):
+        """The (u, v) pairs with u < v, derived from the neighbour sets."""
+        return frozenset((u, v) for u, nbrs in enumerate(self.adjacency)
+                         for v in nbrs if u < v)
 
     def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n_vertices and v in self.adjacency[u]
 
     def neighbors(self, v):
         return self.adjacency[v]
@@ -202,7 +198,8 @@ def bipartite_ranking_graph(n_pos: int, n_neg: int):
     optimal equitable cover.
 
     Vertices are pairs (p, q) flattened as p * n_neg + q; two pairs are
-    dependent iff they share p or q.  The returned cover has
+    dependent iff they share p or q, so the neighbours of (p, q) are row p
+    and column q less (p, q) itself.  The returned cover has
     max(n_pos, n_neg) unit-weight classes, each a maximum independent set
     (a partial matching), so total weight equals chi_f = max(n_pos, n_neg).
     """
@@ -210,44 +207,47 @@ def bipartite_ranking_graph(n_pos: int, n_neg: int):
         raise DomainError("n_pos and n_neg must be >= 1")
     n = n_pos * n_neg
     vid = lambda p, q: p * n_neg + q
-    edges = []
-    for p, q in itertools.product(range(n_pos), range(n_neg)):
-        for q2 in range(q + 1, n_neg):
-            edges.append((vid(p, q), vid(p, q2)))
-        for p2 in range(p + 1, n_pos):
-            edges.append((vid(p, q), vid(p2, q)))
-    graph = DependencyGraph.from_edges(n, edges)
+    rows = [frozenset(range(p * n_neg, (p + 1) * n_neg)) for p in range(n_pos)]
+    cols = [frozenset(range(q, n, n_neg)) for q in range(n_neg)]
+    graph = DependencyGraph(n, tuple((rows[p] | cols[q]) - {vid(p, q)}
+                                     for p in range(n_pos) for q in range(n_neg)))
 
-    n_classes = max(n_pos, n_neg)
     classes = []
-    for c in range(n_classes):
+    for c in range(max(n_pos, n_neg)):
         if n_pos >= n_neg:
             members = frozenset(vid((q + c) % n_pos, q) for q in range(n_neg))
         else:
             members = frozenset(vid(p, (p + c) % n_neg) for p in range(n_pos))
         classes.append((members, 1.0))
-    cover = FractionalCover(classes=tuple(classes), graph=graph)
-    return graph, cover
+    return graph, FractionalCover(classes=tuple(classes), graph=graph)
 
 
 def maximal_independent_sets(graph: DependencyGraph):
-    """All maximal independent sets, by exhaustive subset scan (n <= ~16)."""
+    """All maximal independent sets, ascending by vertex bitmask: the maximal
+    cliques of the complement graph, listed by pivoting Bron-Kerbosch
+    (Tomita, Tanaka & Takahashi, TCS 2006)."""
     n = graph.n_vertices
-    adj_masks = [sum(1 << u for u in nbrs) for nbrs in graph.adjacency]
-    full, maximal = (1 << n) - 1, []
-    for mask in range(1, 1 << n):
-        m, reach = mask, mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj_masks[v] & mask:
-                break
-            reach |= adj_masks[v]
-            m &= m - 1
-        else:
-            # independent; maximal when every vertex outside has a neighbour inside
-            if reach == full:
-                maximal.append(frozenset(v for v in range(n) if mask >> v & 1))
-    return maximal
+    full, found = (1 << n) - 1, []
+    # free[v]: the vertices other than v that are not adjacent to it
+    free = [full & ~(1 << v) & ~sum(1 << u for u in nbrs)
+            for v, nbrs in enumerate(graph.adjacency)]
+
+    def expand(chosen, cand, done):
+        if not cand | done:
+            found.append(chosen)
+            return
+        pivot = max((u for u in range(n) if (cand | done) >> u & 1),
+                    key=lambda u: (cand & free[u]).bit_count())
+        branch = cand & ~free[pivot]
+        for v in range(n):
+            if branch >> v & 1:
+                expand(chosen | 1 << v, cand & free[v], done & free[v])
+                cand &= ~(1 << v)
+                done |= 1 << v
+
+    if n:
+        expand(0, full, 0)
+    return [frozenset(v for v in range(n) if mask >> v & 1) for mask in sorted(found)]
 
 
 def _exactify(classes, n_vertices):

@@ -7,7 +7,9 @@ and one scalar brentq per (draw, task) for the localized complexity
 estimate, characteristic-polynomial
 root finding for eigenvalues, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points, a greedy
-coloring that rescans the edge list for every neighbourhood, SGD that
+coloring that rescans the edge list for every neighbourhood, the rook
+graph's edges listed one pair at a time, maximal independent sets by a
+scan of every vertex subset, SGD that
 trains one label at a time with one scalar step per sampled pair, SGD
 row draws from spawned `default_rng` streams and their `integers` calls,
 Macro-AUC from one `scipy.stats.rankdata` call per label, and Monte Carlo
@@ -16,6 +18,7 @@ whole (trials, K, n_pos, n_neg) pair tensor, and phi in `mpmath` at a
 precision that outgrows its cancellation.
 """
 
+import itertools
 import math
 import warnings
 
@@ -318,6 +321,42 @@ def edge_scan_greedy_cover(graph):
         members = frozenset(v for v in range(n) if color[v] == c)
         classes.append((members, 1.0))
     return FractionalCover(classes=tuple(classes), graph=graph)
+
+
+def rook_edges(n_pos, n_neg):
+    """Edges of the bipartite-ranking (rook) graph, one (u, v) pair per
+    dependent pair of vertices p * n_neg + q; the reference for the
+    neighbour sets that `bipartite_ranking_graph` builds from rows and
+    columns."""
+    vid = lambda p, q: p * n_neg + q
+    edges = []
+    for p, q in itertools.product(range(n_pos), range(n_neg)):
+        for q2 in range(q + 1, n_neg):
+            edges.append((vid(p, q), vid(p, q2)))
+        for p2 in range(p + 1, n_pos):
+            edges.append((vid(p, q), vid(p2, q)))
+    return edges
+
+
+def subset_scan_maximal_independent_sets(graph):
+    """All maximal independent sets by a scan of all 2^n vertex subsets in
+    ascending bitmask order; the reference for the Bron-Kerbosch listing."""
+    n = graph.n_vertices
+    adj_masks = [sum(1 << u for u in nbrs) for nbrs in graph.adjacency]
+    full, maximal = (1 << n) - 1, []
+    for mask in range(1, 1 << n):
+        m, reach = mask, mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            if adj_masks[v] & mask:
+                break
+            reach |= adj_masks[v]
+            m &= m - 1
+        else:
+            # independent; maximal when every vertex outside has a neighbour inside
+            if reach == full:
+                maximal.append(frozenset(v for v in range(n) if mask >> v & 1))
+    return maximal
 
 
 def loop_train_sgd(dataset, config):

@@ -808,6 +808,61 @@ class TestEntryPoint:
         assert "2.08088" in proc.stdout
 
 
+class TestParserReuse:
+    """`main` builds its parser on its first call and reuses it; a reused
+    parser must answer every call as a fresh process does."""
+
+    @staticmethod
+    def in_process(argv):
+        import io
+        from contextlib import redirect_stderr, redirect_stdout
+
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def fresh_process(argv):
+        import gdbound
+
+        src = str(Path(gdbound.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "gdbound.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_reused_parser_answers_as_fresh_processes(self, tmp_path, monkeypatch):
+        import gdbound.cli as cli
+
+        monkeypatch.setenv("COLUMNS", "100")  # help text wraps to the same width
+        graph, _ = bipartite_ranking_graph(3, 4)
+        edges = tmp_path / "rook.txt"
+        edges.write_text(graph.to_text())
+        calls = [["bound", "bernstein", "--c", "1", "--nope", "2"],
+                 ["--help"],
+                 ["bound", "bernstein", "--c", "1", "--v", "1", "--t", "1"],
+                 ["graph", "chi", "--edges", str(edges)],
+                 ["lfrc", "fixed-point", "--a", "2", "--b", "1"],
+                 ["lfrc", "fixed-point", "--b", "1"],
+                 ["graph", "chi", "--help"],
+                 ["--help"]]
+        got = [self.in_process(calls[0])]
+
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        got += [self.in_process(argv) for argv in calls[1:]]
+        assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 2, 0, 0]
+        assert got[1] == got[-1]
+        assert got == [self.fresh_process(argv) for argv in calls]
+
+
 IMPORT_DIET = """
 import sys, tempfile
 from pathlib import Path

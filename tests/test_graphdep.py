@@ -1,9 +1,12 @@
 import itertools
 import time
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gdbound import graphdep
 from gdbound.errors import DomainError, ParseError, SizeError, StructuralError
 from gdbound.graphdep import (
     DependencyGraph,
@@ -14,7 +17,7 @@ from gdbound.graphdep import (
     maximal_independent_sets,
     validate_cover,
 )
-from oracles import edge_scan_greedy_cover
+from oracles import edge_scan_greedy_cover, rook_edges, subset_scan_maximal_independent_sets
 
 
 def empty_graph(n):
@@ -127,6 +130,36 @@ class TestGraphBasics:
             DependencyGraph.from_text(text)
         assert info.value.line == line
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("", StructuralError, "empty graph text"),
+        ("3\n0 x\n", ParseError, "line 2: bad integer in '0 x'"),
+        ("3\n0 1.5\n", ParseError, "line 2: bad integer in '0 1.5'"),
+        ("3\n\n0 1\n1\n", ParseError, "line 4: expected 2 integer(s), got '1'"),
+        ("3 4\n0 1\n", ParseError, "line 1: expected 1 integer(s), got '3 4'"),
+        ("\n10000001\n", ParseError, "line 2: vertex count 10000001 exceeds 10000000"),
+        ("3\n1 1\n", StructuralError, "self-loop at vertex 1"),
+        ("3\n0 3\n", StructuralError, "edge (0,3) outside vertex range"),
+        ("3\n-1 2\n", StructuralError, "edge (-1,2) outside vertex range"),
+        ("3\n2 5\n0 0\n", StructuralError, "edge (2,5) outside vertex range"),
+        ("-1\n0 0\n", DomainError, "n_vertices must be nonnegative"),
+    ])
+    def test_graph_text_error_messages(self, text, error, message):
+        with pytest.raises(error) as info:
+            DependencyGraph.from_text(text)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("text, canonical", [
+        ("2\n0 1\n1 0\n0 1\n", "2\n0 1\n"),     # orientation and duplicates dropped
+        ("4\n\n3 0\n 2  1 \n", "4\n0 3\n1 2\n"),
+        ("0\n", "0\n"),
+        ("5\n", "5\n"),
+    ])
+    def test_graph_text_round_trip(self, text, canonical):
+        g = DependencyGraph.from_text(text)
+        assert g.to_text() == canonical
+        assert DependencyGraph.from_text(canonical) == g
+        assert repr(g) == f"DependencyGraph(n_vertices={g.n_vertices})"
+
     @pytest.mark.parametrize("text, line", [
         ("1.0: 0 1\n1.0 2\n", 2),   # no colon
         ("1.0: 0 x\n", 1),           # non-integer vertex
@@ -178,6 +211,95 @@ class TestBipartiteRankingGraph:
             bipartite_ranking_graph(0, 3)
         with pytest.raises(DomainError):
             bipartite_ranking_graph(2, 0)
+
+
+ROOK_SHAPES = ([(p, q) for p in range(1, 9) for q in range(1, 9)]
+               + [(1, 17), (1, 40), (17, 1), (40, 1), (22, 22)])
+
+
+class TestRookNeighbourSets:
+    """`bipartite_ranking_graph` builds its neighbour sets from rows and
+    columns; the graph must be the one `from_edges` makes of the oracle's
+    edge list, in every view and cover that reads it."""
+
+    @pytest.mark.parametrize("shape", ROOK_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_rook_graph_equals_the_edge_list_graph(self, shape):
+        n_pos, n_neg = shape
+        g, cover = bipartite_ranking_graph(n_pos, n_neg)
+        edges = rook_edges(n_pos, n_neg)
+        ref = DependencyGraph.from_edges(n_pos * n_neg, edges)
+        assert g == ref and hash(g) == hash(ref)
+        assert g.to_text() == ref.to_text()
+        assert g.edges == ref.edges == frozenset(edges)
+        assert DependencyGraph.from_text(g.to_text()) == g
+        for v in range(g.n_vertices):
+            assert g.neighbors(v) == ref.neighbors(v)
+            assert g.degree(v) == ref.degree(v) == n_pos + n_neg - 2
+        probes = range(g.n_vertices) if g.n_vertices <= 64 else range(0, g.n_vertices, 23)
+        for v in probes:
+            assert [g.has_edge(u, v) for u in range(g.n_vertices)] == \
+                [ref.has_edge(u, v) for u in range(g.n_vertices)]
+        assert greedy_cover(g).to_text() == greedy_cover(ref).to_text()
+        for c in (cover, greedy_cover(ref)):
+            assert validate_cover(g, c) == validate_cover(ref, c)
+            assert validate_cover(g, c).ok
+
+    def test_has_edge_outside_the_vertex_range_is_false(self):
+        g, _ = bipartite_ranking_graph(2, 3)
+        assert not g.has_edge(-1, 0) and not g.has_edge(6, 0) and not g.has_edge(0, 6)
+        assert g.has_edge(0, 1) and g.has_edge(0, 3) and not g.has_edge(0, 0)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 0-12 vertices, each pair an edge with a drawn density p."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8, 1.0]))
+    bits = draw(st.lists(st.floats(0, 1, exclude_max=True),
+                         min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pairs = itertools.combinations(range(n), 2)
+    return DependencyGraph.from_edges(n, [e for e, b in zip(pairs, bits) if b < p])
+
+
+class TestMaximalIndependentSets:
+    """Pivoting Bron-Kerbosch must list what the subset scan listed, in its
+    ascending-bitmask order, so that the LP and its cover stay the same."""
+
+    def test_every_graph_up_to_7_vertices(self):
+        # networkx's atlas: every graph on 0-7 vertices up to isomorphism
+        for atlas_graph in nx.graph_atlas_g():
+            g = DependencyGraph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges)
+            assert maximal_independent_sets(g) == subset_scan_maximal_independent_sets(g), \
+                g.to_text()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs())
+    def test_drawn_graphs_up_to_12_vertices(self, g):
+        assert maximal_independent_sets(g) == subset_scan_maximal_independent_sets(g)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs())
+    def test_complement_cliques_of_networkx(self, g):
+        graph = nx.empty_graph(g.n_vertices)
+        graph.add_edges_from(g.edges)
+        cliques = sorted((frozenset(c) for c in nx.find_cliques(nx.complement(graph))),
+                         key=lambda s: sum(1 << v for v in s))
+        assert maximal_independent_sets(g) == cliques
+
+    def test_exact_cover_as_with_the_subset_scan(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        graphs = [cycle_graph(5), complete_graph(4), empty_graph(3),
+                  bipartite_ranking_graph(3, 4)[0]]
+        for _ in range(12):
+            n = int(rng.integers(1, 13))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+            graphs.append(DependencyGraph.from_edges(n, edges))
+        got = [chromatic_fractional_exact(g) for g in graphs]
+        monkeypatch.setattr(graphdep, "maximal_independent_sets",
+                            subset_scan_maximal_independent_sets)
+        for g, (chi, cover) in zip(graphs, got):
+            want_chi, want = chromatic_fractional_exact(g)
+            assert (chi, cover.to_text()) == (want_chi, want.to_text())
 
 
 class TestChromaticExact:
@@ -279,6 +401,17 @@ class TestGreedyCover:
         assert time.perf_counter() - start < 1.0
         assert validate_cover(g, cover).ok
         assert cover.total_weight >= optimal.total_weight
+
+    def test_rook_40_40_builds_in_under_50_ms(self):
+        # was 0.14 s when the 62k edge tuples were formed and checked one by
+        # one; the best of three builds, so that one descheduling is not read
+        # as the build's cost
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            bipartite_ranking_graph(40, 40)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05, times
 
     def test_greedy_upper_bounds_exact(self):
         rng = np.random.default_rng(3)

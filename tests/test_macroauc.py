@@ -544,6 +544,36 @@ class TestChainStreams:
         assert isinstance(streams.streams[1], np.random.Generator)
         assert isinstance(streams.streams[2], np.random.Generator)
 
+    def test_exactly_the_chains_with_a_rejected_word_fall_back(self):
+        # an even high takes few low halves: u * 3 * 2^30 mod 2^32 is one of
+        # {0, 1, 2, 3} * 2^30 and is rejected below (2^32 - high) % high =
+        # 2^30, so a threshold one too high (or <= for <) rejects a second
+        # quarter of the words; 5 * 2^28 likewise by sixteenths, 2^31 + 1
+        # about one word in two, and 20 or 33 almost never
+        sizes = [(3 * 2**30, 20), (20, 3 * 2**30), (5 * 2**28, 33), (2**31 + 1, 7),
+                 (33, 1000)] * 12
+        seed, n, blocks = 41, 1, [1, 2]
+        C = len(sizes)
+        streams = macroauc._ChainStreams([np.random.SeedSequence(seed)], [0] * C,
+                                         range(C), np.array(sizes, dtype=np.int64))
+        for nb in blocks:
+            streams.draw(list(range(C)), nb, n)
+        got = {c for c, s in enumerate(streams.streams) if isinstance(s, np.random.Generator)}
+        # a chain keeps its raw stream until a block rejects, so it falls
+        # back iff any of its blocks' words, read from the start, is rejected
+        want = set()
+        for c, child in enumerate(np.random.SeedSequence(seed).spawn(C)):
+            raw = np.random.PCG64(child).random_raw(sum(blocks) * n)
+            words = [int(w) >> shift & 0xFFFFFFFF for w in raw for shift in (0, 32)]
+            # a block's words run (epoch, side, row): side = index // n % 2
+            for i, u in enumerate(words):
+                high = sizes[c][i // n % 2]
+                if u * high % 2**32 < (2**32 - high) % high:
+                    want.add(c)
+        assert got == want, ("_ChainStreams.draw's rejection threshold differs from "
+                             "numpy's 32-bit Lemire step", sorted(got ^ want))
+        assert 0 < len(want) < C
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_train_many_matches_loop_oracle_on_drawn_labels(self, data):
