@@ -447,7 +447,7 @@ def cmd_experiment(cfg):
 # ---------------------------------------------------------------- graph
 
 def cmd_graph_chi(cfg):
-    graph = graphdep.DependencyGraph.from_text(_read_text(cfg["edges"]))
+    graph = graphdep.DependencyGraph.from_text(_read_text(cfg["edges"]), exact=True)
     chi, cover = graphdep.chromatic_fractional_exact(graph)
     print(f"chi_f = {_fmt(chi)}")
     text = cover.to_text()

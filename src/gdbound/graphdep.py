@@ -25,6 +25,7 @@ from .errors import DomainError, ParseError, SizeError, StructuralError
 
 COVER_SUM_TOL = 1e-12  # per-vertex weight sums must hit 1 to this tolerance
 MAX_VERTICES = 10**7  # largest vertex count a graph file may declare
+MAX_EXACT_VERTICES = 12  # largest graph `chromatic_fractional_exact` solves
 MAX_VERTEX_LINES = 10  # bad vertex sums listed one by one in a cover report
 _LP_TOL = 1e-9
 
@@ -82,8 +83,10 @@ class DependencyGraph:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text):
-        """Parse `to_text` output; ParseError names the first bad line."""
+    def from_text(cls, text, exact=False):
+        """Parse `to_text` output; ParseError names the first bad line.  With
+        `exact`, a vertex count above MAX_EXACT_VERTICES raises the SizeError
+        of `chromatic_fractional_exact` before any neighbour set is built."""
         rows = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), start=1)
                 if ln.strip()]
         if not rows:
@@ -92,7 +95,15 @@ class DependencyGraph:
         if n > MAX_VERTICES:
             raise ParseError(f"vertex count {n} exceeds {MAX_VERTICES}", line=rows[0][0])
         edges = [_ints(tokens, 2, k) for k, tokens in rows[1:]]
+        if exact:
+            _check_exact_size(n)
         return cls.from_edges(n, edges)
+
+
+def _check_exact_size(n):
+    if n > MAX_EXACT_VERTICES:
+        raise SizeError(f"exact mode handles at most {MAX_EXACT_VERTICES} vertices "
+                        f"(got {n}); use greedy_cover")
 
 
 def _ints(tokens, count, line):
@@ -290,14 +301,11 @@ def chromatic_fractional_exact(graph: DependencyGraph):
     Solves the dual packing LP (max sum y_v s.t. sum_{v in I} y_v <= 1 per
     maximal independent set I) with scipy's HiGHS; the constraint
     multipliers are optimal cover weights (on a degenerate LP, any optimal
-    cover).  Exact mode is limited to 12 vertices; larger graphs should use
-    greedy_cover.
+    cover).  Exact mode is limited to MAX_EXACT_VERTICES vertices; larger
+    graphs should use greedy_cover.
     """
     n = graph.n_vertices
-    if n > 12:
-        raise SizeError(
-            f"exact mode handles at most 12 vertices (got {n}); use greedy_cover"
-        )
+    _check_exact_size(n)
     if n == 0:
         return 0.0, FractionalCover(classes=(), graph=graph)
     # scipy is imported here, its one use in the package, so that no other

@@ -12,6 +12,7 @@ prior global-complexity bound on the training split.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -189,6 +190,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
+            raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
         if not (math.isfinite(self.lr) and math.isfinite(self.weight_decay)):
             raise ConfigError("lr and weight_decay must be finite")
         if self.lr <= 0 or self.epochs <= 0:
@@ -265,12 +268,12 @@ class _ChainStreams:
         """(chains, 4) uint64: `seqs[j].spawn(K)[k].generate_state(4, uint64)`
         for each chain's (j, k) in zip(jobs, labels).
 
-        A transcription of numpy's SeedSequence: a child's entropy is its
-        parent's words, zero-padded to the four-word pool, then its spawn
-        key k.  Every hash constant follows from the word count alone, so
-        each parent's words are mixed once, in Python ints, and then every
-        chain's k is mixed in and its state generated at once in uint32
-        arrays, which wrap as numpy's C code does."""
+        A child's entropy is its parent's words, zero-padded to the four-word
+        pool, then its spawn key k, so up to k it mixes to the parent's public
+        `pool`.  Each hash on the way, 16 plus four per word past the fourth,
+        multiplies the hash constant by 0x931E8875.  Mixing in each chain's k
+        and generating its state are transcribed from numpy's SeedSequence on
+        uint32 arrays, which wrap as numpy's C code does."""
         mask = 0xFFFFFFFF
 
         def hashmix(value, const):
@@ -283,35 +286,17 @@ class _ChainStreams:
             x = (0xCA01F9DD * x - 0x4973F715 * y) & mask
             return x ^ x >> 16
 
-        def words(entropy):
-            # an int as little-endian 32-bit words, a sequence as its items'
+        def n_words(entropy):
+            # an int is its little-endian 32-bit words, a sequence its items'
             if isinstance(entropy, (int, np.integer)):
-                e = int(entropy)
-                return [e >> s & mask for s in range(0, max(e.bit_length(), 1), 32)]
-            return [w for part in entropy for w in words(part)]
+                return max(1, -(-int(entropy).bit_length() // 32))
+            return sum(map(n_words, entropy))
 
-        pools, consts = [], []
-        for seq in seqs:
-            run = words(seq.entropy)
-            run += [0] * (4 - len(run))
-            const, pool = 0x43B0D7E5, []
-            for w in run[:4]:
-                h, const = hashmix(w, const)
-                pool.append(h)
-            for src in range(4):
-                for dst in range(4):
-                    if src != dst:
-                        h, const = hashmix(pool[src], const)
-                        pool[dst] = mix(pool[dst], h)
-            for w in run[4:]:
-                for dst in range(4):
-                    h, const = hashmix(w, const)
-                    pool[dst] = mix(pool[dst], h)
-            pools.append(pool)
-            consts.append(const)
         jobs = np.asarray(jobs, dtype=np.intp)
-        pool = list(np.array(pools, dtype=np.uint32).reshape(-1, 4)[jobs].T)
-        const = np.array(consts, dtype=np.uint32)[jobs]
+        pool = list(np.array([seq.pool for seq in seqs], dtype=np.uint32).reshape(-1, 4)[jobs].T)
+        hashes = [16 + 4 * max(0, n_words(seq.entropy) - 4) for seq in seqs]
+        const = np.array([0x43B0D7E5 * pow(0x931E8875, h, 2**32) & mask for h in hashes],
+                         dtype=np.uint32)[jobs]
         key = np.asarray(labels, dtype=np.uint32)
         for dst in range(4):
             h, const = hashmix(key, const)
@@ -360,27 +345,33 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     """Train one linear ranker per job, all SGD chains stepped in lockstep.
 
     jobs: [(rows, TrainConfig), ...]; rows index the dataset's samples and
-    are that fit's training rows.  A chain is one (job, label) pair; labels
-    with no positive or no negative training row are excluded per job.  Per
-    epoch a chain draws n~ = len(rows) uniform (positive, negative) pairs,
-    positives first, from its own child stream of SeedSequence(config.seed),
-    and takes one step per pair: w <- w - lr (dL + 2 lambda w) with
-    L = max(0, 1 - w.(x+ - x-)), the margin read before the decay.
+    are that fit's training rows; the jobs share lr and epochs (else
+    ConfigError).  A chain is one (job, label) pair; labels with no positive
+    or no negative training row are excluded per job.  Per epoch a chain
+    draws n~ = len(rows) uniform (positive, negative) pairs, positives
+    first, from its own child stream of SeedSequence(config.seed), and takes
+    one step per pair: w <- w - lr (dL + 2 lambda w) with L = max(0, 1 -
+    w.(x+ - x-)), the margin read before the decay.
 
     Chain k of a job draws the stream of `default_rng(SeedSequence(
     config.seed).spawn(K)[k]).integers(0, [[n+], [n-]], size=(epochs, 2,
     n~))`, bit for bit, a block of epochs at a time.  `_ChainStreams` seeds
-    every chain at once and draws the block of all chains of one (n~,
-    block) shape in a few array operations, through numpy's 32-bit Lemire
-    step on their raw PCG64 words.  Step i of every chain's epoch runs
-    together on one (chains x D) weight matrix; a chain with fewer rows or
-    epochs sits the extra steps out.  Each chain's arithmetic is exactly
+    every chain at once from its job's `SeedSequence.pool` and draws the
+    block of all chains of one n~ in a few array operations, through numpy's
+    32-bit Lemire step on their raw PCG64 words.  Step i of every chain's
+    epoch runs together on one (chains x D) weight matrix; a chain with
+    fewer rows sits the extra steps out.  Each chain's arithmetic is exactly
     that of a loop over its own steps, so a ranker does not depend on which
     other jobs share the call.
     """
     X = dataset.features
     if not np.isfinite(X).all():
         raise DomainError("features hold a non-finite value")
+    schedules = {(config.lr, config.epochs) for _, config in jobs}
+    if len(schedules) > 1:
+        raise ConfigError("the jobs of one train_many call must share lr and epochs, "
+                          f"got {sorted(schedules)}")
+    lr, epochs = schedules.pop() if schedules else (0.0, 0)
     # Row indices are held in the narrowest type that holds any of them.
     row_type = np.min_scalar_type(max(dataset.n_samples - 1, 0))
     fits, chains, seqs = [], [], []
@@ -390,7 +381,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             raise DomainError("cannot train on an empty dataset")
         if rows.min() < 0 or rows.max() >= dataset.n_samples:
             raise DomainError(f"job rows must lie in [0, {dataset.n_samples})")
-        decay = 1.0 - 2.0 * config.lr * config.weight_decay
+        decay = 1.0 - 2.0 * lr * config.weight_decay
         if decay <= 0:
             raise ConfigError("lr * weight_decay too large; update would flip sign")
         # Per label, the job's positive rows and then its negative rows, each
@@ -404,20 +395,20 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             if n_neg[k] in (0, rows.size):
                 excluded.append(k)
                 continue
-            chains.append((rows.size, j, k, pools[k], rows.size - n_neg[k]))
-        fits.append((config, decay, dataset.subset(rows).max_row_norm(),
-                     tuple(excluded)))
+            chains.append((rows.size, j, k, pools[k], rows.size - n_neg[k], decay))
+        fits.append((config, dataset.subset(rows).max_row_norm(), tuple(excluded)))
 
     # Most rows first, so the chains still inside their epoch at step i are
-    # always the leading rows W[:width[i]].
+    # always the leading rows W[:width[i]], and the chains of one n~ are one
+    # run W[start:stop].
     chains.sort(key=lambda chain: -chain[0])
     n_chains, d = len(chains), dataset.n_features
     n_rows = np.array([chain[0] for chain in chains], dtype=np.intp)
-    epochs = np.array([fits[chain[1]][0].epochs for chain in chains])
-    decays = np.array([fits[chain[1]][1] for chain in chains])
-    # The learning rate spread over (chains x D), as the decay is below,
-    # makes the step's scaling a same-shape product.
-    lr = np.repeat([fits[chain[1]][0].lr for chain in chains], d).reshape(n_chains, d)
+    starts = np.unique(-n_rows, return_index=True)[1]
+    runs = list(zip(starts, [*starts[1:], n_chains]))
+    # The decay spread over (chains x D) makes the per-step decay one
+    # elementwise product.
+    decay = np.repeat([chain[5] for chain in chains], d).reshape(n_chains, d)
     W = np.zeros((n_chains, d))
     steps = int(n_rows.max(initial=0))
     width = np.searchsorted(-n_rows, -np.arange(steps), side="left")
@@ -426,7 +417,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     # rows.
     pools = np.zeros((n_chains, steps), dtype=row_type)
     sizes = np.zeros((n_chains, 2), dtype=np.int64)
-    for c, (n, _, _, pool, n_pos) in enumerate(chains):
+    for c, (n, _, _, pool, n_pos, _) in enumerate(chains):
         pools[c, :n] = pool
         sizes[c] = n_pos, n - n_pos
     streams = _ChainStreams(seqs, [chain[1] for chain in chains],
@@ -435,32 +426,22 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     # Row draws of a block of epochs, (block x side x steps x chains); the
     # block is as many epochs as fit in _DRAW_BYTES, at least one.
     epoch_bytes = 2 * steps * n_chains * row_type.itemsize
-    n_epochs = int(epochs.max(initial=0))
-    block = max(1, min(n_epochs, _DRAW_BYTES // max(epoch_bytes, 1)))
+    block = max(1, min(epochs, _DRAW_BYTES // max(epoch_bytes, 1)))
     draws = np.zeros((block, 2, steps, n_chains), dtype=row_type)
-    for epoch in range(n_epochs):
-        live = epoch < epochs
+    for epoch in range(epochs):
         b = epoch % block
         if b == 0:
-            groups = {}
-            for c in np.flatnonzero(live):
-                nb = min(block, epochs[c] - epoch)
-                groups.setdefault((n_rows[c], nb), []).append(c)
-            for (n, nb), group in groups.items():
+            nb = min(block, epochs - epoch)
+            for start, stop in runs:
+                n = n_rows[start]
                 # a chunk's raw words take 1/32 of _DRAW_BYTES; its
                 # temporaries, some seven times as many bytes, stay below it
                 per_chunk = max(1, _DRAW_BYTES // 32 // (8 * nb * n))
-                for start in range(0, len(group), per_chunk):
-                    part = group[start:start + per_chunk]
+                for lo in range(start, stop, per_chunk):
+                    part = np.arange(lo, min(lo + per_chunk, stop))
                     picks = streams.draw(part, nb, n)
-                    picks += np.multiply(part, steps)[:, None, None, None]  # flat in pools
+                    picks += (part * steps)[:, None, None, None]  # flat in pools
                     draws[:nb, :, :n, part] = np.take(pools, picks).transpose(1, 2, 3, 0)
-        # The decay spread over (chains x D) makes the per-step decay one
-        # elementwise product.  A chain past its epochs decays by 1 and has
-        # a hinge threshold of -inf, which no margin falls below, so its
-        # weights keep their bits.
-        decay = np.repeat(np.where(live, decays, 1.0), d).reshape(n_chains, d)
-        hinge = np.where(live, 1.0, -np.inf)[:, None]
         pos_draw, neg_draw = draws[b]
         for i in range(steps):
             wide = width[i]
@@ -473,15 +454,15 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
             w *= decay[:wide]
             # A masked add leaves every entry it skips untouched; adding a
             # zero step instead would turn a -0.0 weight into +0.0.
-            diff *= lr[:wide]
-            np.add(w, diff, out=w, where=margin[:, :, 0] < hinge[:wide])
+            diff *= lr
+            np.add(w, diff, out=w, where=margin[:, :, 0] < 1.0)
 
     weights = [np.zeros((dataset.n_labels, d)) for _ in fits]
     for c, (_, j, k, *_) in enumerate(chains):
         weights[j][k] = W[c]
     return [LinearRanker(weights=w, config=config, m_bar=m_bar,
                          excluded_labels=excluded, trained=True)
-            for w, (config, _, m_bar, excluded) in zip(weights, fits)]
+            for w, (config, m_bar, excluded) in zip(weights, fits)]
 
 
 def average_ranks(scores: np.ndarray) -> np.ndarray:

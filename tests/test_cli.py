@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,22 @@ def run_cli(args, env=None):
             else:
                 os.environ[key] = val
     return code, out.getvalue(), err.getvalue()
+
+
+SKIPPED_FOLD = r"fold \d+: all labels degenerate, skipped"
+
+
+def run_experiment_cli(args):
+    """`run_cli` on an experiment whose cross-validation may skip folds in
+    which every label is degenerate: their UserWarning must be the only
+    warning raised.  Any other UserWarning stays an error, as the suite's
+    filters make it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", SKIPPED_FOLD, UserWarning)
+        result = run_cli(args)
+    for w in caught:
+        assert w.category is UserWarning and re.fullmatch(SKIPPED_FOLD, str(w.message)), w
+    return result
 
 
 class TestParseT:
@@ -433,6 +451,20 @@ class TestGraphCommands:
         assert code == 0
         assert "chi_f = 2.5" in out
 
+    @pytest.mark.parametrize("n", [13, 10**7])
+    def test_chi_refuses_a_large_graph_before_building_it(self, tmp_path, monkeypatch, n):
+        edges = tmp_path / "big.txt"
+        edges.write_text(f"{n}\n0 1\n")
+
+        def build(cls, n_vertices, edge_iter):
+            raise AssertionError("graph built before its vertex count was checked")
+
+        monkeypatch.setattr(DependencyGraph, "from_edges", classmethod(build))
+        code, out, err = run_cli(["graph", "chi", "--edges", str(edges)])
+        assert code == 2 and out == ""
+        assert (f"exact mode handles at most 12 vertices (got {n}); use greedy_cover"
+                in err)
+
     def test_cover_check_pass_and_fail(self, tmp_path):
         g, cover = bipartite_ranking_graph(3, 2)
         edges = tmp_path / "g.txt"
@@ -550,8 +582,8 @@ class TestExperimentCommand:
     def test_bad_numeric_option_exit_2(self, tmp_path, option, reason):
         data = tmp_path / "toy.mlsvm"
         save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)
-        code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1"]
-                                 + option)
+        code, out, err = run_experiment_cli(["experiment", "--data", str(data),
+                                             "--epochs", "1"] + option)
         assert code == 2 and reason in err, err
         assert "nan" not in out
 

@@ -6,7 +6,8 @@ must answer with a documented exit code (0 ok, 1 failed check, 2 usage,
 features and labels, and a sample count equal to the body's line count or
 one off; body lines mix repeated, out-of-range, non-numeric and `nan`
 tokens.  The CLI runs in-process, so an uncaught exception (a MemoryError
-from a header that asks for terabytes, say) fails the test.
+from a header that asks for terabytes, say) fails the test.  The one
+warning it may raise is cross-validation's skipped-fold warning.
 """
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from test_cli import run_cli
+from test_cli import run_experiment_cli
 
 NARROW, WIDE = st.integers(1, 20), st.integers(10**11, 10**12)
 # Lines of in-range tokens (a repeated feature index sums), into which at
@@ -48,7 +49,7 @@ def test_experiment_on_drawn_mlsvm_files_fails_cleanly(tmp_path, d, k, huge, wid
     data.write_text("\n".join([f"#samples={len(body) + off} #features={d} #labels={k}",
                                *(",".join(labels) + "\t" + " ".join(feats)
                                  for labels, feats in body)]) + "\n")
-    code, _, err = run_cli(["experiment", "--data", str(data), "--seeds", "0",
-                            "--epochs", "1", "--folds", "2"])
+    code, _, err = run_experiment_cli(["experiment", "--data", str(data), "--seeds", "0",
+                                       "--epochs", "1", "--folds", "2"])
     assert code in (0, 1, 2, 3), (code, err)
     assert "Traceback" not in err

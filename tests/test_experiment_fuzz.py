@@ -5,6 +5,7 @@ command must answer with a documented exit code (0 ok, 1 failed check,
 2 usage, 3 parse), print no traceback and never print `nan`.  The CLI runs
 in-process on a tiny dataset, so an uncaught exception fails the test;
 argparse rejects a malformed typed flag with SystemExit(2), exit code 2.
+The one warning it may raise is cross-validation's skipped-fold warning.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gdbound.macroauc import save_dataset
 from synthdata import small_separable
-from test_cli import run_cli
+from test_cli import run_experiment_cli
 
 NUMBER = st.sampled_from(["0", "1", "-1", "0.05", "1e-4", "0.5", "2", "1e300", "1e-300",
                           "-0", "nan", "inf", "-inf", "x", "", "1.5"])
@@ -33,7 +34,7 @@ epochs = st.sampled_from(["1", "1", "1", "1", "0", "-1", "x"])
 
 def run(argv):
     try:
-        return run_cli(argv)
+        return run_experiment_cli(argv)
     except SystemExit as exc:
         return exc.code, "", ""
 

@@ -319,17 +319,17 @@ class TestTrainMany:
 
     @pytest.mark.parametrize("shape", ["emotions", "cal500"])
     def test_ragged_jobs_match_loop_oracle(self, shape):
-        # row counts, epochs, lr and decay all differ between jobs, so
-        # chains leave the lockstep at different steps and epochs
+        # row counts, decays and seeds differ between jobs, so chains leave
+        # the lockstep at different steps; each call has one schedule
+        lr, epochs = {"emotions": (0.05, 2), "cal500": (0.1, 3)}[shape]
         ds = _shaped(shape, seed=2)
         n = ds.n_samples
         rng = np.random.default_rng(5)
-        specs = [(n, 2, 0.0, 0.05, 1), (2 * n // 3, 3, 1e-2, 0.05, 2),
-                 (n // 2, 1, 1e-4, 0.1, 3), (4, 2, 0.1, 0.05, 4),
-                 (n // 3 + 1, 2, 0.0, 0.02, 5)]
+        specs = [(n, 0.0, 1), (2 * n // 3, 1e-2, 2), (n // 2, 1e-4, 3), (4, 0.1, 4),
+                 (n // 3 + 1, 0.0, 5)]
         jobs = [(np.sort(rng.permutation(n)[:rows]),
                  TrainConfig(lr=lr, epochs=epochs, weight_decay=wd, seed=seed))
-                for rows, epochs, wd, lr, seed in specs]
+                for rows, wd, seed in specs]
         rankers = train_many(ds, jobs)
         assert len(rankers) == len(jobs)
         for (rows, cfg), ranker in zip(jobs, rankers):
@@ -416,12 +416,27 @@ class TestTrainMany:
     def test_no_jobs(self):
         assert train_many(small_separable(n=10, d=2, k=1, seed=0), []) == []
 
-    @pytest.mark.parametrize("kw", [dict(lr=math.nan), dict(lr=math.inf),
-                                    dict(weight_decay=math.nan),
-                                    dict(weight_decay=math.inf)])
-    def test_config_rejects_non_finite(self, kw):
-        with pytest.raises(ConfigError, match="finite"):
+    @pytest.mark.parametrize("kw", [dict(lr=0.1), dict(epochs=3),
+                                    dict(lr=0.1, epochs=3)])
+    def test_mixed_schedules_rejected(self, kw):
+        ds = small_separable(n=10, d=2, k=1, seed=0)
+        jobs = [(np.arange(10), TrainConfig(epochs=2, seed=1)),
+                (np.arange(5), TrainConfig(epochs=2, weight_decay=1e-3, seed=2)),
+                (np.arange(10), TrainConfig(**{"epochs": 2, "seed": 3, **kw}))]
+        with pytest.raises(ConfigError, match="share lr and epochs"):
+            train_many(ds, jobs)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(lr=math.nan), "finite"), (dict(lr=math.inf), "finite"),
+        (dict(weight_decay=math.nan), "finite"), (dict(weight_decay=math.inf), "finite"),
+        (dict(epochs=2.5), "integer"), (dict(epochs="3"), "integer"),
+        (dict(epochs=True), "integer"), (dict(epochs=np.float64(3.0)), "integer")])
+    def test_config_rejects_bad_values(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
             TrainConfig(**kw)
+
+    def test_config_takes_a_numpy_integer_epochs(self):
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
 
     @pytest.mark.parametrize("folds", [-1, 0, 1])
     def test_cv_needs_two_folds(self, folds):
@@ -458,12 +473,12 @@ class TestBlockDraws:
         Y[:, 0] = np.where(rng.random(n) < 0.4, 1, -1)
         Y[n - 1, 1] = 1  # one positive, in the last row; label 2 has none
         ds = make_dataset(rng.normal(size=(n, 3)), Y)
-        # epoch counts that end inside a block; the last job drops the lone
+        # 7 epochs end inside a block of 2 or 3; the last job drops the lone
         # positive, so it excludes label 1
-        jobs = [(np.arange(n), TrainConfig(epochs=7, seed=1)),
+        jobs = [(np.arange(n), TrainConfig(epochs=7, lr=0.1, seed=1)),
                 (np.sort(rng.permutation(n)[:n // 2]),
-                 TrainConfig(epochs=4, weight_decay=1e-2, seed=2)),
-                (np.arange(n - 1), TrainConfig(epochs=5, lr=0.1, seed=3))]
+                 TrainConfig(epochs=7, lr=0.1, weight_decay=1e-2, seed=2)),
+                (np.arange(n - 1), TrainConfig(epochs=7, lr=0.1, seed=3))]
         # One epoch's row draws: 2 sides x n steps x chains, one byte or two each.
         chains = sum(int(((ds.labels[rows] == 1).any(axis=0)
                           & (ds.labels[rows] == -1).any(axis=0)).sum()) for rows, _ in jobs)
@@ -497,7 +512,7 @@ class TestChainStreams:
     # 2^128 and above take the extra-entropy step for the seed's own words;
     # a sequence seed is its items' words in turn
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, 2**128 + 12345, 2**200 + 3,
-             [3, 2**40, 0]]
+             [3, 2**40, 0], np.uint64(2**64 - 1), [2**70, 0, 5, 2**33 + 7]]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_child_states_are_the_spawned_states(self, seed):
@@ -579,17 +594,20 @@ class TestChainStreams:
     def test_train_many_matches_loop_oracle_on_drawn_labels(self, data):
         # few rows, so labels with one positive or one negative (one-row
         # sides) and excluded labels are common; the draw budget runs from
-        # one epoch per block and one chain per chunk to all epochs at once
+        # one epoch per block and one chain per chunk to all epochs at once,
+        # so the last block is often partial
         n = data.draw(st.integers(2, 9))
         k = data.draw(st.integers(1, 4))
         Y = np.where(data.draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
                                         min_size=n, max_size=n)), 1, -1)
         X = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=(n, 2))
         ds = make_dataset(X, Y)
+        lr = data.draw(st.sampled_from([0.05, 0.3]))
+        epochs = data.draw(st.integers(1, 5))
         jobs = []
         for _ in range(data.draw(st.integers(1, 3))):
             rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-            cfg = TrainConfig(epochs=data.draw(st.integers(1, 5)),
+            cfg = TrainConfig(lr=lr, epochs=epochs,
                               weight_decay=data.draw(st.sampled_from([0.0, 1e-2])),
                               seed=data.draw(st.sampled_from([0, 7, 2**64 - 1, 2**130 + 1])))
             jobs.append((np.sort(rows), cfg))

@@ -1,10 +1,10 @@
 """Property test for the lockstep SGD engine's masked step.
 
 `train_many` steps every chain at once and adds each chain's step only
-where its hinge is active.  On drawn datasets and jobs (row subsets, epochs,
-learning rates and weight decays, 0 included), every ranker must equal the
-one-label-at-a-time `loop_train_sgd` on its rows bit for bit, sign of zero
-included.
+where its hinge is active.  On drawn datasets and jobs (row subsets and
+weight decays, 0 included, and seeds per job; learning rate and epochs per
+call), every ranker must equal the one-label-at-a-time `loop_train_sgd` on
+its rows bit for bit, sign of zero included.
 """
 
 import numpy as np
@@ -27,13 +27,14 @@ def datasets_and_jobs(draw):
     # Small integer features make exact ties, zero margins and zero steps.
     X = rng.integers(-2, 3, size=(n, d)).astype(float)
     Y = np.where(rng.random((n, k)) < draw(st.sampled_from([0.2, 0.5, 0.8])), 1, -1)
+    lr = draw(st.sampled_from([0.01, 0.05, 0.3, 1.0]))
+    epochs = draw(st.integers(1, 3))
     jobs = []
     for _ in range(draw(st.integers(1, 4))):
         rows = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.5, 0.8, 1.0])))
         if rows.size == 0:
             rows = np.arange(n)
-        config = TrainConfig(lr=draw(st.sampled_from([0.01, 0.05, 0.3, 1.0])),
-                             epochs=draw(st.integers(1, 3)),
+        config = TrainConfig(lr=lr, epochs=epochs,
                              weight_decay=draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.4])),
                              seed=draw(st.integers(0, 1000)))
         jobs.append((rows, config))
