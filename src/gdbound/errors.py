@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and its floating-point policy."""
+"""Exception types shared across the package, its floating-point policy and
+its seed rule."""
 
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 
@@ -34,10 +36,6 @@ class ConvergenceError(GdboundError, RuntimeError):
     """A numerical search failed to bracket its root or to reach its tolerance."""
 
 
-class StateError(GdboundError, RuntimeError):
-    """Object not in the state the operation requires (e.g. untrained model)."""
-
-
 class ConfigError(GdboundError, ValueError):
     """Bad run configuration (unknown key, missing value, ...)."""
 
@@ -62,6 +60,12 @@ class DegenerateLabelError(GdboundError, ValueError):
 
 class UndefinedMetricError(GdboundError, ValueError):
     """Metric undefined, e.g. Macro-AUC when every label is degenerate."""
+
+
+def check_seed(seed):
+    """ConfigError unless seed is a non-negative integer; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def finite_result(fn):

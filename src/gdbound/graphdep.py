@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SizeError, StructuralError
+from .errors import ConvergenceError, DomainError, InvariantError, ParseError, SizeError, \
+    StructuralError
 
 COVER_SUM_TOL = 1e-12  # per-vertex weight sums must hit 1 to this tolerance
 MAX_VERTICES = 10**7  # largest vertex count a graph file may declare
@@ -302,7 +303,8 @@ def chromatic_fractional_exact(graph: DependencyGraph):
     maximal independent set I) with scipy's HiGHS; the constraint
     multipliers are optimal cover weights (on a degenerate LP, any optimal
     cover).  Exact mode is limited to MAX_EXACT_VERTICES vertices; larger
-    graphs should use greedy_cover.
+    graphs should use greedy_cover.  ConvergenceError when HiGHS does not
+    solve the LP, InvariantError when its answer fails a self-check.
     """
     n = graph.n_vertices
     _check_exact_size(n)
@@ -317,19 +319,19 @@ def chromatic_fractional_exact(graph: DependencyGraph):
     res = linprog(-np.ones(n), A_ub=A, b_ub=np.ones(len(sets)), bounds=(0, None),
                   method="highs")
     if res.status != 0:
-        raise RuntimeError(f"packing LP not solved: {res.message}")
+        raise ConvergenceError(f"packing LP not solved: {res.message}")
     chi, duals = -float(res.fun), -res.ineqlin.marginals
     raw = [(sets[i], duals[i]) for i in range(len(sets)) if duals[i] > _LP_TOL]
     # strong duality sanity check: primal cover weight equals packing optimum
     total = sum(w for _, w in raw)
     if abs(total - chi) > 1e-7 * max(1.0, chi):
-        raise RuntimeError(f"LP duality gap: cover weight {total} vs optimum {chi}")
+        raise InvariantError(f"LP duality gap: cover weight {total} vs optimum {chi}")
     if (A.T @ np.where(duals > _LP_TOL, duals, 0.0) < 1.0 - 1e-7).any():
-        raise RuntimeError("LP duals do not cover every vertex")
+        raise InvariantError("LP duals do not cover every vertex")
     cover = FractionalCover(classes=_exactify(raw, n), graph=graph)
     report = validate_cover(graph, cover)
     if not report.ok:
-        raise RuntimeError(f"exact cover failed validation: {report.violations}")
+        raise InvariantError(f"exact cover failed validation: {report.violations}")
     return chi, cover
 
 

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, InvariantError, \
-    StructuralError, finite_result
+from .errors import ConvergenceError, DomainError, InvariantError, \
+    StructuralError, check_seed, finite_result
 
 _EIG_CLIP = 1e-12
 # Rademacher signs drawn per block of draws in estimate_lfrc (2 MB as
@@ -223,8 +223,7 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
     """
     if n_draws < 1:
         raise DomainError("n_draws must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     K = len(features_per_task)
     if len(covers) != K or len(spec.second_moments) != K:
         raise StructuralError("features, covers and second moments must align per task")

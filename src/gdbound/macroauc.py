@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
 from .errors import ConfigError, DegenerateLabelError, DomainError, \
-    FormatError, ParseError, StateError, UndefinedMetricError, finite_result
+    FormatError, ParseError, UndefinedMetricError, check_seed, finite_result
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
@@ -192,23 +192,25 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.epochs, bool) or not isinstance(self.epochs, numbers.Integral):
             raise ConfigError(f"epochs must be an integer, got {self.epochs!r}")
-        if not (math.isfinite(self.lr) and math.isfinite(self.weight_decay)):
-            raise ConfigError("lr and weight_decay must be finite")
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.lr <= 0 or self.epochs <= 0:
             raise ConfigError("lr and epochs must be > 0")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
+        check_seed(self.seed)
 
 
 @dataclass
 class LinearRanker:
-    """Linear per-label scorer w_k . x with training metadata."""
+    """Linear per-label scorer w_k . x: its weights, the config that trained
+    it and the labels it excluded, whose weight rows stay zero."""
 
     weights: np.ndarray  # (K, D)
     config: TrainConfig
-    m_bar: float = 0.0          # max ||x||_2 over training rows
     excluded_labels: tuple[int, ...] = ()
-    trained: bool = False
 
     @property
     @finite_result
@@ -389,14 +391,14 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
         negative = dataset.labels[rows].T != 1
         pools = rows.astype(row_type)[np.argsort(negative, axis=1, kind="stable")]
         n_neg = negative.sum(axis=1)
-        seqs.append(np.random.SeedSequence(config.seed))  # rejects a bad seed
+        seqs.append(np.random.SeedSequence(config.seed))
         excluded = []
         for k in range(dataset.n_labels):
             if n_neg[k] in (0, rows.size):
                 excluded.append(k)
                 continue
             chains.append((rows.size, j, k, pools[k], rows.size - n_neg[k], decay))
-        fits.append((config, dataset.subset(rows).max_row_norm(), tuple(excluded)))
+        fits.append((config, tuple(excluded)))
 
     # Most rows first, so the chains still inside their epoch at step i are
     # always the leading rows W[:width[i]], and the chains of one n~ are one
@@ -460,9 +462,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     weights = [np.zeros((dataset.n_labels, d)) for _ in fits]
     for c, (_, j, k, *_) in enumerate(chains):
         weights[j][k] = W[c]
-    return [LinearRanker(weights=w, config=config, m_bar=m_bar,
-                         excluded_labels=excluded, trained=True)
-            for w, (config, m_bar, excluded) in zip(weights, fits)]
+    return [LinearRanker(w, config, excluded) for w, (config, excluded) in zip(weights, fits)]
 
 
 def average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -531,35 +531,32 @@ def split_train_test(dataset: MultiLabelDataset, seed: int):
 def _cv_jobs(n: int, grid, folds: int, config: TrainConfig):
     """Cross-validation of a split with n rows as `train_many` jobs: every
     (lambda, fold) fit in grid order, then one final fit on all n rows per
-    lambda.  Also returns each (lambda, fold) fit's validation rows."""
+    lambda.  Also returns each fold's validation rows."""
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise DomainError(f"need at least {folds} samples for {folds}-fold CV")
     rng = np.random.default_rng(derive_seed(config.seed, 0xF01D))
     fold_idx = np.array_split(rng.permutation(n), folds)
-    jobs, val_rows = [], []
-    for li, lam in enumerate(grid):
-        for fi in range(folds):
-            val_rows.append(np.sort(fold_idx[fi]))
-            tr_idx = np.sort(np.concatenate([fold_idx[j] for j in range(folds) if j != fi]))
-            jobs.append((tr_idx, replace(config, weight_decay=lam,
-                                         seed=derive_seed(config.seed, li, fi))))
-    for lam in grid:
-        jobs.append((np.arange(n), replace(config, weight_decay=lam)))
-    return jobs, val_rows
+    train_rows = [np.sort(np.concatenate(fold_idx[:fi] + fold_idx[fi + 1:]))
+                  for fi in range(folds)]
+    jobs = [(train_rows[fi], replace(config, weight_decay=lam,
+                                     seed=derive_seed(config.seed, li, fi)))
+            for li, lam in enumerate(grid) for fi in range(folds)]
+    jobs += [(np.arange(n), replace(config, weight_decay=lam)) for lam in grid]
+    return jobs, [np.sort(idx) for idx in fold_idx]
 
 
-def _cv_pick(dataset: MultiLabelDataset, grid, folds: int, rankers, val_rows):
+def _cv_pick(dataset: MultiLabelDataset, grid, rankers, val_rows):
     """(lambda, final ranker) with the best mean validation Macro-AUC, from
     the rankers trained on `_cv_jobs`; the first lambda wins a tie."""
+    val_sets = [dataset.subset(rows) for rows in val_rows]
     best, best_auc = None, -math.inf
     for li in range(len(grid)):
         fold_aucs = []
-        for fi in range(folds):
-            j = li * folds + fi
+        for fi, val in enumerate(val_sets):
             try:
-                fold_aucs.append(macro_auc(rankers[j], dataset.subset(val_rows[j])))
+                fold_aucs.append(macro_auc(rankers[li * len(val_sets) + fi], val))
             except UndefinedMetricError:
                 warnings.warn(f"fold {fi}: all labels degenerate, skipped")
         if not fold_aucs:
@@ -569,7 +566,7 @@ def _cv_pick(dataset: MultiLabelDataset, grid, folds: int, rankers, val_rows):
             best, best_auc = li, mean_auc
     if best is None:
         raise UndefinedMetricError("no usable fold in cross-validation")
-    return grid[best], rankers[len(grid) * folds + best]
+    return grid[best], rankers[len(grid) * len(val_sets) + best]
 
 
 def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
@@ -581,39 +578,35 @@ def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
     one `train_many` call; the chosen lambda's full-split fit is returned.
     Folds in which every label is degenerate are skipped with a warning."""
     jobs, val_rows = _cv_jobs(dataset.n_samples, grid, folds, config)
-    return _cv_pick(dataset, grid, folds, train_many(dataset, jobs), val_rows)
+    return _cv_pick(dataset, grid, train_many(dataset, jobs), val_rows)
 
 
 def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
                   t: float = T_DEFAULT, rate: float = 1.0) -> BoundReport:
-    """Bound report for a trained ranker on its training split.
+    """Bound report for a ranker on its training split.
 
-    Measures m_tilde = max_k ||w_k||, m_bar = max training ||x||, tau_k per
-    non-degenerate label, takes the squared-singular-value spectrum of the
-    weight matrix, and evaluates the localized bound (doubled minimum over
-    the shared integer cut capped at min(D, K) * rate) against the prior
-    global bound.
+    Reads from the split m_bar = max ||x|| and, counting each label's
+    positive and negative rows, tau_k = min(n+, n-) / n~ per non-degenerate
+    label; measures m_tilde = max_k ||w_k||, takes the squared-singular-value
+    spectrum of the kept labels' weights, and evaluates the localized bound
+    (doubled minimum over the shared integer cut capped at min(D, K) * rate)
+    against the prior global bound.
     """
-    if not ranker.trained:
-        raise StateError("ranker has not been trained")
     if not (math.isfinite(rate) and rate >= 0):
         raise DomainError(f"rate must be finite and >= 0, got {rate}")
-    taus, kept = [], []
-    for k in range(dataset.n_labels):
-        try:
-            task = pair_transform(dataset, k)
-        except DegenerateLabelError:
-            continue
-        taus.append(task.tau)
-        kept.append(k)
-    if not taus:
+    n_pos = (dataset.labels == 1).sum(axis=0)
+    n_neg = (dataset.labels == -1).sum(axis=0)
+    degenerate = (n_pos == 0) | (n_neg == 0)
+    kept = np.flatnonzero(~degenerate)
+    if not kept.size:
         raise UndefinedMetricError("every label degenerate; no bound to report")
+    taus = (np.minimum(n_pos, n_neg)[kept] / dataset.n_samples).tolist()
+    m_tilde, m_bar = ranker.m_tilde, dataset.max_row_norm()
     params = BoundParams.pair_transformed(
-        taus, dataset.n_samples,
-        m_tilde=ranker.m_tilde, m_bar=ranker.m_bar, mu=1.0, B=1.0, t=t,
+        taus, dataset.n_samples, m_tilde=m_tilde, m_bar=m_bar, mu=1.0, B=1.0, t=t,
     )
     spectrum = spectrum_from_weights(ranker.weights[kept])
-    d_max = int(min(dataset.n_features, len(kept)) * rate)
+    d_max = int(min(dataset.n_features, kept.size) * rate)
     r_star, d_star = rstar_linear(spectrum, params, experiment_mode=True, d_max=d_max)
     ours = bound_ours_macroauc(r_star, params)
     prior = bound_prior_macroauc(params)
@@ -624,10 +617,10 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
         d_star=d_star,
         params={
             "n_tilde": dataset.n_samples,
-            "K": len(kept),
+            "K": kept.size,
             "tau": taus,
-            "m_tilde": ranker.m_tilde,
-            "m_bar": ranker.m_bar,
+            "m_tilde": m_tilde,
+            "m_bar": m_bar,
             "mu": 1.0,
             "B": 1.0,
             "t": t,
@@ -642,7 +635,7 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
             "prior": "2*(4*mu*m_bar*m_tilde/sqrt(n)*(1/K)*sum(sqrt(1/tau))"
                      " + 3*sqrt((log2+t)/(2n))*sqrt(sum(1/tau)/K))",
             "r_star": "2*min_d shared-cut truncation bound",
-            "excluded_labels": [k for k in range(dataset.n_labels) if k not in kept],
+            "excluded_labels": np.flatnonzero(degenerate).tolist(),
         },
     )
 
@@ -697,8 +690,7 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     start = 0
     for train_rows, test_rows, val_rows, n_jobs in plans:
         train = dataset.subset(train_rows)
-        lam, ranker = _cv_pick(train, grid, folds, rankers[start:start + n_jobs],
-                               val_rows)
+        lam, ranker = _cv_pick(train, grid, rankers[start:start + n_jobs], val_rows)
         start += n_jobs
         report = report_bounds(train, ranker, t=t, rate=rate)
         res.lambda_selected.append(lam)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import concentration as conc
 from .concentration import TailBoundInput
-from .errors import ConfigError, DomainError, ModeError
+from .errors import ConfigError, DomainError, ModeError, check_seed
 
 BATCH = 1 << 16
 _DRAW_BYTES = 1 << 20  # base draws held at once per worker thread, in bytes
@@ -94,8 +94,7 @@ class DependentSampler:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
         if self.k_tasks < 1:
             raise ConfigError("k_tasks must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

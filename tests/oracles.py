@@ -10,12 +10,13 @@ minima, closed-form quadratics for sub-root fixed points, a greedy
 coloring that rescans the edge list for every neighbourhood, the rook
 graph's edges listed one pair at a time, maximal independent sets by a
 scan of every vertex subset, SGD that
-trains one label at a time with one scalar step per sampled pair, SGD
-row draws from spawned `default_rng` streams and their `integers` calls,
-Macro-AUC from one `scipy.stats.rankdata` call per label, and Monte Carlo
-task sums drawn in one call per side and batch, or added up from the
-whole (trials, K, n_pos, n_neg) pair tensor, and phi in `mpmath` at a
-precision that outgrows its cancellation.
+trains one label at a time with one scalar step per sampled pair, bound
+inputs from one pair transform per label, SGD row draws from spawned
+`default_rng` streams and their `integers` calls, Macro-AUC from one
+`scipy.stats.rankdata` call per label, and Monte Carlo task sums drawn
+in one call per side and batch, or added up from the whole (trials, K,
+n_pos, n_neg) pair tensor, and phi in `mpmath` at a precision that
+outgrows its cancellation.
 """
 
 import itertools
@@ -395,8 +396,26 @@ def loop_train_sgd(dataset, config):
                 if margin < 1.0:
                     w += config.lr * diff
         W[k] = w
-    return LinearRanker(weights=W, config=config, m_bar=dataset.max_row_norm(),
-                        excluded_labels=tuple(excluded), trained=True)
+    return LinearRanker(weights=W, config=config, excluded_labels=tuple(excluded))
+
+
+def loop_bound_inputs(dataset):
+    """(tau_k per kept label, kept labels, excluded labels, m_bar) of a
+    training split, from one `pair_transform` call per label and the row
+    norms of the split; the reference for the inputs `report_bounds` reads.
+    UndefinedMetricError when every label is degenerate."""
+    taus, kept, excluded = [], [], []
+    for k in range(dataset.n_labels):
+        try:
+            task = pair_transform(dataset, k)
+        except DegenerateLabelError:
+            excluded.append(k)
+            continue
+        taus.append(task.tau)
+        kept.append(k)
+    if not taus:
+        raise UndefinedMetricError("every label degenerate; no bound to report")
+    return taus, kept, excluded, dataset.max_row_norm()
 
 
 def spawned_block_draws(seed, n_labels, label, sizes, n, blocks):

@@ -451,6 +451,27 @@ class TestGraphCommands:
         assert code == 0
         assert "chi_f = 2.5" in out
 
+    @pytest.mark.parametrize("status, fun, message", [
+        (2, None, "error: packing LP not solved: The problem is infeasible."),
+        # an optimum of 3 against C5's cover weight 5 * 0.5
+        (0, -3.0, "error: LP duality gap: cover weight 2.5 vs optimum 3.0")])
+    def test_chi_reports_a_failed_lp_without_a_traceback(self, tmp_path, monkeypatch,
+                                                          status, fun, message):
+        import scipy.optimize
+        from types import SimpleNamespace
+
+        def linprog(c, A_ub, **kwargs):
+            return SimpleNamespace(status=status, fun=fun,
+                                   message="The problem is infeasible.",
+                                   ineqlin=SimpleNamespace(marginals=-0.5 * np.ones(len(A_ub))))
+
+        g = DependencyGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        edges = tmp_path / "c5.txt"
+        edges.write_text(g.to_text())
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        code, out, err = run_cli(["graph", "chi", "--edges", str(edges)])
+        assert (code, out, err) == (2, "", message + "\n")
+
     @pytest.mark.parametrize("n", [13, 10**7])
     def test_chi_refuses_a_large_graph_before_building_it(self, tmp_path, monkeypatch, n):
         edges = tmp_path / "big.txt"

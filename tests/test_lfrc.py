@@ -436,7 +436,7 @@ class TestEstimateLfrc:
                       n_draws=9, seed=1)
         assert sizes == [(4, 21), (4, 21), (1, 21)]
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_bad_seed(self, seed):
         X = np.ones((2, 2))
         spec = spec_for([second_moment_matrix(X)])

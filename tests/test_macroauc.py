@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from gdbound.errors import (
     DomainError,
     FormatError,
     ParseError,
-    StateError,
     UndefinedMetricError,
 )
 from gdbound import macroauc
@@ -35,8 +35,8 @@ from gdbound.macroauc import (
 
 from scipy.stats import rankdata
 
-from oracles import brute_force_macro_auc, loop_cv_select, loop_train_sgd, \
-    rankdata_macro_auc, spawned_block_draws
+from oracles import brute_force_macro_auc, loop_bound_inputs, loop_cv_select, \
+    loop_train_sgd, rankdata_macro_auc, spawned_block_draws
 from synthdata import cal500_like, emotions_like, linear_teacher_dataset, small_separable
 
 
@@ -282,16 +282,17 @@ class TestTrainSgd:
         assert np.array_equal(w1, w2)
 
     def test_config_validation(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
 
     def test_m_bar_measured_on_training_rows(self):
         X = np.array([[3.0, 4.0], [1.0, 0.0]])
         Y = np.array([[1], [-1]], dtype=np.int8)
-        ranker = train_sgd(make_dataset(X, Y), TrainConfig(epochs=1, seed=0))
-        assert ranker.m_bar == pytest.approx(5.0)
+        ds = make_dataset(X, Y)
+        ranker = train_sgd(ds, TrainConfig(epochs=1, seed=0))
+        assert report_bounds(ds, ranker).params["m_bar"] == pytest.approx(5.0)
 
 
 def _shaped(shape, seed):
@@ -300,7 +301,6 @@ def _shaped(shape, seed):
 
 def _assert_same_ranker(ranker, oracle):
     assert np.array_equal(ranker.weights, oracle.weights)
-    assert ranker.m_bar == oracle.m_bar
     assert ranker.excluded_labels == oracle.excluded_labels
     assert ranker.config == oracle.config
 
@@ -430,7 +430,13 @@ class TestTrainMany:
         (dict(lr=math.nan), "finite"), (dict(lr=math.inf), "finite"),
         (dict(weight_decay=math.nan), "finite"), (dict(weight_decay=math.inf), "finite"),
         (dict(epochs=2.5), "integer"), (dict(epochs="3"), "integer"),
-        (dict(epochs=True), "integer"), (dict(epochs=np.float64(3.0)), "integer")])
+        (dict(epochs=True), "integer"), (dict(epochs=np.float64(3.0)), "integer"),
+        (dict(lr="0.05"), "lr must be a finite number"),
+        (dict(weight_decay=None), "weight_decay must be a finite number"),
+        (dict(lr=True), "lr must be a finite number"),
+        (dict(seed=True), "seed must be a non-negative integer"),
+        (dict(seed=-1), "seed must be a non-negative integer"),
+        (dict(seed=1.5), "seed must be a non-negative integer")])
     def test_config_rejects_bad_values(self, kw, match):
         with pytest.raises(ConfigError, match=match):
             TrainConfig(**kw)
@@ -769,7 +775,6 @@ class TestSplitAndCv:
         lam, ranker = cv_select(ds, grid=(1e-3,), folds=3,
                                 config=TrainConfig(epochs=5, seed=0))
         assert lam == 1e-3
-        assert ranker.trained
 
     def test_selects_fitting_lambda_on_separable_data(self):
         # tiny feature scale: heavy decay collapses the weights and hurts
@@ -798,8 +803,7 @@ class TestReportBounds:
     def test_zero_weights_reduce_to_tail_term(self):
         ds = small_separable(n=24, d=4, k=2, seed=5)
         ranker = LinearRanker(weights=np.zeros((2, 4)),
-                              config=TrainConfig(epochs=1, seed=0),
-                              m_bar=ds.max_row_norm(), trained=True)
+                              config=TrainConfig(epochs=1, seed=0))
         t = math.log(100.0)
         report = report_bounds(ds, ranker, t=t)
         assert report.r_star == 0.0
@@ -811,13 +815,6 @@ class TestReportBounds:
         ranker = LinearRanker(weights=np.full((1, 2), 1e200), config=TrainConfig())
         with pytest.raises(DomainError, match="^m_tilde must be finite"):
             ranker.m_tilde
-
-    def test_untrained_rejected(self):
-        ds = small_separable(n=12, d=3, k=1, seed=5)
-        ranker = LinearRanker(weights=np.zeros((1, 3)),
-                              config=TrainConfig(epochs=1, seed=0))
-        with pytest.raises(StateError):
-            report_bounds(ds, ranker)
 
     def test_deterministic(self):
         ds = small_separable(n=30, d=4, k=2, seed=6)
@@ -837,6 +834,37 @@ class TestReportBounds:
         r2 = report_bounds(ds2, ranker)
         assert r2.bound_ours < r1.bound_ours
         assert r2.bound_prior < r1.bound_prior
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bound_inputs_match_the_pair_transform_loop(self, data):
+        # each column is drawn mixed, all positive or all negative, so
+        # excluded labels and all-degenerate splits are common
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 5))
+        columns = []
+        for _ in range(k):
+            kind = data.draw(st.sampled_from(["mixed", "positive", "negative"]))
+            if kind == "mixed":
+                columns.append(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            else:
+                columns.append([kind == "positive"] * n)
+        Y = np.where(np.array(columns, dtype=bool).T, 1, -1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        d = data.draw(st.integers(1, 3))
+        ds = make_dataset(rng.normal(size=(n, d)), Y)
+        ranker = LinearRanker(weights=rng.normal(size=(k, d)), config=TrainConfig())
+        try:
+            taus, kept, excluded, m_bar = loop_bound_inputs(ds)
+        except UndefinedMetricError as exc:
+            with pytest.raises(UndefinedMetricError, match=f"^{re.escape(str(exc))}$"):
+                report_bounds(ds, ranker)
+            return
+        report = report_bounds(ds, ranker)
+        assert report.params["tau"] == taus
+        assert report.params["K"] == len(kept)
+        assert report.params["m_bar"] == m_bar
+        assert report.provenance["excluded_labels"] == excluded
 
     def test_degenerate_labels_excluded_and_reported(self):
         X = np.random.default_rng(0).normal(size=(12, 3))

@@ -48,9 +48,9 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             iid(5, base="two_point", base_p=0.0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_bad_seed(self, seed):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             iid(5, seed=seed)
 
 
