@@ -407,6 +407,13 @@ def cmd_rstar_linear(cfg):
 
 def cmd_experiment(cfg):
     paths = cfg["data"]
+    # a dataset is named by its file's stem, in the table and the report file
+    named = {}
+    for i, path in enumerate(paths):
+        first = named.setdefault(Path(path).stem, i)
+        if first != i:
+            raise ConfigError(f"--data {paths[first]} and --data {path} share the name "
+                              f"{Path(path).stem!r}; rename one")
     out_dir = Path(cfg["out"]) if cfg.get("out") else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ prior global-complexity bound on the training split.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import warnings
@@ -27,6 +28,11 @@ LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
 MAX_CELLS = 10**8  # largest n*D or n*K a dataset header may declare
 _DRAW_BYTES = 1 << 20  # SGD row draws held at once, in bytes
+_BLOCK_LINES = 64  # mlsvm body lines whose feature text is parsed at once
+# what a block's feature text may hold for `_parse_blocks` to read it
+_FEATURE_BYTES = b"0123456789.eE+-: \t\n"
+_BLANK_TO_NEWLINE = bytes.maketrans(b" \t", b"\n\n")
+_TOKEN = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
 @dataclass
@@ -65,6 +71,10 @@ def load_dataset(path) -> MultiLabelDataset:
     0-based positive label indices (may be empty) and features are sparse
     0-based index:value pairs; a repeated index sums.  A header whose
     n*D or n*K exceeds MAX_CELLS is rejected before anything is allocated.
+
+    The body is read in blocks of lines (`_parse_blocks`); where a block
+    holds anything that path cannot vouch for, the whole body is read again
+    one line at a time (`_parse_lines`), which names the offending line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,6 +105,78 @@ def load_dataset(path) -> MultiLabelDataset:
     if max(n * d, n * k) > MAX_CELLS:
         raise FormatError(f"header declares {n} samples x {d} features and {k} labels; "
                           f"n*D and n*K must not exceed {MAX_CELLS}")
+    return MultiLabelDataset(*(_parse_blocks(body, d, k) or _parse_lines(body, d, k)))
+
+
+def _parse_blocks(body, d: int, k: int):
+    """(features, labels) of an mlsvm body, or None where the per-line
+    reading of some line might differ.
+
+    Labels are read line by line as `_parse_lines` reads them.  The feature
+    text of _BLOCK_LINES lines is checked as a whole: it may hold only ASCII
+    digits, `. e E + -`, colons, spaces, tabs and the joining newlines.  With
+    every blank turned into a newline, one `np.loadtxt` call reads it as
+    index:value rows; it refuses a token without exactly two non-empty
+    fields, an index that is not a plain integer or a value that is not a
+    decimal float; Python's `int` and `float` read every token it takes the
+    same way.  `np.bincount` sums each row's values in file order, from
+    +0.0, as `np.add.at` does.  Indices outside [0, D) and non-finite sums
+    are refused."""
+    n = len(body)
+    X = np.zeros((n, d))
+    labels = -np.ones((n, k), dtype=np.int8)
+    for lo in range(0, n, _BLOCK_LINES):
+        block = body[lo:lo + _BLOCK_LINES]
+        feats, counts = [], []
+        for i, line in enumerate(block, lo):
+            label_part, _, feat_part = line.partition("\t")
+            label_part = label_part.strip()
+            if label_part:
+                try:
+                    positive = [int(tok) for tok in label_part.split(",")]
+                except ValueError:
+                    return None
+                if min(positive) < 0 or max(positive) >= k:
+                    return None
+                labels[i, positive] = 1
+            feats.append(feat_part)
+            counts.append(feat_part.count(":"))
+        text = "\n".join(feats)
+        if not text.isascii():
+            return None
+        raw = text.encode("ascii")
+        if raw.translate(None, _FEATURE_BYTES):
+            return None
+        if not any(counts):
+            if raw.strip():  # a token without a colon
+                return None
+            continue
+        try:
+            # a numpy that still reads an integer field such as `1.0`
+            # through float warns with a DeprecationWarning; int() refuses it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                tokens = np.loadtxt(io.StringIO(raw.translate(_BLANK_TO_NEWLINE).decode()),
+                                    delimiter=":", dtype=_TOKEN, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+        index = tokens["index"]
+        if index.min() < 0 or index.max() >= d:
+            return None
+        rows = np.repeat(np.arange(len(block)), counts)
+        sums = np.bincount(rows * d + index, weights=tokens["value"], minlength=len(block) * d)
+        # a non-finite value makes its cell's sum non-finite, as does a
+        # repeated index whose sum overflows, which the loop warns of
+        if not np.isfinite(sums).all():
+            return None
+        X[lo:lo + len(block)] = sums.reshape(-1, d)
+    return X, labels
+
+
+def _parse_lines(body, d: int, k: int):
+    """(features, labels) of an mlsvm body read one token at a time;
+    ParseError names the first bad line."""
+    n = len(body)
     labels = -np.ones((n, k), dtype=np.int8)
     rows, cols, vals = [], [], []
     for i, line in enumerate(body):
@@ -130,7 +212,7 @@ def load_dataset(path) -> MultiLabelDataset:
             vals.append(fv)
     X = np.zeros((n, d))
     np.add.at(X, (rows, cols), vals)
-    return MultiLabelDataset(X, labels)
+    return X, labels
 
 
 def save_dataset(ds: MultiLabelDataset, path):
@@ -333,7 +415,9 @@ class _ChainStreams:
             scaled >>= 32
             picks[fresh] = scaled
             for c in np.asarray(cs)[rejected]:
-                self.streams[c].advance(-nb * n)
+                # a Python int: PCG64 wraps a numpy integer's negative step
+                # with a 128-bit mask that numpy cannot convert
+                self.streams[c].advance(-int(nb * n))
                 self.streams[c] = np.random.Generator(self.streams[c])
         for g, c in enumerate(chains):
             if isinstance(self.streams[c], np.random.Generator):
@@ -414,6 +498,14 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     W = np.zeros((n_chains, d))
     steps = int(n_rows.max(initial=0))
     width = np.searchsorted(-n_rows, -np.arange(steps), side="left")
+    # Width changes only where a group of chains ends its epoch.  Each run of
+    # steps of one width gets its views of W and the decay once, shaped so
+    # that a step makes none: rows W[:wide] as (1 x D) for the margin and as
+    # (D x 1) for the update, which `X_col.take` rows match.
+    cuts = [0, *(np.flatnonzero(width[1:] != width[:-1]) + 1), steps]
+    spans = [(lo, hi, W[:width[lo], None, :], W[:width[lo], :, None],
+              decay[:width[lo], :, None]) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    X_col = X[:, :, None]
 
     # Chain c draws from pools[c, :n~]: its positive rows, then its negative
     # rows.
@@ -445,19 +537,21 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
                     picks += (part * steps)[:, None, None, None]  # flat in pools
                     draws[:nb, :, :n, part] = np.take(pools, picks).transpose(1, 2, 3, 0)
         pos_draw, neg_draw = draws[b]
-        for i in range(steps):
-            wide = width[i]
-            w = W[:wide]
-            diff = np.take(X, pos_draw[i, :wide], axis=0)
-            diff -= np.take(X, neg_draw[i, :wide], axis=0)
-            # One (1 x D) @ (D x 1) product per chain: the same dot product
-            # as w @ diff, bit for bit, which einsum does not promise.
-            margin = np.matmul(w[:, None, :], diff[:, :, None])
-            w *= decay[:wide]
-            # A masked add leaves every entry it skips untouched; adding a
-            # zero step instead would turn a -0.0 weight into +0.0.
-            diff *= lr
-            np.add(w, diff, out=w, where=margin[:, :, 0] < 1.0)
+        for lo, hi, w_row, w, dec in spans:
+            wide = w.shape[0]
+            for pos, neg in zip(pos_draw[lo:hi, :wide], neg_draw[lo:hi, :wide]):
+                # the method, not np.take, which adds a Python-level wrapper
+                diff = X_col.take(pos, axis=0)
+                diff -= X_col.take(neg, axis=0)
+                # One (1 x D) @ (D x 1) product per chain: the same dot
+                # product as w @ diff, bit for bit, which einsum does not
+                # promise.
+                margin = np.matmul(w_row, diff)
+                w *= dec
+                # A masked add leaves every entry it skips untouched; adding
+                # a zero step instead would turn a -0.0 weight into +0.0.
+                diff *= lr
+                np.add(w, diff, out=w, where=margin < 1.0)
 
     weights = [np.zeros((dataset.n_labels, d)) for _ in fits]
     for c, (_, j, k, *_) in enumerate(chains):
@@ -528,37 +622,47 @@ def split_train_test(dataset: MultiLabelDataset, seed: int):
     return dataset.subset(train), dataset.subset(test)
 
 
-def _cv_jobs(n: int, grid, folds: int, config: TrainConfig):
-    """Cross-validation of a split with n rows as `train_many` jobs: every
-    (lambda, fold) fit in grid order, then one final fit on all n rows per
-    lambda.  Also returns each fold's validation rows."""
+def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
+    """Cross-validation of a split with label matrix `labels` as
+    `train_many` jobs: the (lambda, fold) fit of every usable fold in grid
+    order, then one final fit on all rows per lambda.  Also returns each
+    fold's validation rows, or None for a fold that is not usable: its rows
+    hold no label with both a positive and a negative, so `macro_auc` is
+    undefined on it whatever the fit."""
+    n = labels.shape[0]
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise DomainError(f"need at least {folds} samples for {folds}-fold CV")
     rng = np.random.default_rng(derive_seed(config.seed, 0xF01D))
     fold_idx = np.array_split(rng.permutation(n), folds)
+    val_rows = [np.sort(idx) if ((labels[idx] == 1).any(axis=0)
+                                 & (labels[idx] == -1).any(axis=0)).any() else None
+                for idx in fold_idx]
     train_rows = [np.sort(np.concatenate(fold_idx[:fi] + fold_idx[fi + 1:]))
                   for fi in range(folds)]
     jobs = [(train_rows[fi], replace(config, weight_decay=lam,
                                      seed=derive_seed(config.seed, li, fi)))
-            for li, lam in enumerate(grid) for fi in range(folds)]
+            for li, lam in enumerate(grid) for fi in range(folds)
+            if val_rows[fi] is not None]
     jobs += [(np.arange(n), replace(config, weight_decay=lam)) for lam in grid]
-    return jobs, [np.sort(idx) for idx in fold_idx]
+    return jobs, val_rows
 
 
 def _cv_pick(dataset: MultiLabelDataset, grid, rankers, val_rows):
     """(lambda, final ranker) with the best mean validation Macro-AUC, from
-    the rankers trained on `_cv_jobs`; the first lambda wins a tie."""
-    val_sets = [dataset.subset(rows) for rows in val_rows]
+    the rankers trained on `_cv_jobs`; the first lambda wins a tie.  A fold
+    that is not usable is skipped with a warning once per lambda."""
+    val_sets = [None if rows is None else dataset.subset(rows) for rows in val_rows]
+    fits = iter(rankers)
     best, best_auc = None, -math.inf
     for li in range(len(grid)):
         fold_aucs = []
         for fi, val in enumerate(val_sets):
-            try:
-                fold_aucs.append(macro_auc(rankers[li * len(val_sets) + fi], val))
-            except UndefinedMetricError:
+            if val is None:
                 warnings.warn(f"fold {fi}: all labels degenerate, skipped")
+            else:
+                fold_aucs.append(macro_auc(next(fits), val))
         if not fold_aucs:
             continue
         mean_auc = float(np.mean(fold_aucs))
@@ -566,7 +670,7 @@ def _cv_pick(dataset: MultiLabelDataset, grid, rankers, val_rows):
             best, best_auc = li, mean_auc
     if best is None:
         raise UndefinedMetricError("no usable fold in cross-validation")
-    return grid[best], rankers[len(grid) * len(val_sets) + best]
+    return grid[best], rankers[len(rankers) - len(grid) + best]
 
 
 def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
@@ -576,8 +680,9 @@ def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
 
     Every (lambda, fold) fit and the full-split fit of every lambda train in
     one `train_many` call; the chosen lambda's full-split fit is returned.
-    Folds in which every label is degenerate are skipped with a warning."""
-    jobs, val_rows = _cv_jobs(dataset.n_samples, grid, folds, config)
+    Folds in which every label is degenerate are skipped with a warning,
+    and their fits are not trained."""
+    jobs, val_rows = _cv_jobs(dataset.labels, grid, folds, config)
     return _cv_pick(dataset, grid, train_many(dataset, jobs), val_rows)
 
 
@@ -683,7 +788,7 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     for seed in seeds:
         train_rows, test_rows = _split_rows(dataset.n_samples, seed)
         cfg = TrainConfig(lr=lr, epochs=epochs, seed=seed)
-        cv_jobs, val_rows = _cv_jobs(train_rows.size, grid, folds, cfg)
+        cv_jobs, val_rows = _cv_jobs(dataset.labels[train_rows], grid, folds, cfg)
         jobs += [(train_rows[rows], job_cfg) for rows, job_cfg in cv_jobs]
         plans.append((train_rows, test_rows, val_rows, len(cv_jobs)))
     rankers = train_many(dataset, jobs)

@@ -11,7 +11,8 @@ coloring that rescans the edge list for every neighbourhood, the rook
 graph's edges listed one pair at a time, maximal independent sets by a
 scan of every vertex subset, SGD that
 trains one label at a time with one scalar step per sampled pair, bound
-inputs from one pair transform per label, SGD row draws from spawned
+inputs from one pair transform per label, mlsvm files read one token at
+a time, SGD row draws from spawned
 `default_rng` streams and their `integers` calls, Macro-AUC from one
 `scipy.stats.rankdata` call per label, and Monte Carlo task sums drawn
 in one call per side and batch, or added up from the whole (trials, K,
@@ -28,12 +29,12 @@ from scipy.optimize import brentq
 from scipy.stats import rankdata
 
 from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
-    InvariantError, StructuralError, UndefinedMetricError
+    FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError
 from gdbound import mcverify
 from gdbound.graphdep import FractionalCover
 from gdbound.lfrc import _EIG_CLIP
-from gdbound.macroauc import LAMBDA_GRID, LinearRanker, TrainConfig, derive_seed, \
-    macro_auc, pair_transform
+from gdbound.macroauc import LAMBDA_GRID, MAX_CELLS, LinearRanker, MultiLabelDataset, \
+    TrainConfig, derive_seed, macro_auc, pair_transform
 
 
 def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
@@ -416,6 +417,84 @@ def loop_bound_inputs(dataset):
     if not taus:
         raise UndefinedMetricError("every label degenerate; no bound to report")
     return taus, kept, excluded, dataset.max_row_norm()
+
+
+def loop_load_dataset(path):
+    """The mlsvm format read one token at a time, as `load_dataset` read
+    it before its block parse; the reference that the block parse and its
+    fallback must match, array for array and error for error.
+
+    Header: `#samples=<n> #features=<D> #labels=<K>`.  Each following line
+    is `l1,l2,...<TAB>f1:v1 f2:v2 ...` where the label list holds the
+    0-based positive label indices (may be empty) and features are sparse
+    0-based index:value pairs; a repeated index sums.  A header whose
+    n*D or n*K exceeds MAX_CELLS is rejected before anything is allocated.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise FormatError("empty dataset file")
+    try:
+        header = dict(
+            part.split("=", 1) for part in lines[0].replace("#", "").split()
+        )
+        n = int(header["samples"])
+        d = int(header["features"])
+        k = int(header["labels"])
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"bad header line: {lines[0]!r}") from exc
+    if n < 0 or d < 1 or k < 1:
+        raise FormatError("header counts must be positive")
+
+    body = lines[1:]
+    # Trailing blank lines are padding; a lone tab is an all-negative zero
+    # row, which `save_dataset` writes.
+    while body and not body[-1].strip() and "\t" not in body[-1]:
+        body.pop()
+    if len(body) != n:
+        raise FormatError(f"header promises {n} samples, file has {len(body)}")
+    if max(n * d, n * k) > MAX_CELLS:
+        raise FormatError(f"header declares {n} samples x {d} features and {k} labels; "
+                          f"n*D and n*K must not exceed {MAX_CELLS}")
+    labels = -np.ones((n, k), dtype=np.int8)
+    rows, cols, vals = [], [], []
+    for i, line in enumerate(body):
+        lineno = i + 2
+        if "\t" in line:
+            label_part, feat_part = line.split("\t", 1)
+        else:
+            label_part, feat_part = line, ""
+        label_part = label_part.strip()
+        if label_part:
+            for tok in label_part.split(","):
+                try:
+                    li = int(tok)
+                except ValueError:
+                    raise ParseError(f"bad label token {tok!r}", line=lineno)
+                if not (0 <= li < k):
+                    raise ParseError(f"label index {li} out of range [0,{k})", line=lineno)
+                labels[i, li] = 1
+        for tok in feat_part.split():
+            if ":" not in tok:
+                raise ParseError(f"bad feature token {tok!r}", line=lineno)
+            fi_s, fv_s = tok.split(":", 1)
+            try:
+                fi, fv = int(fi_s), float(fv_s)
+            except ValueError:
+                raise ParseError(f"bad feature token {tok!r}", line=lineno)
+            if not math.isfinite(fv):
+                raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
+            if not (0 <= fi < d):
+                raise ParseError(f"feature index {fi} out of range [0,{d})", line=lineno)
+            rows.append(i)
+            cols.append(fi)
+            vals.append(fv)
+    X = np.zeros((n, d))
+    np.add.at(X, (rows, cols), vals)
+    return MultiLabelDataset(X, labels)
 
 
 def spawned_block_draws(seed, n_labels, label, sizes, n, blocks):

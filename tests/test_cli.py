@@ -616,6 +616,21 @@ class TestExperimentCommand:
                                 "--seeds", "0", "--epochs", "1"])
         assert code == 3 and "line 3" in err
 
+    def test_two_data_files_with_one_stem_exit_2(self, tmp_path):
+        # both would write x.report.json; the second file does not even
+        # parse, so exit 2 shows the clash is found before any load
+        good, bad = tmp_path / "a" / "x.mlsvm", tmp_path / "b" / "x.mlsvm"
+        good.parent.mkdir()
+        bad.parent.mkdir()
+        save_dataset(small_separable(n=12, d=3, k=2, seed=2), good)
+        bad.write_text("not an mlsvm file\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["experiment", "--data", str(good), "--data", str(bad),
+                                  "--seeds", "0", "--epochs", "1", "--out", str(out_dir)])
+        assert code == 2 and out == ""
+        assert str(good) in err and str(bad) in err and "'x'" in err
+        assert not out_dir.exists()
+
     def test_midsize_run_under_a_minute_localized_bound_wins(self, tmp_path):
         # 200 x 20 x 4 (K << n): the localized bound comes out smaller
         import time

@@ -1,10 +1,13 @@
+import importlib.util
 import math
 import re
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gdbound.errors import (
     ConfigError,
@@ -36,7 +39,7 @@ from gdbound.macroauc import (
 from scipy.stats import rankdata
 
 from oracles import brute_force_macro_auc, loop_bound_inputs, loop_cv_select, \
-    loop_train_sgd, rankdata_macro_auc, spawned_block_draws
+    loop_load_dataset, loop_train_sgd, rankdata_macro_auc, spawned_block_draws
 from synthdata import cal500_like, emotions_like, linear_teacher_dataset, small_separable
 
 
@@ -166,6 +169,120 @@ class TestLoadDataset:
         back = load_dataset(path)
         assert np.array_equal(back.labels, ds.labels)
         assert np.allclose(back.features, ds.features)
+
+
+def _ingest(load, path):
+    """What `load` makes of a file: its arrays' shapes and bytes, or its
+    error's type, message and line; and the warnings it raised on the way,
+    such as numpy's overflow warning for a sum past the float range."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load(path)
+            made = (ds.features.shape, ds.features.tobytes(),
+                    ds.labels.shape, ds.labels.tobytes())
+        except (FormatError, ParseError) as exc:
+            made = type(exc), str(exc), getattr(exc, "line", None)
+    return made, [(w.category, str(w.message)) for w in caught]
+
+
+def _benchmark_file(tmp_path, shape):
+    """An mlsvm file as the benchmark writes it: `perfbench/inputs.py`'s
+    emotions- or cal500-shaped data at 6 significant digits."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / f"{shape}.mlsvm"
+    path.write_text(inputs.mlsvm_text(*getattr(inputs, f"{shape}_shaped")(
+        np.random.default_rng(101))))
+    return path
+
+
+# A body line of a 3-feature, 2-label file: labels, in-range feature tokens,
+# the blank between tokens, a tab even with no feature, and the line break.
+INGEST_VALUE = st.one_of(
+    st.sampled_from(["1", "0", "-0", "-0.0", "2.5", "-3.25e-2", "1E5", "+.5", "7."]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+INGEST_LINE = st.tuples(
+    st.lists(st.sampled_from(["0", "1"]), max_size=2),
+    st.lists(st.builds("{}:{}".format, st.integers(0, 2), INGEST_VALUE), max_size=5),
+    st.sampled_from([" ", "\t", "  "]), st.booleans(),
+    st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x85", "\f", "\v", "\u2028"]))
+# Tokens the block parse leaves to the per-line loop: bad ones, and good ones
+# that only Python's int, float or str.split read as the loop does.
+INGEST_TRAPS = (
+    [("feature", tok) for tok in [
+        "1_0:1", "0:1_0", "1.5:2", "1e0:1", "0:nan", "0:inf", "0:-inf", "0:1e999", "3",
+        "0:1:2", ":1", "0:", "3:1", "-1:1", "+1:2", "-0:1", "00:1", "0:0x1", "0:1.5.2",
+        "\u0663:1", "0:\u0661", "0:1\x1f1:2", "0\x1f:1", "0:\x1f1", "0:1\xa01:2",
+        "0:1\u30001:2"]]
+    + [("label", tok) for tok in ["2", "-1", "x", " 1", "1_0", "", "+0", "\u0660"]])
+
+
+class TestBlockParse:
+    """`load_dataset`'s block parse and its fallback against the per-line
+    loop they replaced: the same arrays, byte for byte, or the same error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(INGEST_LINE, max_size=12),
+           trap=st.one_of(st.none(),
+                          st.tuples(st.integers(0, 11), st.sampled_from(INGEST_TRAPS))),
+           off=st.sampled_from([0, 0, 0, -1]),
+           padding=st.sampled_from(["", "\n", "\n\n", " \n\n"]),
+           block=st.sampled_from([1, 2, 5, 64]))
+    def test_drawn_files_read_as_the_loop_reads_them(self, tmp_path, lines, trap, off,
+                                                     padding, block):
+        lines = [(list(labels), list(feats), blank, tab, end)
+                 for labels, feats, blank, tab, end in lines]
+        if trap and lines:
+            at, (part, tok) = trap
+            labels, feats = lines[at % len(lines)][:2]
+            (labels if part == "label" else feats).append(tok)
+        body = "".join(",".join(labels) + ("\t" + blank.join(feats) if feats or tab else "")
+                       + end for labels, feats, blank, tab, end in lines)
+        path = tmp_path / "drawn.mlsvm"
+        path.write_bytes((f"#samples={len(lines) + off} #features=3 #labels=2\n"
+                          + body + padding).encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(macroauc, "_BLOCK_LINES", block)
+            assert _ingest(load_dataset, path) == _ingest(loop_load_dataset, path)
+
+    @pytest.mark.parametrize("part, tok", INGEST_TRAPS)
+    def test_each_trap_reads_as_the_loop_reads_it(self, tmp_path, monkeypatch, part, tok):
+        # the trap's line is a block of its own, after a block that parses
+        monkeypatch.setattr(macroauc, "_BLOCK_LINES", 2)
+        line = f"0,1\t{tok}" if part == "feature" else f"0,{tok}\t0:1 2:-0 0:2.5"
+        path = tmp_path / "trap.mlsvm"
+        path.write_text(f"#samples=3 #features=3 #labels=2\n1\t1:1 1:2\n\t\n{line}\n")
+        assert _ingest(load_dataset, path) == _ingest(loop_load_dataset, path)
+
+    @pytest.mark.parametrize("shape", ["emotions", "cal500"])
+    def test_benchmark_files_take_the_block_parse(self, tmp_path, monkeypatch, shape):
+        path = _benchmark_file(tmp_path, shape)
+        expected = _ingest(loop_load_dataset, path)
+
+        def refuse(*args):
+            raise AssertionError("fell back to the per-line loop")
+
+        monkeypatch.setattr(macroauc, "_parse_lines", refuse)
+        assert _ingest(load_dataset, path) == expected
+
+    def test_memory_stays_below_the_loop_oracle(self, tmp_path):
+        # tracemalloc peaks on this 533 KB file: 1.50 MiB in blocks of 64
+        # lines, 3.85 MiB for the loop, 5.25 MiB with the body as one block
+        path = _benchmark_file(tmp_path, "emotions")
+        peaks = []
+        for load in (load_dataset, loop_load_dataset):
+            load(path)  # numpy's lazy set-up stays out of the peak
+            tracemalloc.start()
+            try:
+                load(path)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], f"load_dataset {peaks[0]:.2f} MiB, loop {peaks[1]:.2f} MiB"
 
 
 class TestPairTransform:
@@ -364,22 +481,31 @@ class TestTrainMany:
         assert lam == oracle_lam
         _assert_same_ranker(ranker, oracle)
 
-    def test_skipped_folds_warn_as_the_oracle_does(self):
-        # one label with two positives in twelve rows: at least two of the
-        # four validation folds hold no positive and are skipped
+    def test_skipped_folds_warn_as_the_oracle_does(self, monkeypatch):
+        # one label with two positives in twelve rows: two of the four
+        # validation folds hold no positive, which is known before training
         X = np.random.default_rng(4).normal(size=(12, 3))
         Y = -np.ones((12, 1), dtype=np.int8)
         Y[[1, 7]] = 1
         ds = make_dataset(X, Y)
         cfg = TrainConfig(epochs=3, seed=6)
+        trained = []
+
+        def counting(dataset, jobs):
+            trained.append(len(jobs))
+            return train_many(dataset, jobs)
+
+        monkeypatch.setattr(macroauc, "train_many", counting)
         with pytest.warns(UserWarning) as caught:
-            lam, ranker = cv_select(ds, grid=(1e-3, 1e-2), folds=4, config=cfg)
+            lam, ranker = cv_select(ds, folds=4, config=cfg)
         with pytest.warns(UserWarning) as oracle_caught:
-            oracle_lam, oracle = loop_cv_select(ds, grid=(1e-3, 1e-2), folds=4,
-                                                config=cfg)
+            oracle_lam, oracle = loop_cv_select(ds, folds=4, config=cfg)
         messages = [str(w.message) for w in caught]
         assert messages == [str(w.message) for w in oracle_caught]
-        assert len(messages) >= 4 and all("skipped" in m for m in messages)
+        grid = macroauc.LAMBDA_GRID
+        assert len(messages) == 2 * len(grid) and all("skipped" in m for m in messages)
+        # the fits of the two usable folds and the final fits, no more
+        assert trained == [2 * len(grid) + len(grid)]
         assert lam == oracle_lam
         _assert_same_ranker(ranker, oracle)
 
@@ -565,7 +691,9 @@ class TestChainStreams:
         assert isinstance(streams.streams[1], np.random.Generator)
         assert isinstance(streams.streams[2], np.random.Generator)
 
-    def test_exactly_the_chains_with_a_rejected_word_fall_back(self):
+    # train_many passes its row count as a numpy integer
+    @pytest.mark.parametrize("n", [1, np.intp(1)])
+    def test_exactly_the_chains_with_a_rejected_word_fall_back(self, n):
         # an even high takes few low halves: u * 3 * 2^30 mod 2^32 is one of
         # {0, 1, 2, 3} * 2^30 and is rejected below (2^32 - high) % high =
         # 2^30, so a threshold one too high (or <= for <) rejects a second
@@ -573,7 +701,7 @@ class TestChainStreams:
         # about one word in two, and 20 or 33 almost never
         sizes = [(3 * 2**30, 20), (20, 3 * 2**30), (5 * 2**28, 33), (2**31 + 1, 7),
                  (33, 1000)] * 12
-        seed, n, blocks = 41, 1, [1, 2]
+        seed, blocks = 41, [1, 2]
         C = len(sizes)
         streams = macroauc._ChainStreams([np.random.SeedSequence(seed)], [0] * C,
                                          range(C), np.array(sizes, dtype=np.int64))
@@ -631,7 +759,7 @@ class TestChainStreams:
     def test_memory_stays_within_a_mib_of_the_per_chain_draw(self, shape, epochs, before):
         ds = _shaped(shape, seed=0)
         train_rows, _ = macroauc._split_rows(ds.n_samples, 0)
-        cv_jobs, _ = macroauc._cv_jobs(train_rows.size, macroauc.LAMBDA_GRID, 3,
+        cv_jobs, _ = macroauc._cv_jobs(ds.labels[train_rows], macroauc.LAMBDA_GRID, 3,
                                        TrainConfig(epochs=epochs, seed=0))
         jobs = [(train_rows[rows], cfg) for rows, cfg in cv_jobs]
         train_many(ds, jobs)  # numpy's lazy set-up stays out of the peak
