@@ -10,8 +10,8 @@ such covers.  The one construction needed in closed form is the
 bipartite-ranking (rook) graph on positive x negative index pairs, whose
 chi_f equals max(n_pos, n_neg); its neighbour sets are built from its rows
 and columns.  Exact chi_f on small graphs comes from the covering LP over
-the maximal independent sets, solved by scipy's HiGHS; larger graphs get a
-greedy coloring cover.
+the maximal independent sets, solved by the module's own dense-tableau
+simplex (Bland's rule); larger graphs get a greedy coloring cover.
 """
 
 from __future__ import annotations
@@ -296,31 +296,60 @@ def _exactify(classes, n_vertices):
     return tuple(out)
 
 
+def _simplex_max(A):
+    """max 1'y s.t. A y <= 1, y >= 0, by a dense tableau simplex.
+
+    A is nonnegative, so the slack basis is feasible.  Bland's rule picks the
+    entering column (the smallest index of negative reduced cost) and, among
+    the rows of least ratio, the leaving row of smallest basis index, so the
+    method cannot cycle.  A pivot is one rank-1 update of the tableau.
+    Returns (optimum, row duals): the duals are the slack columns' reduced
+    costs.  ConvergenceError when the LP is unbounded.
+    """
+    m, n = A.shape
+    # tableau: [A | I | 1] over the constraint rows, [-1 | 0 | 0] objective row
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :n] = -1.0
+    basis = np.arange(n, n + m)
+    while True:
+        entering = np.flatnonzero(T[m, :-1] < -_LP_TOL)
+        if not entering.size:
+            return float(T[m, -1]), T[m, n:n + m].copy()
+        j = entering[0]
+        rows = np.flatnonzero(T[:m, j] > _LP_TOL)
+        if not rows.size:
+            raise ConvergenceError("packing LP is unbounded")
+        ratios = T[rows, -1] / T[rows, j]
+        tied = rows[ratios == ratios.min()]
+        i = tied[np.argmin(basis[tied])]
+        T[i] /= T[i, j]
+        factors = T[:, j].copy()
+        factors[i] = 0.0
+        T -= np.outer(factors, T[i])
+        basis[i] = j
+
+
 def chromatic_fractional_exact(graph: DependencyGraph):
     """Exact chi_f via the covering LP over all maximal independent sets.
 
     Solves the dual packing LP (max sum y_v s.t. sum_{v in I} y_v <= 1 per
-    maximal independent set I) with scipy's HiGHS; the constraint
-    multipliers are optimal cover weights (on a degenerate LP, any optimal
-    cover).  Exact mode is limited to MAX_EXACT_VERTICES vertices; larger
-    graphs should use greedy_cover.  ConvergenceError when HiGHS does not
-    solve the LP, InvariantError when its answer fails a self-check.
+    maximal independent set I) with `_simplex_max`; the constraint
+    multipliers are optimal cover weights (on a degenerate LP, the optimal
+    cover at the vertex Bland's rule reaches).  Exact mode is limited to
+    MAX_EXACT_VERTICES vertices; larger graphs should use greedy_cover.
+    ConvergenceError when the simplex fails, InvariantError when its answer
+    fails a self-check.
     """
     n = graph.n_vertices
     _check_exact_size(n)
     if n == 0:
         return 0.0, FractionalCover(classes=(), graph=graph)
-    # scipy is imported here, its one use in the package, so that no other
-    # command pays for loading it.
-    from scipy.optimize import linprog
-
     sets = maximal_independent_sets(graph)
     A = np.array([[v in s for v in range(n)] for s in sets], dtype=float)
-    res = linprog(-np.ones(n), A_ub=A, b_ub=np.ones(len(sets)), bounds=(0, None),
-                  method="highs")
-    if res.status != 0:
-        raise ConvergenceError(f"packing LP not solved: {res.message}")
-    chi, duals = -float(res.fun), -res.ineqlin.marginals
+    chi, duals = _simplex_max(A)
     raw = [(sets[i], duals[i]) for i in range(len(sets)) if duals[i] > _LP_TOL]
     # strong duality sanity check: primal cover weight equals packing optimum
     total = sum(w for _, w in raw)

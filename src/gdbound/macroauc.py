@@ -69,8 +69,9 @@ def load_dataset(path) -> MultiLabelDataset:
     Header: `#samples=<n> #features=<D> #labels=<K>`.  Each following line
     is `l1,l2,...<TAB>f1:v1 f2:v2 ...` where the label list holds the
     0-based positive label indices (may be empty) and features are sparse
-    0-based index:value pairs; a repeated index sums.  A header whose
-    n*D or n*K exceeds MAX_CELLS is rejected before anything is allocated.
+    0-based index:value pairs; a repeated index sums, and a sum past the
+    float range is a ParseError.  A header whose n*D or n*K exceeds
+    MAX_CELLS is rejected before anything is allocated.
 
     The body is read in blocks of lines (`_parse_blocks`); where a block
     holds anything that path cannot vouch for, the whole body is read again
@@ -166,7 +167,7 @@ def _parse_blocks(body, d: int, k: int):
         rows = np.repeat(np.arange(len(block)), counts)
         sums = np.bincount(rows * d + index, weights=tokens["value"], minlength=len(block) * d)
         # a non-finite value makes its cell's sum non-finite, as does a
-        # repeated index whose sum overflows, which the loop warns of
+        # repeated index whose sum overflows; the loop names the line of either
         if not np.isfinite(sums).all():
             return None
         X[lo:lo + len(block)] = sums.reshape(-1, d)
@@ -211,7 +212,13 @@ def _parse_lines(body, d: int, k: int):
             cols.append(fi)
             vals.append(fv)
     X = np.zeros((n, d))
-    np.add.at(X, (rows, cols), vals)
+    with np.errstate(over="ignore"):  # refused just below, naming the line
+        np.add.at(X, (rows, cols), vals)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"repeated feature index {j} sums past the float range",
+                         line=int(i) + 2)
     return X, labels
 
 

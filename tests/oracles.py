@@ -9,7 +9,7 @@ root finding for eigenvalues, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points, a greedy
 coloring that rescans the edge list for every neighbourhood, the rook
 graph's edges listed one pair at a time, maximal independent sets by a
-scan of every vertex subset, SGD that
+scan of every vertex subset, chi_f from scipy's HiGHS, SGD that
 trains one label at a time with one scalar step per sampled pair, bound
 inputs from one pair transform per label, mlsvm files read one token at
 a time, SGD row draws from spawned
@@ -25,7 +25,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 from scipy.stats import rankdata
 
 from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
@@ -359,6 +359,22 @@ def subset_scan_maximal_independent_sets(graph):
             if reach == full:
                 maximal.append(frozenset(v for v in range(n) if mask >> v & 1))
     return maximal
+
+
+def highs_chromatic_fractional(graph):
+    """chi_f from scipy's HiGHS on the packing LP over the maximal
+    independent sets (max sum y_v s.t. sum_{v in I} y_v <= 1 per set I);
+    the reference for the package's own simplex."""
+    n = graph.n_vertices
+    if n == 0:
+        return 0.0
+    sets = subset_scan_maximal_independent_sets(graph)
+    A = np.array([[v in s for v in range(n)] for s in sets], dtype=float)
+    res = linprog(-np.ones(n), A_ub=A, b_ub=np.ones(len(sets)), bounds=(0, None),
+                  method="highs")
+    if res.status != 0:
+        raise AssertionError(f"HiGHS did not solve the packing LP: {res.message}")
+    return -float(res.fun)
 
 
 def loop_train_sgd(dataset, config):

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gdbound import graphdep
 from gdbound.cli import COMMANDS, main, parse_t
+from gdbound.errors import ConvergenceError
 from gdbound.graphdep import DependencyGraph, bipartite_ranking_graph
 from gdbound.macroauc import TrainConfig, report_bounds, save_dataset, train_sgd
 
@@ -451,26 +453,53 @@ class TestGraphCommands:
         assert code == 0
         assert "chi_f = 2.5" in out
 
-    @pytest.mark.parametrize("status, fun, message", [
-        (2, None, "error: packing LP not solved: The problem is infeasible."),
+    @pytest.mark.parametrize("solved, message", [
         # an optimum of 3 against C5's cover weight 5 * 0.5
-        (0, -3.0, "error: LP duality gap: cover weight 2.5 vs optimum 3.0")])
+        ((3.0, 0.5 * np.ones(5)), "error: LP duality gap: cover weight 2.5 vs optimum 3.0"),
+        # weight on C5's sets {0, 2} and {1, 3} alone leaves vertex 4 out
+        ((2.0, np.array([1.0, 0.0, 1.0, 0.0, 0.0])),
+         "error: LP duals do not cover every vertex"),
+        (ConvergenceError("packing LP is unbounded"), "error: packing LP is unbounded")])
     def test_chi_reports_a_failed_lp_without_a_traceback(self, tmp_path, monkeypatch,
-                                                          status, fun, message):
-        import scipy.optimize
-        from types import SimpleNamespace
-
-        def linprog(c, A_ub, **kwargs):
-            return SimpleNamespace(status=status, fun=fun,
-                                   message="The problem is infeasible.",
-                                   ineqlin=SimpleNamespace(marginals=-0.5 * np.ones(len(A_ub))))
+                                                          solved, message):
+        def simplex_max(A):
+            if isinstance(solved, Exception):
+                raise solved
+            return solved
 
         g = DependencyGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
         edges = tmp_path / "c5.txt"
         edges.write_text(g.to_text())
-        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        monkeypatch.setattr(graphdep, "_simplex_max", simplex_max)
         code, out, err = run_cli(["graph", "chi", "--edges", str(edges)])
         assert (code, out, err) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("graph, printed, cover", [
+        (bipartite_ranking_graph(3, 4)[0], "chi_f = 4",
+         "1.0: 0 5 10\n1.0: 1 4 11\n1.0: 2 7 8\n1.0: 3 6 9\n"),
+        (DependencyGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]), "chi_f = 2.5",
+         "0.5: 0 2\n0.5: 0 3\n0.5: 1 3\n0.5: 1 4\n0.5: 2 4\n"),
+        (DependencyGraph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)]), "chi_f = 2.33333",
+         "0.3333333333333333: 0 2 4\n0.3333333333333333: 0 2 5\n"
+         "0.33333333333333337: 0 3 5\n0.3333333333333333: 1 3 5\n"
+         "0.3333333333333333: 1 3 6\n0.33333333333333337: 1 4 6\n"
+         "0.3333333333333333: 2 4 6\n"),
+        # the icosahedron: vertex-transitive, so its LP has many optimal covers
+        (DependencyGraph.from_text(
+            "12\n0 1\n0 5\n0 7\n0 8\n0 11\n1 2\n1 5\n1 6\n1 8\n2 3\n2 6\n2 8\n2 9\n"
+            "3 4\n3 6\n3 9\n3 10\n4 5\n4 6\n4 10\n4 11\n5 6\n5 11\n7 8\n7 9\n7 10\n"
+            "7 11\n8 9\n9 10\n10 11\n"), "chi_f = 4",
+         "1.0: 0 6 9\n1.0: 1 3 11\n1.0: 2 4 7\n1.0: 5 8 10\n")],
+        ids=["rook3x4", "C5", "C7", "icosahedron"])
+    def test_chi_out_bytes(self, tmp_path, graph, printed, cover):
+        # the cover at the vertex the package's own simplex reaches, pinned
+        # so that a change in the pivot rule shows
+        edges, out_file = tmp_path / "g.txt", tmp_path / "cover.txt"
+        edges.write_text(graph.to_text())
+        code, out, err = run_cli(["graph", "chi", "--edges", str(edges),
+                                  "--out", str(out_file)])
+        assert (code, out, err) == (0, printed + "\n", "")
+        assert out_file.read_text() == cover
 
     @pytest.mark.parametrize("n", [13, 10**7])
     def test_chi_refuses_a_large_graph_before_building_it(self, tmp_path, monkeypatch, n):
@@ -615,6 +644,19 @@ class TestExperimentCommand:
         code, _, err = run_cli(["experiment", "--data", str(bad),
                                 "--seeds", "0", "--epochs", "1"])
         assert code == 3 and "line 3" in err
+
+    def test_overflowing_repeated_feature_exit_3(self, tmp_path):
+        # each value is finite, their sum is not
+        bad = tmp_path / "bad.mlsvm"
+        bad.write_text("#samples=3 #features=2 #labels=1\n"
+                       "0\t1:8.988465674311579e+307 1:8.98846567431158e+307\n\t0:1\n0\t1:2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["experiment", "--data", str(bad),
+                                      "--seeds", "0", "--epochs", "1"])
+        assert (code, out, caught) == (3, "", [])
+        assert err == (f"error: {bad}: line 2: repeated feature index 1 sums past "
+                       "the float range\n")
 
     def test_two_data_files_with_one_stem_exit_2(self, tmp_path):
         # both would write x.report.json; the second file does not even
@@ -931,48 +973,54 @@ class TestParserReuse:
         assert got == [self.fresh_process(argv) for argv in calls]
 
 
-IMPORT_DIET = """
-import sys, tempfile
+NO_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import tempfile
 from pathlib import Path
 import numpy as np
 import gdbound.cli as cli
 from gdbound.graphdep import bipartite_ranking_graph
 from gdbound.macroauc import MultiLabelDataset, save_dataset
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 cli.build_parser()
-print("parser", scipy_modules())
-cli.main(["bound", "bernstein", "--c", "1", "--v", "1", "--t", "1"])
-print("bound", scipy_modules())
+print("parser ok")
+print("bound", cli.main(["bound", "bernstein", "--c", "1", "--v", "1", "--t", "1"]))
 tmp = Path(tempfile.mkdtemp())
 rng = np.random.default_rng(0)
 save_dataset(MultiLabelDataset(rng.normal(size=(12, 3)),
                                np.where(rng.random((12, 2)) < 0.5, 1, -1).astype(np.int8)),
              tmp / "tiny.mlsvm")
-cli.main(["experiment", "--data", str(tmp / "tiny.mlsvm"), "--seeds", "0",
-          "--folds", "2", "--epochs", "1"])
-print("experiment", scipy_modules())
+print("experiment", cli.main(["experiment", "--data", str(tmp / "tiny.mlsvm"), "--seeds", "0",
+                              "--folds", "2", "--epochs", "1"]))
 graph, _ = bipartite_ranking_graph(3, 4)
 (tmp / "rook.txt").write_text(graph.to_text())
-cli.main(["graph", "chi", "--edges", str(tmp / "rook.txt")])
-print("chi loads scipy.optimize", "scipy.optimize" in sys.modules)
+print("chi", cli.main(["graph", "chi", "--edges", str(tmp / "rook.txt")]))
+print("scipy modules", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_only_exact_chi_loads_scipy():
-    """In a fresh interpreter the parser, `bound` and `experiment` load no
-    scipy module; `graph chi` imports scipy.optimize when it solves its LP."""
+def test_no_command_loads_scipy():
+    """In a fresh interpreter where `import scipy` raises ImportError, the
+    parser, `bound`, `experiment` and `graph chi` all run."""
     import gdbound
 
     src = str(Path(gdbound.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], capture_output=True,
                           text=True, env=env, check=True)
     lines = proc.stdout.splitlines()
-    for stage in ("parser", "bound", "experiment"):
-        assert f"{stage} []" in lines, proc.stdout
-    assert "chi_f = 4" in proc.stdout
-    assert lines[-1] == "chi loads scipy.optimize True"
+    for stage in ("parser ok", "bound 0", "experiment 0", "chi 0"):
+        assert stage in lines, proc.stdout
+    assert "chi_f = 4" in lines
+    assert lines[-1] == "scipy modules []"

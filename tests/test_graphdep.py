@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdbound import graphdep
-from gdbound.errors import DomainError, ParseError, SizeError, StructuralError
+from gdbound.errors import ConvergenceError, DomainError, ParseError, SizeError, \
+    StructuralError
 from gdbound.graphdep import (
     DependencyGraph,
     FractionalCover,
@@ -17,7 +18,8 @@ from gdbound.graphdep import (
     maximal_independent_sets,
     validate_cover,
 )
-from oracles import edge_scan_greedy_cover, rook_edges, subset_scan_maximal_independent_sets
+from oracles import edge_scan_greedy_cover, highs_chromatic_fractional, rook_edges, \
+    subset_scan_maximal_independent_sets
 
 
 def empty_graph(n):
@@ -359,6 +361,43 @@ class TestChromaticExact:
             chi1, _ = chromatic_fractional_exact(g)
             chi2, _ = chromatic_fractional_exact(g2)
             assert chi2 >= chi1 - 1e-9
+
+
+class TestSimplexAgainstHighs:
+    """The package's simplex against scipy's HiGHS, the solver it replaced:
+    chi_f equal to 1e-12 relative, and a cover that validates with total
+    weight chi_f to 1e-9."""
+
+    @staticmethod
+    def check(g):
+        chi, cover = chromatic_fractional_exact(g)
+        assert chi == pytest.approx(highs_chromatic_fractional(g), rel=1e-12, abs=0), \
+            g.to_text()
+        assert validate_cover(g, cover).ok, g.to_text()
+        assert abs(cover.total_weight - chi) <= 1e-9, g.to_text()
+
+    def test_graph_atlas(self):
+        # networkx's atlas: every graph on 0-7 vertices up to isomorphism
+        for atlas_graph in nx.graph_atlas_g():
+            self.check(DependencyGraph.from_edges(atlas_graph.number_of_nodes(),
+                                                  atlas_graph.edges))
+
+    def test_rook_shapes_and_cycles(self):
+        for n_pos, n_neg in itertools.product(range(1, 13), repeat=2):
+            if n_pos * n_neg <= 12:
+                self.check(bipartite_ranking_graph(n_pos, n_neg)[0])
+        for n in range(3, 13):
+            self.check(cycle_graph(n))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs())
+    def test_drawn_graphs_up_to_12_vertices(self, g):
+        self.check(g)
+
+    def test_unbounded_lp_is_a_convergence_error(self):
+        # the second column appears in no row, so y_1 grows without bound
+        with pytest.raises(ConvergenceError, match="unbounded"):
+            graphdep._simplex_max(np.array([[1.0, 0.0]]))
 
 
 class TestGreedyCover:

@@ -186,6 +186,25 @@ def _ingest(load, path):
     return made, [(w.category, str(w.message)) for w in caught]
 
 
+def _loop_ingest(path):
+    """`_ingest` of the per-line loop oracle, with one difference that
+    `load_dataset` makes on purpose: a row whose repeated feature index sums
+    past the float range, which the loop loads as inf with numpy's overflow
+    warning, is a ParseError naming that row's line, raised without a
+    warning."""
+    made, caught = _ingest(loop_load_dataset, path)
+    if isinstance(made[0], type):  # the loop's error
+        return made, caught
+    features = np.frombuffer(made[1]).reshape(made[0])
+    bad = np.argwhere(~np.isfinite(features))
+    if not bad.size:
+        return made, caught
+    i, j = bad[0]
+    line = int(i) + 2
+    return (ParseError, f"line {line}: repeated feature index {j} sums past the float range",
+            line), []
+
+
 def _benchmark_file(tmp_path, shape):
     """An mlsvm file as the benchmark writes it: `perfbench/inputs.py`'s
     emotions- or cal500-shaped data at 6 significant digits."""
@@ -247,7 +266,7 @@ class TestBlockParse:
                           + body + padding).encode())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(macroauc, "_BLOCK_LINES", block)
-            assert _ingest(load_dataset, path) == _ingest(loop_load_dataset, path)
+            assert _ingest(load_dataset, path) == _loop_ingest(path)
 
     @pytest.mark.parametrize("part, tok", INGEST_TRAPS)
     def test_each_trap_reads_as_the_loop_reads_it(self, tmp_path, monkeypatch, part, tok):
@@ -257,6 +276,20 @@ class TestBlockParse:
         path = tmp_path / "trap.mlsvm"
         path.write_text(f"#samples=3 #features=3 #labels=2\n1\t1:1 1:2\n\t\n{line}\n")
         assert _ingest(load_dataset, path) == _ingest(loop_load_dataset, path)
+
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_an_overflowing_repeated_index_is_a_parse_error(self, tmp_path, monkeypatch,
+                                                            block):
+        # the loop loads this row as inf with numpy's overflow warning
+        monkeypatch.setattr(macroauc, "_BLOCK_LINES", block)
+        path = tmp_path / "overflow.mlsvm"
+        path.write_text("#samples=3 #features=2 #labels=1\n0\t0:1\n"
+                        "0\t1:8.988465674311579e+307 1:8.98846567431158e+307\n\t0:2\n")
+        made, caught = _ingest(loop_load_dataset, path)
+        assert np.isinf(np.frombuffer(made[1])).any()
+        assert [category for category, _ in caught] == [RuntimeWarning]
+        assert _ingest(load_dataset, path) == (
+            (ParseError, "line 3: repeated feature index 1 sums past the float range", 3), [])
 
     @pytest.mark.parametrize("shape", ["emotions", "cal500"])
     def test_benchmark_files_take_the_block_parse(self, tmp_path, monkeypatch, shape):
