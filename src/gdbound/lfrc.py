@@ -310,8 +310,8 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     """Unique positive solution of f(r) = r for a sub-root f.
 
     Since f(r) >= r exactly for r <= r*, the sign of f(r) - r brackets the
-    fixed point: expand upward from r_hi while f(r) >= r, shrink downward
-    to find the lower bracket, then bisect until
+    fixed point: expand upward from r_hi while f(r) >= r, halve downward
+    to find the lower bracket, the upper one following it, then bisect until
     |f(r) - r| <= tol * max(1, r).
     """
     _check_r_hi(handle.r_hi)
@@ -329,7 +329,7 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
             raise InvariantError("no fixed point below 1e300; f does not cross r")
     lo = min(handle.r_hi, hi / 2.0)
     while gap(lo) < 0.0:
-        lo /= 2.0
+        hi, lo = lo, lo / 2.0
         if lo < 1e-300:
             raise InvariantError("no sign change above 1e-300; f may be trivial")
     for _ in range(300):

@@ -29,7 +29,7 @@ T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
 MAX_CELLS = 10**8  # largest n*D or n*K a dataset header may declare
 _DRAW_BYTES = 1 << 20  # SGD row draws held at once, in bytes
 _BLOCK_LINES = 64  # mlsvm body lines whose feature text is parsed at once
-# what a block's feature text may hold for `_parse_blocks` to read it
+# what a block's feature text may hold for `_block_features` to read it
 _FEATURE_BYTES = b"0123456789.eE+-: \t\n"
 _BLANK_TO_NEWLINE = bytes.maketrans(b" \t", b"\n\n")
 _TOKEN = np.dtype([("index", np.int64), ("value", np.float64)])
@@ -73,9 +73,12 @@ def load_dataset(path) -> MultiLabelDataset:
     float range is a ParseError.  A header whose n*D or n*K exceeds
     MAX_CELLS is rejected before anything is allocated.
 
-    The body is read in blocks of lines (`_parse_blocks`); where a block
-    holds anything that path cannot vouch for, the whole body is read again
-    one line at a time (`_parse_lines`), which names the offending line.
+    The body is read in blocks of _BLOCK_LINES lines, each line split once
+    into its label text and its feature text.  A block's feature text is
+    parsed at once (`_block_features`) and its labels line by line
+    (`_read_labels`); a block whose feature text that parse cannot vouch
+    for, and only that block, is read one token at a time (`_read_lines`),
+    which names the offending line.  The first bad line is the one named.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,97 +109,93 @@ def load_dataset(path) -> MultiLabelDataset:
     if max(n * d, n * k) > MAX_CELLS:
         raise FormatError(f"header declares {n} samples x {d} features and {k} labels; "
                           f"n*D and n*K must not exceed {MAX_CELLS}")
-    return MultiLabelDataset(*(_parse_blocks(body, d, k) or _parse_lines(body, d, k)))
-
-
-def _parse_blocks(body, d: int, k: int):
-    """(features, labels) of an mlsvm body, or None where the per-line
-    reading of some line might differ.
-
-    Labels are read line by line as `_parse_lines` reads them.  The feature
-    text of _BLOCK_LINES lines is checked as a whole: it may hold only ASCII
-    digits, `. e E + -`, colons, spaces, tabs and the joining newlines.  With
-    every blank turned into a newline, one `np.loadtxt` call reads it as
-    index:value rows; it refuses a token without exactly two non-empty
-    fields, an index that is not a plain integer or a value that is not a
-    decimal float; Python's `int` and `float` read every token it takes the
-    same way.  `np.bincount` sums each row's values in file order, from
-    +0.0, as `np.add.at` does.  Indices outside [0, D) and non-finite sums
-    are refused."""
-    n = len(body)
     X = np.zeros((n, d))
     labels = -np.ones((n, k), dtype=np.int8)
     for lo in range(0, n, _BLOCK_LINES):
-        block = body[lo:lo + _BLOCK_LINES]
-        feats, counts = [], []
-        for i, line in enumerate(block, lo):
-            label_part, _, feat_part = line.partition("\t")
-            label_part = label_part.strip()
-            if label_part:
-                try:
-                    positive = [int(tok) for tok in label_part.split(",")]
-                except ValueError:
-                    return None
-                if min(positive) < 0 or max(positive) >= k:
-                    return None
-                labels[i, positive] = 1
-            feats.append(feat_part)
-            counts.append(feat_part.count(":"))
-        text = "\n".join(feats)
-        if not text.isascii():
-            return None
-        raw = text.encode("ascii")
-        if raw.translate(None, _FEATURE_BYTES):
-            return None
-        if not any(counts):
-            if raw.strip():  # a token without a colon
-                return None
-            continue
-        try:
-            # a numpy that still reads an integer field such as `1.0`
-            # through float warns with a DeprecationWarning; int() refuses it
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                tokens = np.loadtxt(io.StringIO(raw.translate(_BLANK_TO_NEWLINE).decode()),
-                                    delimiter=":", dtype=_TOKEN, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            return None
-        index = tokens["index"]
-        if index.min() < 0 or index.max() >= d:
-            return None
-        rows = np.repeat(np.arange(len(block)), counts)
-        sums = np.bincount(rows * d + index, weights=tokens["value"], minlength=len(block) * d)
-        # a non-finite value makes its cell's sum non-finite, as does a
-        # repeated index whose sum overflows; the loop names the line of either
-        if not np.isfinite(sums).all():
-            return None
-        X[lo:lo + len(block)] = sums.reshape(-1, d)
-    return X, labels
-
-
-def _parse_lines(body, d: int, k: int):
-    """(features, labels) of an mlsvm body read one token at a time;
-    ParseError names the first bad line."""
-    n = len(body)
-    labels = -np.ones((n, k), dtype=np.int8)
-    rows, cols, vals = [], [], []
-    for i, line in enumerate(body):
-        lineno = i + 2
-        if "\t" in line:
-            label_part, feat_part = line.split("\t", 1)
+        parts = [line.partition("\t")[::2] for line in body[lo:lo + _BLOCK_LINES]]
+        rows = slice(lo, lo + len(parts))
+        if _block_features([feats for _, feats in parts], X[rows]):
+            for i, (label_text, _) in enumerate(parts, lo):
+                _read_labels(label_text, labels[i], i + 2)
         else:
-            label_part, feat_part = line, ""
-        label_part = label_part.strip()
-        if label_part:
-            for tok in label_part.split(","):
-                try:
-                    li = int(tok)
-                except ValueError:
-                    raise ParseError(f"bad label token {tok!r}", line=lineno)
-                if not (0 <= li < k):
-                    raise ParseError(f"label index {li} out of range [0,{k})", line=lineno)
-                labels[i, li] = 1
-        for tok in feat_part.split():
+            _read_lines(parts, X[rows], labels[rows], lo + 2)
+    return MultiLabelDataset(X, labels)
+
+
+def _block_features(feats, out) -> bool:
+    """Parse the feature texts of a block of lines into `out`, their rows
+    of X; False, with `out` untouched, where the per-token reading of some
+    line might differ.
+
+    The text may hold only ASCII digits, `. e E + -`, colons, spaces, tabs
+    and the joining newlines.  With every blank turned into a newline, one
+    `np.loadtxt` call reads it as index:value rows; it refuses a token
+    without exactly two non-empty fields, an index that is not a plain
+    integer or a value that is not a decimal float; Python's `int` and
+    `float` read every token it takes the same way.  `np.bincount` sums
+    each row's values in file order, from +0.0, as `_read_lines` does.
+    Indices outside [0, D) and non-finite sums are refused."""
+    text = "\n".join(feats)
+    if not text.isascii():
+        return False
+    raw = text.encode("ascii")
+    if raw.translate(None, _FEATURE_BYTES):
+        return False
+    counts = [feat.count(":") for feat in feats]
+    if not any(counts):
+        return not raw.strip()  # else a token without a colon
+    try:
+        # a numpy that still reads an integer field such as `1.0`
+        # through float warns with a DeprecationWarning; int() refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            tokens = np.loadtxt(io.StringIO(raw.translate(_BLANK_TO_NEWLINE).decode()),
+                                delimiter=":", dtype=_TOKEN, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return False
+    n, d = out.shape
+    index = tokens["index"]
+    if index.min() < 0 or index.max() >= d:
+        return False
+    rows = np.repeat(np.arange(n), counts)
+    sums = np.bincount(rows * d + index, weights=tokens["value"], minlength=n * d)
+    # a non-finite value makes its cell's sum non-finite, as does a
+    # repeated index whose sum overflows; `_read_lines` names the line
+    if not np.isfinite(sums).all():
+        return False
+    out[:] = sums.reshape(n, d)
+    return True
+
+
+def _read_labels(text, row, lineno: int):
+    """Set the positive labels that a line's label text lists in its row of
+    the label matrix; ParseError names the line."""
+    text = text.strip()
+    if not text:
+        return
+    for tok in text.split(","):
+        try:
+            li = int(tok)
+        except ValueError:
+            raise ParseError(f"bad label token {tok!r}", line=lineno)
+        if not (0 <= li < row.size):
+            raise ParseError(f"label index {li} out of range [0,{row.size})", line=lineno)
+        row[li] = 1
+
+
+def _read_lines(parts, rows, labels, first_line: int):
+    """Read a block's (label text, feature text) pairs one token at a time
+    into its rows of X and of the label matrix; ParseError names the first
+    bad line, counting the block's first line as line `first_line`.  On
+    each line the labels are read before the features, and a repeated index
+    sums in file order, from +0.0, as `np.add.at` sums it; a line whose sum
+    overflows is refused at once, naming its smallest such index."""
+    d = rows.shape[1]
+    for lineno, ((label_text, feat_text), row, label_row) in enumerate(
+            zip(parts, rows, labels), first_line):
+        _read_labels(label_text, label_row, lineno)
+        sums = {}
+        for tok in feat_text.split():
             if ":" not in tok:
                 raise ParseError(f"bad feature token {tok!r}", line=lineno)
             fi_s, fv_s = tok.split(":", 1)
@@ -208,18 +207,12 @@ def _parse_lines(body, d: int, k: int):
                 raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if not (0 <= fi < d):
                 raise ParseError(f"feature index {fi} out of range [0,{d})", line=lineno)
-            rows.append(i)
-            cols.append(fi)
-            vals.append(fv)
-    X = np.zeros((n, d))
-    with np.errstate(over="ignore"):  # refused just below, naming the line
-        np.add.at(X, (rows, cols), vals)
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(f"repeated feature index {j} sums past the float range",
-                         line=int(i) + 2)
-    return X, labels
+            sums[fi] = sums.get(fi, 0.0) + fv
+        over = [fi for fi, total in sums.items() if not math.isfinite(total)]
+        if over:
+            raise ParseError(f"repeated feature index {min(over)} sums past the float range",
+                             line=lineno)
+        row[list(sums)] = list(sums.values())
 
 
 def save_dataset(ds: MultiLabelDataset, path):
@@ -635,7 +628,8 @@ def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
     order, then one final fit on all rows per lambda.  Also returns each
     fold's validation rows, or None for a fold that is not usable: its rows
     hold no label with both a positive and a negative, so `macro_auc` is
-    undefined on it whatever the fit."""
+    undefined on it whatever the fit.  Such a fold is skipped with one
+    warning."""
     n = labels.shape[0]
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
@@ -646,6 +640,9 @@ def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
     val_rows = [np.sort(idx) if ((labels[idx] == 1).any(axis=0)
                                  & (labels[idx] == -1).any(axis=0)).any() else None
                 for idx in fold_idx]
+    for fi, rows in enumerate(val_rows):
+        if rows is None:
+            warnings.warn(f"fold {fi}: all labels degenerate, skipped")
     train_rows = [np.sort(np.concatenate(fold_idx[:fi] + fold_idx[fi + 1:]))
                   for fi in range(folds)]
     jobs = [(train_rows[fi], replace(config, weight_decay=lam,
@@ -657,26 +654,16 @@ def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
 
 
 def _cv_pick(dataset: MultiLabelDataset, grid, rankers, val_rows):
-    """(lambda, final ranker) with the best mean validation Macro-AUC, from
-    the rankers trained on `_cv_jobs`; the first lambda wins a tie.  A fold
-    that is not usable is skipped with a warning once per lambda."""
-    val_sets = [None if rows is None else dataset.subset(rows) for rows in val_rows]
+    """(lambda, final ranker) with the best mean validation Macro-AUC over
+    the usable folds, from the rankers trained on `_cv_jobs`; the first
+    lambda wins a tie, and a lambda whose mean is nan never wins."""
+    val_sets = [dataset.subset(rows) for rows in val_rows if rows is not None]
     fits = iter(rankers)
-    best, best_auc = None, -math.inf
-    for li in range(len(grid)):
-        fold_aucs = []
-        for fi, val in enumerate(val_sets):
-            if val is None:
-                warnings.warn(f"fold {fi}: all labels degenerate, skipped")
-            else:
-                fold_aucs.append(macro_auc(next(fits), val))
-        if not fold_aucs:
-            continue
-        mean_auc = float(np.mean(fold_aucs))
-        if mean_auc > best_auc:
-            best, best_auc = li, mean_auc
-    if best is None:
+    means = [np.mean([macro_auc(next(fits), val) for val in val_sets])
+             for _ in grid] if val_sets else []
+    if np.isnan(means).all():
         raise UndefinedMetricError("no usable fold in cross-validation")
+    best = int(np.nanargmax(means))
     return grid[best], rankers[len(rankers) - len(grid) + best]
 
 
@@ -687,8 +674,8 @@ def cv_select(dataset: MultiLabelDataset, grid=LAMBDA_GRID, folds: int = 3,
 
     Every (lambda, fold) fit and the full-split fit of every lambda train in
     one `train_many` call; the chosen lambda's full-split fit is returned.
-    Folds in which every label is degenerate are skipped with a warning,
-    and their fits are not trained."""
+    A fold in which every label is degenerate is skipped with one warning,
+    and its fits are not trained."""
     jobs, val_rows = _cv_jobs(dataset.labels, grid, folds, config)
     return _cv_pick(dataset, grid, train_many(dataset, jobs), val_rows)
 

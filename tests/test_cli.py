@@ -658,6 +658,19 @@ class TestExperimentCommand:
         assert err == (f"error: {bad}: line 2: repeated feature index 1 sums past "
                        "the float range\n")
 
+    def test_overflowing_row_before_a_bad_token_is_the_one_named(self, tmp_path):
+        # the first bad line is named, not the later line with a bad token
+        bad = tmp_path / "bad.mlsvm"
+        bad.write_text("#samples=3 #features=2 #labels=1\n"
+                       "0\t1:8.988465674311579e+307 1:8.98846567431158e+307\n\t0:1\n0\t1:x\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["experiment", "--data", str(bad),
+                                      "--seeds", "0", "--epochs", "1"])
+        assert (code, out, caught) == (3, "", [])
+        assert err == (f"error: {bad}: line 2: repeated feature index 1 sums past "
+                       "the float range\n")
+
     def test_two_data_files_with_one_stem_exit_2(self, tmp_path):
         # both would write x.report.json; the second file does not even
         # parse, so exit 2 shows the clash is found before any load

@@ -537,6 +537,21 @@ class TestFixedPoint:
         h = SubRootHandle(fn=lambda r: 2e4 * math.sqrt(r), r_hi=1e3)
         assert fixed_point(h) == pytest.approx(4e8, rel=1e-9)
 
+    @pytest.mark.parametrize("r_hi", [1e90, 1e200, 1e300])
+    def test_fixed_point_far_below_r_hi(self, r_hi):
+        # the downward search carries the upper bracket down with it, so
+        # bisection starts from [r/2, r] around r* = 1: one evaluation per
+        # halving on the way down, a few dozen to bisect, and the grid check
+        calls = []
+
+        def fn(r):
+            calls.append(r)
+            return math.sqrt(r)
+
+        r = fixed_point(SubRootHandle(fn=fn, r_hi=r_hi))
+        assert abs(r - 1.0) <= 1e-10
+        assert len(calls) <= lfrc._GRID_POINTS + math.log2(r_hi) + 60
+
     @pytest.mark.parametrize("r_hi", [math.nan, math.inf, 0.0, -1.0, 1e-320])
     def test_bad_r_hi_rejected(self, r_hi):
         with pytest.raises(DomainError, match="r_hi"):
