@@ -67,9 +67,6 @@ class TailBoundInput:
     chi_list: tuple[float, ...]
     blocks: tuple[tuple[tuple[float, float], ...], ...] | None = None
 
-    def __post_init__(self):
-        self.validate()
-
     @property
     def v(self) -> float:
         return (1.0 + self.b) * self.EZ + self.sigma_sq
@@ -95,7 +92,7 @@ class TailBoundInput:
             return True
         return all(w == 1.0 for task in self.blocks for w, _ in task)
 
-    def validate(self):
+    def __post_init__(self):
         if not self.chi_list:
             raise InvariantError("chi_list must be nonempty")
         K = len(self.chi_list)

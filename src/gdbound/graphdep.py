@@ -67,12 +67,6 @@ class DependencyGraph:
     def has_edge(self, u, v):
         return 0 <= u < self.n_vertices and v in self.adjacency[u]
 
-    def neighbors(self, v):
-        return self.adjacency[v]
-
-    def degree(self, v):
-        return len(self.adjacency[v])
-
     def is_independent(self, vertices):
         vs = set(vertices)
         return all(self.adjacency[v].isdisjoint(vs) for v in vs)

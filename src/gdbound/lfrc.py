@@ -273,7 +273,8 @@ def _check_r_hi(r_hi):
 
 @dataclass
 class SubRootHandle:
-    """An evaluable candidate sub-root function with a search ceiling.
+    """A candidate sub-root function `fn` with a search ceiling `r_hi`;
+    `fixed_point` and `grid_check` evaluate `fn`.
 
     Sub-root means nonnegative, nondecreasing, with r -> f(r)/sqrt(r)
     nonincreasing; such a function has a unique positive fixed point.
@@ -285,9 +286,6 @@ class SubRootHandle:
 
     def __post_init__(self):
         _check_r_hi(self.r_hi)
-
-    def __call__(self, r):
-        return self.fn(r)
 
     def grid_check(self):
         """Verify sub-root properties on a grid; DomainError on failure."""

@@ -320,13 +320,14 @@ class _ChainStreams:
     size=(epochs, 2, n~))`, but seeded and drawn for many chains at once.
 
     Chain c is child k = labels[c] of seqs[jobs[c]]; sizes[c] holds its
-    (positive, negative) counts.  Its stream stays a bare PCG64
-    whose raw words `draw` maps to rows with numpy's 32-bit Lemire step,
-    until that step rejects a word: the chain is then rewound and handed to
-    a Generator's `integers`, which it keeps, since a Generator may hold a
-    half word buffered.  A chain with a one-row side (which `integers`
-    answers without a word) or a side of 2^32 rows or more (drawn with
-    64-bit words) uses its Generator from the start."""
+    (positive, negative) counts and streams[c] its PCG64.  `draw` maps the
+    raw words of a chain to rows with numpy's 32-bit Lemire step until that
+    step rejects a word: the chain is then rewound and `by_integers[c]` set,
+    and from then on it draws through `Generator(streams[c]).integers`.  The
+    flag stays set, because `integers` may leave a half word buffered in the
+    bit generator, which raw words would skip.  A chain with a one-row side
+    (which `integers` answers without a word) or a side of 2^32 rows or more
+    (drawn with 64-bit words) is flagged from the start."""
 
     def __init__(self, seqs, jobs, labels, sizes):
         class Words(np.random.bit_generator.ISeedSequence):
@@ -344,8 +345,7 @@ class _ChainStreams:
         self.thresholds = (2**32 - self.highs) % self.highs
         self.streams = [np.random.PCG64(Words(row))
                         for row in self.child_states(seqs, jobs, labels)]
-        for c in np.flatnonzero((sizes.min(axis=1) == 1) | (sizes.max(axis=1) >= 2**32)):
-            self.streams[c] = np.random.Generator(self.streams[c])
+        self.by_integers = (sizes.min(axis=1) == 1) | (sizes.max(axis=1) >= 2**32)
 
     @staticmethod
     def child_states(seqs, jobs, labels) -> np.ndarray:
@@ -400,29 +400,29 @@ class _ChainStreams:
         values of `integers(0, [[n+], [n-]], size=(nb, 2, n))`, negatives
         offset by the positive count, with each stream left where that call
         leaves it."""
+        chains = np.asarray(chains)
         picks = np.empty((len(chains), nb, 2, n), dtype=np.int64)
-        fresh = [g for g, c in enumerate(chains)
-                 if not isinstance(self.streams[c], np.random.Generator)]
-        if fresh:
-            cs = [chains[g] for g in fresh]
+        fresh = ~self.by_integers[chains]
+        if fresh.any():
+            cs = chains[fresh]
             raw = np.array([self.streams[c].random_raw(nb * n) for c in cs])
             # 2 nb n uint32 words, the low half of each raw word first, as
             # PCG64 hands them out; the count is even, so no half word is
             # left buffered
             words = raw.astype("<u8", copy=False).view("<u4").reshape(len(cs), nb, 2, n)
             scaled = words * self.highs[cs]
-            rejected = ((scaled & 0xFFFFFFFF) < self.thresholds[cs]).any(axis=(1, 2, 3))
+            rejected = cs[((scaled & 0xFFFFFFFF) < self.thresholds[cs]).any(axis=(1, 2, 3))]
             scaled >>= 32
             picks[fresh] = scaled
-            for c in np.asarray(cs)[rejected]:
+            for c in rejected:
                 # a Python int: PCG64 wraps a numpy integer's negative step
                 # with a 128-bit mask that numpy cannot convert
                 self.streams[c].advance(-int(nb * n))
-                self.streams[c] = np.random.Generator(self.streams[c])
-        for g, c in enumerate(chains):
-            if isinstance(self.streams[c], np.random.Generator):
-                picks[g] = self.streams[c].integers(0, self.sizes[c, :, None],
-                                                    size=(nb, 2, n))
+            self.by_integers[rejected] = True
+        for g in np.flatnonzero(self.by_integers[chains]):
+            c = chains[g]
+            picks[g] = np.random.Generator(self.streams[c]).integers(
+                0, self.sizes[c, :, None], size=(nb, 2, n))
         picks[:, :, 1] += self.sizes[chains, :1, None]  # negatives follow the positives
         return picks
 

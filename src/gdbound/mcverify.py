@@ -33,7 +33,6 @@ one a single call per side would give.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -314,7 +313,6 @@ def _sup_amp(law):
 class SampleResult:
     z: np.ndarray
     inp: TailBoundInput
-    moments_mode: str
 
 
 def sample_Z(sampler: DependentSampler, n_trials: int,
@@ -323,18 +321,17 @@ def sample_Z(sampler: DependentSampler, n_trials: int,
 
     moments='analytic' computes (E[Z], sigma^2, v) from the declared base
     and kernel; moments='plugin' estimates the summand moments from a
-    calibration run one tenth the size (separate seed stream) and is
-    labeled as such in the result.
+    calibration run one tenth the size (separate seed stream).
     """
     if moments not in ("analytic", "plugin"):
         raise ConfigError(f"unknown moments mode {moments!r}")
     z = _simulate(sampler, n_trials)
     if moments == "analytic":
-        return SampleResult(z=z, inp=analytic_input(sampler), moments_mode="analytic")
+        return SampleResult(z=z, inp=analytic_input(sampler))
     n_cal = max(1000, n_trials // 10)
     mean_hat, e2_hat = _calibrate(sampler, n_cal, stream_offset=_n_batches(n_trials))
     inp = _bundle(sampler, mean_hat, max(e2_hat, mean_hat**2))
-    return SampleResult(z=z, inp=inp, moments_mode="plugin")
+    return SampleResult(z=z, inp=inp)
 
 
 def _calibrate(sampler, n_cal, stream_offset):
@@ -379,9 +376,6 @@ class TailReport:
 
     def as_dict(self):
         return {**asdict(self), "violations": self.violations}
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2)
 
     def to_table(self):
         header = f"{'t':>10} {'threshold':>14} {'empirical':>12} {'stderr':>12} {'bound':>12} {'viol':>5}"
@@ -430,10 +424,10 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         ez = float(_simulate(sampler, n_cal, sup_mode=True,
                              stream_offset=_n_batches(n_trials)).mean())
         inp = _talagrand_input(sampler, ez)
-        moments_mode = "plugin"
+        moments = "plugin"  # E[Z] is estimated, whatever was asked
     else:
         result = sample_Z(sampler, n_trials, moments=moments)
-        z, inp, moments_mode = result.z, result.inp, result.moments_mode
+        z, inp = result.z, result.inp
         if not inp.unit_weights and inequality == "bennett_refined":
             raise ModeError("refined mode requires unit cover weights")
 
@@ -444,7 +438,7 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
 
     report = TailReport(
         config=asdict(sampler), inequality=inequality, form=form,
-        moments_mode=moments_mode, n_trials=n_trials, t_grid=list(t_grid),
+        moments_mode=moments, n_trials=n_trials, t_grid=list(t_grid),
     )
     lower = inequality == "lower_tail"
     for t in t_grid:

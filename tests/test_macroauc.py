@@ -789,12 +789,9 @@ class TestChainStreams:
             want, state = spawned_block_draws(seed, C, c, chain_sizes, n, blocks)
             for got_block, want_block in zip(drawn, want):
                 assert np.array_equal(got_block[c], want_block), (c, self.LEMIRE)
-            stream = getattr(streams.streams[c], "bit_generator", streams.streams[c])
-            assert _state(stream.state) == _state(state), (c, self.LEMIRE)
+            assert _state(streams.streams[c].state) == _state(state), (c, self.LEMIRE)
         # the array path ran, and the rejecting chains left it
-        assert isinstance(streams.streams[0], np.random.PCG64)
-        assert isinstance(streams.streams[1], np.random.Generator)
-        assert isinstance(streams.streams[2], np.random.Generator)
+        assert streams.by_integers[:3].tolist() == [False, True, True]
 
     # train_many passes its row count as a numpy integer
     @pytest.mark.parametrize("n", [1, np.intp(1)])
@@ -812,7 +809,7 @@ class TestChainStreams:
                                          range(C), np.array(sizes, dtype=np.int64))
         for nb in blocks:
             streams.draw(list(range(C)), nb, n)
-        got = {c for c, s in enumerate(streams.streams) if isinstance(s, np.random.Generator)}
+        got = set(np.flatnonzero(streams.by_integers).tolist())
         # a chain keeps its raw stream until a block rejects, so it falls
         # back iff any of its blocks' words, read from the start, is rejected
         want = set()
