@@ -179,7 +179,7 @@ class Options(dict):
 def _read_text(path):
     """Text of an input file; FormatError (exit 3) names an unreadable one."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
@@ -256,7 +256,7 @@ def cmd_verify(cfg):
     report = mcverify.verify_inequality(sampler, ineq, cfg["t_grid"], trials,
                                         form=cfg["form"], moments=cfg["moments"])
     if cfg.get("out"):
-        Path(cfg["out"]).write_text(_report(report.as_dict(), cfg))
+        Path(cfg["out"]).write_text(_report(report.as_dict(), cfg), encoding="utf-8")
     print(report.to_table())
     n_viol = len(report.violations)
     print(f"violations: {n_viol}")
@@ -335,7 +335,8 @@ def cmd_bound(cfg):
     for line, x in zip(lines, numbers):
         print(f"{line} = {_fmt(x)}")
     if cfg.get("out"):
-        Path(cfg["out"]).write_text(_report({"formula": formula, "value": value}, cfg))
+        Path(cfg["out"]).write_text(_report({"formula": formula, "value": value}, cfg),
+                                    encoding="utf-8")
     return EXIT_OK
 
 
@@ -431,7 +432,7 @@ def cmd_experiment(cfg):
         summary = result.summary()
         if out_dir:
             (out_dir / f"{name}.report.json").write_text(_report(
-                {"summary": summary, "per_seed_reports": result.reports}, cfg))
+                {"summary": summary, "per_seed_reports": result.reports}, cfg), encoding="utf-8")
         rows.append(summary)
     header = (f"{'dataset':<20} {'ours':>16} {'prior':>16} "
               f"{'r_star':>12} {'test_auc':>9} {'smaller':>8}")
@@ -447,7 +448,7 @@ def cmd_experiment(cfg):
     table = "\n".join(lines)
     print(table)
     if out_dir:
-        (out_dir / "comparison.txt").write_text(table + "\n")
+        (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -459,7 +460,7 @@ def cmd_graph_chi(cfg):
     print(f"chi_f = {_fmt(chi)}")
     text = cover.to_text()
     if cfg.get("out"):
-        Path(cfg["out"]).write_text(text)
+        Path(cfg["out"]).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return EXIT_OK
@@ -505,7 +506,9 @@ COMMANDS = [
         _opt("--centered", _bool, "false"),
         _opt("--form", default="probability", choices=("probability", "deviation")),
         _opt("--t-grid", _floats, "0.25,0.5,1,2,4"),
-        _opt("--moments", default="analytic", choices=("analytic", "plugin")),
+        _opt("--moments", default="analytic", choices=("analytic", "plugin"),
+             help="E[Z], sigma^2 and v from the declared base and kernel, or estimated "
+                  "from a calibration run; --ineq talagrand always estimates E[Z]"),
         _opt("--seed", int, "0"),
         _opt("--out", help="write the full-precision JSON report here"))),
     (("bound",), "evaluate one closed-form bound", cmd_bound, (

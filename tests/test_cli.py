@@ -919,6 +919,12 @@ class TestOptionTable:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"--out OUT {says}" in help_text
 
+    def test_moments_help_says_talagrand_estimates(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--ineq talagrand always estimates E[Z]" in help_text
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -1037,3 +1043,64 @@ def test_no_command_loads_scipy():
         assert stage in lines, proc.stdout
     assert "chi_f = 4" in lines
     assert lines[-1] == "scipy modules []"
+
+
+# Runs each argv of a JSON list with `main`, output discarded, and prints the
+# exit codes as JSON: an exception that escapes `main` is named instead.
+EXIT_CODES = """
+import contextlib
+import io
+import json
+import sys
+
+from gdbound.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except Exception as exc:
+            codes.append(type(exc).__name__)
+print(json.dumps(codes))
+"""
+
+
+def test_file_commands_do_not_use_the_locale_encoding(tmp_path):
+    """Every command that reads or writes a file names its encoding: under
+    `-X warn_default_encoding -W error::EncodingWarning` each exits as in a
+    plain run, so the bytes it reads and writes do not depend on the locale."""
+    import gdbound
+
+    save_dataset(small_separable(n=24, d=4, k=2, seed=1), tmp_path / "tiny.mlsvm")
+    graph, _ = bipartite_ranking_graph(3, 4)
+    (tmp_path / "rook.txt").write_text(graph.to_text(), encoding="utf-8")
+    (tmp_path / "x.txt").write_text("1 0\n0 2\n1 1\n", encoding="utf-8")
+    (tmp_path / "gram.txt").write_text("2 1\n1 2\n", encoding="utf-8")
+    (tmp_path / "bound.cfg").write_text("c = 1\nv = 2\nt = 1\n", encoding="utf-8")
+    runs = [
+        ["verify", "--structure", "iid:10", "--ineq", "bennett_general", "--trials", "200",
+         "--out", "verify.json"],
+        ["bound", "bernstein", "--c", "1", "--v", "1", "--t", "1", "--out", "bound.json"],
+        ["lfrc", "estimate", "--features", "x.txt", "--draws", "5"],
+        ["rstar", "kernel", "--gram", "gram.txt", "--chi", "1", "--m", "2"],
+        ["rstar", "linear", "--weights", "x.txt", "--tau", "0.5", "--n", "100"],
+        ["experiment", "--data", "tiny.mlsvm", "--seeds", "0", "--folds", "2",
+         "--epochs", "1", "--out", "exp"],
+        ["graph", "chi", "--edges", "rook.txt", "--out", "cover.txt"],
+        ["graph", "cover-check", "--edges", "rook.txt", "--cover", "cover.txt"],
+        ["bound", "bernstein", "--config", "bound.cfg"],
+    ]
+    src = str(Path(gdbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def exit_codes(*flags):
+        proc = subprocess.run([sys.executable, *flags, "-c", EXIT_CODES, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              check=True)
+        return json.loads(proc.stdout)
+
+    plain = exit_codes()
+    assert plain == [0] * len(runs)
+    assert exit_codes("-X", "warn_default_encoding", "-W", "error::EncodingWarning") == plain

@@ -1,7 +1,9 @@
 """Every package the suite and the benchmark import is one that an install
 as the README says provides: the standard library, numpy, gdbound, a module
 of their own, or a package listed in pyproject's `test` extra.  A missing
-one would drop a test module at collection or skip its tests unseen."""
+one would drop a test module at collection or skip its tests unseen.  The
+package itself imports only the standard library and numpy, its one
+runtime dependency."""
 
 import ast
 import re
@@ -12,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gdbound").glob("*.py"))
 
 
 def extra_packages():
@@ -43,3 +46,9 @@ def test_every_import_is_installed_by_the_test_extra(source):
     missing = sorted(set(imported(source)) - allowed)
     assert not missing, f"{source.name} imports {missing}, not in the test extra"
 
+
+
+@pytest.mark.parametrize("source", PACKAGE, ids=lambda path: f"gdbound/{path.name}")
+def test_the_package_imports_only_numpy_and_the_standard_library(source):
+    missing = sorted(set(imported(source)) - set(sys.stdlib_module_names) - {"numpy"})
+    assert not missing, f"{source.name} imports {missing}; the runtime depends on numpy alone"
