@@ -68,17 +68,16 @@ BOUND_ARGS = {
 SKIPPED_FOLD = r"fold \d+: all labels degenerate, skipped"
 
 
-def _matrix_text(rows, cols, salt):
-    """A small integer matrix, one row per line, from a fixed formula (no
-    random generator, so its bytes do not depend on numpy)."""
-    return "".join(" ".join(str((i * 7 + j * 3 + salt) % 11 - 5) for j in range(cols)) + "\n"
-                   for i in range(rows))
+def _int_matrix(rows, cols, salt):
+    """A small integer matrix from a fixed formula: no random generator, so
+    the files written from it do not depend on numpy."""
+    i, j = np.ogrid[:rows, :cols]
+    return (i * 7 + j * 3 + salt) % 11 - 5
 
 
-def _gram_text(rows, cols, salt):
-    """The Gram matrix A A' of `_matrix_text`'s A: integer, so exactly PSD."""
-    A = np.array([[(i * 7 + j * 3 + salt) % 11 - 5 for j in range(cols)] for i in range(rows)])
-    return "".join(" ".join(str(int(x)) for x in row) + "\n" for row in A @ A.T)
+def _write_matrix(path, matrix):
+    Path(path).write_text("".join(" ".join(map(str, row)) + "\n" for row in matrix.tolist()),
+                          encoding="utf-8")
 
 
 def _write_inputs():
@@ -86,9 +85,10 @@ def _write_inputs():
     save_dataset(emotions_like(seed=0), "emotions.mlsvm")
     save_dataset(cal500_like(seed=0), "cal500.mlsvm")
     for k, (rows, salt) in enumerate([(18, 0), (25, 4)]):
-        Path(f"features{k}.txt").write_text(_matrix_text(rows, 5, salt), encoding="utf-8")
-        Path(f"gram{k}.txt").write_text(_gram_text(rows, 4, salt), encoding="utf-8")
-    Path("weights.txt").write_text(_matrix_text(4, 9, 2), encoding="utf-8")
+        _write_matrix(f"features{k}.txt", _int_matrix(rows, 5, salt))
+        A = _int_matrix(rows, 4, salt)
+        _write_matrix(f"gram{k}.txt", A @ A.T)  # integer, so exactly PSD
+    _write_matrix("weights.txt", _int_matrix(4, 9, 2))
 
 
 def _commands():
