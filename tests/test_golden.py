@@ -88,6 +88,8 @@ def _write_inputs():
         _write_matrix(f"features{k}.txt", _int_matrix(rows, 5, salt))
         A = _int_matrix(rows, 4, salt)
         _write_matrix(f"gram{k}.txt", A @ A.T)  # integer, so exactly PSD
+    A = _int_matrix(48, 3, 1)
+    _write_matrix("gram-rank3.txt", A @ A.T)  # a low rank that the spectrum may factor
     _write_matrix("weights.txt", _int_matrix(4, 9, 2))
 
 
@@ -113,6 +115,8 @@ def _commands():
                                  "--draws", "40", "--seed", "11"], {}),
         ("rstar-kernel", ["rstar", "kernel", "--gram", "gram0.txt", "--gram", "gram1.txt",
                           "--chi", "2,3", "--m", "18,25", "--mtilde", "1.5"], {}),
+        ("rstar-kernel/rank-3", ["rstar", "kernel", "--gram", "gram-rank3.txt", "--chi", "6",
+                                 "--m", "48", "--mtilde", "0.75"], {}),
         ("rstar-linear/tasks", ["rstar", "linear", "--weights", "weights.txt", "--chi",
                                 "1,2,2,4", "--m", "30,30,40,50", "--mbar", "2"], {}),
         ("rstar-linear/experiment-mode", ["rstar", "linear", "--weights", "weights.txt",
@@ -185,6 +189,7 @@ PINS = {
         'lfrc-estimate/unlocalized/stdout': 'e2a6df8edae555f9f12b1eec09c6e42d2d0f71d9bc7c06ba23a5b11996d1fcef',
         'lfrc-estimate/r=0.5/stdout': '805039cd252d75e34701054ba68e93a9bad3708506bab22a2854e6ea975968fb',
         'rstar-kernel/stdout': 'dcf1aade5976204f24bba943b209bff171850d7bdd8f205a51107529909b95f3',
+        'rstar-kernel/rank-3/stdout': 'c66977042fb8f29e7349127b698570a0ae04419261dfca970592075d41e13535',
         'rstar-linear/tasks/stdout': '9c3174f723d0b7319345e6afd7e4adea3d738c4e917520c84278b98f82d4fc6b',
         'rstar-linear/experiment-mode/stdout': '6990f88680ea348a7d4a9980ba6481979a7b9aca78fcc8437c340c3cc4100e31',
     },
