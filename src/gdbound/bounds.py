@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DomainError, InvariantError, finite_result
 
 _NEG_EIG_TOL = -1e-12
+_EPS = np.finfo(float).eps
+_RANK_DIVISOR = 8  # m // 8 pivots: what a full-rank Gram spends before its eigvalsh
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,21 @@ class SpectrumProfile:
 
 @finite_result
 def spectrum_from_gram(gram) -> SpectrumProfile:
-    """Operator-spectrum estimate: eigenvalues of gram/m, nonincreasing.
+    """Operator-spectrum estimate: eigenvalues of A = gram/m, nonincreasing.
 
-    The Gram matrix must be symmetric PSD within 1e-8; small negative
-    eigenvalues from roundoff are clamped to zero.
+    The Gram matrix must be symmetric within 1e-8 and PSD relative to its
+    scale: an eigenvalue below -1e-8 max(1, lambda_max) is refused, and
+    smaller negative eigenvalues from roundoff are clamped to zero.
+
+    A Gram of numerical rank r <= m / 8 (a pair-transformed task's Gram
+    has rank at most n_pos + n_neg - 1 of its n_pos n_neg rows) is
+    factored A = R'R by diagonally pivoted Cholesky in O(m r^2) (Higham,
+    "Analysis of the Cholesky decomposition of a semi-definite matrix",
+    1990), and its spectrum is that of the r x r matrix R R', padded with
+    m - r zeros.  Every value lies within m eps lambda_max of the dense
+    eigvalsh of A, which every other input takes: one of larger rank, one
+    with ||A - R'R||_F above m eps lambda_max / 2 (an indefinite A among
+    them), or one whose largest diagonal entry is not positive and finite.
     """
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -64,11 +77,63 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     if not symmetric:
         raise DomainError("Gram matrix must be symmetric within 1e-8")
     m = G.shape[0]
-    eigs = np.linalg.eigvalsh(G / m)
-    if eigs.size and eigs.min() < -1e-8:
+    A = G / m
+    eigs = _low_rank_spectrum(A)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(A)
+    if eigs.size and eigs.min() < -1e-8 * max(1.0, eigs.max()):
         raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
-    vals = np.clip(np.sort(eigs)[::-1], 0.0, None)
+    vals = np.zeros(m)
+    vals[:eigs.size] = np.clip(np.sort(eigs)[::-1], 0.0, None)
     return SpectrumProfile(values=vals)
+
+
+def _low_rank_spectrum(A):
+    """The r largest eigenvalues of A, ascending, from the r x r matrix
+    R R' of a diagonally pivoted Cholesky factor A ~ R'R; the other m - r
+    are within ||A - R'R||_F of 0.  None when the rank passes
+    m // _RANK_DIVISOR, when ||A - R'R||_F exceeds m eps lambda_max / 2,
+    or when max diag(A) is not positive and finite.
+
+    Each step pivots on the largest residual diagonal and stops once it
+    falls to m eps max diag(A) (LAPACK's dpstrf: Lucas, LAPACK Working
+    Note 161, 2004).  By Weyl's inequality every eigenvalue of A lies
+    within ||A - R'R||_2 <= ||A - R'R||_F of one of R'R's, so the residual
+    check bounds the error, with half of m eps lambda_max left to the
+    roundoff of the eigensolvers.  It also refuses an indefinite A, such
+    as one holding a [[0, 1], [1, 0]] block, whose diagonal is no guide.
+    """
+    m = len(A)
+    cap = m // _RANK_DIVISOR
+    if cap < 1:
+        return None
+    d = A.diagonal().copy()
+    tol = m * _EPS * d.max()
+    if not 0.0 < tol < math.inf:
+        return None
+    R = np.empty((cap, m))
+    # an overflow or a nan from a non-finite or indefinite A fails the residual check
+    with np.errstate(all="ignore"):
+        for k in range(cap + 1):
+            p = d.argmax()
+            pivot = d[p]
+            if pivot <= tol:
+                break
+            if k == cap:
+                return None
+            row = R[k]
+            np.dot(R[:k, p], R[:k], out=row)
+            np.subtract(A[p], row, out=row)
+            row /= math.sqrt(pivot)
+            d -= np.square(row)
+            d[p] = 0.0
+        R = R[:k]
+        eigs = np.linalg.eigvalsh(R @ R.T)
+        E = R.T @ R
+        np.subtract(A, E, out=E)
+        if not math.sqrt(np.vdot(E, E)) <= 0.5 * m * _EPS * eigs[-1]:
+            return None
+    return eigs
 
 
 @finite_result

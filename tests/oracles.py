@@ -5,7 +5,8 @@ the library path it checks: projected gradient ascent with Dykstra
 projections for the constrained linear supremum, one eigendecomposition
 and one scalar brentq per (draw, task) for the localized complexity
 estimate, characteristic-polynomial
-root finding for eigenvalues, plain-loop enumeration for the truncation
+root finding for eigenvalues, a Gram spectrum from one dense `eigvalsh`
+whatever its rank, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points, a greedy
 coloring that rescans the edge list for every neighbourhood, the rook
 graph's edges listed one pair at a time, maximal independent sets by a
@@ -29,8 +30,10 @@ from scipy.optimize import brentq, linprog
 from scipy.stats import rankdata
 
 from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
-    FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError
+    FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError, \
+    finite_result
 from gdbound import mcverify
+from gdbound.bounds import SpectrumProfile
 from gdbound.graphdep import FractionalCover
 from gdbound.lfrc import _EIG_CLIP
 from gdbound.macroauc import LAMBDA_GRID, MAX_CELLS, LinearRanker, MultiLabelDataset, \
@@ -206,6 +209,25 @@ def charpoly_eigenvalues(matrix):
     coeffs = [(-1) ** k * e[k] for k in range(n + 1)]  # x^n - e1 x^{n-1} + ...
     roots = np.roots(coeffs)
     return np.sort(roots.real)[::-1]
+
+
+@finite_result
+def eigvalsh_spectrum_from_gram(gram):
+    """Eigenvalues of gram/m, nonincreasing, from one dense eigvalsh of the
+    whole m x m matrix: `bounds.spectrum_from_gram` before it factored
+    low-rank Grams, with its relative PSD rule."""
+    G = np.asarray(gram, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise DomainError("Gram matrix must be square")
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = np.allclose(G, G.T, atol=1e-8)
+    if not symmetric:
+        raise DomainError("Gram matrix must be symmetric within 1e-8")
+    m = G.shape[0]
+    eigs = np.linalg.eigvalsh(G / m)
+    if eigs.size and eigs.min() < -1e-8 * max(1.0, eigs.max()):
+        raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
+    return SpectrumProfile(values=np.clip(np.sort(eigs)[::-1], 0.0, None))
 
 
 def brute_force_rstar_kernel(spectra_values, chi_list, m_list, m_tilde, K):

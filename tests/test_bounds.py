@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gdbound.bounds import (
     BoundParams,
@@ -21,9 +22,33 @@ from oracles import (
     brute_force_rstar_kernel,
     brute_force_rstar_linear,
     charpoly_eigenvalues,
+    eigvalsh_spectrum_from_gram,
 )
 
 LN100 = math.log(100.0)
+EPS = np.finfo(float).eps
+
+
+def pair_features(rng, n_pos, n_neg, dim, scale=1.0):
+    """Rows x_p - x_q of one pair-transformed task, one per (positive,
+    negative) pair: their Gram has rank at most min(dim, n_pos + n_neg - 1)."""
+    pos = rng.normal(size=(n_pos, dim)) * scale
+    neg = rng.normal(size=(n_neg, dim)) * scale
+    return (pos[:, None, :] - neg[None, :, :]).reshape(n_pos * n_neg, dim)
+
+
+@st.composite
+def drawn_grams(draw):
+    """(A A', s): m <= 120 rows of any rank, some of them zero and some
+    repeated, and a scale exponent s; the Gram to test is A A' 4^s."""
+    m = draw(st.integers(1, 120))
+    rank = draw(st.one_of(st.integers(0, m // 8), st.integers(0, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(m, rank))
+    A[rng.choice(m, draw(st.integers(0, m // 4)), replace=False)] = 0.0
+    repeats = draw(st.integers(0, m // 4))
+    A[rng.integers(0, m, repeats)] = A[rng.integers(0, m, repeats)]
+    return A @ A.T, draw(st.integers(-100, 100))
 
 
 class TestSpectrumFromGram:
@@ -68,6 +93,96 @@ class TestSpectrumFromGram:
         G = np.diag([1.0, -1e-10])
         spec = spectrum_from_gram(G)
         assert (spec.values >= 0.0).all()
+
+    @pytest.mark.parametrize("n_pos, n_neg, dim, scale", [
+        (22, 22, 72, 1e4), (22, 22, 72, 1e8), (3, 4, 5, 1e4), (3, 4, 5, 1e8)])
+    def test_large_psd_gram_accepted(self, n_pos, n_neg, dim, scale):
+        # roundoff leaves eigenvalues near -1e-16 lambda_max, far below -1e-8 here
+        X = pair_features(np.random.default_rng(0), n_pos, n_neg, dim)
+        small = spectrum_from_gram(X @ X.T).values
+        big = spectrum_from_gram((X * scale) @ (X * scale).T).values
+        assert np.abs(big / scale**2 - small).max() <= 1e-12 * small[0]
+
+    @pytest.fixture
+    def eigvalsh_shapes(self, monkeypatch):
+        """The shape of every matrix np.linalg.eigvalsh decomposes."""
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return shapes
+
+    def test_pair_gram_decomposes_its_rank(self, eigvalsh_shapes):
+        # 22 x 22 pairs of 72 features: rank 22 + 22 - 1 of 484 rows
+        X = pair_features(np.random.default_rng(1), 22, 22, 72)
+        spec = spectrum_from_gram(X @ X.T)
+        assert eigvalsh_shapes == [(43, 43)]
+        assert spec.values.shape == (484,)
+        assert (spec.values[43:] == 0.0).all() and spec.values[42] > 0.0
+
+    def test_full_rank_gram_falls_back(self, eigvalsh_shapes):
+        Z = np.random.default_rng(2).normal(size=(120, 5))
+        rbf = np.exp(-0.5 * ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
+        spectrum_from_gram(rbf)
+        assert eigvalsh_shapes == [(120, 120)]
+
+    def test_indefinite_block_falls_back_and_is_refused(self, eigvalsh_shapes):
+        G = np.zeros((16, 16))
+        G[3, 9] = G[9, 3] = 1.0
+        with pytest.raises(DomainError, match="^Gram matrix not PSD: eigenvalue -0.0625$"):
+            spectrum_from_gram(G)
+        assert eigvalsh_shapes == [(16, 16)]
+
+    @pytest.mark.parametrize("m, shape", [(m, (m, m)) for m in range(1, 8)] + [(8, (1, 1))])
+    def test_gram_below_the_cap_is_not_factored(self, m, shape, eigvalsh_shapes):
+        spectrum_from_gram(np.ones((m, m)))  # rank 1; the cap is m // 8 pivots
+        assert eigvalsh_shapes == [shape]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=drawn_grams())
+    def test_matches_the_eigvalsh_oracle(self, drawn):
+        G, s = drawn
+        m = len(G)
+        want = eigvalsh_spectrum_from_gram(G * 4.0**s).values
+        got = spectrum_from_gram(G * 4.0**s).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= m * EPS * want[0]
+        for other in (-100, 0, 100):  # a PSD Gram is accepted at every scale
+            spectrum_from_gram(G * 4.0**other)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=drawn_grams(), place=st.integers(0, 2**16),
+           defect=st.sampled_from(["asymmetric", "negative diagonal", "indefinite block",
+                                   "inf", "-inf", "nan"]))
+    def test_bad_input_raises_as_the_oracle_does(self, drawn, place, defect):
+        G, s = drawn
+        G = G * 4.0**s
+        m = len(G)
+        i, j = place % m, place // m % m
+        big = 1.0 + np.abs(G).max()
+        if defect in ("asymmetric", "indefinite block"):
+            assume(i != j)
+        if defect == "asymmetric":
+            G[i, j] += big
+        elif defect == "negative diagonal":
+            G[i, i] = -big
+        elif defect == "indefinite block":  # zero diagonal, [[0, big], [big, 0]]
+            G[[i, j]] = 0.0
+            G[:, [i, j]] = 0.0
+            G[i, j] = G[j, i] = big
+        else:
+            G[i, j] = G[j, i] = float(defect)
+        # an infinite entry may raise numpy's LinAlgError from eigvalsh
+        with pytest.raises(Exception) as want:
+            eigvalsh_spectrum_from_gram(G)
+        with pytest.raises(Exception) as got:
+            spectrum_from_gram(G)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value).replace(
+            eigvalsh_spectrum_from_gram.__name__, spectrum_from_gram.__name__)
 
 
 class TestSpectrumFromWeights:

@@ -317,6 +317,19 @@ class TestLfrcAndRstarCommands:
         assert code == 0
         assert "r_star = 0.02" in out and "cuts = 2" in out
 
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_rstar_kernel_on_a_large_psd_gram(self, tmp_path, scale):
+        # 3 x 4 pairs of 5 features: roundoff puts its least eigenvalue near
+        # -1e-16 lambda_max, which is below -1e-8 at these scales
+        rng = np.random.default_rng(0)
+        X = (rng.normal(size=(3, 1, 5)) - rng.normal(size=(1, 4, 5))).reshape(12, 5) * scale
+        gram = tmp_path / "g.txt"
+        np.savetxt(gram, X @ X.T)
+        code, out, err = run_cli(["rstar", "kernel", "--gram", str(gram),
+                                  "--chi", "4", "--m", "12"])
+        assert (code, err) == (0, "")
+        assert out.startswith("r_star = ")
+
     @pytest.mark.parametrize("args", [
         ["lfrc", "estimate", "--features"],
         ["rstar", "kernel", "--chi", "1", "--m", "100", "--gram"],
