@@ -29,22 +29,24 @@ LN100 = math.log(100.0)
 EPS = np.finfo(float).eps
 
 
-def pair_features(rng, n_pos, n_neg, dim, scale=1.0):
+def pair_features(rng, n_pos, n_neg, dim):
     """Rows x_p - x_q of one pair-transformed task, one per (positive,
     negative) pair: their Gram has rank at most min(dim, n_pos + n_neg - 1)."""
-    pos = rng.normal(size=(n_pos, dim)) * scale
-    neg = rng.normal(size=(n_neg, dim)) * scale
+    pos = rng.normal(size=(n_pos, dim))
+    neg = rng.normal(size=(n_neg, dim))
     return (pos[:, None, :] - neg[None, :, :]).reshape(n_pos * n_neg, dim)
 
 
 @st.composite
 def drawn_grams(draw):
     """(A A', s): m <= 120 rows of any rank, some of them zero and some
-    repeated, and a scale exponent s; the Gram to test is A A' 4^s."""
+    repeated, and a scale exponent s; the Gram to test is A A' 4^s.  Column
+    scales down to 10^-spread put some eigenvalues near the rank cut-off."""
     m = draw(st.integers(1, 120))
     rank = draw(st.one_of(st.integers(0, m // 8), st.integers(0, m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A = rng.normal(size=(m, rank))
+    spread = draw(st.sampled_from([0.0, 4.0, 10.0]))
+    A = rng.normal(size=(m, rank)) * 10.0 ** -rng.uniform(0.0, spread, rank)
     A[rng.choice(m, draw(st.integers(0, m // 4)), replace=False)] = 0.0
     repeats = draw(st.integers(0, m // 4))
     A[rng.integers(0, m, repeats)] = A[rng.integers(0, m, repeats)]
@@ -140,6 +142,18 @@ class TestSpectrumFromGram:
     def test_gram_below_the_cap_is_not_factored(self, m, shape, eigvalsh_shapes):
         spectrum_from_gram(np.ones((m, m)))  # rank 1; the cap is m // 8 pivots
         assert eigvalsh_shapes == [shape]
+
+    @pytest.mark.parametrize("m", [16, 64, 120])
+    def test_an_eigenvalue_spread_below_the_pivot_threshold_is_kept(self, m):
+        # A = e1 e1' + lam v v', v spread over rows 2..m: every residual
+        # diagonal lam / (m - 1) is below the pivot threshold m eps, yet lam
+        # is 10 m eps, ten times the accuracy the spectrum promises
+        lam = 10 * m * EPS
+        v = np.r_[0.0, np.full(m - 1, 1.0 / math.sqrt(m - 1))]
+        A = np.outer(np.eye(m)[0], np.eye(m)[0]) + lam * np.outer(v, v)
+        got = spectrum_from_gram(m * A).values
+        assert np.abs(got - eigvalsh_spectrum_from_gram(m * A).values).max() <= m * EPS
+        assert got[1] == pytest.approx(lam, rel=0.1)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(drawn=drawn_grams())
