@@ -54,8 +54,8 @@ class SpectrumProfile:
 def spectrum_from_gram(gram) -> SpectrumProfile:
     """Operator-spectrum estimate: eigenvalues of A = gram/m, nonincreasing.
 
-    The Gram matrix must be symmetric within 1e-8 and PSD relative to its
-    scale: an eigenvalue below -1e-8 max(1, lambda_max) is refused, and
+    The Gram matrix must be finite, symmetric within 1e-8 and PSD relative
+    to its scale: an eigenvalue below -1e-8 max(1, lambda_max) is refused, and
     smaller negative eigenvalues from roundoff are clamped to zero.
 
     A Gram of numerical rank r <= m / 8 (a pair-transformed task's Gram
@@ -71,11 +71,14 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError("Gram matrix must be square")
-    # G - G' may overflow on a huge asymmetric G; that is still asymmetric.
+    # An exactly symmetric G skips allclose; G - G' may overflow on a huge
+    # asymmetric G, which is still asymmetric.
     with np.errstate(over="ignore", invalid="ignore"):
-        symmetric = np.allclose(G, G.T, atol=1e-8)
+        symmetric = (G == G.T).all() or np.allclose(G, G.T, atol=1e-8)
     if not symmetric:
         raise DomainError("Gram matrix must be symmetric within 1e-8")
+    if not np.isfinite(G).all():
+        raise DomainError("spectrum_from_gram must be finite, but its Gram matrix is not")
     m = G.shape[0]
     A = G / m
     eigs = _low_rank_spectrum(A)

@@ -20,15 +20,24 @@ and its sum of squared summands cost O(n_pos + n_neg), not
 O(n_pos * n_neg), and no pair array is ever formed.
 
 Reproducibility: trials are simulated in fixed-size batches; batch i uses
-the i-th child stream of numpy's SeedSequence(master_seed).  Every draw
-goes through one batch loop that reduces each batch to its (trials, K)
-per-task sums before drawing the next.  Within a batch, each side's draws
-(the iid draws, or a pair task's u and then w) are drawn and reduced in
-row blocks of about 1 MiB, split across the available cores: one worker
-thread per contiguous range of rows, each on a generator advanced to its
-first row.  So one block per worker and the batch's task sums are held in
-memory, whatever the trial count or task width, and every draw is the
-one a single call per side would give.
+the i-th child stream of numpy's SeedSequence(master_seed), read as raw
+PCG64 words.  A uniform base draw is the midpoint (k + 1/2) 2^-32 of one
+32-bit half k of a word, low half first; its grid has mean exactly 1/2
+and second moment 1/3 - 2^-64/12, which rounds to 1/3, so the declared
+law is exact.  A two-point draw takes a whole word and is hi exactly when
+`Generator.random() < p` would be.  Task sums come from integers: the sum
+of a row's halves k, or its count of hi draws.  (Uniform draws were once
+`Generator.random()` doubles, one word each; the move to half-words moved
+every uniform-base report once, and no option keeps the old draw.
+Two-point streams did not move.)  Every draw goes through one batch loop
+that reduces each batch to its (trials, K) per-task sums before drawing
+the next.  Within a batch, each side's draws (the iid draws, or a pair
+task's u and then w) are drawn and reduced in row blocks of about 1 MiB,
+split across the available cores: one worker thread per contiguous range
+of rows, each on a generator advanced to its first word.  So one block
+per worker and the batch's task sums are held in memory, whatever the
+trial count or task width, and every draw is the one a single
+`random_raw` call per side would give.
 """
 
 from __future__ import annotations
@@ -173,51 +182,89 @@ def _workers():
         return os.cpu_count() or 1
 
 
-def _side_sums(seq, offset, sampler, shape, width, shift=0.0, sq_center=None):
-    """Per-row sums S(x) over `shape` rows of `width` base draws each, with
-    x = draw - shift, and S((x - sq_center)^2) unless sq_center is None.
+def _side_words(sampler, n_draws):
+    """Stream words taken by n_draws base draws: a uniform draw takes half a
+    word and a two-point draw a whole one."""
+    return n_draws if sampler.base == "two_point" else (n_draws + 1) // 2
 
-    Row r holds doubles offset + r * width onward of the stream `seq`, so
-    the draws are those of one `random` call over every row from `offset`
-    on.  Rows are drawn and reduced in blocks of about _DRAW_BYTES; a side
-    of at least two blocks per core is split into contiguous row ranges,
-    one per worker thread, each on its own generator advanced to its first
-    row (`random` takes one 64-bit word per double).
+
+def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
+    """Per-row sums S(x) over `shape` rows of `width` base draws each, with
+    x = draw - shift, and S((draw - sq_center)^2) unless sq_center is None.
+
+    The side's draws are those of one `random_raw` call on the PCG64
+    stream `seq` from word `word` on; row r holds draws r * width onward.
+    A uniform draw is the midpoint (k + 1/2) 2^-32 of one 32-bit half k of
+    a word, low half first, so a word holds two draws and a row that
+    starts mid-word takes that word's high half.  A row sums to the exact
+    integer sum of its k, scaled once: (2 sum k + width) 2^-33.  A
+    two-point draw takes a whole word and is hi when the word is below
+    ceil(p 2^53) 2^11, which is `Generator.random() < p` bit for bit; a
+    row sums to (lo - shift) width + (hi - lo) B from its count B of hi
+    draws, so rows with equal counts get bit-equal sums.
+
+    Rows are drawn and reduced in blocks of about _DRAW_BYTES, each block
+    starting on a word; a side of at least two blocks per core is split
+    into contiguous row ranges, one per worker thread, each on its own
+    PCG64 advanced to its first word.
     """
+    two_point = sampler.base == "two_point"
     sums = np.empty(shape)
     sq = None if sq_center is None else np.empty(shape)
     rows = sums.size
-    block = max(1, _DRAW_BYTES // (8 * width))
+    # a uniform block or row range that starts on an even row starts on a word
+    step = 1 if two_point or width % 2 == 0 else 2
+    # bytes held per draw: a word and its flag, or half a word and, for
+    # squares, a double
+    draw_bytes = 9 if two_point else 4 + (8 if sq is not None else 0)
+    block = max(step, _DRAW_BYTES // (draw_bytes * width) // step * step)
     n_workers = max(1, min(_workers(), -(-rows // block) // 2))
-    two_point = sampler.base == "two_point"
-    lo, hi, p = sampler.base_lo, sampler.base_hi, sampler.base_p
+    # a row sums to scale * (its integer sum) + offset; on a uniform base,
+    # with shift 0 or 1/2, both terms are multiples of 2^-33, so the sum is
+    # exact below 2^20 draws per row
+    lo, hi = sampler.base_lo, sampler.base_hi
+    if two_point:
+        below = np.uint64(math.ceil(sampler.base_p * 2.0**53) << 11)
+        scale, offset = hi - lo, (lo - shift) * width
+    else:
+        scale, offset = 2.0**-32, (2.0**-33 - shift) * width
+    if sq is not None:
+        sq_lo, sq_hi = (lo - sq_center) ** 2, (hi - sq_center) ** 2
 
     # Workers only draw and sum, which cannot overflow: numpy's errstate is
     # a context variable that worker threads do not inherit.
     def work(first, last):
-        rng = np.random.Generator(np.random.PCG64(seq).advance(offset + first * width))
-        buf = np.empty(min(block, last - first) * width)
-        tmp = np.empty_like(buf) if sq is not None else None
-        mask = np.empty(buf.size, dtype=bool) if two_point else None
+        bitgen = np.random.PCG64(seq).advance(word + _side_words(sampler, first * width))
+        counts = np.empty(min(block, last - first), dtype=np.uint64)
+        x = np.empty(counts.size * width) if sq is not None and not two_point else None
         for start in range(first, last, block):
             stop = min(start + block, last)
             n = (stop - start) * width
-            x = buf[:n]
-            rng.random(out=x)
             if two_point:
-                np.less(x, p, out=mask[:n])
-                np.multiply(mask[:n], hi - lo, out=x)
-                x += lo
-            if shift:
-                x -= shift
-            x.reshape(-1, width).sum(axis=1, out=sums.reshape(-1)[start:stop])
+                draws = bitgen.random_raw(n) < below
+            else:
+                draws = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False)
+                draws = draws.view("<u4")[:n]
+            c = counts[:stop - start]
+            draws.reshape(-1, width).sum(axis=1, dtype=np.uint64, out=c)
+            out = sums.reshape(-1)[start:stop]
+            np.multiply(c, scale, out=out)
+            out += offset
             if sq is not None:
-                t = tmp[:n]
-                np.subtract(x, sq_center, out=t)
-                t *= t
-                t.reshape(-1, width).sum(axis=1, out=sq.reshape(-1)[start:stop])
+                out_sq = sq.reshape(-1)[start:stop]
+                if two_point:
+                    np.multiply(c, sq_hi - sq_lo, out=out_sq)
+                    out_sq += sq_lo * width
+                else:
+                    t = x[:n]
+                    np.add(draws, 0.5, out=t)
+                    t *= 2.0**-32
+                    t -= sq_center
+                    t *= t
+                    t.reshape(-1, width).sum(axis=1, out=out_sq)
+            del draws  # frees this block's draws before the next block's are made
 
-    bounds = [rows * i // n_workers for i in range(n_workers + 1)]
+    bounds = [rows * i // n_workers // step * step for i in range(n_workers)] + [rows]
     if n_workers == 1:
         work(0, rows)
     else:
@@ -249,21 +296,21 @@ def _draw_task_sums(seq, sampler, base_mean, size, squares):
     The centered sum subtracts n_pos mu from Su rather than summing u - mu,
     so trials with equal (Su, Sw) get bit-equal task sums: on a two-point
     base, every trial at a lattice point that ties a threshold falls on
-    the same side of it.  The stream holds every u, then every w, each in
-    (trial, task, draw) order.
+    the same side of it.  The stream holds every u, then from the next
+    word every w, each in (trial, task, draw) order.
     """
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
         shift = base_mean if sampler.centered else 0.0
         return _side_sums(seq, 0, sampler, shape, sampler.m, shift,
-                          0.0 if squares else None)
+                          shift if squares else None)
     n_pos, n_neg = sampler.n_pos, sampler.n_neg
     sq_center = None
     if squares:
         sq_center = base_mean if sampler.kernel == "centered_product" else 0.0
     su, squ = _side_sums(seq, 0, sampler, shape, n_pos, sq_center=sq_center)
-    sw, sqw = _side_sums(seq, size * sampler.k_tasks * n_pos, sampler, shape, n_neg,
-                         sq_center=sq_center)
+    sw, sqw = _side_sums(seq, _side_words(sampler, size * sampler.k_tasks * n_pos),
+                         sampler, shape, n_neg, sq_center=sq_center)
     if sampler.kernel == "mean":
         return (0.5 * (n_neg * su + n_pos * sw),
                 0.25 * (n_neg * squ + 2.0 * su * sw + n_pos * sqw) if squares else None)

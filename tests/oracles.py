@@ -215,7 +215,8 @@ def charpoly_eigenvalues(matrix):
 def eigvalsh_spectrum_from_gram(gram):
     """Eigenvalues of gram/m, nonincreasing, from one dense eigvalsh of the
     whole m x m matrix: `bounds.spectrum_from_gram` before it factored
-    low-rank Grams, with its relative PSD rule."""
+    low-rank Grams, with its relative PSD rule and its refusal of a
+    non-finite Gram."""
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError("Gram matrix must be square")
@@ -223,6 +224,9 @@ def eigvalsh_spectrum_from_gram(gram):
         symmetric = np.allclose(G, G.T, atol=1e-8)
     if not symmetric:
         raise DomainError("Gram matrix must be symmetric within 1e-8")
+    if not all(math.isfinite(x) for x in G.ravel().tolist()):
+        raise DomainError(f"{eigvalsh_spectrum_from_gram.__name__} must be finite, "
+                          "but its Gram matrix is not")
     m = G.shape[0]
     eigs = np.linalg.eigvalsh(G / m)
     if eigs.size and eigs.min() < -1e-8 * max(1.0, eigs.max()):
@@ -585,65 +589,114 @@ def loop_cv_select(dataset, grid=LAMBDA_GRID, folds=3, config=TrainConfig()):
     return best_lam, loop_train_sgd(dataset, final_cfg)
 
 
-def _one_call_base(rng, sampler, shape):
-    """Base draws of the given shape from one `random` call."""
+def _one_call_raw(bitgen, sampler, shape):
+    """Integer base draws of the given shape from one `random_raw` call:
+    for a uniform base the 32-bit halves k of the words, low half first
+    (the draw is (k + 1/2) 2^-32); for a two-point base whether each word
+    is below ceil(p 2^53) 2^11, i.e. whether its `random()` is below p."""
+    n = math.prod(shape)
     if sampler.base == "uniform":
-        return rng.random(shape)
+        words = bitgen.random_raw((n + 1) // 2)
+        return words.astype("<u8").view("<u4")[:n].reshape(shape)
+    below = np.uint64(math.ceil(sampler.base_p * 2.0**53) << 11)
+    return (bitgen.random_raw(n) < below).reshape(shape)
+
+
+def _one_call_base(bitgen, sampler, shape):
+    """Base draws of the given shape from one `random_raw` call."""
+    return _base_values(sampler, _one_call_raw(bitgen, sampler, shape))
+
+
+def _base_values(sampler, raw):
+    """The base draws that integer draws stand for."""
+    if sampler.base == "uniform":
+        return (raw + 0.5) * 2.0**-32
     lo, hi = sampler.base_lo, sampler.base_hi
-    return lo + (hi - lo) * (rng.random(shape) < sampler.base_p)
+    return lo + (hi - lo) * raw
 
 
-def one_call_task_sums(rng, sampler, base_mean, size, squares):
+def _one_call_side(bitgen, sampler, shape, shift, sq_center):
+    """Task sums S(draw - shift), and S((draw - sq_center)^2) unless
+    sq_center is None, of one side drawn in one call; a uniform task sum
+    is (2 sum k + width) 2^-33 and a two-point one (lo - shift) width +
+    (hi - lo) B for its count B of hi draws."""
+    width = shape[-1]
+    raw = _one_call_raw(bitgen, sampler, shape)
+    if sampler.base == "uniform":
+        sums = (2 * raw.sum(axis=-1, dtype=np.uint64) + width) * 2.0**-33 - width * shift
+        if sq_center is None:
+            return sums, None
+        return sums, (((raw + 0.5) * 2.0**-32 - sq_center) ** 2).sum(axis=-1)
+    lo, hi = sampler.base_lo, sampler.base_hi
+    counts = raw.sum(axis=-1)
+    sums = (lo - shift) * width + (hi - lo) * counts
+    if sq_center is None:
+        return sums, None
+    sq_lo, sq_hi = (lo - sq_center) ** 2, (hi - sq_center) ** 2
+    return sums, sq_lo * width + (sq_hi - sq_lo) * counts
+
+
+def one_call_task_sums(bitgen, sampler, base_mean, size, squares):
     """(size, K) task sums and task sums of squared summands (or None) of
-    one batch, from one draw call per side over the whole batch; the
-    reference for the blocked, split draws of `mcverify._draw_task_sums`."""
+    one batch, from one `random_raw` call per side over the whole batch;
+    the reference for the blocked, split draws of
+    `mcverify._draw_task_sums`."""
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
-        draws = _one_call_base(rng, sampler, shape + (sampler.m,))
-        if sampler.centered:
-            draws = draws - base_mean
-        return draws.sum(axis=2), (draws * draws).sum(axis=2) if squares else None
-    u = _one_call_base(rng, sampler, shape + (sampler.n_pos,))
-    w = _one_call_base(rng, sampler, shape + (sampler.n_neg,))
-    su, sw = u.sum(axis=2), w.sum(axis=2)
+        shift = base_mean if sampler.centered else 0.0
+        return _one_call_side(bitgen, sampler, shape + (sampler.m,), shift,
+                              shift if squares else None)
+    sq_center = None
+    if squares:
+        sq_center = base_mean if sampler.kernel == "centered_product" else 0.0
+    su, squ = _one_call_side(bitgen, sampler, shape + (sampler.n_pos,), 0.0, sq_center)
+    sw, sqw = _one_call_side(bitgen, sampler, shape + (sampler.n_neg,), 0.0, sq_center)
     n_pos, n_neg = sampler.n_pos, sampler.n_neg
     if sampler.kernel == "centered_product":
         sums = (su - n_pos * base_mean) * (sw - n_neg * base_mean)
-        u, w = u - base_mean, w - base_mean
     elif sampler.kernel == "product":
         sums = su * sw
     else:
         sums = 0.5 * (n_neg * su + n_pos * sw)
     if not squares:
         return sums, None
-    squ, sqw = (u * u).sum(axis=2), (w * w).sum(axis=2)
     if sampler.kernel == "mean":
         return sums, 0.25 * (n_neg * squ + 2.0 * su * sw + n_pos * sqw)
     return sums, squ * sqw
 
 
-def _pair_tensor_draw(rng, sampler, base_mean, size):
+def _pair_tensor_draw(bitgen, sampler, base_mean, size):
     """(size, K, m) iid summands or (size, K, n_pos, n_neg) pair values,
-    drawn with the library's draw calls in the library's order."""
+    with one `random_raw` call per side in the library's order, and their
+    (size, K) task sums.  A task adds up its summands, except that an iid
+    task on a two-point base is (lo - shift) m + (hi - lo) B for its count
+    B of hi draws, as the sampler's law defines it."""
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
-        draws = _one_call_base(rng, sampler, shape + (sampler.m,))
-        return draws - base_mean if sampler.centered else draws
-    u = _one_call_base(rng, sampler, shape + (sampler.n_pos,))[..., :, None]
-    w = _one_call_base(rng, sampler, shape + (sampler.n_neg,))[..., None, :]
+        raw = _one_call_raw(bitgen, sampler, shape + (sampler.m,))
+        shift = base_mean if sampler.centered else 0.0
+        vals = _base_values(sampler, raw) - shift
+        if sampler.base == "uniform":
+            return vals, vals.sum(axis=2)
+        lo, hi = sampler.base_lo, sampler.base_hi
+        return vals, (lo - shift) * sampler.m + (hi - lo) * raw.sum(axis=2)
+    u = _one_call_base(bitgen, sampler, shape + (sampler.n_pos,))[..., :, None]
+    w = _one_call_base(bitgen, sampler, shape + (sampler.n_neg,))[..., None, :]
     if sampler.kernel == "product":
-        return u * w
-    if sampler.kernel == "centered_product":
-        return (u - base_mean) * (w - base_mean)
-    return 0.5 * (u + w)
+        vals = u * w
+    elif sampler.kernel == "centered_product":
+        vals = (u - base_mean) * (w - base_mean)
+    else:
+        vals = 0.5 * (u + w)
+    return vals, vals.sum(axis=(2, 3))
 
 
 def _pair_tensor_batches(sampler, n_trials, stream_offset, reduce):
     seqs = np.random.SeedSequence(sampler.seed).spawn(
         stream_offset + mcverify._n_batches(n_trials))
     base_mean = mcverify._base_law(sampler).mean
-    return [reduce(_pair_tensor_draw(np.random.default_rng(seq), sampler, base_mean,
-                                     min(mcverify.BATCH, n_trials - i * mcverify.BATCH)))
+    return [reduce(*_pair_tensor_draw(np.random.PCG64(seq), sampler, base_mean,
+                                      min(mcverify.BATCH, n_trials - i * mcverify.BATCH)))
             for i, seq in enumerate(seqs[stream_offset:])]
 
 
@@ -655,8 +708,7 @@ def pair_tensor_simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
         amp = mcverify._sup_amp(law)
         shift = mcverify._task_shape(sampler)[2] * law.mean
 
-    def reduce(vals):
-        task_sums = vals.sum(axis=tuple(range(2, vals.ndim)))
+    def reduce(_, task_sums):
         if sup_mode:
             task_sums = np.abs(task_sums - shift) / amp
         return task_sums.sum(axis=1)
@@ -670,7 +722,7 @@ def pair_tensor_calibrate(sampler, n_cal, stream_offset):
     s1, s2, count = 0.0, 0.0, 0
     for b1, b2, n in _pair_tensor_batches(
             sampler, n_cal, stream_offset,
-            lambda vals: (float(vals.sum()), float((vals**2).sum()), vals.size)):
+            lambda vals, _: (float(vals.sum()), float((vals**2).sum()), vals.size)):
         s1 += b1
         s2 += b2
         count += n

@@ -170,29 +170,34 @@ class TestSpectrumFromGram:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(drawn=drawn_grams(), place=st.integers(0, 2**16),
            defect=st.sampled_from(["asymmetric", "negative diagonal", "indefinite block",
-                                   "inf", "-inf", "nan"]))
+                                   "inf", "-inf", "nan", "inf diagonal",
+                                   "one-sided inf"]))
     def test_bad_input_raises_as_the_oracle_does(self, drawn, place, defect):
         G, s = drawn
         G = G * 4.0**s
         m = len(G)
         i, j = place % m, place // m % m
         big = 1.0 + np.abs(G).max()
-        if defect in ("asymmetric", "indefinite block"):
+        if defect in ("asymmetric", "indefinite block", "one-sided inf"):
             assume(i != j)
         if defect == "asymmetric":
             G[i, j] += big
         elif defect == "negative diagonal":
             G[i, i] = -big
+        elif defect == "inf diagonal":
+            G[i, i] = math.inf
+        elif defect == "one-sided inf":
+            G[i, j] = math.inf
         elif defect == "indefinite block":  # zero diagonal, [[0, big], [big, 0]]
             G[[i, j]] = 0.0
             G[:, [i, j]] = 0.0
             G[i, j] = G[j, i] = big
         else:
             G[i, j] = G[j, i] = float(defect)
-        # an infinite entry may raise numpy's LinAlgError from eigvalsh
-        with pytest.raises(Exception) as want:
+        # a non-finite entry is refused before any decomposition
+        with pytest.raises(DomainError) as want:
             eigvalsh_spectrum_from_gram(G)
-        with pytest.raises(Exception) as got:
+        with pytest.raises(DomainError) as got:
             spectrum_from_gram(G)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value).replace(

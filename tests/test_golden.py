@@ -158,16 +158,16 @@ PINS = {
         'experiment/emotions.report.json': 'f75d858ff78a4a5422675689bfd128a51c7d0fda9f56011f3021436cb2546891',
         'experiment/cal500.report.json': '79f9d73ce3013a1ce2992fb927e19102167146fa7b5661bb66423d4c938b1096',
         'experiment/comparison.txt': 'c9b0c8219707ebf16525ea3bc398d315cff3fdf0302154c8dd5c9744e5abd55a',
-        'verify/bip60x50-product-bennett_general/stdout': 'cb44ed37db508ca166a5e9bdea507a4c0fa734eb4421e31eea3ccd56536944ad',
-        'verify/bip60x50-product-bennett_general/report.json': '819e2c29be125c5a064410123957e6282c917e96f7b305ad5233237bcc53d6fe',
-        'verify/bip30x20-centered-K2-plugin-deviation/stdout': '452a815c37667ebe1bd650cd5899feceee6045fd71bf58d16480255b8edf906e',
-        'verify/bip30x20-centered-K2-plugin-deviation/report.json': 'f52306e316856a5d1816a576a80164930fe97daca7a81db3956c06e327bf4c90',
-        'verify/bip12x10-talagrand/stdout': 'ef97bac92f19bd6bfbbda72669c67a93b467d7c7c63fd16f05da91e4016ca561',
-        'verify/bip12x10-talagrand/report.json': 'a939aaf18ddeeb20f3e05c1280c220c92e4642945ef77183b067b66508853923',
+        'verify/bip60x50-product-bennett_general/stdout': '513d0a78e65f5188dde2e275be9f882c3f068db5e6f81540cd069c9e7f65179b',
+        'verify/bip60x50-product-bennett_general/report.json': 'a1e1f638cd6b0687784f9b6e7341f1a454020209ceb6872ce3578c06a6acdd21',
+        'verify/bip30x20-centered-K2-plugin-deviation/stdout': 'aa8c5c4f9174699f87d1cc58a6b8be03ec585715f5f85f4d8a69cf423ae59766',
+        'verify/bip30x20-centered-K2-plugin-deviation/report.json': '130374db0fef27fe20d29a73da785a81b016b807ff41f98ea399aed4ef7e3ab7',
+        'verify/bip12x10-talagrand/stdout': '32ccea8765dac9dbe3bfa8f70a26ce0d8b788fe80b2b1218b44b89f88865b7df',
+        'verify/bip12x10-talagrand/report.json': 'a6ff3e25bc392e827bb18e2f8c442003eaf316a250eb15d4ab58d648925f7b08',
         'verify/bip20x20-twopoint-mean-lower_tail/stdout': 'c67dc736a4a98dab63a742df9c42119084bd36b7cdac079809681c8450a02b19',
         'verify/bip20x20-twopoint-mean-lower_tail/report.json': '07183bb47f6f42a18b71476bca84e28bf701746523b84b00cf588741670c65ed',
-        'verify/iid200-K3-bennett_refined/stdout': '2c1f6a696d6ac3ba4c37a4ced65c2ba9d8aa6b5870f2eab3bf6f65df8987ea6f',
-        'verify/iid200-K3-bennett_refined/report.json': '06a88909ec22613de9db86337bfd02f9ea98cee31c9852b60486bae8318161a5',
+        'verify/iid200-K3-bennett_refined/stdout': '0f34a7e113863a14b078d24917036ab3c9b7e75461872c253ee2bc3836a9b0e6',
+        'verify/iid200-K3-bennett_refined/report.json': '9d122476f02f12bc0ae86fc6eefeae11bf4d72c6cb0a67712153486e6e334526',
         'bound/bernstein/stdout': 'c7822822b46d26030a79c7dc228a79b79c12ba70ba3f4dd80c18601bad76f35f',
         'bound/bernstein/report.json': 'f5e9e7ec4226e3e4a47e758947bc14b8867e2ea463c921bcb994067af384e2e8',
         'bound/bennett-general/stdout': 'e01e487614419bf8aad747c67a155da4a3e323f0414e7ecabab7a091e825c46f',

@@ -210,19 +210,23 @@ def test_lattice_task_sums_tie_exactly():
 
 class TestBlockDraws:
     """`_draw_task_sums` draws each side in row blocks split across worker
-    threads; its task sums must be those of one `random` call per side."""
+    threads; its task sums must be those of one `random_raw` call per side."""
 
     @pytest.mark.parametrize("skip, n", [(0, 1), (0, 700), (3, 5), (700, 1), (699, 301)])
     def test_advanced_generator_continues_the_stream(self, skip, n):
         seq = np.random.SeedSequence(41, spawn_key=(3,))
-        one_call = np.random.default_rng(seq)
-        expected = one_call.random(skip + n)[skip:]
-        advanced = np.random.Generator(np.random.PCG64(seq).advance(skip))
-        message = ("numpy's Generator.random no longer takes one PCG64 word per double, "
-                   "or PCG64.advance no longer skips words; the split draws of "
-                   "mcverify._side_sums rely on both")
-        assert advanced.random(n).tobytes() == expected.tobytes(), message
-        assert advanced.bit_generator.state == one_call.bit_generator.state, message
+        one_call = np.random.PCG64(seq)
+        expected = one_call.random_raw(skip + n)[skip:]
+        advanced = np.random.PCG64(seq).advance(skip)
+        message = ("numpy's PCG64.advance no longer skips raw words, or a '<u4' view no "
+                   "longer puts each word's low half first; the split half-word draws "
+                   "of mcverify._side_sums rely on both")
+        got = advanced.random_raw(n)
+        assert got.tobytes() == expected.tobytes(), message
+        assert advanced.state == one_call.state, message
+        halves = got.astype("<u8", copy=False).view("<u4")
+        assert np.array_equal(halves[0::2], got & 0xFFFFFFFF), message
+        assert np.array_equal(halves[1::2], got >> 32), message
 
     SAMPLERS = {
         "iid-uniform": lambda: iid(5, k_tasks=2),
@@ -230,6 +234,8 @@ class TestBlockDraws:
         "iid-two-point-centered": lambda: iid(5, k_tasks=2, centered=True,
                                               **BASES["two_point_27"]),
         "iid-wide-two-point": lambda: iid(40, k_tasks=2, **BASES["two_point_01"]),
+        "iid-odd-uniform-centered": lambda: iid(7, k_tasks=3, centered=True),
+        "bip-odd-uniform-mean": lambda: bipartite(5, 31, k_tasks=3, kernel="mean"),
         **{f"bip-{base}-{kernel}": (lambda base=base, kernel=kernel: bipartite(
             4, 30, k_tasks=2, kernel=kernel, **BASES[base]))
            for base in ("uniform", "two_point_27")
@@ -241,9 +247,10 @@ class TestBlockDraws:
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_blocked_split_sums_equal_one_call_draw(self, monkeypatch, name, squares,
                                                     workers):
-        # 200-byte blocks: 5 rows of 5 draws (37 trials x 2 tasks end in a
-        # partial block), 6 rows of 4, and one row of 30 or 40 draws, which
-        # alone exceeds a block.
+        # 200-byte blocks: a few rows of 4, 5 or 7 draws (37 trials x 2 or 3
+        # tasks end in a partial block; every other row of 7 starts
+        # mid-word), and one or two rows of 30 to 40 draws, which exceed a
+        # block.  The 555 u draws of bip-odd leave its last u word half used.
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
         monkeypatch.setattr(mcverify, "_workers", lambda: workers)
         pools = []
@@ -258,14 +265,70 @@ class TestBlockDraws:
         base_mean = mcverify._base_law(s).mean
         seq = np.random.SeedSequence(7, spawn_key=(2,))
         sums, sq = mcverify._draw_task_sums(seq, s, base_mean, 37, squares)
-        ref_sums, ref_sq = one_call_task_sums(np.random.default_rng(seq), s, base_mean,
-                                              37, squares)
+        ref_sums, ref_sq = one_call_task_sums(np.random.PCG64(seq), s, base_mean, 37,
+                                              squares)
         assert sums.tobytes() == ref_sums.tobytes()
         if squares:
             assert sq.tobytes() == ref_sq.tobytes()
         else:
             assert sq is None and ref_sq is None
         assert set(pools) == ({workers - 1} if workers > 1 else set())
+
+
+    @pytest.mark.parametrize("name", ["iid-odd-uniform-centered", "bip-odd-uniform-mean",
+                                      "bip-two_point_27-centered_product"])
+    def test_report_bytes_do_not_depend_on_workers(self, monkeypatch, name):
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
+        reports = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+            report = verify_inequality(self.SAMPLERS[name](), "bennett_general", [0.5, 2.0],
+                                       3000, moments="plugin")
+            reports.add(json.dumps(report.as_dict()))
+        assert len(reports) == 1
+
+
+class TestDrawLaw:
+    """The base law `_side_sums` draws, computed here from the raw words."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("width, word", [(1, 0), (5, 3), (7, 0), (8, 1), (31, 2)])
+    def test_uniform_row_sums_are_the_exact_half_word_sums(self, monkeypatch, workers,
+                                                           width, word):
+        # (sum of the row's uint32 halves + width / 2) 2^-32, in Python ints
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
+        monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+        seq = np.random.SeedSequence(5, spawn_key=(width,))
+        shape = (37, 3)
+        sums, _ = mcverify._side_sums(seq, word, iid(width), shape, width)
+        n = math.prod(shape) * width
+        words = np.random.PCG64(seq).advance(word).random_raw((n + 1) // 2).tolist()
+        halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+        want = [float((F(sum(halves[r * width:(r + 1) * width])) + F(width, 2)) / 2**32)
+                for r in range(math.prod(shape))]
+        assert sums.ravel().tolist() == want
+
+    def test_base_law_is_the_grid_law(self):
+        # draws (k + 1/2) 2^-32, k = 0 .. 2^32 - 1: mean 1/2 and second moment
+        # (sum of (k + 1/2)^2) / 2^96 = 1/3 - 2^-64 / 12
+        n = 2**32
+        mean = F(n * n, 2) / n**2
+        e2 = F((n - 1) * n * (2 * n - 1), 6) + F(n * (n - 1), 2) + F(n, 4)
+        e2 /= n**3
+        assert mean == F(1, 2) and e2 == F(1, 3) - F(1, 12 * 2**64)
+        law = mcverify._base_law(iid(1))
+        assert (law.mean, law.e2, law.lo, law.hi) == (float(mean), float(e2), 0.0, 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("p", [0.3, 0.4, 1e-9, 1.0 - 2.0**-53])
+    def test_two_point_draws_are_random_below_p(self, monkeypatch, workers, p):
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 8 * 4096)
+        monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+        seq = np.random.SeedSequence(9, spawn_key=(1,))
+        s = iid(1, base="two_point", base_p=p)
+        hits, _ = mcverify._side_sums(seq, 0, s, (50_000,), 1)
+        want = np.random.default_rng(seq).random(50_000) < p
+        assert hits.tobytes() == want.astype(float).tobytes()
 
 
 def test_iid_batch_memory_stays_small(monkeypatch):
