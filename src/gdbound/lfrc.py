@@ -5,11 +5,11 @@ The per-task building block is the supremum of a linear functional over
 the intersection of the Euclidean ball ||theta|| <= M and the ellipsoid
 theta' S theta <= r (S an empirical second-moment matrix).  It is solved
 in batch: S is decomposed once per task, and the KKT multiplier of every
-aggregate vector (one per Rademacher draw) is found at once by a
-vectorized root search.  The localized complexity estimate averages that
-supremum over independent Rademacher sign draws; localization radii are
-then pinned down by the fixed point of a sub-root function, found by
-bracketing and bisection.
+aggregate vector (one per Rademacher draw, signs from raw generator
+words) is found at once by a safeguarded Newton search.  The localized
+complexity estimate averages that supremum over the draws; localization
+radii are then pinned down by the fixed point of a sub-root function,
+found by bracketing and bisection.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ _EIG_CLIP = 1e-12
 # Rademacher signs drawn per block of draws in estimate_lfrc (2 MB as
 # float64); a block holds at least one draw.
 _SIGN_BLOCK = 1 << 18
-# The multiplier search stops once a bracket is narrower than XTOL + RTOL * a,
-# and fails after MAX_STEPS steps (the bounds of the scalar search it replaced).
-_XTOL, _RTOL = 1e-15, 1e-14
-_MAX_STEPS = 100
+_SLICE = 128  # samples per matrix product of a block's aggregates
+# The multiplier search in x = log a stops a row on a Newton step shorter
+# than XTOL, fails after MAX_STEPS evaluations, and keeps x in [FLOOR, CAP].
+_XTOL, _MAX_STEPS = 1e-8, 100
+_X_FLOOR, _X_CAP = -700.0, 29 * math.log(4.0)
 
 
 @dataclass(frozen=True)
@@ -66,75 +67,46 @@ def _row_dot(A, B):
     return (A[:, None, :] @ B[..., None])[:, 0, 0]
 
 
-def _quad_on_ball(CT, a, lam, m_sq):
-    """theta(a) ~ (I + a S)^{-1} c scaled onto the ball ||theta||^2 = m_sq,
-    per row of the eigenbasis aggregates CT; returns theta' S theta, which
-    falls as a grows."""
-    U = CT / (1.0 + a[:, None] * lam)
-    return m_sq * _row_dot(U * U, lam) / _row_dot(U, U)
+def _multiplier(CT, lam, m_sq, r, q0):
+    """The a > 0 where theta(a) ~ (I + a S)^{-1} c on the ball ||theta||^2 = m_sq
+    meets theta' S theta = r (q0 > r at a = 0), for each row c of CT (S's eigenbasis).
 
-
-def _multiplier(CT, lam, m_sq, r):
-    """The a > 0 with quad_on_ball(a) = r, for every row of CT at once.
-
-    Each row brackets its root by growing a_hi fourfold from 1, then runs
-    Brent's method on [0, a_hi] (secant or inverse quadratic steps,
-    bisection whenever a step is not short enough) until its bracket is
-    narrower than XTOL + RTOL * a.  Every step is the scalar method's
-    step, masked per row: a row stops on its own bracket, so its root is
-    the one a scalar Brent search finds, whatever the other rows hold.
+    With u = c / (1 + a lam) that is m_sq p / s, p = sum lam u^2, s = sum u^2,
+    falling in a.  Newton steps run on g = log(m_sq p / (r s)) in x = log a,
+    each row in its own bracket from a = (sqrt(q0 / r) - 1) / lam_max (as
+    p / s >= p(0) / (s(0) (1 + a lam_max)^2)) to 4^29.  A step out of the
+    bracket or longer than half of it (plain Newton can cycle between its
+    ends) bisects it, or visits an unvisited 4^29; g > 0 there is refused.
+    Reductions are `_row_dot`s, so no row's root depends on another's.
     """
-    def gap(rows, a):
-        return _quad_on_ball(CT[rows], a, lam, m_sq) - r
-
-    every = np.arange(len(CT))
-    hi = np.ones(len(CT))
-    grow = gap(every, hi) > 0.0
-    while grow.any():
-        hi[grow] *= 4.0
-        if hi.max() > 1e18:
-            raise ConvergenceError("failed to bracket the active-constraint multiplier")
-        grow[grow] = gap(every[grow], hi[grow]) > 0.0
-
-    xpre, xcur = np.zeros(len(CT)), hi
-    fpre, fcur = gap(every, xpre), gap(every, xcur)
-    xblk, fblk, spre, scur = (np.zeros(len(CT)) for _ in range(4))
-    root = xcur.copy()
-    live = fcur != 0.0
-    for _ in range(_MAX_STEPS):
-        if not live.any():
-            return root
-        # keep the root between xcur and xblk, with xcur the better end
-        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = (np.where(flip, xcur - xpre, s) for s in (spre, scur))
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
-        root[done] = xcur[done]
-        live &= ~done
-        with np.errstate(all="ignore"):  # rows that bisect discard these
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            inverse_quadratic = (-fcur * (fblk * dblk - fpre * dpre)
-                                 / (dblk * dpre * (fblk - fpre)))
-        stry = np.where(xpre == xblk, secant, inverse_quadratic)
-        short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                 & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = fcur.copy()
-        fcur[live] = gap(every[live], xcur[live])
-    if live.any():
-        raise ConvergenceError(f"multiplier search did not converge in {_MAX_STEPS} steps")
-    return root
+    with np.errstate(all="ignore"):  # a row that overflows bisects instead
+        x = lo = np.fmin(np.fmax(np.log(
+            (q0 - r) / ((np.sqrt(q0) * math.sqrt(r) + r) * lam[-1])), _X_FLOOR), _X_CAP)
+        hi, open_cap = np.full(len(CT), _X_CAP), np.ones(len(CT), dtype=bool)
+        root, rows = np.empty(len(CT)), np.arange(len(CT))
+        for _ in range(_MAX_STEPS):
+            a = np.exp(x)
+            w = 1.0 / (1.0 + a[:, None] * lam)
+            U = CT[rows] * w
+            s = _row_dot(U, U)
+            U *= U
+            p = _row_dot(U, lam)
+            U *= w
+            g = np.log(p) - np.log(s) - (math.log(r) - math.log(m_sq))
+            step = g / (2.0 * a * (_row_dot(U, lam * lam) / p - _row_dot(U, lam) / s))
+            above = g > 0.0
+            if (above & (x == _X_CAP)).any():
+                raise ConvergenceError("failed to bracket the active-constraint multiplier")
+            lo, hi, open_cap = np.where(above, x, lo), np.where(above, hi, x), open_cap & above
+            done = np.abs(step) <= _XTOL
+            take = done | (x + step > lo) & (x + step < hi) & (2.0 * np.abs(step) <= hi - lo)
+            x = np.where(take, x + step, np.where(open_cap, _X_CAP, 0.5 * (lo + hi)))
+            done |= (hi - lo <= _XTOL) & ~open_cap
+            root[rows[done]] = x[done]
+            rows, x, lo, hi, open_cap = (v[~done] for v in (rows, x, lo, hi, open_cap))
+            if not len(rows):
+                return np.exp(root)
+    raise ConvergenceError(f"multiplier search did not converge in {_MAX_STEPS} steps")
 
 
 def _sup_rows(C, S, m_tilde, r):
@@ -146,7 +118,8 @@ def _sup_rows(C, S, m_tilde, r):
     c = 0 gives 0; r = inf, or a ball maximizer m_tilde c/|c| inside the
     ellipsoid (a = 0), gives m_tilde |c|; c in range(S) with the ball slack gives
     the pure-ellipsoid value sqrt(r c'S^+c); otherwise both constraints
-    are active at the root a > 0 of the monotone quad_on_ball(a) = r.
+    are active at the root a > 0 of `_multiplier`, and the value is the
+    dual bound sqrt((m_tilde^2 + a r) c'(I + a S)^{-1} c), stationary there.
     """
     norm_c = np.sqrt(_row_dot(C, C))
     if not math.isfinite(r):
@@ -165,7 +138,8 @@ def _sup_rows(C, S, m_tilde, r):
     with np.errstate(over="ignore"):  # an infinite m_tilde^2, c'Sc or lam^2 only decides a row's case
         m_sq = np.square(float(m_tilde))
         vals = m_tilde * norm_c
-        tight = _quad_on_ball(CT, np.zeros(len(CT)), lam, m_sq) > r
+        q0 = m_sq * _row_dot(CT * CT, lam) / _row_dot(CT, CT)
+        tight = q0 > r
         in_range = tight & np.all(active | (np.abs(CT) <= _EIG_CLIP * norm_c[:, None]), axis=1)
         # C order: a column mask would leave a Fortran-ordered copy, whose
         # row sums add in another order than the 1-D sum of one row
@@ -179,10 +153,8 @@ def _sup_rows(C, S, m_tilde, r):
     both = tight & ~ellipsoid
     if both.any():
         CT = CT[both]
-        a = _multiplier(CT, lam, m_sq, r)
-        U = CT / (1.0 + a[:, None] * lam)
-        theta = m_tilde * U / np.sqrt(_row_dot(U, U))[:, None]
-        vals[both] = _row_dot(CT, theta)
+        a = _multiplier(CT, lam, m_sq, r, q0[both])
+        vals[both] = np.sqrt((m_sq + a * r) * _row_dot(CT / (1.0 + a[:, None] * lam), CT))
     out[nonzero] = vals
     return out
 
@@ -208,6 +180,31 @@ def second_moment_matrix(features) -> np.ndarray:
     return X.T @ X / X.shape[0]
 
 
+def _aggregates(zeta, X):
+    """(1/m) zeta X for sign rows zeta and m x D features X, one product per
+    _SLICE samples: OpenBLAS 0.3.31 splits a 484-sample sum at 256 on one
+    thread and at 242 on two, but sums a slice in one pass on any count."""
+    C = zeta[:, :_SLICE] @ X[:_SLICE]
+    for i in range(_SLICE, len(X), _SLICE):
+        C += zeta[:, i:i + _SLICE] @ X[i:i + _SLICE]
+    return C / len(X)
+
+
+def _signs(bitgen, n, spare):
+    """The n signs 2b - 1 for the bits b of `Generator.integers(0, 2, n)` on
+    bitgen, and the half-word left for the next call (`spare`, 0 or 1): for
+    int64 output integers(0, 2) keeps the top bit of one half-word per value,
+    low half first, rejecting none (Lemire's method at range 2), and keeps a
+    spare high half in the generator, which `random_raw` leaves to its caller."""
+    halves = bitgen.random_raw((n - spare.size + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if spare.size:
+        halves = np.concatenate((spare, halves))
+    spare, bits = halves[n:].copy(), halves[:n]
+    signs = np.multiply(np.right_shift(bits, 31, out=bits), 2.0)
+    signs -= 1.0
+    return signs, spare
+
+
 @finite_result
 def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
                   n_draws: int, seed: int):
@@ -217,9 +214,10 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
     vertex's cover weights sum to 1, the cover-weighted aggregate for task
     k collapses to c_k = (1/m_k) sum_i zeta_i x_i; the estimate is the
     average over draws of sup_linear(c, spec) / K, with its standard error.
-    Draws run in blocks: one `integers` call draws a block's signs for
-    every task (the same stream as one call per draw and task), and each
-    task's supremum is solved for the whole block at once.
+    A cover is only checked for its vertex count.  Draws run in blocks: one
+    `random_raw` call gives a block's signs (those `Generator.integers(0, 2)`
+    draws in one call per draw and task), and each task's aggregates and
+    suprema are formed for the whole block at once.
     """
     if n_draws < 1:
         raise DomainError("n_draws must be >= 1")
@@ -237,18 +235,19 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
             )
         mats.append(X)
     sizes = [X.shape[0] for X in mats]
-    block = max(1, _SIGN_BLOCK // sum(sizes))
-    rng = np.random.default_rng(seed)
+    width = sum(sizes)
+    block = max(1, _SIGN_BLOCK // width)
+    bitgen, spare = np.random.default_rng(seed).bit_generator, np.empty(0, dtype="<u4")
     vals = np.zeros(n_draws)
     for start in range(0, n_draws, block):
         stop = min(start + block, n_draws)
+        signs, spare = _signs(bitgen, (stop - start) * width, spare)
         # row d holds draw d's signs, task after task, as the per-draw calls drew them
-        signs = rng.integers(0, 2, size=(stop - start, sum(sizes))) * 2.0 - 1.0
+        signs = signs.reshape(stop - start, width)
         tasks = zip(mats, np.split(signs, np.cumsum(sizes)[:-1], axis=1),
                     spec.second_moments)
         for X, zeta, S in tasks:
-            C = (zeta[:, None, :] @ X)[:, 0, :] / X.shape[0]
-            vals[start:stop] += _sup_rows(C, S, spec.m_tilde, spec.r)
+            vals[start:stop] += _sup_rows(_aggregates(zeta, X), S, spec.m_tilde, spec.r)
     vals /= K
     est = float(vals.mean())
     # The std of vals scaled by 2^-e, e the exponent of max |vals|, scaled

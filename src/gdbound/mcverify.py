@@ -54,6 +54,11 @@ from .errors import ConfigError, DomainError, ModeError, check_seed
 
 BATCH = 1 << 16
 _DRAW_BYTES = 1 << 20  # base draws held at once per worker thread, in bytes
+# Rows of fewer draws are summed column by column: numpy's row sum has a
+# fixed cost per row.  A uniform side cost 7.4, 3.1 and 2.3 ns per draw at
+# widths 2, 10 and 24 by row sums, against 2.7, 2.4 and 2.3 by columns
+# (two-point: 9.3, 4.9, 3.4 against 4.3, 4.2, 4.4; 2-core x86 VM).
+_COLUMN_SUM_WIDTH = 16
 
 INEQUALITIES = ("bennett_general", "bennett_refined", "lower_tail", "talagrand")
 
@@ -188,6 +193,13 @@ def _side_words(sampler, n_draws):
     return n_draws if sampler.base == "two_point" else (n_draws + 1) // 2
 
 
+def _column_sums(rows, out):
+    """out = the uint64 row sums of rows, added one column at a time."""
+    np.copyto(out, rows[:, 0])
+    for j in range(1, rows.shape[1]):
+        np.add(out, rows[:, j], out=out)
+
+
 def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
     """Per-row sums S(x) over `shape` rows of `width` base draws each, with
     x = draw - shift, and S((draw - sq_center)^2) unless sq_center is None.
@@ -246,7 +258,10 @@ def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
                 draws = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False)
                 draws = draws.view("<u4")[:n]
             c = counts[:stop - start]
-            draws.reshape(-1, width).sum(axis=1, dtype=np.uint64, out=c)
+            if width < _COLUMN_SUM_WIDTH:
+                _column_sums(draws.reshape(-1, width), c)
+            else:
+                draws.reshape(-1, width).sum(axis=1, dtype=np.uint64, out=c)
             out = sums.reshape(-1)[start:stop]
             np.multiply(c, scale, out=out)
             out += offset

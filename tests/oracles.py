@@ -49,9 +49,26 @@ def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
     (Dykstra alternating ball and ellipsoid projections) converges to the
     optimum; iteration stops once the value is stable to `tol`.
     """
+    return _pga(c, S, m_tilde, r, outer, inner, tol)[0]
+
+
+def pga_feasible_value(c, S, m_tilde, r):
+    """c.theta at the projected-gradient iterate of `pga_sup_linear`, scaled
+    down into the constraint set: a lower bound on the supremum."""
+    c = np.asarray(c, dtype=float)
+    theta = _pga(c, S, m_tilde, r)[1]
+    quad = float(theta @ np.asarray(S, dtype=float) @ theta)
+    scale = min(1.0, m_tilde / max(float(np.linalg.norm(theta)), 1e-300),
+                math.sqrt(r / quad) if quad > 0.0 else 1.0)
+    return float(c @ (theta * scale))
+
+
+def _pga(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
+    """(value, iterate) of the projected gradient ascent in pga_sup_linear."""
     c = np.asarray(c, dtype=float)
     if not math.isfinite(r):
-        return m_tilde * float(np.linalg.norm(c))
+        norm_c = float(np.linalg.norm(c))
+        return m_tilde * norm_c, m_tilde * c / norm_c if norm_c > 0.0 else 0.0 * c
     lam, Q = np.linalg.eigh(np.asarray(S, dtype=float))
     lam = np.clip(lam, 0.0, None)
     R = m_tilde
@@ -87,7 +104,7 @@ def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
 
     norm_c = float(np.linalg.norm(c))
     if norm_c == 0.0:
-        return 0.0
+        return 0.0, np.zeros_like(c)
     step = 20.0 * R / norm_c
     theta = np.zeros_like(c)
     prev = -math.inf
@@ -102,7 +119,7 @@ def pga_sup_linear(c, S, m_tilde, r, outer=4000, inner=20000, tol=1e-13):
         else:
             stable = 0
         prev = v
-    return v
+    return v, theta
 
 
 def scalar_sup_one(c, S, m_tilde, r):

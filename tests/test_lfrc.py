@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -20,8 +21,8 @@ from gdbound.lfrc import (
     sup_linear,
 )
 
-from oracles import loop_estimate_lfrc, pga_sup_linear, scalar_sup_one, \
-    sqrt_affine_fixed_point
+from oracles import loop_estimate_lfrc, pga_feasible_value, pga_sup_linear, \
+    scalar_sup_one, sqrt_affine_fixed_point
 
 
 def spec_for(S_list, m_tilde=1.0, r=math.inf):
@@ -208,8 +209,10 @@ class TestBatchSolver:
 
     def test_multiplier_is_the_scalar_brent_root(self):
         # random spectra over six decades and aggregates over four: rows take
-        # different numbers of bracket and search steps, and every row's
-        # multiplier equals a scalar search on that row alone, bit for bit
+        # different numbers of Newton and bisection steps.  Every row's
+        # multiplier is within XTOL = 1e-8 relative of a scalar Brent search
+        # on that row alone (1.8e-12 at worst when written), and its dual
+        # value within 1e-12 of the primal value c.theta at the Brent root.
         rows = 0
         for seed in range(80):
             rng = np.random.default_rng(seed)
@@ -234,9 +237,31 @@ class TestBatchSolver:
                 else:
                     keep.append(False)
             if want:
-                assert np.array_equal(lfrc._multiplier(CT[keep], lam, 1.0, r), want)
+                C = CT[keep]
+                got = lfrc._multiplier(C, lam, 1.0, r, np.array([quad(c, 0.0) for c in C]))
+                np.testing.assert_allclose(got, want, rtol=lfrc._XTOL, atol=0)
+                dual = [math.sqrt((1.0 + a * r) * float(c @ (c / (1.0 + a * lam))))
+                        for c, a in zip(C, got)]
+                primal = []
+                for c, a in zip(C, want):
+                    u = c / (1.0 + a * lam)
+                    primal.append(float(c @ (u / np.linalg.norm(u))))
+                np.testing.assert_allclose(dual, primal, rtol=1e-12, atol=0)
                 rows += len(want)
         assert rows > 500
+
+    def test_per_class_rows_of_a_rook_cover(self):
+        # aggregates over one rook class (22 of the 484 pairs) of a 22 x 22
+        # pair task: on one of these rows plain Newton steps stay inside the
+        # bracket and cycle between its ends, which the half-bracket rule stops
+        X = pair_features(np.random.default_rng(7), 22, 22, 72)
+        S = second_moment_matrix(X)
+        r = 0.2 * float(np.trace(S)) / 72
+        signs = np.random.default_rng(7).integers(0, 2, size=(500, 484)) * 2.0 - 1.0
+        members = np.array([p * 22 + (p + 11) % 22 for p in range(22)])
+        C = signs[:, members] @ X[members] / 484
+        np.testing.assert_allclose(lfrc._sup_rows(C, S, 1.0, r), scalar_rows(C, S, 1.0, r),
+                                   rtol=1e-12, atol=0)
 
     def test_outside_range_of_rank_deficient_S(self):
         rng = np.random.default_rng(6)
@@ -400,29 +425,36 @@ class TestEstimateLfrc:
     def test_certify_shape_is_bit_identical(self, seed, radius):
         # a pair-transformed task with a rank-deficient second moment; the
         # radii put the rows in the pure-ellipsoid case, split them between
-        # it and the both-active case, and add ball-only rows: the batch
-        # repeats the per-draw arithmetic
+        # it and the both-active case, and add ball-only rows.  Once bit for
+        # bit, now to 1e-12: the aggregates come from matrix products, not
+        # per-draw vector products, and both-active rows take the dual value.
         rng = np.random.default_rng(seed)
         X = pair_features(rng, 9, 8, 24)
         S = second_moment_matrix(X)
         spec = spec_for([S], m_tilde=1.0, r=radius * float(np.trace(S)) / 24)
         _, cover = bipartite_ranking_graph(9, 8)
         got = estimate_lfrc([X], [cover], spec, n_draws=120, seed=seed)
-        assert got == loop_estimate_lfrc([X], [cover], spec, n_draws=120, seed=seed)
+        want = loop_estimate_lfrc([X], [cover], spec, n_draws=120, seed=seed)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_sign_draws_stay_within_the_block(self, monkeypatch):
-        # each integers call draws at most _SIGN_BLOCK signs (one draw's
-        # worth when a single draw is larger), whatever K and n_draws are
+        # each random_raw call draws the words of at most _SIGN_BLOCK signs
+        # (one draw's worth when a single draw is larger), whatever K and
+        # n_draws are; an odd block leaves a half-word for the next one
         sizes = []
         make_rng = np.random.default_rng
 
+        class SpyBits:
+            def __init__(self, bitgen):
+                self.bitgen = bitgen
+
+            def random_raw(self, size):
+                sizes.append(size)
+                return self.bitgen.random_raw(size)
+
         class Spy:
             def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def integers(self, low, high, size):
-                sizes.append(size)
-                return self.rng.integers(low, high, size=size)
+                self.bit_generator = SpyBits(make_rng(seed).bit_generator)
 
         monkeypatch.setattr(np.random, "default_rng", Spy)
         monkeypatch.setattr(lfrc, "_SIGN_BLOCK", 100)
@@ -430,11 +462,13 @@ class TestEstimateLfrc:
         feats = [rng.normal(size=(m, 2)) for m in (7, 13, 5)]
         spec = spec_for([second_moment_matrix(X) for X in feats], r=0.5)
         estimate_lfrc(feats, [None] * 3, spec, n_draws=9, seed=1)
-        assert sizes == [(4, 25), (4, 25), (1, 25)]
+        assert sizes == [50, 50, 13]
         sizes.clear()
-        estimate_lfrc([feats[0]] * 3, [None] * 3, spec_for([spec.second_moments[0]] * 3),
-                      n_draws=9, seed=1)
-        assert sizes == [(4, 21), (4, 21), (1, 21)]
+        # blocks of 75 signs: 38 words leave a half for the next block, which
+        # then takes 37
+        monkeypatch.setattr(lfrc, "_SIGN_BLOCK", 75)
+        estimate_lfrc(feats, [None] * 3, spec, n_draws=9, seed=1)
+        assert sizes == [38, 37, 38]
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_bad_seed(self, seed):
@@ -462,6 +496,141 @@ class TestEstimateLfrc:
             estimate_lfrc([X], [None], spec, n_draws=2, seed=0)
 
 
+class TestRawSigns:
+    """The signs estimate_lfrc builds from raw words are the ones
+    `Generator.integers(0, 2)` draws on the same stream."""
+
+    def test_signs_are_integers_draws(self):
+        # odd and even counts in turn: an odd count leaves a half-word,
+        # which the next call takes first
+        bitgen = np.random.default_rng(17).bit_generator
+        twin = np.random.default_rng(17)
+        spare = np.empty(0, dtype="<u4")
+        drawn = 0
+        for n in (1, 2, 3, 7, 8, 1, 1, 64, 1025, 4, 5, 2**17 + 1):
+            signs, spare = lfrc._signs(bitgen, n, spare)
+            drawn += n
+            assert spare.size == drawn % 2
+            assert np.array_equal(signs, twin.integers(0, 2, size=n) * 2.0 - 1.0)
+
+    @pytest.mark.parametrize("sign_block, sizes, n_draws", [
+        (7 * 21, (9, 5, 7), 20),     # odd blocks of 147 signs: blocks 7, 7, 6
+        (2 * 25, (7, 13, 5), 5),     # even blocks of 50 signs, then one draw
+        (1, (2**17 + 1,), 3),        # one odd draw per block
+    ])
+    def test_block_signs_are_the_per_draw_integers_calls(self, monkeypatch, sign_block,
+                                                         sizes, n_draws):
+        monkeypatch.setattr(lfrc, "_SIGN_BLOCK", sign_block)
+        zetas = []
+        aggregates = lfrc._aggregates
+
+        def spy(zeta, X):
+            zetas.append(zeta.copy())
+            return aggregates(zeta, X)
+
+        monkeypatch.setattr(lfrc, "_aggregates", spy)
+        rng = np.random.default_rng(3)
+        feats = [rng.normal(size=(m, 2)) for m in sizes]
+        spec = spec_for([second_moment_matrix(X) for X in feats], r=0.5)
+        estimate_lfrc(feats, [None] * len(sizes), spec, n_draws=n_draws, seed=11)
+        twin = np.random.default_rng(11)
+        want = [[] for _ in sizes]
+        for _ in range(n_draws):
+            for k, m in enumerate(sizes):
+                want[k].append(twin.integers(0, 2, size=m) * 2.0 - 1.0)
+        for k in range(len(sizes)):
+            got = np.vstack(zetas[k::len(sizes)])
+            assert np.array_equal(got, np.array(want[k]))
+
+
+class TestMultiplierSearch:
+    def test_certify_shape_takes_few_evaluations(self, monkeypatch):
+        # 22 x 22 pairs, D = 72, 500 draws, r = 0.2 tr(S) / D: nearly every
+        # row is in the both-active case, and the Newton search evaluates a
+        # row about 6 times on average (Brent with its bracketing ladder
+        # took about 20).  An evaluation takes four row dots.
+        rows, dots = [], []
+        row_dot, multiplier = lfrc._row_dot, lfrc._multiplier
+
+        def counting_dot(A, B):
+            dots.append(len(A))
+            return row_dot(A, B)
+
+        def counting_multiplier(CT, *args):
+            rows.append(len(CT))
+            dots.clear()
+            root = multiplier(CT, *args)
+            rows.append(sum(dots) / 4)
+            return root
+
+        monkeypatch.setattr(lfrc, "_row_dot", counting_dot)
+        monkeypatch.setattr(lfrc, "_multiplier", counting_multiplier)
+        X = pair_features(np.random.default_rng(7), 22, 22, 72)
+        S = second_moment_matrix(X)
+        spec = spec_for([S], m_tilde=1.0, r=0.2 * float(np.trace(S)) / 72)
+        estimate_lfrc([X], [None], spec, n_draws=500, seed=7)
+        assert rows[0] > 400
+        assert rows[1] / rows[0] <= 10.0
+
+    def test_estimate_does_not_depend_on_the_blas_thread_count(self):
+        # A single product over the task's 484 samples is summed in chunks
+        # that depend on the OpenBLAS thread count, and the estimates below
+        # then differ in their last bits between 1 and 2 threads.
+        code = (
+            "import math, numpy as np\n"
+            "from gdbound import lfrc\n"
+            "for seed in range(4):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    scales = np.geomspace(0.05, 1.5, 72)\n"
+            "    pos = rng.normal(size=(22, 72)) * scales + 0.2 * scales\n"
+            "    neg = rng.normal(size=(22, 72)) * scales\n"
+            "    X = (pos[:, None, :] - neg[None, :, :]).reshape(484, 72)\n"
+            "    S = lfrc.second_moment_matrix(X)\n"
+            "    for r in (0.2 * float(np.trace(S)) / 72, math.inf):\n"
+            "        for n in (30, 500):\n"
+            "            spec = lfrc.LinearClassSpec(1.0, (S,), r)\n"
+            "            est = lfrc.estimate_lfrc([X], [None], spec, n_draws=n, seed=seed)\n"
+            "            print(*map(float.hex, est))\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, check=True, env=env)
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 16
+        assert outputs[0] == outputs[1]
+
+
+class TestDualitySandwich:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), rank=st.integers(0, 4),
+           s_exp=st.integers(-6, 6), c_exp=st.integers(-6, 6), m_exp=st.integers(-3, 3),
+           r_exp=st.integers(-4, 1))
+    def test_value_lies_between_a_feasible_point_and_every_dual_bound(
+            self, seed, d, rank, s_exp, c_exp, m_exp, r_exp):
+        # S = B B' of rank min(rank, d), its spectrum spread over four
+        # decades; the value is at most sqrt((m^2 + a r) c'(I + a S)^-1 c)
+        # for every a >= 0 (weak duality) and at least c.theta at the
+        # projected-gradient iterate scaled into the constraint set
+        rng = np.random.default_rng(seed)
+        k = min(rank, d)
+        B = rng.normal(size=(d, k)) * 10.0 ** rng.uniform(-1, 1, size=k)
+        S = 10.0**s_exp * (B @ B.T)
+        c = 10.0**c_exp * rng.normal(size=d)
+        m_tilde = 10.0**m_exp
+        r = 10.0**r_exp * 10.0**s_exp * (max(float(np.trace(B @ B.T)), 1.0) / d)
+        value = lfrc._sup_rows(c[None], S, m_tilde, r)[0]
+        lam, Q = np.linalg.eigh(S)
+        lam = np.clip(lam, 0.0, None)
+        ct = Q.T @ c
+        for a in np.concatenate(([0.0], 10.0 ** rng.uniform(-8, 8, 12) / 10.0**s_exp)):
+            bound = math.sqrt((m_tilde**2 + a * r) * float(np.sum(ct**2 / (1.0 + a * lam))))
+            assert value <= bound * (1 + 1e-14)
+        assert value >= pga_feasible_value(c, S, m_tilde, r) * (1 - 1e-14)
+
+
 class TestStderr:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 9), d=st.integers(1, 4),
@@ -470,12 +639,14 @@ class TestStderr:
         # With r = inf each per-draw value is m_tilde |c| / K, so
         # m_tilde = 2^shift scales every value, the estimate and the stderr
         # by exactly 2^shift, also where the squares of the values overflow;
-        # at m_tilde = 1 the stderr is the oracle's plain vals.std(ddof=1).
+        # at m_tilde = 1 the stderr is the oracle's plain vals.std(ddof=1),
+        # to 1e-12 (the aggregates come from a matrix product, the oracle's
+        # from one vector product per draw).
         X = np.random.default_rng(seed).normal(size=(m, d))
         S = [second_moment_matrix(X)]
         est, stderr = estimate_lfrc([X], [None], spec_for(S), n_draws=n_draws, seed=seed)
-        assert (est, stderr) == loop_estimate_lfrc([X], [None], spec_for(S),
-                                                   n_draws=n_draws, seed=seed)
+        want = loop_estimate_lfrc([X], [None], spec_for(S), n_draws=n_draws, seed=seed)
+        np.testing.assert_allclose((est, stderr), want, rtol=1e-12, atol=0)
         scaled = estimate_lfrc([X], [None], spec_for(S, m_tilde=2.0**shift),
                                n_draws=n_draws, seed=seed)
         assert scaled == (math.ldexp(est, shift), math.ldexp(stderr, shift))

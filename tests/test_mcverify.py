@@ -308,6 +308,31 @@ class TestDrawLaw:
                 for r in range(math.prod(shape))]
         assert sums.ravel().tolist() == want
 
+    @pytest.mark.parametrize("width", range(1, 41))
+    def test_row_sums_are_python_int_sums_at_every_width(self, monkeypatch, width):
+        # both row-sum paths (column by column below _COLUMN_SUM_WIDTH, one
+        # row sum above it), over blocks of a few rows: the uniform halves k
+        # and the two-point hit counts B summed in Python ints
+        assert mcverify._COLUMN_SUM_WIDTH in range(2, 41)
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 40 * 9 * 3)
+        monkeypatch.setattr(mcverify, "_workers", lambda: 1)
+        seq = np.random.SeedSequence(8, spawn_key=(width,))
+        shape = (23,)
+        n = shape[0] * width
+        sums, _ = mcverify._side_sums(seq, 1, iid(width), shape, width)
+        words = np.random.PCG64(seq).advance(1).random_raw((n + 1) // 2).tolist()
+        halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+        want = [float((F(sum(halves[r * width:(r + 1) * width])) + F(width, 2)) / 2**32)
+                for r in range(shape[0])]
+        assert sums.tolist() == want
+        s = iid(width, base="two_point", base_p=0.3)
+        hits, _ = mcverify._side_sums(seq, 0, s, shape, width)
+        below = math.ceil(0.3 * 2.0**53) << 11
+        flags = [w < below for w in np.random.PCG64(seq).random_raw(n).tolist()]
+        counts = [sum(flags[r * width:(r + 1) * width]) for r in range(shape[0])]
+        lo, hi = s.base_lo, s.base_hi
+        assert hits.tolist() == [c * (hi - lo) + lo * width for c in counts]
+
     def test_base_law_is_the_grid_law(self):
         # draws (k + 1/2) 2^-32, k = 0 .. 2^32 - 1: mean 1/2 and second moment
         # (sum of (k + 1/2)^2) / 2^96 = 1/3 - 2^-64 / 12
