@@ -1,9 +1,10 @@
-"""Exception types shared across the package, its floating-point policy and
-its seed rule."""
+"""Exception types shared across the package, its floating-point policy,
+its seed rule and its core-count rule."""
 
 import dataclasses
 import functools
 import numbers
+import os
 
 import numpy as np
 
@@ -66,6 +67,15 @@ def check_seed(seed):
     """ConfigError unless seed is a non-negative integer; a bool is not one."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def available_cores():
+    """Cores this process may run on: the worker count of every parallel
+    path (mcverify's sampling threads, macroauc's training processes)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def finite_result(fn):

@@ -236,6 +236,9 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
         mats.append(X)
     sizes = [X.shape[0] for X in mats]
     width = sum(sizes)
+    if width == 0:
+        raise DomainError("estimate_lfrc needs a sample to sign, but "
+                          + ("no task is given" if K == 0 else "every task has zero samples"))
     block = max(1, _SIGN_BLOCK // width)
     bitgen, spare = np.random.default_rng(seed).bit_generator, np.empty(0, dtype="<u4")
     vals = np.zeros(n_draws)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -22,12 +24,22 @@ import numpy as np
 from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
 from .errors import ConfigError, DegenerateLabelError, DomainError, \
-    FormatError, ParseError, UndefinedMetricError, check_seed, finite_result
+    FormatError, ParseError, UndefinedMetricError, available_cores, check_seed, \
+    finite_result
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
 MAX_CELLS = 10**8  # largest n*D or n*K a dataset header may declare
 _DRAW_BYTES = 1 << 20  # SGD row draws held at once, in bytes
+# `train_many`'s cost model (`_job_groups`), in units of one chain's update of
+# one feature: a lockstep step costs _STEP_COST plus _CHAIN_COST per chain on
+# top of those units.  A unit is about 1.5 ns (fit on a 2-core x86 VM).
+_STEP_COST = 4700
+_CHAIN_COST = 50
+# The least modelled saving for which a call forks.  On that VM a fork and
+# its child's exit cost 2-3 ms, and two busy processes ran at 1.2-1.5 times
+# the speed of one, so a split gained about half its modelled saving.
+_FORK_WORK = 5 * 10**6
 _BLOCK_LINES = 64  # mlsvm body lines whose feature text is parsed at once
 # what a block's feature text may hold for `_block_features` to read it
 _FEATURE_BYTES = b"0123456789.eE+-: \t\n"
@@ -449,6 +461,12 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     fewer rows sits the extra steps out.  Each chain's arithmetic is exactly
     that of a loop over its own steps, so a ranker does not depend on which
     other jobs share the call.
+
+    The jobs are split across the cores this process may use: `_job_groups`
+    groups them by a lockstep cost model, the first group trains in this
+    process and every other group in a forked child (`_train_groups`).
+    Since a ranker does not depend on the jobs it trains with, the rankers,
+    and every report built from them, do not depend on the core count.
     """
     X = dataset.features
     if not np.isfinite(X).all():
@@ -460,7 +478,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     lr, epochs = schedules.pop() if schedules else (0.0, 0)
     # Row indices are held in the narrowest type that holds any of them.
     row_type = np.min_scalar_type(max(dataset.n_samples - 1, 0))
-    fits, chains, seqs = [], [], []
+    fits, chains, seqs, n_rows, n_chains = [], [], [], [], []
     for j, (rows, config) in enumerate(jobs):
         rows = np.asarray(rows, dtype=np.intp)
         if rows.size == 0:
@@ -483,12 +501,161 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
                 continue
             chains.append((rows.size, j, k, pools[k], rows.size - n_neg[k], decay))
         fits.append((config, tuple(excluded)))
+        n_rows.append(rows.size)
+        n_chains.append(dataset.n_labels - len(excluded))
 
+    # Most rows first: `_lockstep` takes its chains in this order, and a
+    # group's chains keep it.
+    chains.sort(key=lambda chain: -chain[0])
+    groups = _job_groups(n_rows, n_chains, dataset.n_features, epochs)
+    parts = [[chain for chain in chains if groups[chain[1]] == g]
+             for g in range(groups.max(initial=0) + 1)]
+    weights = [np.zeros((dataset.n_labels, dataset.n_features)) for _ in fits]
+    trained = _train_groups(parts, dataset.n_features,
+                            lambda part: _lockstep(X, part, seqs, lr, epochs, row_type))
+    for part, W in zip(parts, trained):
+        for (_, j, k, *_), w in zip(part, W):
+            weights[j][k] = w
+    return [LinearRanker(w, config, excluded) for w, (config, excluded) in zip(weights, fits)]
+
+
+def _job_groups(n_rows, n_chains, d: int, epochs: int) -> np.ndarray:
+    """The group of each job of a `train_many` call: one group per core this
+    process may use, chosen by the lockstep cost model.
+
+    A group whose largest job has n rows takes n steps per epoch, and a step
+    costs _STEP_COST plus _CHAIN_COST + d per chain still inside its epoch,
+    so a group costs n _STEP_COST + (_CHAIN_COST + d) sum(chains * rows)
+    per epoch.  The jobs, most rows first, are cut into runs that keep the
+    costliest run as cheap as possible; run g is group g.  So a group holds
+    jobs of neighbouring row counts, and no group pays for the steps that
+    only a longer job of another group takes.  Every job is in group 0 when
+    there is one core, when this process cannot fork safely, or when the
+    split saves less than _FORK_WORK over all epochs.  A job with no chain
+    is always in group 0."""
+    n_rows = np.asarray(n_rows, dtype=np.int64)
+    work = (_CHAIN_COST + d) * np.asarray(n_chains, dtype=np.int64) * n_rows
+    busy = np.flatnonzero(n_chains)
+    groups = np.zeros(n_rows.size, dtype=np.intp)
+    order = busy[np.argsort(-n_rows[busy], kind="stable")]
+    cores = min(available_cores(), order.size)
+    # A fork copies only the calling thread, so a lock that another Python
+    # thread holds would stay held in the child; threads outside Python,
+    # such as a BLAS pool, are left to their libraries' fork handlers.
+    if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return groups
+    run_cost = (_STEP_COST * n_rows[order] + work[order]).tolist()
+    work_of = work[order].tolist()
+    total = run_cost[0] + sum(work_of[1:])
+
+    def starts(cap):
+        # greedy: a run takes the next job while its cost stays within cap
+        first, cost = [0], run_cost[0]
+        for i in range(1, len(order)):
+            if cost + work_of[i] <= cap:
+                cost += work_of[i]
+            else:
+                first.append(i)
+                cost = run_cost[i]
+        return first
+
+    # the least cap, from the costliest job alone to all jobs in one run,
+    # whose greedy runs number no more than the cores
+    lo, hi = max(run_cost), total
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if len(starts(mid)) <= cores else (mid + 1, hi)
+    if epochs * (total - hi) < _FORK_WORK:
+        return groups
+    for g, first in enumerate(starts(hi)):
+        groups[order[first:]] = g
+    return groups
+
+
+def _train_groups(parts, d: int, train) -> list:
+    """[train(part) for part in parts], each a (len(part), d) float64 array.
+
+    parts[0] trains in this process and every other part in its own forked
+    child, which writes its array's raw bytes to a pipe and leaves by
+    os._exit.  Every child is reaped before this returns or raises; when
+    this process's own share raises, the children are killed first.  A part
+    whose child wrote less than its whole array, for whatever reason, is
+    trained again here: the same bits, and a real error is raised here."""
+    out = [None] * len(parts)
+    children = []  # (part index, pid, read end of its pipe)
+    try:
+        for i in range(1, len(parts)):
+            child = _fork_writer(train, parts[i])
+            if child is not None:
+                children.append((i, *child))
+        out[0] = train(parts[0])
+        for i, _, fd in children:
+            out[i] = _read_array(fd, (len(parts[i]), d))
+    except BaseException:
+        import signal  # loaded only where a call fails
+
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return [train(part) if W is None else W for part, W in zip(parts, out)]
+
+
+def _fork_writer(train, part):
+    """(pid, read end of a pipe) of a forked child that writes the raw bytes
+    of train(part), a C-contiguous float64 array, to the pipe and leaves by
+    os._exit; None when the fork fails.
+
+    Python 3.12 and later warn, in the parent, on every fork of a process
+    with more than one thread, BLAS's idle pool included.  `_job_groups` has
+    ruled out other Python threads, so that one warning is ignored here."""
+    parent, pid, status = os.getpid(), None, 1
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            data = memoryview(train(part)).cast("B")
+            while data:
+                data = data[os.write(write_fd, data):]
+            status = 0
+    except OSError:  # the fork failed, or in the child a write did
+        pass
+    finally:
+        # whatever it raised, a child runs none of its parent's code past here
+        if os.getpid() != parent:
+            os._exit(status)
+        os.close(write_fd)
+        if pid is None:
+            os.close(read_fd)
+    return None if pid is None else (pid, read_fd)
+
+
+def _read_array(fd, shape):
+    """The float64 array of `shape` read from fd, or None if fd ends first."""
+    out = np.empty(shape)
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return None
+        view = view[got:]
+    return out
+
+
+def _lockstep(X, chains, seqs, lr, epochs, row_type) -> np.ndarray:
+    """The (len(chains), D) weights of `chains`, most rows first, trained in
+    lockstep as `train_many` describes."""
     # Most rows first, so the chains still inside their epoch at step i are
     # always the leading rows W[:width[i]], and the chains of one n~ are one
     # run W[start:stop].
-    chains.sort(key=lambda chain: -chain[0])
-    n_chains, d = len(chains), dataset.n_features
+    n_chains, d = len(chains), X.shape[1]
     n_rows = np.array([chain[0] for chain in chains], dtype=np.intp)
     starts = np.unique(-n_rows, return_index=True)[1]
     runs = list(zip(starts, [*starts[1:], n_chains]))
@@ -553,10 +720,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
                 diff *= lr
                 np.add(w, diff, out=w, where=margin < 1.0)
 
-    weights = [np.zeros((dataset.n_labels, d)) for _ in fits]
-    for c, (_, j, k, *_) in enumerate(chains):
-        weights[j][k] = W[c]
-    return [LinearRanker(w, config, excluded) for w, (config, excluded) in zip(weights, fits)]
+    return W
 
 
 def average_ranks(scores: np.ndarray) -> np.ndarray:

@@ -43,14 +43,13 @@ trial count or task width, and every draw is the one a single
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import concentration as conc
 from .concentration import TailBoundInput
-from .errors import ConfigError, DomainError, ModeError, check_seed
+from .errors import ConfigError, DomainError, ModeError, available_cores, check_seed
 
 BATCH = 1 << 16
 _DRAW_BYTES = 1 << 20  # base draws held at once per worker thread, in bytes
@@ -179,14 +178,6 @@ def _n_batches(n_trials):
     return (n_trials + BATCH - 1) // BATCH
 
 
-def _workers():
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _side_words(sampler, n_draws):
     """Stream words taken by n_draws base draws: a uniform draw takes half a
     word and a two-point draw a whole one."""
@@ -230,7 +221,7 @@ def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
     # squares, a double
     draw_bytes = 9 if two_point else 4 + (8 if sq is not None else 0)
     block = max(step, _DRAW_BYTES // (draw_bytes * width) // step * step)
-    n_workers = max(1, min(_workers(), -(-rows // block) // 2))
+    n_workers = max(1, min(available_cores(), -(-rows // block) // 2))
     # a row sums to scale * (its integer sum) + offset; on a uniform base,
     # with shift 0 or 1/2, both terms are multiples of 2^-33, so the sum is
     # exact below 2^20 draws per row

@@ -1058,6 +1058,23 @@ def test_no_command_loads_scipy():
     assert lines[-1] == "scipy modules []"
 
 
+def test_the_parser_loads_no_process_pool():
+    """`train_many` forks its workers with os.fork: building the parser, as
+    every command does, loads neither multiprocessing nor
+    concurrent.futures."""
+    import gdbound
+
+    src = str(Path(gdbound.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; import gdbound.cli; gdbound.cli.build_parser(); "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 # Runs each argv of a JSON list with `main`, output discarded, and prints the
 # exit codes as JSON: an exception that escapes `main` is named instead.
 EXIT_CODES = """

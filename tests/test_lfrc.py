@@ -318,6 +318,14 @@ class TestEstimateLfrc:
         est, _ = estimate_lfrc([X], [None], spec, n_draws=8, seed=1)
         assert est == 0.0
 
+    @pytest.mark.parametrize("tasks, cause", [(0, "no task is given"),
+                                              (1, "every task has zero samples"),
+                                              (2, "every task has zero samples")])
+    def test_no_sample_is_a_domain_error(self, tasks, cause):
+        spec = spec_for([np.eye(2)] * tasks, m_tilde=1.0)
+        with pytest.raises(DomainError, match=cause):
+            estimate_lfrc([np.zeros((0, 2))] * tasks, [None] * tasks, spec, 2, 0)
+
     def test_two_identical_single_sample_tasks_match_one(self):
         # with one sample per task the supremum is sign-invariant, so the
         # two-task average equals the single-task value exactly

@@ -1,8 +1,12 @@
 import importlib.util
+import itertools
 import math
+import os
 import re
+import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -858,12 +862,13 @@ class TestChainStreams:
     # (emotions-like, 10 epochs)
     @pytest.mark.parametrize("shape, epochs, before", [("cal500", 5, 2.44),
                                                        ("emotions", 10, 1.28)])
-    def test_memory_stays_within_a_mib_of_the_per_chain_draw(self, shape, epochs, before):
+    def test_memory_stays_within_a_mib_of_the_per_chain_draw(self, monkeypatch, shape, epochs,
+                                                              before):
         ds = _shaped(shape, seed=0)
-        train_rows, _ = macroauc._split_rows(ds.n_samples, 0)
-        cv_jobs, _ = macroauc._cv_jobs(ds.labels[train_rows], macroauc.LAMBDA_GRID, 3,
-                                       TrainConfig(epochs=epochs, seed=0))
-        jobs = [(train_rows[rows], cfg) for rows, cfg in cv_jobs]
+        jobs = _experiment_jobs(ds, epochs)
+        # one core, so every chain trains in this process, where tracemalloc
+        # sees it
+        monkeypatch.setattr(macroauc, "available_cores", lambda: 1)
         train_many(ds, jobs)  # numpy's lazy set-up stays out of the peak
         tracemalloc.start()
         try:
@@ -872,6 +877,170 @@ class TestChainStreams:
         finally:
             tracemalloc.stop()
         assert peak <= before + 1.0, f"train_many peak {peak:.2f} MiB"
+
+
+def _experiment_jobs(ds, epochs):
+    """The jobs of one experiment seed (seed 0, default grid, 3 folds)."""
+    train_rows, _ = macroauc._split_rows(ds.n_samples, 0)
+    cv_jobs, _ = macroauc._cv_jobs(ds.labels[train_rows], macroauc.LAMBDA_GRID, 3,
+                                   TrainConfig(epochs=epochs, seed=0))
+    return [(train_rows[rows], cfg) for rows, cfg in cv_jobs]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forced_workers(patch, cores, fork_work=0):
+    """Patch `cores` cores and a fork threshold of `fork_work` (0: every
+    call with two jobs that train takes the worker path); returns the list
+    of the pids that train_many forks."""
+    patch.setattr(macroauc, "_FORK_WORK", fork_work)
+    patch.setattr(macroauc, "available_cores", lambda: cores)
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+class TestTrainManyWorkers:
+    """`train_many` on forked workers: the bits of one process, and no child
+    process left after the call."""
+
+    @pytest.mark.parametrize("shape", ["emotions", "cal500"])
+    def test_split_calls_give_the_one_process_bits(self, monkeypatch, shape):
+        ds = _shaped(shape, seed=4)
+        # and a 6-row fit, which excludes labels on the cal500 shape
+        jobs = _experiment_jobs(ds, epochs=2) + [(np.arange(6), TrainConfig(epochs=2, seed=9))]
+        monkeypatch.setattr(macroauc, "available_cores", lambda: 1)
+        one = train_many(ds, jobs)
+        for (rows, cfg), ranker in zip(jobs, one):
+            _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+        for cores in (1, 2, 3):
+            forked = _forced_workers(monkeypatch, cores)
+            rankers = train_many(ds, jobs)
+            _assert_no_child_left()
+            assert len(forked) == cores - 1
+            for ranker, want in zip(rankers, one):
+                _assert_same_ranker(ranker, want)
+        if shape == "cal500":
+            assert any(r.excluded_labels for r in one)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_drawn_labels_give_the_loop_bits_on_workers(self, data):
+        # few rows: one-row sides and excluded labels are common, and a job
+        # may have no chain at all
+        n = data.draw(st.integers(2, 9))
+        k = data.draw(st.integers(1, 4))
+        Y = np.where(data.draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k),
+                                        min_size=n, max_size=n)), 1, -1)
+        X = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=(n, 2))
+        ds = make_dataset(X, Y)
+        epochs = data.draw(st.integers(1, 4))
+        jobs = [(np.sort(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))),
+                 TrainConfig(epochs=epochs, weight_decay=data.draw(st.sampled_from([0.0, 1e-2])),
+                             seed=data.draw(st.sampled_from([0, 7, 2**64 - 1]))))
+                for _ in range(data.draw(st.integers(1, 5)))]
+        with pytest.MonkeyPatch.context() as patch:
+            forked = _forced_workers(patch, data.draw(st.sampled_from([2, 3])))
+            rankers = train_many(ds, jobs)
+        _assert_no_child_left()
+        busy = sum(len(r.excluded_labels) < k for r in rankers)
+        assert (len(forked) > 0) == (busy > 1)
+        for (rows, cfg), ranker in zip(jobs, rankers):
+            _assert_same_ranker(ranker, loop_train_sgd(ds.subset(rows), cfg))
+
+    def test_only_a_call_that_saves_a_fork_forks(self, monkeypatch):
+        ds = _shaped("emotions", seed=7)
+        jobs = _experiment_jobs(ds, epochs=10)
+        forked = _forced_workers(monkeypatch, 2, macroauc._FORK_WORK)
+        # the four full-split fits share their 395 steps: two groups would
+        # save a fifth of one epoch's modelled cost per epoch
+        train_many(ds, [(rows, replace(cfg, epochs=1)) for rows, cfg in jobs[-4:]])
+        assert forked == []
+        # the experiment's fits: the CV fits take two thirds of the steps
+        train_many(ds, jobs)
+        assert len(forked) == 1
+        _assert_no_child_left()
+
+    def test_groups_minimize_the_costliest_run(self):
+        # against every cut of the jobs, most rows first, into at most
+        # `cores` runs
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            J = int(rng.integers(1, 8))
+            n_rows = rng.integers(1, 400, size=J)
+            n_chains = rng.integers(0, 4, size=J) * rng.integers(0, 2, size=J)
+            d, cores = int(rng.integers(1, 80)), int(rng.integers(1, 4))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(macroauc, "_FORK_WORK", 0)
+                patch.setattr(macroauc, "available_cores", lambda: cores)
+                groups = macroauc._job_groups(n_rows, n_chains, d, 1)
+
+            def cost(members):
+                members = [j for j in members if n_chains[j]]
+                return (macroauc._STEP_COST * max(n_rows[members], default=0)
+                        + (macroauc._CHAIN_COST + d) * sum(n_chains[members] * n_rows[members]))
+
+            busy = [j for j in sorted(range(J), key=lambda j: -n_rows[j]) if n_chains[j]]
+            assert all(groups[j] == 0 for j in range(J) if not n_chains[j])
+            got = max(cost(np.flatnonzero(groups == g)) for g in range(groups.max() + 1))
+            best = min(max(cost([busy[i] for i in range(len(busy)) if lo <= i < hi])
+                           for lo, hi in zip((0, *cut), (*cut, len(busy))))
+                       for r in range(min(cores, max(len(busy), 1)))
+                       for cut in itertools.combinations(range(1, len(busy)), r))
+            assert got == best
+            assert groups.max() < max(cores, 1)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_raising_own_share_kills_and_reaps_the_children(self, monkeypatch, error):
+        ds = _shaped("emotions", seed=5)
+        jobs = _experiment_jobs(ds, epochs=1)
+        forked = _forced_workers(monkeypatch, 3)
+        parent, lockstep = os.getpid(), macroauc._lockstep
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise error("own share failed")
+            time.sleep(60)  # a child outlives the call unless it is killed
+            return lockstep(*args)
+
+        monkeypatch.setattr(macroauc, "_lockstep", failing)
+        start = time.perf_counter()
+        with pytest.raises(error, match="own share failed"):
+            train_many(ds, jobs)
+        assert time.perf_counter() - start < 30
+        assert len(forked) == 2
+        _assert_no_child_left()
+
+    def test_a_child_that_exits_early_is_retrained_here(self, monkeypatch):
+        ds = _shaped("cal500", seed=6)
+        jobs = _experiment_jobs(ds, epochs=2)
+        monkeypatch.setattr(macroauc, "available_cores", lambda: 1)
+        one = train_many(ds, jobs)
+        forked = _forced_workers(monkeypatch, 3)
+        parent, lockstep = os.getpid(), macroauc._lockstep
+
+        def exiting(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return lockstep(*args)
+
+        monkeypatch.setattr(macroauc, "_lockstep", exiting)
+        rankers = train_many(ds, jobs)
+        assert len(forked) == 2
+        _assert_no_child_left()
+        for ranker, want in zip(rankers, one):
+            _assert_same_ranker(ranker, want)
 
 
 class TestMacroAuc:

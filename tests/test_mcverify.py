@@ -252,7 +252,7 @@ class TestBlockDraws:
         # mid-word), and one or two rows of 30 to 40 draws, which exceed a
         # block.  The 555 u draws of bip-odd leave its last u word half used.
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
-        monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+        monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
         pools = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -281,7 +281,7 @@ class TestBlockDraws:
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
         reports = set()
         for workers in (1, 2, 3):
-            monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+            monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
             report = verify_inequality(self.SAMPLERS[name](), "bennett_general", [0.5, 2.0],
                                        3000, moments="plugin")
             reports.add(json.dumps(report.as_dict()))
@@ -297,7 +297,7 @@ class TestDrawLaw:
                                                            width, word):
         # (sum of the row's uint32 halves + width / 2) 2^-32, in Python ints
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
-        monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+        monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
         seq = np.random.SeedSequence(5, spawn_key=(width,))
         shape = (37, 3)
         sums, _ = mcverify._side_sums(seq, word, iid(width), shape, width)
@@ -315,7 +315,7 @@ class TestDrawLaw:
         # and the two-point hit counts B summed in Python ints
         assert mcverify._COLUMN_SUM_WIDTH in range(2, 41)
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 40 * 9 * 3)
-        monkeypatch.setattr(mcverify, "_workers", lambda: 1)
+        monkeypatch.setattr(mcverify, "available_cores", lambda: 1)
         seq = np.random.SeedSequence(8, spawn_key=(width,))
         shape = (23,)
         n = shape[0] * width
@@ -348,7 +348,7 @@ class TestDrawLaw:
     @pytest.mark.parametrize("p", [0.3, 0.4, 1e-9, 1.0 - 2.0**-53])
     def test_two_point_draws_are_random_below_p(self, monkeypatch, workers, p):
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 8 * 4096)
-        monkeypatch.setattr(mcverify, "_workers", lambda: workers)
+        monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
         seq = np.random.SeedSequence(9, spawn_key=(1,))
         s = iid(1, base="two_point", base_p=p)
         hits, _ = mcverify._side_sums(seq, 0, s, (50_000,), 1)
@@ -359,7 +359,7 @@ class TestDrawLaw:
 def test_iid_batch_memory_stays_small(monkeypatch):
     # One (BATCH, 3, 200) draw array would take 315 MB; blocks of about
     # 1 MiB per worker keep the whole call near the size of its outputs.
-    monkeypatch.setattr(mcverify, "_workers", lambda: 3)
+    monkeypatch.setattr(mcverify, "available_cores", lambda: 3)
     threads = threading.active_count()
     tracemalloc.start()
     try:
