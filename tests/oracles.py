@@ -17,10 +17,12 @@ a time, SGD row draws from spawned
 `default_rng` streams and their `integers` calls, Macro-AUC from one
 `scipy.stats.rankdata` call per label, and Monte Carlo task sums drawn
 in one call per side and batch, or added up from the whole (trials, K,
-n_pos, n_neg) pair tensor, and phi in `mpmath` at a precision that
-outgrows its cancellation.
+n_pos, n_neg) pair tensor, phi in `mpmath` at a precision that
+outgrows its cancellation, and the excess-risk bound assemblies as
+their documented formulas in `mpmath`.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -757,3 +759,56 @@ def mp_phi(x):
     with mpmath.workdps(digits):
         v = mpmath.mpf(x)
         return float((1 + v) * mpmath.log(1 + v) - v)
+
+
+def _mp_bound(formula):
+    """formula evaluated in `mpmath` at 50 digits on the exact values of its
+    float arguments, rounded once to a float (inf beyond the float range,
+    a subnormal or 0 below it).  Every term is a product of nonnegative
+    factors, so nothing cancels, and the error is that one rounding."""
+    @functools.wraps(formula)
+    def exact(*args):
+        import mpmath
+
+        with mpmath.workdps(50):
+            return float(formula(mpmath, *args))
+    return exact
+
+
+@_mp_bound
+def mp_excess_general(mp, r, chi_list, m_list, B, t):
+    """(704/B) r + (26B + 22)(25/16) sum_k(chi_k/m_k) t / K."""
+    ratios = mp.fsum(mp.mpf(chi) / mp.mpf(m) for chi, m in zip(chi_list, m_list))
+    B = mp.mpf(B)
+    return (704 / B * mp.mpf(r)
+            + (26 * B + 22) * mp.mpf(25) / 16 * ratios * mp.mpf(t) / len(chi_list))
+
+
+@_mp_bound
+def mp_bound_ours(mp, rstar, tau_list, n_tilde, mu, t):
+    """704 mu r* + (75/K) sum_k(1/tau_k) t / n~."""
+    inv_tau = mp.fsum(1 / mp.mpf(tau) for tau in tau_list)
+    return (704 * mp.mpf(mu) * mp.mpf(rstar)
+            + mp.mpf(75) / len(tau_list) * inv_tau * mp.mpf(t) / mp.mpf(n_tilde))
+
+
+@_mp_bound
+def mp_bound_kernel(mp, rstar, tau_list, n_tilde, B, t):
+    """(704/B) r* + (26B + 22)(25/16)(1/n~) sum_k(1/tau_k) t / K."""
+    inv_tau = mp.fsum(1 / mp.mpf(tau) for tau in tau_list)
+    B = mp.mpf(B)
+    return (704 / B * mp.mpf(rstar)
+            + (26 * B + 22) * mp.mpf(25) / 16 / mp.mpf(n_tilde) * inv_tau * mp.mpf(t)
+            / len(tau_list))
+
+
+@_mp_bound
+def mp_bound_prior(mp, tau_list, n_tilde, mu, m_bar, m_tilde, t):
+    """2 [4 mu m_bar m_tilde / sqrt(n~) (1/K) sum_k sqrt(1/tau_k)
+          + 3 sqrt((log 2 + t) / (2 n~)) sqrt((1/K) sum_k 1/tau_k)]."""
+    K, n = len(tau_list), mp.mpf(n_tilde)
+    term1 = (4 * mp.mpf(mu) * mp.mpf(m_bar) * mp.mpf(m_tilde) / mp.sqrt(n)
+             * mp.fsum(mp.sqrt(1 / mp.mpf(tau)) for tau in tau_list) / K)
+    term2 = (3 * mp.sqrt((mp.log(2) + mp.mpf(t)) / (2 * n))
+             * mp.sqrt(mp.fsum(1 / mp.mpf(tau) for tau in tau_list) / K))
+    return 2 * (term1 + term2)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from oracles import (
     brute_force_rstar_linear,
     charpoly_eigenvalues,
     eigvalsh_spectrum_from_gram,
+    mp_bound_kernel,
+    mp_bound_ours,
+    mp_bound_prior,
+    mp_excess_general,
 )
 
 LN100 = math.log(100.0)
@@ -51,6 +56,35 @@ def drawn_grams(draw):
     repeats = draw(st.integers(0, m // 4))
     A[rng.integers(0, m, repeats)] = A[rng.integers(0, m, repeats)]
     return A @ A.T, draw(st.integers(-100, 100))
+
+
+# fixed before the assemblies were merged: 1e-13 relative, or one smallest
+# normal times it where the exact value is subnormal or 0
+ORACLE_REL_TOL = 1e-13
+# log-uniform on [1e-300, 1e300]
+WIDE = st.integers(-300 * 2**20, 300 * 2**20).map(lambda e: 10.0 ** (e / 2**20))
+WIDE_OR_ZERO = st.integers(0, 9).flatmap(lambda i: WIDE if i else st.just(0.0))
+
+
+@st.composite
+def pair_inputs(draw):
+    """(tau_list, n~) as a dataset gives them: n~ >= 2 rows (at most 1e150,
+    so that m_k = n~^2 tau_k (1 - tau_k) is finite) and tau_k in [1/n~, 1/2]."""
+    n = 10.0 ** draw(st.floats(math.log10(2.0), 150.0))
+    lo, hi = math.log(1.0 / n), math.log(0.5)
+    us = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return [min(0.5, max(1.0 / n, math.exp(lo + u * (hi - lo)))) for u in us], n
+
+
+def assert_near_oracle(name, call, exact):
+    """call() lies within ORACLE_REL_TOL of exact, or raises the DomainError
+    of the entry point name because its float arithmetic overflows."""
+    try:
+        got = call()
+    except DomainError as exc:
+        assert str(exc).startswith(f"{name} must be finite"), exc
+        return
+    assert abs(got - exact) <= ORACLE_REL_TOL * max(exact, sys.float_info.min), (got, exact)
 
 
 class TestSpectrumFromGram:
@@ -483,3 +517,44 @@ class TestMacroAucBounds:
         params = BoundParams.pair_transformed([0.25], 200.0)
         assert params.m_list[0] == pytest.approx(200.0**2 * 0.25 * 0.75)
         assert params.chi_list[0] == pytest.approx(0.75 * 200.0)
+
+
+class TestAssemblyOracles:
+    """Every excess-risk assembly against its documented formula in mpmath.
+    Each draws the constants it ignores too, so reading one shows up."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=pair_inputs(), rstar=WIDE_OR_ZERO, mu=WIDE, B=WIDE, t=WIDE_OR_ZERO)
+    def test_ours(self, pair, rstar, mu, B, t):
+        taus, n = pair
+        params = BoundParams.pair_transformed(taus, n, mu=mu, B=B, t=t)
+        assert_near_oracle("bound_ours_macroauc", lambda: bound_ours_macroauc(rstar, params),
+                           mp_bound_ours(rstar, taus, n, mu, t))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=pair_inputs(), rstar=WIDE_OR_ZERO, mu=WIDE, B=WIDE, t=WIDE_OR_ZERO)
+    def test_kernel(self, pair, rstar, mu, B, t):
+        taus, n = pair
+        params = BoundParams.pair_transformed(taus, n, mu=mu, B=B, t=t)
+        assert_near_oracle("bound_kernel_macroauc", lambda: bound_kernel_macroauc(rstar, params),
+                           mp_bound_kernel(rstar, taus, n, B, t))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(chi=st.lists(WIDE.map(lambda x: max(x, 1.0 / x)), min_size=1, max_size=4),
+           m=st.lists(WIDE, min_size=4, max_size=4), r=WIDE_OR_ZERO, mu=WIDE, B=WIDE,
+           t=WIDE_OR_ZERO)
+    def test_general(self, chi, m, r, mu, B, t):
+        m = m[:len(chi)]
+        params = BoundParams(K=len(chi), m_list=tuple(m), chi_list=tuple(chi), mu=mu, B=B, t=t)
+        assert_near_oracle("excess_bound_general", lambda: excess_bound_general(r, params),
+                           mp_excess_general(r, chi, m, B, t))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=pair_inputs(), mu=WIDE, m_bar=WIDE, m_tilde=WIDE_OR_ZERO, B=WIDE,
+           t=WIDE_OR_ZERO)
+    def test_prior(self, pair, mu, m_bar, m_tilde, B, t):
+        taus, n = pair
+        params = BoundParams.pair_transformed(taus, n, mu=mu, m_bar=m_bar, m_tilde=m_tilde,
+                                              B=B, t=t)
+        assert_near_oracle("bound_prior_macroauc", lambda: bound_prior_macroauc(params),
+                           mp_bound_prior(taus, n, mu, m_bar, m_tilde, t))
