@@ -9,9 +9,11 @@ one cut across tasks.  In pair-transformed (Macro-AUC) mode the
 substitution m_k = n~^2 tau_k (1 - tau_k), chi_k = (1 - tau_k) n~ makes
 chi_k / m_k = 1 / (tau_k n~).
 
-Excess-risk constants follow the fully explicit instantiation
-c1 = 704, c2 = (26 B + 22) * (25/16) * sum_k chi_k / m_k; the experiment
-assembly fixes B = 1 so the deviation coefficient is exactly 75 / K.
+The excess-risk bounds c1 r + c2 t / K, with c1 = 704 / B and
+c2 = (26 B + 22)(25/16) sum_k chi_k / m_k, share one body:
+excess_bound_general at (r, B), bound_kernel_macroauc at (r*, B) and
+bound_ours_macroauc at (mu r*, B = 1), exactly the pair-transformed forms
+they document, as chi_k / m_k = 1 / (tau_k n~) and (26 + 22)(25/16) = 75.
 """
 
 from __future__ import annotations
@@ -201,12 +203,6 @@ class BoundParams:
     def chi_over_m(self):
         return tuple(chi / m for chi, m in zip(self.chi_list, self.m_list))
 
-    @property
-    def sum_inv_tau(self):
-        if self.tau_list is None:
-            raise InvariantError("tau_list is only set in pair-transformed mode")
-        return float(sum(1.0 / tau for tau in self.tau_list))
-
 
 @finite_result
 def rstar_kernel(spectra, params: BoundParams):
@@ -263,6 +259,16 @@ def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
     return value, d_best
 
 
+def _excess(r, params, B, mu=1.0):
+    """(704/B) mu r + (26B + 22)(25/16) sum_k(chi_k/m_k) t / K, the one
+    excess-risk body, undecorated so that each caller names its own errors;
+    r is checked before mu scales it."""
+    if not 0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 0, got {r}")
+    c = 25.0 / 16.0 * sum(params.chi_over_m)
+    return 704.0 / B * (mu * r) + (26.0 * B + 22.0) * c * params.t / params.K
+
+
 @finite_result
 def excess_bound_general(r: float, params: BoundParams) -> float:
     """Excess-risk bound (704/B) r + (26B + 22)(25/16) sum_k(chi_k/m_k) t / K.
@@ -270,19 +276,15 @@ def excess_bound_general(r: float, params: BoundParams) -> float:
     The caller must have certified r >= r* (e.g. r at or above the fixed
     point of the localization function).
     """
-    if not 0 <= r < math.inf:
-        raise DomainError(f"r must be finite and >= 0, got {r}")
-    c = 25.0 / 16.0 * sum(params.chi_over_m)
-    return 704.0 / params.B * r + (26.0 * params.B + 22.0) * c * params.t / params.K
+    return _excess(r, params, params.B)
 
 
 @finite_result
 def bound_ours_macroauc(rstar: float, params: BoundParams) -> float:
     """Pair-transformed excess-risk bound 704 mu r* + (75/K) sum_k(1/tau_k) t/n~."""
-    if not 0 <= rstar < math.inf:
-        raise DomainError(f"r* must be finite and >= 0, got {rstar}")
-    s = params.sum_inv_tau  # raises if tau_list missing or degenerate
-    return 704.0 * params.mu * rstar + 75.0 / params.K * s * params.t / params.n_tilde
+    if params.tau_list is None:
+        raise InvariantError("bound_ours_macroauc needs pair-transformed parameters")
+    return _excess(rstar, params, 1.0, params.mu)
 
 
 @finite_result
@@ -296,23 +298,17 @@ def bound_prior_macroauc(params: BoundParams) -> float:
     term1 = (4.0 * params.mu * params.m_bar * params.m_tilde / math.sqrt(n)
              * sum(math.sqrt(1.0 / tau) for tau in params.tau_list) / params.K)
     term2 = (3.0 * math.sqrt((math.log(2.0) + params.t) / (2.0 * n))
-             * math.sqrt(params.sum_inv_tau / params.K))
+             * math.sqrt(sum(1.0 / tau for tau in params.tau_list) / params.K))
     return 2.0 * (term1 + term2)
 
 
 @finite_result
 def bound_kernel_macroauc(rstar: float, params: BoundParams) -> float:
-    """Kernel-mode pair-transformed bound with explicit constants:
-    (704/B) r* + (26B + 22)(25/16)(1/n~) sum_k(1/tau_k) t/K.
-
-    With B = 1 the deviation coefficient is 75, matching the linear
-    experiment assembly when mu = 1.
-    """
-    if not 0 <= rstar < math.inf:
-        raise DomainError(f"r* must be finite and >= 0, got {rstar}")
-    s = params.sum_inv_tau
-    c = 25.0 / 16.0 * s / params.n_tilde
-    return 704.0 / params.B * rstar + (26.0 * params.B + 22.0) * c * params.t / params.K
+    """Kernel-mode pair-transformed bound with explicit constants
+    (704/B) r* + (26B + 22)(25/16)(1/n~) sum_k(1/tau_k) t/K."""
+    if params.tau_list is None:
+        raise InvariantError("bound_kernel_macroauc needs pair-transformed parameters")
+    return _excess(rstar, params, params.B)
 
 
 @dataclass

@@ -855,21 +855,22 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
     (doubled minimum over the shared integer cut capped at min(D, K) * rate)
     against the prior global bound.
     """
-    if not (math.isfinite(rate) and rate >= 0):
-        raise DomainError(f"rate must be finite and >= 0, got {rate}")
     n_pos = (dataset.labels == 1).sum(axis=0)
     n_neg = (dataset.labels == -1).sum(axis=0)
     degenerate = (n_pos == 0) | (n_neg == 0)
     kept = np.flatnonzero(~degenerate)
     if not kept.size:
         raise UndefinedMetricError("every label degenerate; no bound to report")
+    cut_cap = min(dataset.n_features, kept.size) * rate
+    if not (math.isfinite(cut_cap) and rate >= 0):
+        raise DomainError(f"rate must be >= 0 and keep min(D, K) * rate finite, got {rate}")
     taus = (np.minimum(n_pos, n_neg)[kept] / dataset.n_samples).tolist()
     m_tilde, m_bar = ranker.m_tilde, dataset.max_row_norm()
     params = BoundParams.pair_transformed(
         taus, dataset.n_samples, m_tilde=m_tilde, m_bar=m_bar, mu=1.0, B=1.0, t=t,
     )
     spectrum = spectrum_from_weights(ranker.weights[kept])
-    d_max = int(min(dataset.n_features, kept.size) * rate)
+    d_max = int(cut_cap)
     r_star, d_star = rstar_linear(spectrum, params, experiment_mode=True, d_max=d_max)
     ours = bound_ours_macroauc(r_star, params)
     prior = bound_prior_macroauc(params)

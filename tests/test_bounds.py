@@ -495,8 +495,27 @@ class TestMacroAucBounds:
         params = BoundParams.pair_transformed([0.3, 0.45], 700.0, mu=1.0,
                                               B=1.0, t=LN100)
         r_star = 3e-4
-        assert bound_kernel_macroauc(r_star, params) == pytest.approx(
-            bound_ours_macroauc(r_star, params), rel=1e-14)
+        assert bound_kernel_macroauc(r_star, params) == bound_ours_macroauc(r_star, params)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=pair_inputs(), r=st.floats(0.0, 1e100), B=st.floats(1e-100, 1e100),
+           t=st.floats(0.0, 1e100))
+    def test_kernel_and_ours_are_the_general_assembly(self, pair, r, B, t):
+        # bit for bit: one body computes all three
+        params = BoundParams.pair_transformed(*pair, B=B, t=t)
+        assert bound_kernel_macroauc(r, params) == excess_bound_general(r, params)
+        unit = BoundParams.pair_transformed(*pair, t=t)
+        assert bound_ours_macroauc(r, unit) == bound_kernel_macroauc(r, unit)
+
+    @pytest.mark.parametrize("name, call", [
+        ("bound_ours_macroauc", lambda p: bound_ours_macroauc(1e-3, p)),
+        ("bound_kernel_macroauc", lambda p: bound_kernel_macroauc(1e-3, p)),
+        ("prior bound", bound_prior_macroauc),
+    ])
+    def test_pair_assemblies_refuse_general_params(self, name, call):
+        params = BoundParams(K=1, m_list=(100.0,), chi_list=(1.0,))
+        with pytest.raises(InvariantError, match=f"^{name} needs pair-transformed"):
+            call(params)
 
     def test_ours_strictly_increasing(self):
         base = BoundParams.pair_transformed([0.4, 0.3], 500.0, t=1.0)

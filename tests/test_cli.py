@@ -641,6 +641,7 @@ class TestExperimentCommand:
         (["--lr", "1e300", "--grid", "0"], "m_tilde must be finite"),
         (["--t", "nan"], "t must be finite"), (["--t", "x"], "bad t value"),
         (["--rate", "nan"], "rate"), (["--rate", "-1"], "rate"),
+        (["--rate", "1e308"], "rate"),  # min(D, K) * rate overflows
     ])
     def test_bad_numeric_option_exit_2(self, tmp_path, option, reason):
         data = tmp_path / "toy.mlsvm"

@@ -156,7 +156,7 @@ PINS = {
     '2.4.6': {
         'experiment/stdout': 'c9b0c8219707ebf16525ea3bc398d315cff3fdf0302154c8dd5c9744e5abd55a',
         'experiment/emotions.report.json': 'f75d858ff78a4a5422675689bfd128a51c7d0fda9f56011f3021436cb2546891',
-        'experiment/cal500.report.json': '79f9d73ce3013a1ce2992fb927e19102167146fa7b5661bb66423d4c938b1096',
+        'experiment/cal500.report.json': 'b81f9413b74040ad7705eb058c98f288b05b6a2dc54b809e4dd41802ea9e1a0d',
         'experiment/comparison.txt': 'c9b0c8219707ebf16525ea3bc398d315cff3fdf0302154c8dd5c9744e5abd55a',
         'verify/bip60x50-product-bennett_general/stdout': '513d0a78e65f5188dde2e275be9f882c3f068db5e6f81540cd069c9e7f65179b',
         'verify/bip60x50-product-bennett_general/report.json': 'a1e1f638cd6b0687784f9b6e7341f1a454020209ceb6872ce3578c06a6acdd21',
@@ -183,7 +183,7 @@ PINS = {
         'bound/prior-macroauc/stdout': 'e35100e8f81ac209b677552214153e25c1d99f1bc0efa43bf2c4132ab7d1fdbd',
         'bound/prior-macroauc/report.json': 'f4640b100c9b8b467165fed0ee509e85727e09de668949ef5b07cb6fd72d8109',
         'bound/kernel-macroauc/stdout': '1b5a4d37d596bf02ec5d65a290caf2a0b7928e7115dcbdcfeff3d9f159c034a2',
-        'bound/kernel-macroauc/report.json': 'e15faeaf83670b3e62691e3ea44789f70be0d064f385dca10bf15adf2dbcbd3c',
+        'bound/kernel-macroauc/report.json': 'dc223cbbb7277302c1fd9ff2c73764c50f72df8684db97920bdeb7c90c016c98',
         'bound/excess-general/stdout': 'a3e3033911b2df717e8a97b0a0ec9a68fbf7295270296f89fc60b79e2e83217c',
         'bound/excess-general/report.json': '178c5d990d4174c5618978d77f39d10de1a6dac5d4d0d648065f8df4ecb69082',
         'lfrc-estimate/unlocalized/stdout': 'e2a6df8edae555f9f12b1eec09c6e42d2d0f71d9bc7c06ba23a5b11996d1fcef',
