@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import signal
 import time
 import tracemalloc
 import warnings
@@ -1036,6 +1037,46 @@ class TestTrainManyWorkers:
             return lockstep(*args)
 
         monkeypatch.setattr(macroauc, "_lockstep", exiting)
+        rankers = train_many(ds, jobs)
+        assert len(forked) == 2
+        _assert_no_child_left()
+        for ranker, want in zip(rankers, one):
+            _assert_same_ranker(ranker, want)
+
+    def test_a_part_whose_fork_fails_is_trained_here(self, monkeypatch):
+        ds = _shaped("cal500", seed=6)
+        jobs = _experiment_jobs(ds, epochs=2)
+        monkeypatch.setattr(macroauc, "available_cores", lambda: 1)
+        one = train_many(ds, jobs)
+        _forced_workers(monkeypatch, 3)
+        tried = []
+
+        def failing_fork():
+            tried.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        rankers = train_many(ds, jobs)
+        assert len(tried) == 2
+        _assert_no_child_left()
+        for ranker, want in zip(rankers, one):
+            _assert_same_ranker(ranker, want)
+
+    def test_a_child_killed_after_training_is_retrained_here(self, monkeypatch):
+        ds = _shaped("cal500", seed=6)
+        jobs = _experiment_jobs(ds, epochs=2)
+        monkeypatch.setattr(macroauc, "available_cores", lambda: 1)
+        one = train_many(ds, jobs)
+        forked = _forced_workers(monkeypatch, 3)
+        parent, lockstep = os.getpid(), macroauc._lockstep
+
+        def killed(*args):
+            W = lockstep(*args)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return W
+
+        monkeypatch.setattr(macroauc, "_lockstep", killed)
         rankers = train_many(ds, jobs)
         assert len(forked) == 2
         _assert_no_child_left()
