@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
 import numbers
 import os
 import threading
@@ -464,7 +465,9 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
 
     The jobs are split across the cores this process may use: `_job_groups`
     groups them by a lockstep cost model, the first group trains in this
-    process and every other group in a forked child (`_train_groups`).
+    process and every other group in a forked child, which sends back only
+    its weights, through a shared mapping that is read only on the child's
+    exit status 0 (`_train_groups`).
     Since a ranker does not depend on the jobs it trains with, the rankers,
     and every report built from them, do not depend on the core count.
     """
@@ -576,77 +579,66 @@ def _train_groups(parts, d: int, train) -> list:
     """[train(part) for part in parts], each a (len(part), d) float64 array.
 
     parts[0] trains in this process and every other part in its own forked
-    child, which writes its array's raw bytes to a pipe and leaves by
-    os._exit.  Every child is reaped before this returns or raises; when
-    this process's own share raises, the children are killed first.  A part
-    whose child wrote less than its whole array, for whatever reason, is
-    trained again here: the same bits, and a real error is raised here."""
+    child, which sends back only its weights: it writes them into its rows
+    of one anonymous shared mapping, made before the forks, and only then
+    leaves by os._exit(0).  A child's rows are read only when it exited
+    with status 0.  Every child is reaped before this returns or raises;
+    when this process's own share raises, the children are killed first.
+    A part whose child could not be forked or did not exit with status 0,
+    for whatever reason, is trained again here: the same bits, and a real
+    error is raised here.  The returned arrays are copies, so the mapping
+    is released when this returns."""
+    # Part i > 0 owns rows[i], part 0 none; mmap refuses a length of 0.
+    n = [0, *map(len, parts[1:])]
+    shared = mmap.mmap(-1, max(8 * d * sum(n), 1))
+    rows = np.split(np.ndarray((sum(n), d), buffer=shared), np.cumsum(n[:-1]))
     out = [None] * len(parts)
-    children = []  # (part index, pid, read end of its pipe)
+    children = []  # (part index, pid)
     try:
         for i in range(1, len(parts)):
-            child = _fork_writer(train, parts[i])
-            if child is not None:
-                children.append((i, *child))
+            pid = _fork(train, parts[i], rows[i])
+            if pid is not None:
+                children.append((i, pid))
         out[0] = train(parts[0])
-        for i, _, fd in children:
-            out[i] = _read_array(fd, (len(parts[i]), d))
     except BaseException:
         import signal  # loaded only where a call fails
 
-        for _, pid, _ in children:
+        for _, pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for _, pid, fd in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
+        for i, pid in children:
+            if os.waitpid(pid, 0)[1] == 0:
+                out[i] = rows[i].copy()
     return [train(part) if W is None else W for part, W in zip(parts, out)]
 
 
-def _fork_writer(train, part):
-    """(pid, read end of a pipe) of a forked child that writes the raw bytes
-    of train(part), a C-contiguous float64 array, to the pipe and leaves by
-    os._exit; None when the fork fails.
+def _fork(train, part, out):
+    """The pid of a forked child that writes train(part) into `out`, its
+    rows of a shared mapping, and then leaves by os._exit(0), or by
+    os._exit(1) if anything raises; None when the fork fails.
 
     Python 3.12 and later warn, in the parent, on every fork of a process
     with more than one thread, BLAS's idle pool included.  `_job_groups` has
     ruled out other Python threads, so that one warning is ignored here."""
     parent, pid, status = os.getpid(), None, 1
-    read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()
         if pid == 0:
-            os.close(read_fd)
-            data = memoryview(train(part)).cast("B")
-            while data:
-                data = data[os.write(write_fd, data):]
+            out[...] = train(part)
             status = 0
-    except OSError:  # the fork failed, or in the child a write did
+    except OSError:  # the fork failed
         pass
     finally:
-        # whatever it raised, a child runs none of its parent's code past here
+        # whatever it raised, a child runs none of its parent's code past
+        # here; its pid tells it apart, as a signal may raise before the
+        # fork's result is stored
         if os.getpid() != parent:
             os._exit(status)
-        os.close(write_fd)
-        if pid is None:
-            os.close(read_fd)
-    return None if pid is None else (pid, read_fd)
-
-
-def _read_array(fd, shape):
-    """The float64 array of `shape` read from fd, or None if fd ends first."""
-    out = np.empty(shape)
-    view = memoryview(out).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return None
-        view = view[got:]
-    return out
+    return pid
 
 
 def _lockstep(X, chains, seqs, lr, epochs, row_type) -> np.ndarray:
@@ -940,7 +932,10 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     """Full protocol per seed: 2:1 split, k-fold CV over the decay grid,
     the chosen decay's full-split fit, test Macro-AUC, and bound report on
     the training split.  Every seed's fits index the full dataset, so they
-    all train in one `train_many` call."""
+    all train in one `train_many` call.  A negative or non-finite rate is
+    refused before any training; `report_bounds` checks min(D, K) * rate."""
+    if not (math.isfinite(rate) and rate >= 0):
+        raise DomainError(f"rate must be >= 0 and keep min(D, K) * rate finite, got {rate}")
     res = ExperimentResult(dataset=name, seeds=list(seeds), lambda_selected=[],
                            test_macro_auc=[], reports=[])
     plans, jobs = [], []

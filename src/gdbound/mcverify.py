@@ -178,6 +178,12 @@ def _n_batches(n_trials):
     return (n_trials + BATCH - 1) // BATCH
 
 
+def _calibration_run(n_trials):
+    """(trials, first batch stream) of the calibration run of a run of
+    n_trials: a tenth as many, at least 1000, on the streams after its own."""
+    return max(1000, n_trials // 10), _n_batches(n_trials)
+
+
 def _side_words(sampler, n_draws):
     """Stream words taken by n_draws base draws: a uniform draw takes half a
     word and a two-point draw a whole one."""
@@ -381,8 +387,7 @@ def sample_Z(sampler: DependentSampler, n_trials: int,
     z = _simulate(sampler, n_trials)
     if moments == "analytic":
         return SampleResult(z=z, inp=analytic_input(sampler))
-    n_cal = max(1000, n_trials // 10)
-    mean_hat, e2_hat = _calibrate(sampler, n_cal, stream_offset=_n_batches(n_trials))
+    mean_hat, e2_hat = _calibrate(sampler, *_calibration_run(n_trials))
     inp = _bundle(sampler, mean_hat, max(e2_hat, mean_hat**2))
     return SampleResult(z=z, inp=inp)
 
@@ -473,9 +478,8 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
 
     if inequality == "talagrand":
         z = _simulate(sampler, n_trials, sup_mode=True)
-        n_cal = max(1000, n_trials // 10)
-        ez = float(_simulate(sampler, n_cal, sup_mode=True,
-                             stream_offset=_n_batches(n_trials)).mean())
+        n_cal, offset = _calibration_run(n_trials)
+        ez = float(_simulate(sampler, n_cal, sup_mode=True, stream_offset=offset).mean())
         inp = _talagrand_input(sampler, ez)
         moments = "plugin"  # E[Z] is estimated, whatever was asked
     else:

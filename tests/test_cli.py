@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdbound import graphdep
+from gdbound import graphdep, macroauc
 from gdbound.cli import COMMANDS, main, parse_t
 from gdbound.errors import ConvergenceError
 from gdbound.graphdep import DependencyGraph, bipartite_ranking_graph
@@ -650,6 +650,20 @@ class TestExperimentCommand:
                                              "--epochs", "1"] + option)
         assert code == 2 and reason in err, err
         assert "nan" not in out
+
+    @pytest.mark.parametrize("rate", ["nan", "-1"])
+    def test_bad_rate_is_refused_before_training(self, tmp_path, monkeypatch, rate):
+        data = tmp_path / "toy.mlsvm"
+        save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)
+
+        def untrainable(*args):
+            raise AssertionError("trained before the rate was checked")
+
+        monkeypatch.setattr(macroauc, "train_many", untrainable)
+        code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1",
+                                  "--rate", rate])
+        assert code == 2 and "rate" in err, err
+        assert out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_exit_3(self, tmp_path, value):

@@ -1,12 +1,14 @@
 import importlib.util
 import itertools
 import math
+import mmap
 import os
 import re
 import signal
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -1042,6 +1044,23 @@ class TestTrainManyWorkers:
         _assert_no_child_left()
         for ranker, want in zip(rankers, one):
             _assert_same_ranker(ranker, want)
+
+    def test_the_shared_mapping_is_released_with_the_call(self, monkeypatch):
+        ds = _shaped("emotions", seed=4)
+        jobs = _experiment_jobs(ds, epochs=1)
+        forked = _forced_workers(monkeypatch, 2)
+        mapped, make = [], mmap.mmap
+
+        def recording_mmap(*args):
+            shared = make(*args)
+            mapped.append(weakref.ref(shared))
+            return shared
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        train_many(ds, jobs)
+        assert len(forked) == 1 and len(mapped) == 1
+        assert mapped[0]() is None
+        _assert_no_child_left()
 
     def test_a_part_whose_fork_fails_is_trained_here(self, monkeypatch):
         ds = _shaped("cal500", seed=6)
