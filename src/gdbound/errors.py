@@ -70,8 +70,8 @@ def check_seed(seed):
 
 
 def available_cores():
-    """Cores this process may run on: the worker count of every parallel
-    path (mcverify's sampling threads, macroauc's training processes)."""
+    """Cores this process may run on.  Its only reader is macroauc's
+    `train_many`, which trains in at most that many processes."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform

@@ -56,6 +56,10 @@ class MultiLabelDataset:
     features: np.ndarray  # (n_samples, n_features), float
     labels: np.ndarray  # (n_samples, n_labels), int8 entries in {-1, +1}
 
+    def __post_init__(self):
+        if not (np.abs(self.labels) == 1).all():
+            raise DomainError("label entries must be -1 or +1")
+
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
@@ -778,6 +782,11 @@ def split_train_test(dataset: MultiLabelDataset, seed: int):
     return dataset.subset(train), dataset.subset(test)
 
 
+def _kept(labels: np.ndarray) -> np.ndarray:
+    """Whether each label column holds both a positive and a negative."""
+    return (labels == 1).any(axis=0) & (labels == -1).any(axis=0)
+
+
 def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
     """Cross-validation of a split with label matrix `labels` as
     `train_many` jobs: the (lambda, fold) fit of every usable fold in grid
@@ -793,9 +802,7 @@ def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
         raise DomainError(f"need at least {folds} samples for {folds}-fold CV")
     rng = np.random.default_rng(derive_seed(config.seed, 0xF01D))
     fold_idx = np.array_split(rng.permutation(n), folds)
-    val_rows = [np.sort(idx) if ((labels[idx] == 1).any(axis=0)
-                                 & (labels[idx] == -1).any(axis=0)).any() else None
-                for idx in fold_idx]
+    val_rows = [np.sort(idx) if _kept(labels[idx]).any() else None for idx in fold_idx]
     for fi, rows in enumerate(val_rows):
         if rows is None:
             warnings.warn(f"fold {fi}: all labels degenerate, skipped")
@@ -853,9 +860,7 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
     kept = np.flatnonzero(~degenerate)
     if not kept.size:
         raise UndefinedMetricError("every label degenerate; no bound to report")
-    cut_cap = min(dataset.n_features, kept.size) * rate
-    if not (math.isfinite(cut_cap) and rate >= 0):
-        raise DomainError(f"rate must be >= 0 and keep min(D, K) * rate finite, got {rate}")
+    cut_cap = _cut_cap(dataset.n_features, kept.size, rate)
     taus = (np.minimum(n_pos, n_neg)[kept] / dataset.n_samples).tolist()
     m_tilde, m_bar = ranker.m_tilde, dataset.max_row_norm()
     params = BoundParams.pair_transformed(
@@ -896,6 +901,15 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
     )
 
 
+def _cut_cap(n_features: int, n_kept: int, rate: float) -> float:
+    """The cap min(D, K) * rate on the shared cut of K kept labels;
+    DomainError unless rate >= 0 and the cap is finite."""
+    cap = min(n_features, n_kept) * rate
+    if not (math.isfinite(cap) and rate >= 0):
+        raise DomainError(f"rate must be >= 0 and keep min(D, K) * rate finite, got {rate}")
+    return cap
+
+
 @dataclass
 class ExperimentResult:
     """One dataset's multi-seed experiment: per seed, the chosen weight
@@ -932,17 +946,17 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     """Full protocol per seed: 2:1 split, k-fold CV over the decay grid,
     the chosen decay's full-split fit, test Macro-AUC, and bound report on
     the training split.  Every seed's fits index the full dataset, so they
-    all train in one `train_many` call.  A negative or non-finite rate is
-    refused before any training; `report_bounds` checks min(D, K) * rate."""
-    if not (math.isfinite(rate) and rate >= 0):
-        raise DomainError(f"rate must be >= 0 and keep min(D, K) * rate finite, got {rate}")
+    all train in one `train_many` call.  A rate that `_cut_cap` refuses
+    for any seed's training split is refused before any training."""
     res = ExperimentResult(dataset=name, seeds=list(seeds), lambda_selected=[],
                            test_macro_auc=[], reports=[])
     plans, jobs = [], []
     for seed in seeds:
         train_rows, test_rows = _split_rows(dataset.n_samples, seed)
+        train_labels = dataset.labels[train_rows]
+        _cut_cap(dataset.n_features, int(_kept(train_labels).sum()), rate)
         cfg = TrainConfig(lr=lr, epochs=epochs, seed=seed)
-        cv_jobs, val_rows = _cv_jobs(dataset.labels[train_rows], grid, folds, cfg)
+        cv_jobs, val_rows = _cv_jobs(train_labels, grid, folds, cfg)
         jobs += [(train_rows[rows], job_cfg) for rows, job_cfg in cv_jobs]
         plans.append((train_rows, test_rows, val_rows, len(cv_jobs)))
     rankers = train_many(dataset, jobs)

@@ -32,12 +32,10 @@ every uniform-base report once, and no option keeps the old draw.
 Two-point streams did not move.)  Every draw goes through one batch loop
 that reduces each batch to its (trials, K) per-task sums before drawing
 the next.  Within a batch, each side's draws (the iid draws, or a pair
-task's u and then w) are drawn and reduced in row blocks of about 1 MiB,
-split across the available cores: one worker thread per contiguous range
-of rows, each on a generator advanced to its first word.  So one block
-per worker and the batch's task sums are held in memory, whatever the
-trial count or task width, and every draw is the one a single
-`random_raw` call per side would give.
+task's u and then w) are drawn and reduced in row blocks of about 1 MiB
+from one generator, in the calling thread.  So one block and the batch's
+task sums are held in memory, whatever the trial count or task width,
+and every draw is the one a single `random_raw` call per side would give.
 """
 
 from __future__ import annotations
@@ -49,10 +47,10 @@ import numpy as np
 
 from . import concentration as conc
 from .concentration import TailBoundInput
-from .errors import ConfigError, DomainError, ModeError, available_cores, check_seed
+from .errors import ConfigError, DomainError, ModeError, check_seed
 
 BATCH = 1 << 16
-_DRAW_BYTES = 1 << 20  # base draws held at once per worker thread, in bytes
+_DRAW_BYTES = 1 << 20  # base draws held at once, in bytes
 # Rows of fewer draws are summed column by column: numpy's row sum has a
 # fixed cost per row.  A uniform side cost 7.4, 3.1 and 2.3 ns per draw at
 # widths 2, 10 and 24 by row sums, against 2.7, 2.4 and 2.3 by columns
@@ -184,12 +182,6 @@ def _calibration_run(n_trials):
     return max(1000, n_trials // 10), _n_batches(n_trials)
 
 
-def _side_words(sampler, n_draws):
-    """Stream words taken by n_draws base draws: a uniform draw takes half a
-    word and a two-point draw a whole one."""
-    return n_draws if sampler.base == "two_point" else (n_draws + 1) // 2
-
-
 def _column_sums(rows, out):
     """out = the uint64 row sums of rows, added one column at a time."""
     np.copyto(out, rows[:, 0])
@@ -197,12 +189,13 @@ def _column_sums(rows, out):
         np.add(out, rows[:, j], out=out)
 
 
-def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
+def _side_sums(bitgen, sampler, shape, width, shift=0.0, sq_center=None):
     """Per-row sums S(x) over `shape` rows of `width` base draws each, with
     x = draw - shift, and S((draw - sq_center)^2) unless sq_center is None.
 
     The side's draws are those of one `random_raw` call on the PCG64
-    stream `seq` from word `word` on; row r holds draws r * width onward.
+    `bitgen` from its current word on; row r holds draws r * width onward,
+    and a uniform side that ends mid-word leaves bitgen at the next word.
     A uniform draw is the midpoint (k + 1/2) 2^-32 of one 32-bit half k of
     a word, low half first, so a word holds two draws and a row that
     starts mid-word takes that word's high half.  A row sums to the exact
@@ -213,21 +206,18 @@ def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
     draws, so rows with equal counts get bit-equal sums.
 
     Rows are drawn and reduced in blocks of about _DRAW_BYTES, each block
-    starting on a word; a side of at least two blocks per core is split
-    into contiguous row ranges, one per worker thread, each on its own
-    PCG64 advanced to its first word.
+    starting on a word.
     """
     two_point = sampler.base == "two_point"
     sums = np.empty(shape)
     sq = None if sq_center is None else np.empty(shape)
     rows = sums.size
-    # a uniform block or row range that starts on an even row starts on a word
+    # a uniform block that starts on an even row starts on a word
     step = 1 if two_point or width % 2 == 0 else 2
     # bytes held per draw: a word and its flag, or half a word and, for
     # squares, a double
     draw_bytes = 9 if two_point else 4 + (8 if sq is not None else 0)
     block = max(step, _DRAW_BYTES // (draw_bytes * width) // step * step)
-    n_workers = max(1, min(available_cores(), -(-rows // block) // 2))
     # a row sums to scale * (its integer sum) + offset; on a uniform base,
     # with shift 0 or 1/2, both terms are multiples of 2^-33, so the sum is
     # exact below 2^20 draws per row
@@ -239,55 +229,37 @@ def _side_sums(seq, word, sampler, shape, width, shift=0.0, sq_center=None):
         scale, offset = 2.0**-32, (2.0**-33 - shift) * width
     if sq is not None:
         sq_lo, sq_hi = (lo - sq_center) ** 2, (hi - sq_center) ** 2
-
-    # Workers only draw and sum, which cannot overflow: numpy's errstate is
-    # a context variable that worker threads do not inherit.
-    def work(first, last):
-        bitgen = np.random.PCG64(seq).advance(word + _side_words(sampler, first * width))
-        counts = np.empty(min(block, last - first), dtype=np.uint64)
-        x = np.empty(counts.size * width) if sq is not None and not two_point else None
-        for start in range(first, last, block):
-            stop = min(start + block, last)
-            n = (stop - start) * width
+    counts = np.empty(min(block, rows), dtype=np.uint64)
+    x = np.empty(counts.size * width) if sq is not None and not two_point else None
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        n = (stop - start) * width
+        if two_point:
+            draws = bitgen.random_raw(n) < below
+        else:
+            draws = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False)
+            draws = draws.view("<u4")[:n]
+        c = counts[:stop - start]
+        if width < _COLUMN_SUM_WIDTH:
+            _column_sums(draws.reshape(-1, width), c)
+        else:
+            draws.reshape(-1, width).sum(axis=1, dtype=np.uint64, out=c)
+        out = sums.reshape(-1)[start:stop]
+        np.multiply(c, scale, out=out)
+        out += offset
+        if sq is not None:
+            out_sq = sq.reshape(-1)[start:stop]
             if two_point:
-                draws = bitgen.random_raw(n) < below
+                np.multiply(c, sq_hi - sq_lo, out=out_sq)
+                out_sq += sq_lo * width
             else:
-                draws = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False)
-                draws = draws.view("<u4")[:n]
-            c = counts[:stop - start]
-            if width < _COLUMN_SUM_WIDTH:
-                _column_sums(draws.reshape(-1, width), c)
-            else:
-                draws.reshape(-1, width).sum(axis=1, dtype=np.uint64, out=c)
-            out = sums.reshape(-1)[start:stop]
-            np.multiply(c, scale, out=out)
-            out += offset
-            if sq is not None:
-                out_sq = sq.reshape(-1)[start:stop]
-                if two_point:
-                    np.multiply(c, sq_hi - sq_lo, out=out_sq)
-                    out_sq += sq_lo * width
-                else:
-                    t = x[:n]
-                    np.add(draws, 0.5, out=t)
-                    t *= 2.0**-32
-                    t -= sq_center
-                    t *= t
-                    t.reshape(-1, width).sum(axis=1, out=out_sq)
-            del draws  # frees this block's draws before the next block's are made
-
-    bounds = [rows * i // n_workers // step * step for i in range(n_workers)] + [rows]
-    if n_workers == 1:
-        work(0, rows)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(n_workers - 1) as pool:
-            futures = [pool.submit(work, bounds[i], bounds[i + 1])
-                       for i in range(1, n_workers)]
-            work(bounds[0], bounds[1])
-            for future in futures:
-                future.result()
+                t = x[:n]
+                np.add(draws, 0.5, out=t)
+                t *= 2.0**-32
+                t -= sq_center
+                t *= t
+                t.reshape(-1, width).sum(axis=1, out=out_sq)
+        del draws  # frees this block's draws before the next block's are made
     return sums, sq
 
 
@@ -312,17 +284,17 @@ def _draw_task_sums(seq, sampler, base_mean, size, squares):
     word every w, each in (trial, task, draw) order.
     """
     shape = (size, sampler.k_tasks)
+    bitgen = np.random.PCG64(seq)
     if sampler.structure == "iid_blocks":
         shift = base_mean if sampler.centered else 0.0
-        return _side_sums(seq, 0, sampler, shape, sampler.m, shift,
+        return _side_sums(bitgen, sampler, shape, sampler.m, shift,
                           shift if squares else None)
     n_pos, n_neg = sampler.n_pos, sampler.n_neg
     sq_center = None
     if squares:
         sq_center = base_mean if sampler.kernel == "centered_product" else 0.0
-    su, squ = _side_sums(seq, 0, sampler, shape, n_pos, sq_center=sq_center)
-    sw, sqw = _side_sums(seq, _side_words(sampler, size * sampler.k_tasks * n_pos),
-                         sampler, shape, n_neg, sq_center=sq_center)
+    su, squ = _side_sums(bitgen, sampler, shape, n_pos, sq_center=sq_center)
+    sw, sqw = _side_sums(bitgen, sampler, shape, n_neg, sq_center=sq_center)
     if sampler.kernel == "mean":
         return (0.5 * (n_neg * su + n_pos * sw),
                 0.25 * (n_neg * squ + 2.0 * su * sw + n_pos * sqw) if squares else None)

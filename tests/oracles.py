@@ -658,8 +658,7 @@ def _one_call_side(bitgen, sampler, shape, shift, sq_center):
 def one_call_task_sums(bitgen, sampler, base_mean, size, squares):
     """(size, K) task sums and task sums of squared summands (or None) of
     one batch, from one `random_raw` call per side over the whole batch;
-    the reference for the blocked, split draws of
-    `mcverify._draw_task_sums`."""
+    the reference for the blocked draws of `mcverify._draw_task_sums`."""
     shape = (size, sampler.k_tasks)
     if sampler.structure == "iid_blocks":
         shift = base_mean if sampler.centered else 0.0

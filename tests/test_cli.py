@@ -651,7 +651,7 @@ class TestExperimentCommand:
         assert code == 2 and reason in err, err
         assert "nan" not in out
 
-    @pytest.mark.parametrize("rate", ["nan", "-1"])
+    @pytest.mark.parametrize("rate", ["nan", "-1", "1e308"])
     def test_bad_rate_is_refused_before_training(self, tmp_path, monkeypatch, rate):
         data = tmp_path / "toy.mlsvm"
         save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)

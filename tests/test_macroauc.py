@@ -60,6 +60,18 @@ TOY = """#samples=2 #features=2 #labels=1
 """
 
 
+@pytest.mark.parametrize("column", [[1, 1, 0, 0, 0, 0], [1, 1, -1, -1, 2, -1],
+                                    [1, -1, 1, -1, -2, -1], [1, -1, 1, -1, -128, -1]])
+def test_a_label_entry_other_than_plus_or_minus_one_is_refused(column):
+    # training counted a 0 as a negative, where scoring and the bounds
+    # counted it as neither and found every label degenerate
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(DomainError, match="label entries"):
+        make_dataset(X, np.array(column).reshape(6, 1))
+    with pytest.raises(DomainError, match="label entries"):
+        MultiLabelDataset(X, np.array(column, dtype=float).reshape(6, 1))
+
+
 class TestLoadDataset:
     def test_toy_file(self, tmp_path):
         path = tmp_path / "toy.mlsvm"

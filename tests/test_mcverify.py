@@ -209,8 +209,8 @@ def test_lattice_task_sums_tie_exactly():
 
 
 class TestBlockDraws:
-    """`_draw_task_sums` draws each side in row blocks split across worker
-    threads; its task sums must be those of one `random_raw` call per side."""
+    """`_draw_task_sums` draws each side in row blocks; its task sums must
+    be those of one `random_raw` call per side."""
 
     @pytest.mark.parametrize("skip, n", [(0, 1), (0, 700), (3, 5), (700, 1), (699, 301)])
     def test_advanced_generator_continues_the_stream(self, skip, n):
@@ -219,8 +219,8 @@ class TestBlockDraws:
         expected = one_call.random_raw(skip + n)[skip:]
         advanced = np.random.PCG64(seq).advance(skip)
         message = ("numpy's PCG64.advance no longer skips raw words, or a '<u4' view no "
-                   "longer puts each word's low half first; the split half-word draws "
-                   "of mcverify._side_sums rely on both")
+                   "longer puts each word's low half first; the half-word draws of "
+                   "mcverify._side_sums and their tests rely on both")
         got = advanced.random_raw(n)
         assert got.tobytes() == expected.tobytes(), message
         assert advanced.state == one_call.state, message
@@ -242,25 +242,16 @@ class TestBlockDraws:
            for kernel in ("product", "centered_product", "mean")},
     }
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("draw_bytes", [200, mcverify._DRAW_BYTES])
     @pytest.mark.parametrize("squares", [False, True])
     @pytest.mark.parametrize("name", SAMPLERS)
-    def test_blocked_split_sums_equal_one_call_draw(self, monkeypatch, name, squares,
-                                                    workers):
+    def test_blocked_sums_equal_one_call_draw(self, monkeypatch, name, squares, draw_bytes):
         # 200-byte blocks: a few rows of 4, 5 or 7 draws (37 trials x 2 or 3
         # tasks end in a partial block; every other row of 7 starts
         # mid-word), and one or two rows of 30 to 40 draws, which exceed a
-        # block.  The 555 u draws of bip-odd leave its last u word half used.
-        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
-        monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
-        pools = []
-
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        # block; default blocks hold each side whole.  The 555 u draws of
+        # bip-odd leave its last u word half used.
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", draw_bytes)
         s = self.SAMPLERS[name]()
         base_mean = mcverify._base_law(s).mean
         seq = np.random.SeedSequence(7, spawn_key=(2,))
@@ -272,35 +263,19 @@ class TestBlockDraws:
             assert sq.tobytes() == ref_sq.tobytes()
         else:
             assert sq is None and ref_sq is None
-        assert set(pools) == ({workers - 1} if workers > 1 else set())
-
-
-    @pytest.mark.parametrize("name", ["iid-odd-uniform-centered", "bip-odd-uniform-mean",
-                                      "bip-two_point_27-centered_product"])
-    def test_report_bytes_do_not_depend_on_workers(self, monkeypatch, name):
-        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
-        reports = set()
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
-            report = verify_inequality(self.SAMPLERS[name](), "bennett_general", [0.5, 2.0],
-                                       3000, moments="plugin")
-            reports.add(json.dumps(report.as_dict()))
-        assert len(reports) == 1
 
 
 class TestDrawLaw:
     """The base law `_side_sums` draws, computed here from the raw words."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("width, word", [(1, 0), (5, 3), (7, 0), (8, 1), (31, 2)])
-    def test_uniform_row_sums_are_the_exact_half_word_sums(self, monkeypatch, workers,
-                                                           width, word):
+    def test_uniform_row_sums_are_the_exact_half_word_sums(self, monkeypatch, width, word):
         # (sum of the row's uint32 halves + width / 2) 2^-32, in Python ints
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
-        monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
         seq = np.random.SeedSequence(5, spawn_key=(width,))
         shape = (37, 3)
-        sums, _ = mcverify._side_sums(seq, word, iid(width), shape, width)
+        sums, _ = mcverify._side_sums(np.random.PCG64(seq).advance(word), iid(width),
+                                      shape, width)
         n = math.prod(shape) * width
         words = np.random.PCG64(seq).advance(word).random_raw((n + 1) // 2).tolist()
         halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
@@ -315,18 +290,18 @@ class TestDrawLaw:
         # and the two-point hit counts B summed in Python ints
         assert mcverify._COLUMN_SUM_WIDTH in range(2, 41)
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 40 * 9 * 3)
-        monkeypatch.setattr(mcverify, "available_cores", lambda: 1)
         seq = np.random.SeedSequence(8, spawn_key=(width,))
         shape = (23,)
         n = shape[0] * width
-        sums, _ = mcverify._side_sums(seq, 1, iid(width), shape, width)
+        sums, _ = mcverify._side_sums(np.random.PCG64(seq).advance(1), iid(width),
+                                      shape, width)
         words = np.random.PCG64(seq).advance(1).random_raw((n + 1) // 2).tolist()
         halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
         want = [float((F(sum(halves[r * width:(r + 1) * width])) + F(width, 2)) / 2**32)
                 for r in range(shape[0])]
         assert sums.tolist() == want
         s = iid(width, base="two_point", base_p=0.3)
-        hits, _ = mcverify._side_sums(seq, 0, s, shape, width)
+        hits, _ = mcverify._side_sums(np.random.PCG64(seq), s, shape, width)
         below = math.ceil(0.3 * 2.0**53) << 11
         flags = [w < below for w in np.random.PCG64(seq).random_raw(n).tolist()]
         counts = [sum(flags[r * width:(r + 1) * width]) for r in range(shape[0])]
@@ -344,22 +319,19 @@ class TestDrawLaw:
         law = mcverify._base_law(iid(1))
         assert (law.mean, law.e2, law.lo, law.hi) == (float(mean), float(e2), 0.0, 1.0)
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("p", [0.3, 0.4, 1e-9, 1.0 - 2.0**-53])
-    def test_two_point_draws_are_random_below_p(self, monkeypatch, workers, p):
+    def test_two_point_draws_are_random_below_p(self, monkeypatch, p):
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", 8 * 4096)
-        monkeypatch.setattr(mcverify, "available_cores", lambda: workers)
         seq = np.random.SeedSequence(9, spawn_key=(1,))
         s = iid(1, base="two_point", base_p=p)
-        hits, _ = mcverify._side_sums(seq, 0, s, (50_000,), 1)
+        hits, _ = mcverify._side_sums(np.random.PCG64(seq), s, (50_000,), 1)
         want = np.random.default_rng(seq).random(50_000) < p
         assert hits.tobytes() == want.astype(float).tobytes()
 
 
-def test_iid_batch_memory_stays_small(monkeypatch):
+def test_iid_batch_memory_stays_small():
     # One (BATCH, 3, 200) draw array would take 315 MB; blocks of about
-    # 1 MiB per worker keep the whole call near the size of its outputs.
-    monkeypatch.setattr(mcverify, "available_cores", lambda: 3)
+    # 1 MiB keep the whole call near the size of its outputs.
     threads = threading.active_count()
     tracemalloc.start()
     try:
@@ -369,6 +341,20 @@ def test_iid_batch_memory_stays_small(monkeypatch):
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert threading.active_count() == threads
+
+
+def test_verify_starts_no_thread(monkeypatch):
+    # perfbench's bip60x50 case: the 60-draw u side of one batch spans 15
+    # blocks of _DRAW_BYTES, at least two blocks per core on up to 7 cores
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify started a thread")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    s = bipartite(60, 50, seed=3)
+    assert mcverify.BATCH * 60 * 4 == 15 * mcverify._DRAW_BYTES
+    report = verify_inequality(s, "bennett_general", [0.5, 2.0], 100_000)
+    assert report.n_trials == 100_000 and not report.violations
 
 
 class TestEmpiricalTail:
