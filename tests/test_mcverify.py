@@ -242,15 +242,16 @@ class TestBlockDraws:
            for kernel in ("product", "centered_product", "mean")},
     }
 
-    @pytest.mark.parametrize("draw_bytes", [200, mcverify._DRAW_BYTES])
+    @pytest.mark.parametrize("draw_bytes", [8, 200, mcverify._DRAW_BYTES])
     @pytest.mark.parametrize("squares", [False, True])
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_blocked_sums_equal_one_call_draw(self, monkeypatch, name, squares, draw_bytes):
-        # 200-byte blocks: a few rows of 4, 5 or 7 draws (37 trials x 2 or 3
-        # tasks end in a partial block; every other row of 7 starts
-        # mid-word), and one or two rows of 30 to 40 draws, which exceed a
-        # block; default blocks hold each side whole.  The 555 u draws of
-        # bip-odd leave its last u word half used.
+        # 8-byte blocks hold the least rows a block may: one, or two rows
+        # of an odd uniform width.  200-byte blocks: a few rows of 4, 5 or
+        # 7 draws (37 trials x 2 or 3 tasks end in a partial block; every
+        # other row of 7 starts mid-word), and one or two rows of 30 to 40
+        # draws, which exceed a block; default blocks hold each side whole.
+        # The 555 u draws of bip-odd leave its last u word half used.
         monkeypatch.setattr(mcverify, "_DRAW_BYTES", draw_bytes)
         s = self.SAMPLERS[name]()
         base_mean = mcverify._base_law(s).mean
@@ -264,14 +265,28 @@ class TestBlockDraws:
         else:
             assert sq is None and ref_sq is None
 
+    @pytest.mark.parametrize("name", ["iid-odd-uniform-centered", "bip-odd-uniform-mean",
+                                      "bip-two_point_27-centered_product"])
+    def test_report_bytes_do_not_depend_on_block_size(self, monkeypatch, name):
+        reports = set()
+        for draw_bytes in (8, 200, mcverify._DRAW_BYTES):
+            monkeypatch.setattr(mcverify, "_DRAW_BYTES", draw_bytes)
+            report = verify_inequality(self.SAMPLERS[name](), "bennett_general", [0.5, 2.0],
+                                       3000, moments="plugin")
+            reports.add(json.dumps(report.as_dict()))
+        assert len(reports) == 1
+
 
 class TestDrawLaw:
     """The base law `_side_sums` draws, computed here from the raw words."""
 
+    @pytest.mark.parametrize("draw_bytes", [8, 200, mcverify._DRAW_BYTES])
     @pytest.mark.parametrize("width, word", [(1, 0), (5, 3), (7, 0), (8, 1), (31, 2)])
-    def test_uniform_row_sums_are_the_exact_half_word_sums(self, monkeypatch, width, word):
-        # (sum of the row's uint32 halves + width / 2) 2^-32, in Python ints
-        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 200)
+    def test_uniform_row_sums_are_the_exact_half_word_sums(self, monkeypatch, width, word,
+                                                           draw_bytes):
+        # (sum of the row's uint32 halves + width / 2) 2^-32, in Python ints,
+        # over one- or two-row blocks, blocks of a few rows and one block
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", draw_bytes)
         seq = np.random.SeedSequence(5, spawn_key=(width,))
         shape = (37, 3)
         sums, _ = mcverify._side_sums(np.random.PCG64(seq).advance(word), iid(width),
@@ -319,9 +334,11 @@ class TestDrawLaw:
         law = mcverify._base_law(iid(1))
         assert (law.mean, law.e2, law.lo, law.hi) == (float(mean), float(e2), 0.0, 1.0)
 
+    @pytest.mark.parametrize("draw_bytes", [8 * 4096, mcverify._DRAW_BYTES])
     @pytest.mark.parametrize("p", [0.3, 0.4, 1e-9, 1.0 - 2.0**-53])
-    def test_two_point_draws_are_random_below_p(self, monkeypatch, p):
-        monkeypatch.setattr(mcverify, "_DRAW_BYTES", 8 * 4096)
+    def test_two_point_draws_are_random_below_p(self, monkeypatch, p, draw_bytes):
+        # 13 blocks of 4096 draws, or the whole side in one block
+        monkeypatch.setattr(mcverify, "_DRAW_BYTES", draw_bytes)
         seq = np.random.SeedSequence(9, spawn_key=(1,))
         s = iid(1, base="two_point", base_p=p)
         hits, _ = mcverify._side_sums(np.random.PCG64(seq), s, (50_000,), 1)
