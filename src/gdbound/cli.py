@@ -529,9 +529,8 @@ COMMANDS = [
         _opt("--r", _radius, "inf", help="localization radius; inf or none: unlocalized"),
         _opt("--draws", int, "200"),
         _opt("--seed", int, "0"))),
-    (("lfrc", "fixed-point"), "fixed point r* of a sub-root function",
+    (("lfrc", "fixed-point"), "fixed point r* of the sub-root function a*sqrt(r)+b",
      cmd_lfrc_fixed_point, (
-        _opt("--family", default="sqrt", choices=("sqrt",), help="a*sqrt(r)+b"),
         _opt("--a", float), _opt("--b", float, "0"),
         _opt("--tol", float, "1e-10"), _opt("--r-hi", float, "1e6"))),
     (("rstar", "kernel"), "r* from per-task Gram spectra", cmd_rstar_kernel, (

@@ -150,9 +150,12 @@ def bennett_tail_general(inp: TailBoundInput, t: float):
     """
     _check_t(t)
     v, W, U = inp.v, inp.W, inp.U
-    exp_tight = (v / W) * phi(t * W / (U * v))
-    exp_simple = (v / W) * phi(4.0 * t / (5.0 * v))
-    return math.exp(-exp_tight), math.exp(-exp_simple)
+    return math.exp(-(v / W) * phi(t * W / (U * v))), _simple_tail(v, W, t)
+
+
+def _simple_tail(v: float, W: float, t: float) -> float:
+    """exp(-(v/W) phi(4t / (5v))): the general tail with U relaxed to 5W/4."""
+    return math.exp(-(v / W) * phi(4.0 * t / (5.0 * v)))
 
 
 @finite_result
@@ -190,8 +193,7 @@ def bennett_tail_refined(inp: TailBoundInput, t: float) -> float:
 def bennett_lower_tail(inp: TailBoundInput, t: float) -> float:
     """Lower-tail bound on P(Z <= E[Z] - t); numerically the simple upper form."""
     _check_t(t)
-    v, W = inp.v, inp.W
-    return math.exp(-(v / W) * phi(4.0 * t / (5.0 * v)))
+    return _simple_tail(inp.v, inp.W, t)
 
 
 @finite_result

@@ -32,15 +32,13 @@ LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
 MAX_CELLS = 10**8  # largest n*D or n*K a dataset header may declare
 _DRAW_BYTES = 1 << 20  # SGD row draws held at once, in bytes
-# `train_many`'s cost model (`_job_groups`), in units of one chain's update of
-# one feature: a lockstep step costs _STEP_COST plus _CHAIN_COST per chain on
-# top of those units.  A unit is about 1.5 ns (fit on a 2-core x86 VM).
-_STEP_COST = 4700
-_CHAIN_COST = 50
-# The least modelled saving for which a call forks.  On that VM a fork and
-# its child's exit cost 2-3 ms, and two busy processes ran at 1.2-1.5 times
-# the speed of one, so a split gained about half its modelled saving.
-_FORK_WORK = 5 * 10**6
+# The least saving, in chain-feature updates over all epochs, for which a
+# `train_many` call forks (`_job_groups`).  On a 2-core x86 VM a fork and its
+# child's exit cost 2-3 ms, and two busy processes ran at 1.1-1.5 times the
+# speed of one.  There one emotions-shaped experiment seed's 16 fits, whose
+# split saves 1.02e6 per epoch, lost time by forking at 1 epoch and gained
+# from 2 epochs on.
+_FORK_WORK = 1_500_000
 _BLOCK_LINES = 64  # mlsvm body lines whose feature text is parsed at once
 # what a block's feature text may hold for `_block_features` to read it
 _FEATURE_BYTES = b"0123456789.eE+-: \t\n"
@@ -468,7 +466,7 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
     other jobs share the call.
 
     The jobs are split across the cores this process may use: `_job_groups`
-    groups them by a lockstep cost model, the first group trains in this
+    cuts them into groups of equal work, the first group trains in this
     process and every other group in a forked child, which sends back only
     its weights, through a shared mapping that is read only on the child's
     exit status 0 (`_train_groups`).
@@ -527,21 +525,20 @@ def train_many(dataset: MultiLabelDataset, jobs) -> list[LinearRanker]:
 
 
 def _job_groups(n_rows, n_chains, d: int, epochs: int) -> np.ndarray:
-    """The group of each job of a `train_many` call: one group per core this
-    process may use, chosen by the lockstep cost model.
+    """The group of each job of a `train_many` call: at most one group per
+    core this process may use, cut into runs of equal work.
 
-    A group whose largest job has n rows takes n steps per epoch, and a step
-    costs _STEP_COST plus _CHAIN_COST + d per chain still inside its epoch,
-    so a group costs n _STEP_COST + (_CHAIN_COST + d) sum(chains * rows)
-    per epoch.  The jobs, most rows first, are cut into runs that keep the
-    costliest run as cheap as possible; run g is group g.  So a group holds
-    jobs of neighbouring row counts, and no group pays for the steps that
-    only a longer job of another group takes.  Every job is in group 0 when
-    there is one core, when this process cannot fork safely, or when the
-    split saves less than _FORK_WORK over all epochs.  A job with no chain
-    is always in group 0."""
+    A job's work per epoch and feature is its chains times its rows.  The
+    jobs with a chain, most rows first, join run floor(cores * (the work
+    before them + half their own) / the total work), and the runs are
+    numbered from 0 with no gaps; run g is group g.  So a group holds jobs
+    of neighbouring row counts, and no group holds more than total / cores
+    plus one job's work.  Every job is in group 0 when there is one core,
+    when this process cannot fork safely, or when the split saves fewer than
+    _FORK_WORK chain-feature updates over all epochs (epochs * d * (the
+    total work - the largest group's)).  A job with no chain is always in
+    group 0."""
     n_rows = np.asarray(n_rows, dtype=np.int64)
-    work = (_CHAIN_COST + d) * np.asarray(n_chains, dtype=np.int64) * n_rows
     busy = np.flatnonzero(n_chains)
     groups = np.zeros(n_rows.size, dtype=np.intp)
     order = busy[np.argsort(-n_rows[busy], kind="stable")]
@@ -551,31 +548,13 @@ def _job_groups(n_rows, n_chains, d: int, epochs: int) -> np.ndarray:
     # such as a BLAS pool, are left to their libraries' fork handlers.
     if cores < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return groups
-    run_cost = (_STEP_COST * n_rows[order] + work[order]).tolist()
-    work_of = work[order].tolist()
-    total = run_cost[0] + sum(work_of[1:])
-
-    def starts(cap):
-        # greedy: a run takes the next job while its cost stays within cap
-        first, cost = [0], run_cost[0]
-        for i in range(1, len(order)):
-            if cost + work_of[i] <= cap:
-                cost += work_of[i]
-            else:
-                first.append(i)
-                cost = run_cost[i]
-        return first
-
-    # the least cap, from the costliest job alone to all jobs in one run,
-    # whose greedy runs number no more than the cores
-    lo, hi = max(run_cost), total
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if len(starts(mid)) <= cores else (mid + 1, hi)
-    if epochs * (total - hi) < _FORK_WORK:
+    work = np.asarray(n_chains, dtype=np.int64)[order] * n_rows[order]
+    total = int(work.sum())
+    runs = np.unique(cores * (2 * np.cumsum(work) - work) // (2 * total),
+                     return_inverse=True)[1]
+    if epochs * d * (total - np.bincount(runs, work).max()) < _FORK_WORK:
         return groups
-    for g, first in enumerate(starts(hi)):
-        groups[order[first:]] = g
+    groups[order] = runs
     return groups
 
 
@@ -946,9 +925,13 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     """Full protocol per seed: 2:1 split, k-fold CV over the decay grid,
     the chosen decay's full-split fit, test Macro-AUC, and bound report on
     the training split.  Every seed's fits index the full dataset, so they
-    all train in one `train_many` call.  A rate that `_cut_cap` refuses
-    for any seed's training split is refused before any training."""
-    res = ExperimentResult(dataset=name, seeds=list(seeds), lambda_selected=[],
+    all train in one `train_many` call.  An empty seed list, or a rate that
+    `_cut_cap` refuses for any seed's training split, is refused before any
+    training."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("run_experiment needs at least one seed")
+    res = ExperimentResult(dataset=name, seeds=seeds, lambda_selected=[],
                            test_macro_auc=[], reports=[])
     plans, jobs = [], []
     for seed in seeds:

@@ -294,8 +294,7 @@ class TestVerifyCommand:
 
 class TestLfrcAndRstarCommands:
     def test_fixed_point(self):
-        code, out, _ = run_cli(["lfrc", "fixed-point", "--family", "sqrt",
-                                "--a", "2", "--b", "3"])
+        code, out, _ = run_cli(["lfrc", "fixed-point", "--a", "2", "--b", "3"])
         assert code == 0
         assert "r_star = 9" in out
 

@@ -279,7 +279,7 @@ class TestLowerTail:
     def test_mirrors_simple_form(self):
         inp = single_block_input()
         _, p_simple = bennett_tail_general(inp, 1.0)
-        assert bennett_lower_tail(inp, 1.0) == pytest.approx(p_simple, rel=1e-15)
+        assert bennett_lower_tail(inp, 1.0) == p_simple
 
     def test_small_t_limit(self):
         assert bennett_lower_tail(single_block_input(), 1e-14) == pytest.approx(

@@ -63,8 +63,7 @@ estimate_options = st.fixed_dictionaries({}, optional={
 # fixed-point and rstar options start from valid values; each example
 # overrides or drops up to three, so that a good share prints a result
 OPTION_VALUE = st.one_of(NUMBER, number_list, st.none())
-FIXED_POINT_DEFAULTS = {"--family": "sqrt", "--a": "2", "--b": "3", "--tol": "1e-10",
-                        "--r-hi": "1e6"}
+FIXED_POINT_DEFAULTS = {"--a": "2", "--b": "3", "--tol": "1e-10", "--r-hi": "1e6"}
 LINEAR_DEFAULTS = {"--tau": "0.5,0.25", "--n": "100", "--mtilde": "1", "--mbar": "1",
                    "--chi": "1,2", "--m": "50,80", "--d-max": "1",
                    "--experiment-mode": "false"}

@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import math
 import mmap
 import os
@@ -978,8 +977,9 @@ class TestTrainManyWorkers:
         ds = _shaped("emotions", seed=7)
         jobs = _experiment_jobs(ds, epochs=10)
         forked = _forced_workers(monkeypatch, 2, macroauc._FORK_WORK)
-        # the four full-split fits share their 395 steps: two groups would
-        # save a fifth of one epoch's modelled cost per epoch
+        # the four full-split fits at 1 epoch: two runs of two would save
+        # two fits' 6 chains x 395 rows x 72 features, 341,280 chain-feature
+        # updates
         train_many(ds, [(rows, replace(cfg, epochs=1)) for rows, cfg in jobs[-4:]])
         assert forked == []
         # the experiment's fits: the CV fits take two thirds of the steps
@@ -987,34 +987,28 @@ class TestTrainManyWorkers:
         assert len(forked) == 1
         _assert_no_child_left()
 
-    def test_groups_minimize_the_costliest_run(self):
-        # against every cut of the jobs, most rows first, into at most
-        # `cores` runs
+    def test_groups_are_runs_of_equal_work(self):
         rng = np.random.default_rng(11)
-        for _ in range(200):
+        for _ in range(300):
             J = int(rng.integers(1, 8))
             n_rows = rng.integers(1, 400, size=J)
             n_chains = rng.integers(0, 4, size=J) * rng.integers(0, 2, size=J)
-            d, cores = int(rng.integers(1, 80)), int(rng.integers(1, 4))
+            d, cores = int(rng.integers(1, 80)), int(rng.integers(1, 5))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(macroauc, "_FORK_WORK", 0)
                 patch.setattr(macroauc, "available_cores", lambda: cores)
                 groups = macroauc._job_groups(n_rows, n_chains, d, 1)
-
-            def cost(members):
-                members = [j for j in members if n_chains[j]]
-                return (macroauc._STEP_COST * max(n_rows[members], default=0)
-                        + (macroauc._CHAIN_COST + d) * sum(n_chains[members] * n_rows[members]))
-
-            busy = [j for j in sorted(range(J), key=lambda j: -n_rows[j]) if n_chains[j]]
             assert all(groups[j] == 0 for j in range(J) if not n_chains[j])
-            got = max(cost(np.flatnonzero(groups == g)) for g in range(groups.max() + 1))
-            best = min(max(cost([busy[i] for i in range(len(busy)) if lo <= i < hi])
-                           for lo, hi in zip((0, *cut), (*cut, len(busy))))
-                       for r in range(min(cores, max(len(busy), 1)))
-                       for cut in itertools.combinations(range(1, len(busy)), r))
-            assert got == best
-            assert groups.max() < max(cores, 1)
+            busy = [j for j in sorted(range(J), key=lambda j: -n_rows[j]) if n_chains[j]]
+            runs = groups[busy]
+            # contiguous in most-rows-first order, numbered without gaps
+            assert set(np.diff(runs)) <= {0, 1} and runs[:1].tolist() in ([], [0])
+            assert runs.max(initial=0) < cores
+            if len(busy) >= 2 and cores >= 2:
+                assert runs[-1] >= 1
+            work = n_chains * n_rows
+            for g in range(runs.max(initial=0) + 1):
+                assert cores * work[groups == g].sum() <= work.sum() + cores * work.max()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_a_raising_own_share_kills_and_reaps_the_children(self, monkeypatch, error):
@@ -1357,3 +1351,20 @@ class TestRunExperiment:
         s = r1.summary()
         assert s["n_seeds"] == 2
         assert s["smaller_bound"] in ("ours", "prior")
+
+    @pytest.mark.parametrize("seeds", [(), iter(())])
+    def test_no_seed_is_refused_before_training(self, monkeypatch, seeds):
+        ds = small_separable(n=12, d=3, k=2, seed=10)
+
+        def no_training(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(macroauc, "train_many", no_training)
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run_experiment(ds, seeds=seeds, epochs=1)
+
+    def test_a_seed_iterator_runs_each_seed(self):
+        ds = small_separable(n=36, d=4, k=2, seed=10)
+        res = run_experiment(ds, seeds=iter((0, 1)), epochs=2)
+        assert res.seeds == [0, 1] and len(res.reports) == 2
+        assert res.summary() == run_experiment(ds, seeds=(0, 1), epochs=2).summary()
