@@ -149,6 +149,14 @@ def spectrum_from_weights(theta) -> SpectrumProfile:
     return SpectrumProfile(values=np.sort(sv**2)[::-1])
 
 
+def _check_t(t):
+    """DomainError unless the deviation t is finite and >= 0."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
+    if t < 0:
+        raise DomainError("t must be >= 0")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Constants entering the r* and excess-risk formulas.
@@ -172,16 +180,15 @@ class BoundParams:
         if self.K < 1 or len(self.m_list) != self.K or len(self.chi_list) != self.K:
             raise InvariantError("need one m_k and one chi_k per task")
         for name, val in (("m_tilde", self.m_tilde), ("m_bar", self.m_bar),
-                          ("mu", self.mu), ("B", self.B), ("t", self.t)):
+                          ("mu", self.mu), ("B", self.B)):
             if not math.isfinite(val):
                 raise DomainError(f"{name} must be finite, got {val}")
+        _check_t(self.t)
         if self.m_tilde < 0:
             raise DomainError("m_tilde must be >= 0")
         for name, val in (("m_bar", self.m_bar), ("mu", self.mu), ("B", self.B)):
             if val <= 0:
                 raise DomainError(f"{name} must be > 0")
-        if self.t < 0:
-            raise DomainError("t must be >= 0")
         if not all(math.isfinite(v) and v > 0 for v in (*self.m_list, *self.chi_list)):
             raise DomainError("m_k and chi_k must be finite and > 0")
         if self.tau_list is not None:

@@ -64,9 +64,6 @@ class DependencyGraph:
         return frozenset((u, v) for u, nbrs in enumerate(self.adjacency)
                          for v in nbrs if u < v)
 
-    def has_edge(self, u, v):
-        return 0 <= u < self.n_vertices and v in self.adjacency[u]
-
     def is_independent(self, vertices):
         vs = set(vertices)
         return all(self.adjacency[v].isdisjoint(vs) for v in vs)
@@ -229,31 +226,20 @@ def bipartite_ranking_graph(n_pos: int, n_neg: int):
 
 
 def maximal_independent_sets(graph: DependencyGraph):
-    """All maximal independent sets, ascending by vertex bitmask: the maximal
-    cliques of the complement graph, listed by pivoting Bron-Kerbosch
-    (Tomita, Tanaka & Takahashi, TCS 2006)."""
+    """All maximal independent sets, ascending by vertex bitmask.  Every
+    independent set is grown one vertex at a time, so exact mode's size cap
+    (SizeError) is checked first."""
     n = graph.n_vertices
-    full, found = (1 << n) - 1, []
-    # free[v]: the vertices other than v that are not adjacent to it
-    free = [full & ~(1 << v) & ~sum(1 << u for u in nbrs)
-            for v, nbrs in enumerate(graph.adjacency)]
-
-    def expand(chosen, cand, done):
-        if not cand | done:
-            found.append(chosen)
-            return
-        pivot = max((u for u in range(n) if (cand | done) >> u & 1),
-                    key=lambda u: (cand & free[u]).bit_count())
-        branch = cand & ~free[pivot]
-        for v in range(n):
-            if branch >> v & 1:
-                expand(chosen | 1 << v, cand & free[v], done & free[v])
-                cand &= ~(1 << v)
-                done |= 1 << v
-
-    if n:
-        expand(0, full, 0)
-    return [frozenset(v for v in range(n) if mask >> v & 1) for mask in sorted(found)]
+    _check_exact_size(n)
+    # (set, set plus its neighbours) masks; a copy grown by v sits above every
+    # earlier mask, so the list stays ascending
+    grown = [(0, 0)]
+    for v, nbrs in enumerate(graph.adjacency):
+        near = sum(1 << u for u in nbrs)
+        grown += [(s | 1 << v, c | 1 << v | near) for s, c in grown if not s & near]
+    full = (1 << n) - 1
+    return [frozenset(v for v in range(n) if s >> v & 1)
+            for s, c in grown if n and c == full]
 
 
 def _exactify(classes, n_vertices):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
+from .bounds import BoundParams, BoundReport, _check_t, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
 from .errors import ConfigError, DegenerateLabelError, DomainError, \
     FormatError, ParseError, UndefinedMetricError, available_cores, check_seed, \
@@ -925,12 +925,13 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     """Full protocol per seed: 2:1 split, k-fold CV over the decay grid,
     the chosen decay's full-split fit, test Macro-AUC, and bound report on
     the training split.  Every seed's fits index the full dataset, so they
-    all train in one `train_many` call.  An empty seed list, or a rate that
-    `_cut_cap` refuses for any seed's training split, is refused before any
-    training."""
+    all train in one `train_many` call.  An empty seed list, a t that
+    `BoundParams` refuses, or a rate that `_cut_cap` refuses for any seed's
+    training split, is refused before any training."""
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("run_experiment needs at least one seed")
+    _check_t(t)
     res = ExperimentResult(dataset=name, seeds=seeds, lambda_selected=[],
                            test_macro_auc=[], reports=[])
     plans, jobs = [], []

@@ -457,8 +457,6 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
     else:
         result = sample_Z(sampler, n_trials, moments=moments)
         z, inp = result.z, result.inp
-        if not inp.unit_weights and inequality == "bennett_refined":
-            raise ModeError("refined mode requires unit cover weights")
 
     if inequality == "bennett_refined":
         c_dev = conc.refined_bernstein_constant(inp.chi_list)

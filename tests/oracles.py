@@ -387,7 +387,8 @@ def rook_edges(n_pos, n_neg):
 
 def subset_scan_maximal_independent_sets(graph):
     """All maximal independent sets by a scan of all 2^n vertex subsets in
-    ascending bitmask order; the reference for the Bron-Kerbosch listing."""
+    ascending bitmask order; the reference for the vertex-by-vertex growth
+    of `graphdep.maximal_independent_sets`."""
     n = graph.n_vertices
     adj_masks = [sum(1 << u for u in nbrs) for nbrs in graph.adjacency]
     full, maximal = (1 << n) - 1, []

@@ -664,6 +664,20 @@ class TestExperimentCommand:
         assert code == 2 and "rate" in err, err
         assert out == ""
 
+    @pytest.mark.parametrize("t", ["-1", "nan", "inf", "ln0.5"])
+    def test_bad_t_is_refused_before_training(self, tmp_path, monkeypatch, t):
+        data = tmp_path / "toy.mlsvm"
+        save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)
+
+        def untrainable(*args):
+            raise AssertionError("trained before t was checked")
+
+        monkeypatch.setattr(macroauc, "train_many", untrainable)
+        code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1",
+                                  "--t", t])
+        assert code == 2 and "t must be" in err, err
+        assert out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_exit_3(self, tmp_path, value):
         bad = tmp_path / "bad.mlsvm"

@@ -113,7 +113,7 @@ class TestGraphBasics:
     def test_adjacency_matches_edges(self):
         g, _ = bipartite_ranking_graph(3, 4)
         for v in range(g.n_vertices):
-            assert g.adjacency[v] == {u for u in range(g.n_vertices) if g.has_edge(u, v)}
+            assert g.adjacency[v] == {u for e in g.edges if v in e for u in e if u != v}
             assert len(g.adjacency[v]) == 5
         back = DependencyGraph.from_text(g.to_text())
         assert back == g and hash(back) == hash(g)
@@ -237,19 +237,10 @@ class TestRookNeighbourSets:
         for v in range(g.n_vertices):
             assert g.adjacency[v] == ref.adjacency[v]
             assert len(g.adjacency[v]) == len(ref.adjacency[v]) == n_pos + n_neg - 2
-        probes = range(g.n_vertices) if g.n_vertices <= 64 else range(0, g.n_vertices, 23)
-        for v in probes:
-            assert [g.has_edge(u, v) for u in range(g.n_vertices)] == \
-                [ref.has_edge(u, v) for u in range(g.n_vertices)]
         assert greedy_cover(g).to_text() == greedy_cover(ref).to_text()
         for c in (cover, greedy_cover(ref)):
             assert validate_cover(g, c) == validate_cover(ref, c)
             assert validate_cover(g, c).ok
-
-    def test_has_edge_outside_the_vertex_range_is_false(self):
-        g, _ = bipartite_ranking_graph(2, 3)
-        assert not g.has_edge(-1, 0) and not g.has_edge(6, 0) and not g.has_edge(0, 6)
-        assert g.has_edge(0, 1) and g.has_edge(0, 3) and not g.has_edge(0, 0)
 
 
 @st.composite
@@ -264,8 +255,8 @@ def small_graphs(draw):
 
 
 class TestMaximalIndependentSets:
-    """Pivoting Bron-Kerbosch must list what the subset scan listed, in its
-    ascending-bitmask order, so that the LP and its cover stay the same."""
+    """The vertex-by-vertex growth must list what the subset scan listed, in
+    its ascending-bitmask order, so that the LP and its cover stay the same."""
 
     def test_every_graph_up_to_7_vertices(self):
         # networkx's atlas: every graph on 0-7 vertices up to isomorphism
@@ -287,6 +278,18 @@ class TestMaximalIndependentSets:
         cliques = sorted((frozenset(c) for c in nx.find_cliques(nx.complement(graph))),
                          key=lambda s: sum(1 << v for v in s))
         assert maximal_independent_sets(g) == cliques
+
+    # edgeless: 4,096 independent sets, one maximal; K12: 12 singletons
+    @pytest.mark.parametrize("graph, count", [(empty_graph(12), 1), (complete_graph(12), 12)],
+                             ids=["edgeless", "complete"])
+    def test_twelve_vertex_extremes(self, graph, count):
+        got = maximal_independent_sets(graph)
+        assert got == subset_scan_maximal_independent_sets(graph)
+        assert len(got) == count
+
+    def test_more_than_the_exact_cap_is_refused(self):
+        with pytest.raises(SizeError, match="greedy_cover"):
+            maximal_independent_sets(empty_graph(13))
 
     def test_exact_cover_as_with_the_subset_scan(self, monkeypatch):
         rng = np.random.default_rng(29)
@@ -353,7 +356,7 @@ class TestChromaticExact:
                      if rng.random() < 0.3]
             g = DependencyGraph.from_edges(n, edges)
             missing = [(i, j) for i in range(n) for j in range(i + 1, n)
-                       if not g.has_edge(i, j)]
+                       if j not in g.adjacency[i]]
             if not missing:
                 continue
             extra = missing[int(rng.integers(len(missing)))]
