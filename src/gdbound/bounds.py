@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, finite_result
+from .errors import DomainError, InvariantError, check_t, finite_result
 
 _NEG_EIG_TOL = -1e-12
 _EPS = np.finfo(float).eps
@@ -149,14 +149,6 @@ def spectrum_from_weights(theta) -> SpectrumProfile:
     return SpectrumProfile(values=np.sort(sv**2)[::-1])
 
 
-def _check_t(t):
-    """DomainError unless the deviation t is finite and >= 0."""
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
-    if t < 0:
-        raise DomainError("t must be >= 0")
-
-
 @dataclass(frozen=True)
 class BoundParams:
     """Constants entering the r* and excess-risk formulas.
@@ -183,7 +175,7 @@ class BoundParams:
                           ("mu", self.mu), ("B", self.B)):
             if not math.isfinite(val):
                 raise DomainError(f"{name} must be finite, got {val}")
-        _check_t(self.t)
+        check_t(self.t)
         if self.m_tilde < 0:
             raise DomainError("m_tilde must be >= 0")
         for name, val in (("m_bar", self.m_bar), ("mu", self.mu), ("B", self.B)):

@@ -462,7 +462,7 @@ def cmd_graph_chi(cfg):
     if cfg.get("out"):
         Path(cfg["out"]).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantError, ModeError, finite_result
+from .errors import DomainError, InvariantError, ModeError, check_t, finite_result
 
 _BLOCK_CONSISTENCY_TOL = 1e-9
 
@@ -134,11 +134,6 @@ class TailBoundInput:
                 raise InvariantError("U >= W must hold")
 
 
-def _check_t(t):
-    if not 0 < t < math.inf:
-        raise DomainError(f"t must be finite and > 0, got {t}")
-
-
 @finite_result
 def bennett_tail_general(inp: TailBoundInput, t: float):
     """Upper-tail probabilities P(Z >= E[Z] + t) in tight and simple form.
@@ -148,7 +143,7 @@ def bennett_tail_general(inp: TailBoundInput, t: float):
         p_simple = exp(-(v/W) phi(4 t / (5 v)))
     and p_tight <= p_simple since U <= 5W/4.
     """
-    _check_t(t)
+    check_t(t)
     v, W, U = inp.v, inp.W, inp.U
     return math.exp(-(v / W) * phi(t * W / (U * v))), _simple_tail(v, W, t)
 
@@ -166,12 +161,9 @@ def bernstein_deviation(c: float, v: float, t: float) -> float:
     c = (25/16) * sum_k chi_f(G_k) for the general form, c = sum_k chi_f(G_k)
     in refined (all-unit-weight) mode.
     """
-    if not all(map(math.isfinite, (c, v, t))):
-        raise DomainError(f"c, v and t must be finite, got {c}, {v}, {t}")
-    if c <= 0 or v <= 0:
-        raise DomainError("c and v must be > 0")
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    check_t(t)
+    if not (0 < c < math.inf and 0 < v < math.inf):
+        raise DomainError(f"c and v must be finite and > 0, got {c}, {v}")
     return math.sqrt(2.0 * c * v * t) + 2.0 * c * t / 3.0
 
 
@@ -182,7 +174,7 @@ def bennett_tail_refined(inp: TailBoundInput, t: float) -> float:
     With K = 1 and an edgeless graph (W = 1) this is the classical i.i.d.
     Bennett bound exp(-v phi(t / v)).
     """
-    _check_t(t)
+    check_t(t)
     if not inp.unit_weights:
         raise ModeError("refined form requires every block weight w_kj = 1")
     v, W = inp.v, inp.W
@@ -192,7 +184,7 @@ def bennett_tail_refined(inp: TailBoundInput, t: float) -> float:
 @finite_result
 def bennett_lower_tail(inp: TailBoundInput, t: float) -> float:
     """Lower-tail bound on P(Z <= E[Z] - t); numerically the simple upper form."""
-    _check_t(t)
+    check_t(t)
     return _simple_tail(inp.v, inp.W, t)
 
 

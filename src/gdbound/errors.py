@@ -1,8 +1,9 @@
 """Exception types shared across the package, its floating-point policy,
-its seed rule and its core-count rule."""
+its seed rule, its t rule and its core-count rule."""
 
 import dataclasses
 import functools
+import math
 import numbers
 import os
 
@@ -67,6 +68,15 @@ def check_seed(seed):
     """ConfigError unless seed is a non-negative integer; a bool is not one."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_t(t):
+    """DomainError unless the deviation t is finite and >= 0.  Every bound,
+    tail and verify row reads t through this rule; at t = 0 each tail is 1."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
+    if t < 0:
+        raise DomainError("t must be >= 0")
 
 
 def available_cores():

@@ -324,10 +324,9 @@ def chromatic_fractional_exact(graph: DependencyGraph):
     fails a self-check.
     """
     n = graph.n_vertices
-    _check_exact_size(n)
     if n == 0:
         return 0.0, FractionalCover(classes=(), graph=graph)
-    sets = maximal_independent_sets(graph)
+    sets = maximal_independent_sets(graph)  # refuses a graph above the cap
     A = np.array([[v in s for v in range(n)] for s in sets], dtype=float)
     chi, duals = _simplex_max(A)
     raw = [(sets[i], duals[i]) for i in range(len(sets)) if duals[i] > _LP_TOL]

@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundParams, BoundReport, _check_t, bound_ours_macroauc, \
+from .bounds import BoundParams, BoundReport, bound_ours_macroauc, \
     bound_prior_macroauc, rstar_linear, spectrum_from_weights
 from .errors import ConfigError, DegenerateLabelError, DomainError, \
     FormatError, ParseError, UndefinedMetricError, available_cores, check_seed, \
-    finite_result
+    check_t, finite_result
 
 LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 T_DEFAULT = math.log(100.0)  # 1 - e^{-t} = 0.99
@@ -733,9 +733,8 @@ def macro_auc(ranker_or_scores, dataset: MultiLabelDataset) -> float:
     else:
         scores = np.asarray(ranker_or_scores, dtype=float)
     pos = dataset.labels == 1
-    n_pos = pos.sum(axis=0)
-    n_neg = (dataset.labels == -1).sum(axis=0)
-    kept = (n_pos > 0) & (n_neg > 0)
+    n_pos, n_neg = _label_counts(dataset.labels)
+    kept = np.minimum(n_pos, n_neg) > 0
     if not kept.any():
         raise UndefinedMetricError("every label is degenerate; Macro-AUC undefined")
     n_pos, n_neg = n_pos[kept], n_neg[kept]
@@ -761,9 +760,21 @@ def split_train_test(dataset: MultiLabelDataset, seed: int):
     return dataset.subset(train), dataset.subset(test)
 
 
-def _kept(labels: np.ndarray) -> np.ndarray:
-    """Whether each label column holds both a positive and a negative."""
-    return (labels == 1).any(axis=0) & (labels == -1).any(axis=0)
+def _label_counts(labels: np.ndarray):
+    """(n+, n-) per label column; entries are +-1, so n- = n - n+."""
+    n_pos = (labels == 1).sum(axis=0)
+    return n_pos, labels.shape[0] - n_pos
+
+
+def _pair_params(labels: np.ndarray, t: float, **norms):
+    """(kept mask, pair-transformed `BoundParams`) of a split's labels: a label
+    is kept when it has a positive and a negative row; tau_k = min(n+, n-) / n~."""
+    least = np.minimum(*_label_counts(labels))
+    kept = least > 0
+    if not kept.any():
+        raise UndefinedMetricError("every label degenerate; no bound to report")
+    n = labels.shape[0]
+    return kept, BoundParams.pair_transformed((least[kept] / n).tolist(), n, t=t, **norms)
 
 
 def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
@@ -781,7 +792,8 @@ def _cv_jobs(labels: np.ndarray, grid, folds: int, config: TrainConfig):
         raise DomainError(f"need at least {folds} samples for {folds}-fold CV")
     rng = np.random.default_rng(derive_seed(config.seed, 0xF01D))
     fold_idx = np.array_split(rng.permutation(n), folds)
-    val_rows = [np.sort(idx) if _kept(labels[idx]).any() else None for idx in fold_idx]
+    val_rows = [np.sort(idx) if np.minimum(*_label_counts(labels[idx])).any() else None
+                for idx in fold_idx]
     for fi, rows in enumerate(val_rows):
         if rows is None:
             warnings.warn(f"fold {fi}: all labels degenerate, skipped")
@@ -833,20 +845,10 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
     (doubled minimum over the shared integer cut capped at min(D, K) * rate)
     against the prior global bound.
     """
-    n_pos = (dataset.labels == 1).sum(axis=0)
-    n_neg = (dataset.labels == -1).sum(axis=0)
-    degenerate = (n_pos == 0) | (n_neg == 0)
-    kept = np.flatnonzero(~degenerate)
-    if not kept.size:
-        raise UndefinedMetricError("every label degenerate; no bound to report")
-    cut_cap = _cut_cap(dataset.n_features, kept.size, rate)
-    taus = (np.minimum(n_pos, n_neg)[kept] / dataset.n_samples).tolist()
     m_tilde, m_bar = ranker.m_tilde, dataset.max_row_norm()
-    params = BoundParams.pair_transformed(
-        taus, dataset.n_samples, m_tilde=m_tilde, m_bar=m_bar, mu=1.0, B=1.0, t=t,
-    )
+    kept, params = _pair_params(dataset.labels, t, m_tilde=m_tilde, m_bar=m_bar)
+    d_max = int(_cut_cap(dataset.n_features, params.K, rate))
     spectrum = spectrum_from_weights(ranker.weights[kept])
-    d_max = int(cut_cap)
     r_star, d_star = rstar_linear(spectrum, params, experiment_mode=True, d_max=d_max)
     ours = bound_ours_macroauc(r_star, params)
     prior = bound_prior_macroauc(params)
@@ -857,8 +859,8 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
         d_star=d_star,
         params={
             "n_tilde": dataset.n_samples,
-            "K": kept.size,
-            "tau": taus,
+            "K": params.K,
+            "tau": list(params.tau_list),
             "m_tilde": m_tilde,
             "m_bar": m_bar,
             "mu": 1.0,
@@ -875,7 +877,7 @@ def report_bounds(dataset: MultiLabelDataset, ranker: LinearRanker,
             "prior": "2*(4*mu*m_bar*m_tilde/sqrt(n)*(1/K)*sum(sqrt(1/tau))"
                      " + 3*sqrt((log2+t)/(2n))*sqrt(sum(1/tau)/K))",
             "r_star": "2*min_d shared-cut truncation bound",
-            "excluded_labels": np.flatnonzero(degenerate).tolist(),
+            "excluded_labels": np.flatnonzero(~kept).tolist(),
         },
     )
 
@@ -925,20 +927,23 @@ def run_experiment(dataset: MultiLabelDataset, name: str = "dataset",
     """Full protocol per seed: 2:1 split, k-fold CV over the decay grid,
     the chosen decay's full-split fit, test Macro-AUC, and bound report on
     the training split.  Every seed's fits index the full dataset, so they
-    all train in one `train_many` call.  An empty seed list, a t that
-    `BoundParams` refuses, or a rate that `_cut_cap` refuses for any seed's
-    training split, is refused before any training."""
+    all train in one `train_many` call.  An empty seed list, a bad t, and in
+    any seed's training split no kept label, a rate that `_cut_cap` refuses
+    or an overflowing t-term of `bound_ours_macroauc` (it reads only the
+    tau_k) are refused before any training."""
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("run_experiment needs at least one seed")
-    _check_t(t)
+    check_t(t)
     res = ExperimentResult(dataset=name, seeds=seeds, lambda_selected=[],
                            test_macro_auc=[], reports=[])
     plans, jobs = [], []
     for seed in seeds:
         train_rows, test_rows = _split_rows(dataset.n_samples, seed)
         train_labels = dataset.labels[train_rows]
-        _cut_cap(dataset.n_features, int(_kept(train_labels).sum()), rate)
+        params = _pair_params(train_labels, t)[1]
+        _cut_cap(dataset.n_features, params.K, rate)
+        bound_ours_macroauc(0.0, params)
         cfg = TrainConfig(lr=lr, epochs=epochs, seed=seed)
         cv_jobs, val_rows = _cv_jobs(train_labels, grid, folds, cfg)
         jobs += [(train_rows[rows], job_cfg) for rows, job_cfg in cv_jobs]

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import concentration as conc
 from .concentration import TailBoundInput
-from .errors import ConfigError, DomainError, ModeError, check_seed
+from .errors import ConfigError, DomainError, ModeError, check_seed, check_t
 
 BATCH = 1 << 16
 _DRAW_BYTES = 1 << 20  # base draws held at once, in bytes
@@ -429,6 +429,22 @@ def _bound_at(inequality, inp, t):
     return conc.bennett_tail_general(inp, t)[1]  # talagrand: the simple form
 
 
+def _levels(inequality, form, inp, t_grid):
+    """(t, threshold, bound) of each grid row, from the bundle alone: the
+    threshold lies the deviation beyond E[Z], below it for the lower tail."""
+    c_dev = (conc.refined_bernstein_constant if inequality == "bennett_refined"
+             else conc.general_bernstein_constant)(inp.chi_list)
+    levels = []
+    for t in t_grid:
+        if form == "probability":
+            dev, bound = t, _bound_at(inequality, inp, t)
+        else:
+            dev, bound = conc.bernstein_deviation(c_dev, inp.v, t), math.exp(-t)
+        threshold = inp.EZ - dev if inequality == "lower_tail" else inp.EZ + dev
+        levels.append((float(t), float(threshold), float(bound)))
+    return levels
+
+
 def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
                       n_trials: int, form: str = "probability",
                       moments: str = "analytic") -> TailReport:
@@ -439,57 +455,42 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
     form='deviation' checks P(Z >= E[Z] + d(t)) against exp(-t), with
     d(t) = sqrt(2 c v t) + 2 c t / 3 and c the constant matching the mode.
     A row is flagged as a violation only when the empirical frequency
-    exceeds the bound by more than three Monte Carlo standard errors.
+    exceeds the bound by more than three Monte Carlo standard errors.  At
+    t = 0 every bound is 1 and the row measures P(Z >= E[Z]).  Every grid t
+    passes `check_t`, and with analytic moments every row is evaluated, before
+    any draw; plugin moments and the Talagrand E[Z] depend on a calibration
+    run, so their rows follow the draws.
     """
     if inequality not in INEQUALITIES:
         raise ConfigError(f"unknown inequality {inequality!r}; choose from {INEQUALITIES}")
     if form not in ("probability", "deviation"):
         raise ConfigError(f"unknown form {form!r}")
-    if not all(math.isfinite(t) and t >= 0 for t in t_grid):
-        raise DomainError("t grid entries must be finite and >= 0")
+    for t in t_grid:
+        check_t(t)
 
     if inequality == "talagrand":
         z = _simulate(sampler, n_trials, sup_mode=True)
         n_cal, offset = _calibration_run(n_trials)
         ez = float(_simulate(sampler, n_cal, sup_mode=True, stream_offset=offset).mean())
-        inp = _talagrand_input(sampler, ez)
+        levels = _levels(inequality, form, _talagrand_input(sampler, ez), t_grid)
         moments = "plugin"  # E[Z] is estimated, whatever was asked
+    elif moments == "analytic":
+        levels = _levels(inequality, form, analytic_input(sampler), t_grid)
+        z = sample_Z(sampler, n_trials).z
     else:
         result = sample_Z(sampler, n_trials, moments=moments)
-        z, inp = result.z, result.inp
-
-    if inequality == "bennett_refined":
-        c_dev = conc.refined_bernstein_constant(inp.chi_list)
-    else:
-        c_dev = conc.general_bernstein_constant(inp.chi_list)
+        z, levels = result.z, _levels(inequality, form, result.inp, t_grid)
 
     report = TailReport(
         config=asdict(sampler), inequality=inequality, form=form,
         moments_mode=moments, n_trials=n_trials, t_grid=list(t_grid),
     )
-    lower = inequality == "lower_tail"
-    for t in t_grid:
-        if t == 0.0:
-            row = {"t": 0.0, "threshold": inp.EZ, "empirical": 1.0,
-                   "stderr": 0.0, "bound": 1.0, "violation": False}
-            report.rows.append(row)
-            continue
-        if form == "probability":
-            dev = t
-            bound = _bound_at(inequality, inp, t)
-        else:
-            dev = conc.bernstein_deviation(c_dev, inp.v, t)
-            bound = math.exp(-t)
-        if lower:
-            threshold = inp.EZ - dev
-            freq, stderr = empirical_tail(-z, -threshold)
-        else:
-            threshold = inp.EZ + dev
-            freq, stderr = empirical_tail(z, threshold)
-        violation = freq - 3.0 * stderr > bound
+    z, sign = (-z, -1.0) if inequality == "lower_tail" else (z, 1.0)  # Z <= x: -Z >= -x
+    for t, threshold, bound in levels:
+        freq, stderr = empirical_tail(z, sign * threshold)
         report.rows.append({
-            "t": float(t), "threshold": float(threshold), "empirical": freq,
-            "stderr": stderr, "bound": float(bound), "violation": bool(violation),
+            "t": t, "threshold": threshold, "empirical": freq, "stderr": stderr,
+            "bound": bound, "violation": bool(freq - 3.0 * stderr > bound),
         })
     return report
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdbound import graphdep, macroauc
+from gdbound import concentration as conc, graphdep, macroauc, mcverify
+from gdbound.bounds import BoundParams
 from gdbound.cli import COMMANDS, main, parse_t
-from gdbound.errors import ConvergenceError
+from gdbound.errors import ConvergenceError, DomainError
 from gdbound.graphdep import DependencyGraph, bipartite_ranking_graph
 from gdbound.macroauc import TrainConfig, report_bounds, save_dataset, train_sgd
 
@@ -191,6 +192,18 @@ class TestVerifyCommand:
                                   "bennett_general", "--trials", "1000", flag, value])
         assert code == 2
         assert "error:" in err and "nan" not in out
+
+    def test_overflowing_deviation_is_refused_before_sampling(self, monkeypatch):
+        # analytic moments fix every row's deviation before any draw
+        def undrawable(*args):
+            raise AssertionError("sampled before the rows were evaluated")
+
+        monkeypatch.setattr(mcverify, "_reduce_batches", undrawable)
+        code, out, err = run_cli(["verify", "--structure", "bipartite:300,300", "--ineq",
+                                  "bennett_general", "--trials", "400000", "--form",
+                                  "deviation", "--t-grid", "1,1e307"])
+        assert (code, out) == (2, "")
+        assert "error: bernstein_deviation must be finite" in err
 
     def test_overflowing_deviation_threshold_exit_2(self):
         code, out, err = run_cli(["verify", "--structure", "bipartite:5,4", "--ineq",
@@ -664,19 +677,35 @@ class TestExperimentCommand:
         assert code == 2 and "rate" in err, err
         assert out == ""
 
-    @pytest.mark.parametrize("t", ["-1", "nan", "inf", "ln0.5"])
-    def test_bad_t_is_refused_before_training(self, tmp_path, monkeypatch, t):
+    def test_overflowing_t_term_is_refused_before_training(self, tmp_path, monkeypatch):
+        # t passes the t rule, but (75/K) sum_k (1/tau_k) t / n~ overflows; it
+        # reads only the training split's tau_k, fixed before any fit
         data = tmp_path / "toy.mlsvm"
         save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)
 
         def untrainable(*args):
-            raise AssertionError("trained before t was checked")
+            raise AssertionError("trained before the t-term was checked")
 
         monkeypatch.setattr(macroauc, "train_many", untrainable)
         code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1",
-                                  "--t", t])
-        assert code == 2 and "t must be" in err, err
-        assert out == ""
+                                  "--t", "1e308"])
+        assert (code, out) == (2, "")
+        assert "error: bound_ours_macroauc must be finite, but it overflows" in err, err
+
+    def test_a_split_with_no_kept_label_is_refused_before_training(self, tmp_path,
+                                                                  monkeypatch):
+        data = tmp_path / "flat.mlsvm"
+        flat = small_separable(n=12, d=3, k=2, seed=2)
+        save_dataset(macroauc.MultiLabelDataset(flat.features, np.ones_like(flat.labels)),
+                     data)
+
+        def untrainable(*args):
+            raise AssertionError("trained a split that can report no bound")
+
+        monkeypatch.setattr(macroauc, "train_many", untrainable)
+        code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: every label degenerate; no bound to report\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_exit_3(self, tmp_path, value):
@@ -743,6 +772,43 @@ class TestExperimentCommand:
         payload = json.loads((tmp_path / "mid_out" / "mid.report.json").read_text())
         assert payload["summary"]["smaller_bound"] == "ours"
         assert payload["summary"]["ours"]["mean"] < payload["summary"]["prior"]["mean"]
+
+
+class TestOneTRule:
+    """Every reader of t refuses the same values with the same message,
+    `errors.check_t`'s; a command refuses them before its costly stage."""
+
+    INP = conc.TailBoundInput(b=0.0, EZ=0.5, sigma_sq=0.5, chi_list=(1.0,))
+    ENTRIES = {
+        "bennett_tail_general": lambda t: conc.bennett_tail_general(TestOneTRule.INP, t),
+        "bennett_tail_refined": lambda t: conc.bennett_tail_refined(TestOneTRule.INP, t),
+        "bennett_lower_tail": lambda t: conc.bennett_lower_tail(TestOneTRule.INP, t),
+        "bernstein_deviation": lambda t: conc.bernstein_deviation(1.0, 1.0, t),
+        "BoundParams": lambda t: BoundParams(K=1, m_list=(1.0,), chi_list=(1.0,), t=t),
+        "verify grid entry": lambda t: mcverify.verify_inequality(
+            mcverify.DependentSampler(structure="iid_blocks", m=5), "talagrand",
+            [1.0, t], 100),
+    }
+
+    @pytest.mark.parametrize("text, message", [
+        ("nan", "t must be finite, got nan"), ("inf", "t must be finite, got inf"),
+        ("-1", "t must be >= 0"), ("ln0.5", "t must be >= 0")])
+    @pytest.mark.parametrize("entry", [*ENTRIES, "experiment --t"])
+    def test_a_bad_t_is_refused(self, tmp_path, monkeypatch, entry, text, message):
+        def costly(*args):
+            raise AssertionError(f"{entry} ran its costly stage before checking t")
+
+        monkeypatch.setattr(mcverify, "_reduce_batches", costly)
+        monkeypatch.setattr(macroauc, "train_many", costly)
+        if entry == "experiment --t":
+            data = tmp_path / "toy.mlsvm"
+            save_dataset(small_separable(n=12, d=3, k=2, seed=2), data)
+            code, out, err = run_cli(["experiment", "--data", str(data), "--epochs", "1",
+                                      "--t", text])
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                self.ENTRIES[entry](parse_t(text))
 
 
 class TestReportKeyOrder:

@@ -106,8 +106,10 @@ class TestBennettGeneral:
         assert p_simple == pytest.approx(1.0, abs=1e-12)
 
     def test_t_domain(self):
-        with pytest.raises(DomainError):
-            bennett_tail_general(single_block_input(), 0.0)
+        # phi(0) = 0, so t = 0 gives the trivial bound; a t below 0 is refused
+        assert bennett_tail_general(single_block_input(), 0.0) == (1.0, 1.0)
+        with pytest.raises(DomainError, match="^t must be >= 0$"):
+            bennett_tail_general(single_block_input(), -1e-300)
 
     def test_tight_not_looser_than_simple_random(self):
         rng = np.random.default_rng(42)
@@ -187,6 +189,19 @@ class TestBennettGeneral:
                      lambda: bennett_lower_tail(inp, t)):
             with pytest.raises(DomainError):
                 tail()
+
+    def test_every_tail_is_one_at_t_zero(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            inp = random_valid_input(rng)
+            unit = TailBoundInput(b=inp.b, EZ=inp.EZ, sigma_sq=inp.sigma_sq,
+                                  chi_list=inp.chi_list)
+            assert bennett_tail_general(inp, 0.0) == (1.0, 1.0)
+            assert bennett_tail_refined(unit, 0.0) == 1.0
+            assert bennett_lower_tail(inp, 0.0) == 1.0
+            for c in (general_bernstein_constant(inp.chi_list),
+                      refined_bernstein_constant(inp.chi_list)):
+                assert bernstein_deviation(c, inp.v, 0.0) == 0.0
 
     def test_subnormal_v_gives_zero_not_nan(self):
         inp = TailBoundInput(b=0.0, EZ=1e-320, sigma_sq=0.0, chi_list=(1.0,))

@@ -402,11 +402,27 @@ class TestVerifyInequality:
                                    [0.5, 1.0, 2.0, 4.0], 100000)
         assert report.violations == []
 
-    def test_t_zero_row_trivial(self):
-        report = verify_inequality(iid(10, seed=1), "bennett_general",
-                                   [0.0, 1.0], 10000)
-        row = report.rows[0]
-        assert row["bound"] == 1.0 and not row["violation"]
+    @pytest.mark.parametrize("inequality, form", [
+        ("bennett_general", "probability"), ("lower_tail", "probability"),
+        ("bennett_general", "deviation"), ("talagrand", "probability")])
+    def test_t_zero_row_is_measured(self, inequality, form):
+        # threshold E[Z], bound 1, and the frequency measured on the same draws
+        n = 10000
+        if inequality == "talagrand":
+            sampler = bipartite(4, 3, seed=30)
+            z = mcverify._simulate(sampler, n, sup_mode=True)
+            n_cal, offset = mcverify._calibration_run(n)
+            ez = float(mcverify._simulate(sampler, n_cal, sup_mode=True,
+                                          stream_offset=offset).mean())
+        else:
+            sampler = iid(10, seed=1)
+            z, ez = sample_Z(sampler, n).z, analytic_input(sampler).EZ
+        report = verify_inequality(sampler, inequality, [0.0, 1.0], n, form=form)
+        freq, stderr = empirical_tail(-z, -ez) if inequality == "lower_tail" \
+            else empirical_tail(z, ez)
+        assert report.rows[0] == {"t": 0.0, "threshold": ez, "empirical": freq,
+                                  "stderr": stderr, "bound": 1.0, "violation": False}
+        assert 0.0 < freq < 1.0 and stderr > 0.0
 
     def test_lower_tail_thresholds_below_mean(self):
         report = verify_inequality(bipartite(3, 3, seed=4), "lower_tail",
