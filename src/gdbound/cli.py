@@ -532,7 +532,9 @@ COMMANDS = [
     (("lfrc", "fixed-point"), "fixed point r* of the sub-root function a*sqrt(r)+b",
      cmd_lfrc_fixed_point, (
         _opt("--a", float), _opt("--b", float, "0"),
-        _opt("--tol", float, "1e-10"), _opt("--r-hi", float, "1e6"))),
+        _opt("--tol", float, "1e-10", help="relative tolerance, in (0, 1)"),
+        _opt("--r-hi", float, "1e6", help="start of the iteration and top of the sub-root "
+                                          "grid check"))),
     (("rstar", "kernel"), "r* from per-task Gram spectra", cmd_rstar_kernel, (
         _opt("--gram", _paths, help="Gram matrix file per task (repeatable)"),
         CHI, M, MTILDE)),

@@ -9,7 +9,7 @@ aggregate vector (one per Rademacher draw, signs from raw generator
 words) is found at once by a safeguarded Newton search.  The localized
 complexity estimate averages that supremum over the draws; localization
 radii are then pinned down by the fixed point of a sub-root function,
-found by bracketing and bisection.
+found by the iteration r <- f(r).
 """
 
 from __future__ import annotations
@@ -262,9 +262,11 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
 
 
 # The sub-root grid check spans [r_hi * GRID_SPAN, r_hi] in GRID_POINTS
-# log-spaced points.
+# log-spaced points; the fixed-point iteration fails after FIXED_POINT_STEPS
+# evaluations.
 _GRID_SPAN = 1e-12
 _GRID_POINTS = 64
+_FIXED_POINT_STEPS = 100
 
 
 def _check_r_hi(r_hi):
@@ -275,8 +277,9 @@ def _check_r_hi(r_hi):
 
 @dataclass
 class SubRootHandle:
-    """A candidate sub-root function `fn` with a search ceiling `r_hi`;
-    `fixed_point` and `grid_check` evaluate `fn`.
+    """A candidate sub-root function `fn` and a radius `r_hi`, where
+    `fixed_point`'s iteration starts and `grid_check`'s grid ends; the
+    fixed point may lie above it.  Both evaluate `fn`.
 
     Sub-root means nonnegative, nondecreasing, with r -> f(r)/sqrt(r)
     nonincreasing; such a function has a unique positive fixed point.
@@ -309,39 +312,25 @@ class SubRootHandle:
 def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     """Unique positive solution of f(r) = r for a sub-root f.
 
-    Since f(r) >= r exactly for r <= r*, the sign of f(r) - r brackets the
-    fixed point: expand upward from r_hi while f(r) >= r, halve downward
-    to find the lower bracket, the upper one following it, then bisect until
-    |f(r) - r| <= tol * max(1, r).
+    The iteration r <- f(r), started at r_hi, converges monotonically to
+    the fixed point r* from either side, and at least halves |log(r / r*)|
+    at each step (f(r) lies between sqrt(r r*) and r*).  It stops at the
+    first iterate r with |f(r) - r| <= tol * r / 2 and returns f(r), which
+    is then within tol / (2 - tol) of r* relative; tol is in (0, 1).
     """
     _check_r_hi(handle.r_hi)
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must be in (0, 1), got {tol}")
     handle.grid_check()
-
-    def gap(r):
-        return handle.fn(r) - r
-
-    hi = handle.r_hi
-    while gap(hi) >= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
+    r = handle.r_hi
+    for _ in range(_FIXED_POINT_STEPS):
+        f = handle.fn(r)
+        if abs(f - r) <= tol * r / 2.0:
+            return f
+        if not f <= 1e300:
             raise InvariantError("no fixed point below 1e300; f does not cross r")
-    lo = min(handle.r_hi, hi / 2.0)
-    while gap(lo) < 0.0:
-        hi, lo = lo, lo / 2.0
-        if lo < 1e-300:
-            raise InvariantError("no sign change above 1e-300; f may be trivial")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) <= tol * max(1.0, mid) and hi - lo <= tol * max(1.0, mid):
-            return mid
-        if g >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    if abs(gap(r)) > tol * max(1.0, r):
-        raise ConvergenceError("bisection failed to reach tolerance")
-    return r
+        if not f >= 1e-300:
+            raise InvariantError("no fixed point above 1e-300; f may be trivial")
+        r = f
+    raise ConvergenceError(f"fixed-point iteration did not reach tol in "
+                           f"{_FIXED_POINT_STEPS} steps")

@@ -429,11 +429,10 @@ def _bound_at(inequality, inp, t):
     return conc.bennett_tail_general(inp, t)[1]  # talagrand: the simple form
 
 
-def _levels(inequality, form, inp, t_grid):
-    """(t, threshold, bound) of each grid row, from the bundle alone: the
-    threshold lies the deviation beyond E[Z], below it for the lower tail."""
-    c_dev = (conc.refined_bernstein_constant if inequality == "bennett_refined"
-             else conc.general_bernstein_constant)(inp.chi_list)
+def _levels(inequality, form, inp, t_grid, c_dev):
+    """(t, threshold, bound) of each grid row, from the bundle and the
+    deviation constant c_dev alone: the threshold lies the deviation beyond
+    E[Z], below it for the lower tail."""
     levels = []
     for t in t_grid:
         if form == "probability":
@@ -459,7 +458,10 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
     t = 0 every bound is 1 and the row measures P(Z >= E[Z]).  Every grid t
     passes `check_t`, and with analytic moments every row is evaluated, before
     any draw; plugin moments and the Talagrand E[Z] depend on a calibration
-    run, so their rows follow the draws.
+    run, so their rows follow the draws.  A deviation grows with v, and its
+    term 2ct/3 reads only c, which chi_f fixes: each deviation row is first
+    evaluated at the least v > 0, so a row that overflows at every v is
+    refused before any draw.
     """
     if inequality not in INEQUALITIES:
         raise ConfigError(f"unknown inequality {inequality!r}; choose from {INEQUALITIES}")
@@ -467,19 +469,24 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         raise ConfigError(f"unknown form {form!r}")
     for t in t_grid:
         check_t(t)
+    c_dev = (conc.refined_bernstein_constant if inequality == "bennett_refined"
+             else conc.general_bernstein_constant)((_task_shape(sampler)[3],) * sampler.k_tasks)
+    if form == "deviation":
+        for t in t_grid:
+            conc.bernstein_deviation(c_dev, math.ulp(0.0), t)  # at the least v > 0
 
     if inequality == "talagrand":
         z = _simulate(sampler, n_trials, sup_mode=True)
         n_cal, offset = _calibration_run(n_trials)
         ez = float(_simulate(sampler, n_cal, sup_mode=True, stream_offset=offset).mean())
-        levels = _levels(inequality, form, _talagrand_input(sampler, ez), t_grid)
+        levels = _levels(inequality, form, _talagrand_input(sampler, ez), t_grid, c_dev)
         moments = "plugin"  # E[Z] is estimated, whatever was asked
     elif moments == "analytic":
-        levels = _levels(inequality, form, analytic_input(sampler), t_grid)
+        levels = _levels(inequality, form, analytic_input(sampler), t_grid, c_dev)
         z = sample_Z(sampler, n_trials).z
     else:
         result = sample_Z(sampler, n_trials, moments=moments)
-        z, levels = result.z, _levels(inequality, form, result.inp, t_grid)
+        z, levels = result.z, _levels(inequality, form, result.inp, t_grid, c_dev)
 
     report = TailReport(
         config=asdict(sampler), inequality=inequality, form=form,

@@ -7,7 +7,8 @@ and one scalar brentq per (draw, task) for the localized complexity
 estimate, characteristic-polynomial
 root finding for eigenvalues, a Gram spectrum from one dense `eigvalsh`
 whatever its rank, plain-loop enumeration for the truncation
-minima, closed-form quadratics for sub-root fixed points, a greedy
+minima, closed-form quadratics for sub-root fixed points and the
+bracket-and-bisect search `lfrc.fixed_point` ran before it iterated, a greedy
 coloring that rescans the edge list for every neighbourhood, the rook
 graph's edges listed one pair at a time, maximal independent sets by a
 scan of every vertex subset, chi_f from scipy's HiGHS, SGD that
@@ -31,8 +32,8 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.stats import rankdata
 
-from gdbound.errors import ConfigError, DegenerateLabelError, DomainError, \
-    FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError, \
+from gdbound.errors import ConfigError, ConvergenceError, DegenerateLabelError, \
+    DomainError, FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError, \
     finite_result
 from gdbound import mcverify
 from gdbound.bounds import SpectrumProfile
@@ -294,6 +295,55 @@ def sqrt_affine_fixed_point(a, b):
     """Closed-form fixed point of a*sqrt(r) + b: the quadratic in sqrt(r)."""
     s = (a + math.sqrt(a * a + 4.0 * b)) / 2.0
     return s * s
+
+
+def sqrt_min_sum_fixed_point(c, lams):
+    """Closed-form fixed point of sqrt(c sum_j min(r, lam_j)), lam_j > 0.
+
+    At r* the k eigenvalues above it add k r* and the rest their sum T, so
+    r*^2 = c (k r* + T), a quadratic in r*.  lam_j lies at or below r*
+    exactly when f(lam_j) >= lam_j; where that is a near tie, lam_j ~ r*
+    and both choices of side give the same root."""
+    def f(r):
+        return math.sqrt(c * sum(min(r, lam) for lam in lams))
+
+    below = [lam for lam in lams if f(lam) >= lam]
+    ck, T = c * (len(lams) - len(below)), math.fsum(below)
+    return (ck + math.sqrt(ck * ck + 4.0 * c * T)) / 2.0
+
+
+def bisect_fixed_point(fn, r_hi, tol):
+    """Fixed point of a sub-root fn by the sign of fn(r) - r: double upward
+    from r_hi while fn(r) >= r, halve downward to the lower bracket, then
+    bisect until |fn(r) - r| <= tol * max(1, r) and the bracket is as narrow.
+    Its floor of 1 on the tolerance leaves r* below about 1e-10 up to 50 %
+    off."""
+    def gap(r):
+        return fn(r) - r
+
+    hi = r_hi
+    while gap(hi) >= 0.0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise InvariantError("no fixed point below 1e300; f does not cross r")
+    lo = min(r_hi, hi / 2.0)
+    while gap(lo) < 0.0:
+        hi, lo = lo, lo / 2.0
+        if lo < 1e-300:
+            raise InvariantError("no sign change above 1e-300; f may be trivial")
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if abs(g) <= tol * max(1.0, mid) and hi - lo <= tol * max(1.0, mid):
+            return mid
+        if g >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r = 0.5 * (lo + hi)
+    if abs(gap(r)) > tol * max(1.0, r):
+        raise ConvergenceError("bisection failed to reach tolerance")
+    return r
 
 
 def brute_force_macro_auc(scores, labels):

@@ -193,15 +193,18 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err and "nan" not in out
 
-    def test_overflowing_deviation_is_refused_before_sampling(self, monkeypatch):
-        # analytic moments fix every row's deviation before any draw
+    @pytest.mark.parametrize("moments", [[], ["--moments", "plugin"], ["--ineq", "talagrand"]],
+                             ids=["analytic", "plugin", "talagrand"])
+    def test_overflowing_deviation_is_refused_before_sampling(self, monkeypatch, moments):
+        # analytic moments fix every row's deviation before any draw; plugin
+        # and Talagrand v wait for the calibration run, but 2ct/3 reads only c
         def undrawable(*args):
             raise AssertionError("sampled before the rows were evaluated")
 
         monkeypatch.setattr(mcverify, "_reduce_batches", undrawable)
         code, out, err = run_cli(["verify", "--structure", "bipartite:300,300", "--ineq",
                                   "bennett_general", "--trials", "400000", "--form",
-                                  "deviation", "--t-grid", "1,1e307"])
+                                  "deviation", "--t-grid", "1,1e307", *moments])
         assert (code, out) == (2, "")
         assert "error: bernstein_deviation must be finite" in err
 
@@ -441,6 +444,9 @@ class TestLfrcAndRstarCommands:
         ["rstar", "linear", "--chi", "1", "--m", "10", "--mbar", "1e300", "--weights", "MATRIX"],
         ["bound", "ours-macroauc", "--rstar", "0.01", "--K", "1", "--tau", "0.3", "--n", "1e300",
          "--t", "1"],
+        # a relative tolerance of 1 or more would stop the iteration at its start
+        ["lfrc", "fixed-point", "--a", "2", "--tol", "1.0"],
+        ["lfrc", "fixed-point", "--a", "2", "--tol", "10"],
     ])
     def test_bad_fixed_point_or_rstar_input_exit_2(self, tmp_path, args):
         matrix, big = tmp_path / "m.txt", tmp_path / "big.txt"

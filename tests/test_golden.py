@@ -3,8 +3,11 @@
 Each pin is the digest of one report file or one stdout of a command run
 in-process on inputs built here: `experiment` on the emotions-like and
 cal500-like data of `synthdata`, `verify` on every configuration of the
-benchmark's verify mix, `bound` for every formula, and `lfrc estimate`,
-`rstar kernel` and `rstar linear` on small matrix files.  A change that
+benchmark's verify mix, `bound` for every formula, `lfrc estimate`,
+`rstar kernel` and `rstar linear` on small matrix files, `lfrc fixed-point`
+(r* of 9, 1e-12, and 1 from r_hi = 1e300), and `graph chi` and
+`graph cover-check` (a cover that passes and one that fails, exit 1) on
+the 5-cycle.  A change that
 moves output bytes updates the pins it moves in the same commit and says
 in CHANGES.md which moved and why.
 
@@ -66,6 +69,7 @@ BOUND_ARGS = {
 }
 
 SKIPPED_FOLD = r"fold \d+: all labels degenerate, skipped"
+EXIT_CODES = {"graph-cover-check/fail": 1}  # every other run exits 0
 
 
 def _int_matrix(rows, cols, salt):
@@ -91,6 +95,13 @@ def _write_inputs():
     A = _int_matrix(48, 3, 1)
     _write_matrix("gram-rank3.txt", A @ A.T)  # a low rank that the spectrum may factor
     _write_matrix("weights.txt", _int_matrix(4, 9, 2))
+    Path("c5.edges").write_text("5\n" + "".join(f"{i} {(i + 1) % 5}\n" for i in range(5)),
+                                encoding="utf-8")
+    # each vertex in two of the five independent pairs {i, i + 2}: chi_f = 2.5
+    Path("c5.cover").write_text("".join(f"0.5: {i} {(i + 2) % 5}\n" for i in range(5)),
+                                encoding="utf-8")
+    # an edge as a class, vertex 3 uncovered and 2, 4 half covered
+    Path("c5-bad.cover").write_text("1.0: 0 1\n0.5: 2 4\n", encoding="utf-8")
 
 
 def _commands():
@@ -122,6 +133,15 @@ def _commands():
         ("rstar-linear/experiment-mode", ["rstar", "linear", "--weights", "weights.txt",
                                           "--tau", "0.3,0.25,0.4,0.5", "--n", "200",
                                           "--experiment-mode", "true", "--d-max", "3"], {}),
+        ("lfrc-fixed-point", ["lfrc", "fixed-point", "--a", "2", "--b", "3"], {}),
+        ("lfrc-fixed-point/small", ["lfrc", "fixed-point", "--a", "1e-6"], {}),
+        ("lfrc-fixed-point/r-hi=1e300", ["lfrc", "fixed-point", "--a", "1", "--r-hi",
+                                         "1e300"], {}),
+        ("graph-chi", ["graph", "chi", "--edges", "c5.edges"], {}),
+        ("graph-cover-check/pass", ["graph", "cover-check", "--edges", "c5.edges",
+                                    "--cover", "c5.cover"], {}),
+        ("graph-cover-check/fail", ["graph", "cover-check", "--edges", "c5.edges",
+                                    "--cover", "c5-bad.cover"], {}),
     ]
     return runs
 
@@ -143,7 +163,7 @@ def run_all():
                 for w in caught:
                     assert w.category is UserWarning, w
                     assert re.fullmatch(SKIPPED_FOLD, str(w.message)), w
-                assert code == 0, (name, out.getvalue())
+                assert code == EXIT_CODES.get(name, 0), (name, out.getvalue())
                 outputs[f"{name}/stdout"] = out.getvalue().encode("utf-8")
                 for label, path in files.items():
                     outputs[f"{name}/{label}"] = Path(path).read_bytes()
@@ -192,6 +212,12 @@ PINS = {
         'rstar-kernel/rank-3/stdout': 'c66977042fb8f29e7349127b698570a0ae04419261dfca970592075d41e13535',
         'rstar-linear/tasks/stdout': '9c3174f723d0b7319345e6afd7e4adea3d738c4e917520c84278b98f82d4fc6b',
         'rstar-linear/experiment-mode/stdout': '6990f88680ea348a7d4a9980ba6481979a7b9aca78fcc8437c340c3cc4100e31',
+        'lfrc-fixed-point/stdout': '68d1334fb9b32d9e686675df6995d7c307691675c2311dd4399681447d4441da',
+        'lfrc-fixed-point/small/stdout': '26e60b3ba8a7bea73964b4ab1129274ce8a1afa25580344a6a558b09dd805590',
+        'lfrc-fixed-point/r-hi=1e300/stdout': 'a31eb8bf97b8b2c55431423224b44ac90b77749b0452f38116a83ab15af54fbd',
+        'graph-chi/stdout': 'bf21f724ed775c21b937d13a3a8c04e035405d06a6fd26223e964a35b4c6a8b8',
+        'graph-cover-check/pass/stdout': '1c969abff2398b555f3ccd8b502e6fa8783d95c3d6ac6a1378aead5aeb691f28',
+        'graph-cover-check/fail/stdout': '5cb9c0c69a833b2f91fb6da94a27bcafa51d687a079652a88bd0428ab56bff36',
     },
 }
 

@@ -21,8 +21,8 @@ from gdbound.lfrc import (
     sup_linear,
 )
 
-from oracles import loop_estimate_lfrc, pga_feasible_value, pga_sup_linear, \
-    scalar_sup_one, sqrt_affine_fixed_point
+from oracles import bisect_fixed_point, loop_estimate_lfrc, pga_feasible_value, \
+    pga_sup_linear, scalar_sup_one, sqrt_affine_fixed_point, sqrt_min_sum_fixed_point
 
 
 def spec_for(S_list, m_tilde=1.0, r=math.inf):
@@ -712,15 +712,14 @@ class TestFixedPoint:
             fixed_point(h)
 
     def test_large_fixed_point_beyond_r_hi(self):
-        # bracketing expands upward past the declared search ceiling
+        # the iteration climbs from r_hi past it to r*
         h = SubRootHandle(fn=lambda r: 2e4 * math.sqrt(r), r_hi=1e3)
         assert fixed_point(h) == pytest.approx(4e8, rel=1e-9)
 
     @pytest.mark.parametrize("r_hi", [1e90, 1e200, 1e300])
     def test_fixed_point_far_below_r_hi(self, r_hi):
-        # the downward search carries the upper bracket down with it, so
-        # bisection starts from [r/2, r] around r* = 1: one evaluation per
-        # halving on the way down, a few dozen to bisect, and the grid check
+        # each step of r <- sqrt(r) halves log r, so the iteration reaches
+        # r* = 1 within log2(log(r_hi) / tol) steps after the grid check
         calls = []
 
         def fn(r):
@@ -740,10 +739,53 @@ class TestFixedPoint:
         with pytest.raises(DomainError, match="r_hi"):
             fixed_point(handle)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 1.0, 10.0])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(DomainError, match="tol"):
             fixed_point(SubRootHandle(fn=math.sqrt), tol=tol)
+
+
+def _powers(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+class TestFixedPointIteration:
+    """`fixed_point` on two families with a closed-form r*: a sqrt(r) + b, and
+    the certify workload's sqrt(c sum_j min(r, lam_j))."""
+
+    TOLS = st.sampled_from([1e-10, 1e-6, 1e-2])
+    R_HI = _powers(-10, 250)
+
+    @staticmethod
+    def check(fn, r_hi, tol, exact):
+        calls = []
+
+        def counted(r):
+            calls.append(r)
+            return fn(r)
+
+        r = fixed_point(SubRootHandle(fn=counted, r_hi=r_hi), tol=tol)
+        steps = np.diff(calls[lfrc._GRID_POINTS:])
+        assert (steps >= 0).all() or (steps <= 0).all(), "iterates not monotone"
+        assert abs(fn(r) - r) <= tol * r / 2
+        assert abs(r - exact) <= tol * exact
+        assert len(calls) <= lfrc._GRID_POINTS + 50
+        # the replaced search, within its own tolerance
+        assert abs(r - bisect_fixed_point(fn, r_hi, tol)) <= 2 * tol * max(1.0, exact)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(a=_powers(-12, 6), b=st.one_of(st.just(0.0), _powers(-24, 8)), r_hi=R_HI,
+           tol=TOLS)
+    def test_sqrt_affine(self, a, b, r_hi, tol):
+        self.check(lambda r: a * math.sqrt(r) + b, r_hi, tol, sqrt_affine_fixed_point(a, b))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c=_powers(-6, 2), lams=st.lists(_powers(-12, 6), min_size=1, max_size=12),
+           r_hi=R_HI, tol=TOLS)
+    def test_sqrt_min_sum(self, c, lams, r_hi, tol):
+        lam = np.array(lams)
+        self.check(lambda r: math.sqrt(c * float(np.minimum(r, lam).sum())), r_hi, tol,
+                   sqrt_min_sum_fixed_point(c, lams))
 
 
 class TestLinearClassSpec:
