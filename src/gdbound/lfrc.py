@@ -317,6 +317,9 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     at each step (f(r) lies between sqrt(r r*) and r*).  It stops at the
     first iterate r with |f(r) - r| <= tol * r / 2 and returns f(r), which
     is then within tol / (2 - tol) of r* relative; tol is in (0, 1).
+    An r* outside [1e-300, 1e300] raises InvariantError from any r_hi: an
+    iterate outside that range is refused once it stops there or moves
+    away from the range, and one still moving back toward it is kept.
     """
     _check_r_hi(handle.r_hi)
     if not 0.0 < tol < 1.0:
@@ -325,12 +328,15 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     r = handle.r_hi
     for _ in range(_FIXED_POINT_STEPS):
         f = handle.fn(r)
-        if abs(f - r) <= tol * r / 2.0:
-            return f
-        if not f <= 1e300:
+        done = abs(f - r) <= tol * r / 2.0
+        # the iterates move monotonically toward r*: r* lies beyond f, in the
+        # direction of the step, or at f once done
+        if not (f <= 1e300 or f < r and not done):
             raise InvariantError("no fixed point below 1e300; f does not cross r")
-        if not f >= 1e-300:
+        if not (f >= 1e-300 or f > r and not done):
             raise InvariantError("no fixed point above 1e-300; f may be trivial")
+        if done:
+            return f
         r = f
     raise ConvergenceError(f"fixed-point iteration did not reach tol in "
                            f"{_FIXED_POINT_STEPS} steps")

@@ -143,25 +143,30 @@ def _summand_law(sampler) -> SummandLaw:
 
 
 def _task_shape(sampler):
-    """(number of cover classes, class size, summands per task, chi_f)."""
+    """(number of cover classes, class size, summands per task)."""
     if sampler.structure == "iid_blocks":
-        return 1, sampler.m, sampler.m, 1.0
+        return 1, sampler.m, sampler.m
     n_classes = max(sampler.n_pos, sampler.n_neg)
     size = min(sampler.n_pos, sampler.n_neg)
-    return n_classes, size, sampler.n_pos * sampler.n_neg, float(n_classes)
+    return n_classes, size, sampler.n_pos * sampler.n_neg
+
+
+def _chi_list(sampler):
+    """chi_f of each task's dependency graph: its number of cover classes."""
+    return (float(_task_shape(sampler)[0]),) * sampler.k_tasks
 
 
 def _bundle(sampler, mean, e2):
     """(v, sigma^2, W, U) bundle for summands with the given mean and second
     moment; the almost-sure bound b is structural (it cannot be estimated)."""
     b = _summand_law(sampler).hi
-    n_classes, size, n_summands, chi = _task_shape(sampler)
+    n_classes, size, n_summands = _task_shape(sampler)
     v_class = (1.0 + b) * (size * mean) + size * e2
     return TailBoundInput(
         b=b,
         EZ=sampler.k_tasks * n_summands * mean,
         sigma_sq=sampler.k_tasks * n_summands * e2,
-        chi_list=(chi,) * sampler.k_tasks,
+        chi_list=_chi_list(sampler),
         blocks=(tuple((1.0, v_class) for _ in range(n_classes)),) * sampler.k_tasks,
     )
 
@@ -429,10 +434,16 @@ def _bound_at(inequality, inp, t):
     return conc.bennett_tail_general(inp, t)[1]  # talagrand: the simple form
 
 
-def _levels(inequality, form, inp, t_grid, c_dev):
-    """(t, threshold, bound) of each grid row, from the bundle and the
-    deviation constant c_dev alone: the threshold lies the deviation beyond
-    E[Z], below it for the lower tail."""
+def _bernstein_constant(inequality, chi_list):
+    """The deviation constant c matching the inequality."""
+    return (conc.refined_bernstein_constant if inequality == "bennett_refined"
+            else conc.general_bernstein_constant)(chi_list)
+
+
+def _levels(inequality, form, inp, t_grid):
+    """(t, threshold, bound) of each grid row, from the bundle alone: the
+    threshold lies the deviation beyond E[Z], below it for the lower tail."""
+    c_dev = _bernstein_constant(inequality, inp.chi_list)
     levels = []
     for t in t_grid:
         if form == "probability":
@@ -459,9 +470,9 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
     passes `check_t`, and with analytic moments every row is evaluated, before
     any draw; plugin moments and the Talagrand E[Z] depend on a calibration
     run, so their rows follow the draws.  A deviation grows with v, and its
-    term 2ct/3 reads only c, which chi_f fixes: each deviation row is first
-    evaluated at the least v > 0, so a row that overflows at every v is
-    refused before any draw.
+    term 2ct/3 reads only c, which chi_f fixes: on those two paths each
+    deviation row is first evaluated at the least v > 0, so a row that
+    overflows at every v is refused before any draw.
     """
     if inequality not in INEQUALITIES:
         raise ConfigError(f"unknown inequality {inequality!r}; choose from {INEQUALITIES}")
@@ -469,9 +480,8 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         raise ConfigError(f"unknown form {form!r}")
     for t in t_grid:
         check_t(t)
-    c_dev = (conc.refined_bernstein_constant if inequality == "bennett_refined"
-             else conc.general_bernstein_constant)((_task_shape(sampler)[3],) * sampler.k_tasks)
-    if form == "deviation":
+    if form == "deviation" and (inequality == "talagrand" or moments != "analytic"):
+        c_dev = _bernstein_constant(inequality, _chi_list(sampler))
         for t in t_grid:
             conc.bernstein_deviation(c_dev, math.ulp(0.0), t)  # at the least v > 0
 
@@ -479,14 +489,14 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         z = _simulate(sampler, n_trials, sup_mode=True)
         n_cal, offset = _calibration_run(n_trials)
         ez = float(_simulate(sampler, n_cal, sup_mode=True, stream_offset=offset).mean())
-        levels = _levels(inequality, form, _talagrand_input(sampler, ez), t_grid, c_dev)
+        levels = _levels(inequality, form, _talagrand_input(sampler, ez), t_grid)
         moments = "plugin"  # E[Z] is estimated, whatever was asked
     elif moments == "analytic":
-        levels = _levels(inequality, form, analytic_input(sampler), t_grid, c_dev)
+        levels = _levels(inequality, form, analytic_input(sampler), t_grid)
         z = sample_Z(sampler, n_trials).z
     else:
         result = sample_Z(sampler, n_trials, moments=moments)
-        z, levels = result.z, _levels(inequality, form, result.inp, t_grid, c_dev)
+        z, levels = result.z, _levels(inequality, form, result.inp, t_grid)
 
     report = TailReport(
         config=asdict(sampler), inequality=inequality, form=form,
@@ -510,9 +520,9 @@ def _talagrand_input(sampler, ez_estimate):
     unit-weight classes of size * sup_f E[f^2]."""
     law = _summand_law(sampler)
     f_second = (law.e2 - law.mean**2) / _sup_amp(law) ** 2  # sup_f E[f^2] per summand
-    n_classes, size, _, chi = _task_shape(sampler)
+    n_classes, size, _ = _task_shape(sampler)
     sigma_sq = 0.0  # sum_kj w_kj sigma_kj^2, block by block: a product moves v by ulps
     for _ in range(sampler.k_tasks * n_classes):
         sigma_sq += size * f_second
     return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=sigma_sq,
-                          chi_list=(chi,) * sampler.k_tasks, blocks=None)
+                          chi_list=_chi_list(sampler), blocks=None)

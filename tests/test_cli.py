@@ -447,6 +447,10 @@ class TestLfrcAndRstarCommands:
         # a relative tolerance of 1 or more would stop the iteration at its start
         ["lfrc", "fixed-point", "--a", "2", "--tol", "1.0"],
         ["lfrc", "fixed-point", "--a", "2", "--tol", "10"],
+        # r* = 1e302 is refused whether the iteration starts at it, above or below it
+        ["lfrc", "fixed-point", "--a", "1e151", "--r-hi", "1e302"],
+        ["lfrc", "fixed-point", "--a", "1e151", "--r-hi", "1e308"],
+        ["lfrc", "fixed-point", "--a", "1e151"],
     ])
     def test_bad_fixed_point_or_rstar_input_exit_2(self, tmp_path, args):
         matrix, big = tmp_path / "m.txt", tmp_path / "big.txt"

@@ -730,6 +730,18 @@ class TestFixedPoint:
         assert abs(r - 1.0) <= 1e-10
         assert len(calls) <= lfrc._GRID_POINTS + math.log2(r_hi) + 60
 
+    @pytest.mark.parametrize("r_hi", [1e-310, 1e-302, 1e-298, 1e290, 1e299, 1e302, 1e308])
+    def test_range_refusal_does_not_depend_on_r_hi(self, r_hi):
+        # r* = a^2: found inside [1e-300, 1e300] from every start, refused
+        # outside it from every start
+        for a, found in [(1e-149, True), (1e149, True), (1e-151, False), (1e151, False)]:
+            handle = SubRootHandle(fn=lambda r: a * math.sqrt(r), r_hi=r_hi)
+            if found:
+                assert fixed_point(handle) == pytest.approx(a * a, rel=1e-10)
+            else:
+                with pytest.raises(InvariantError, match="no fixed point"):
+                    fixed_point(handle)
+
     @pytest.mark.parametrize("r_hi", [math.nan, math.inf, 0.0, -1.0, 1e-320])
     def test_bad_r_hi_rejected(self, r_hi):
         with pytest.raises(DomainError, match="r_hi"):
