@@ -293,9 +293,11 @@ class SubRootHandle:
         _check_r_hi(self.r_hi)
 
     def grid_check(self):
-        """Verify sub-root properties on a grid; DomainError on failure."""
+        """Verify that fn is finite and sub-root on a grid; DomainError on failure."""
         grid = np.geomspace(self.r_hi * _GRID_SPAN, self.r_hi, _GRID_POINTS)
         vals = np.array([self.fn(r) for r in grid])
+        if not np.isfinite(vals).all():
+            raise DomainError("function is nan or infinite on the grid; not sub-root")
         if (vals < -1e-12).any():
             raise DomainError("function is negative on the grid; not sub-root")
         diffs = np.diff(vals)
@@ -319,7 +321,8 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     is then within tol / (2 - tol) of r* relative; tol is in (0, 1).
     An r* outside [1e-300, 1e300] raises InvariantError from any r_hi: an
     iterate outside that range is refused once it stops there or moves
-    away from the range, and one still moving back toward it is kept.
+    away from the range, and one still moving back toward it is kept.  A
+    nan f(r), such as one beyond the grid, raises DomainError.
     """
     _check_r_hi(handle.r_hi)
     if not 0.0 < tol < 1.0:
@@ -328,6 +331,8 @@ def fixed_point(handle: SubRootHandle, tol: float = 1e-10) -> float:
     r = handle.r_hi
     for _ in range(_FIXED_POINT_STEPS):
         f = handle.fn(r)
+        if math.isnan(f):
+            raise DomainError(f"function is nan at r = {r!r}; not sub-root")
         done = abs(f - r) <= tol * r / 2.0
         # the iterates move monotonically toward r*: r* lies beyond f, in the
         # direction of the step, or at f once done

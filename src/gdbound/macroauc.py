@@ -255,10 +255,6 @@ class MacroAucTask:
         return min(self.pos_idx.size, self.neg_idx.size) / self.n_total
 
     @property
-    def m_pairs(self) -> int:
-        return int(self.pos_idx.size) * int(self.neg_idx.size)
-
-    @property
     def chi(self) -> int:
         return max(self.pos_idx.size, self.neg_idx.size)
 

@@ -1,18 +1,20 @@
 """Synthetic multi-graph dependent generators and empirical tail checks
 for the concentration inequalities.
 
-Generators produce K independent task blocks.  An `iid_blocks` task is a
-sum of m independent base draws (edgeless dependency graph, chi_f = 1); a
-`bipartite_ranking` task draws n_pos + n_neg latent values, forms one
-bounded pair variable g(u_p, w_q) per (positive, negative) pair, and sums
-them, which realizes the rook dependency graph with chi_f =
-max(n_pos, n_neg).  All summands are bounded so the unit increment
-condition behind the tail bounds holds.
+Generators produce K independent task blocks, each described by its
+cover: the (weight, class size) pairs of a fractional cover of its
+dependency graph, whose weight sum is chi_f and sum w * size the summand
+count.  An `iid_blocks` task sums m independent base draws (edgeless
+graph, one class of m); a `bipartite_ranking` task draws n_pos + n_neg
+latent values and sums one bounded pair variable g(u_p, w_q) per
+(positive, negative) pair: the rook graph, whose cover has
+max(n_pos, n_neg) unit classes of min(n_pos, n_neg) pairs.  All summands
+are bounded, as the tail bounds need.
 
 One summand is described by a single `SummandLaw` (mean, second moment,
 range) derived from the base and the kernel; the (v, sigma^2, W, U)
 bundle, the almost-sure bound b = hi and the Talagrand amplitude are all
-read from it.
+read from it and the cover.
 
 Every kernel's pair task sum factorizes over the task's draws u and w
 (for the product kernel, sum_pq u_p w_q = (sum u)(sum w)), so a task sum
@@ -27,15 +29,14 @@ and second moment 1/3 - 2^-64/12, which rounds to 1/3, so the declared
 law is exact.  A two-point draw takes a whole word and is hi exactly when
 `Generator.random() < p` would be.  Task sums come from integers: the sum
 of a row's halves k, or its count of hi draws.  (Uniform draws were once
-`Generator.random()` doubles, one word each; the move to half-words moved
-every uniform-base report once, and no option keeps the old draw.
-Two-point streams did not move.)  Every draw goes through one batch loop
-that reduces each batch to its (trials, K) per-task sums before drawing
-the next.  Within a batch, each side's draws (the iid draws, or a pair
-task's u and then w) are drawn and reduced in row blocks of about 1 MiB
-from one generator, in the calling thread.  So one block and the batch's
-task sums are held in memory, whatever the trial count or task width,
-and every draw is the one a single `random_raw` call per side would give.
+`Generator.random()` doubles, one word each.)  Every draw goes through
+one batch loop that reduces each batch to its (trials, K) per-task sums
+before drawing the next.  Within a batch, each side's draws (the iid
+draws, or a pair task's u and then w) are drawn and reduced in row
+blocks of about 1 MiB from one generator, in the calling thread.  So one
+block and the batch's task sums are held in memory, whatever the trial
+count or task width, and every draw is the one a single `random_raw`
+call per side would give.
 """
 
 from __future__ import annotations
@@ -142,33 +143,32 @@ def _summand_law(sampler) -> SummandLaw:
     return SummandLaw(mean, (e2 + mean**2) / 2.0, lo, hi)
 
 
-def _task_shape(sampler):
-    """(number of cover classes, class size, summands per task)."""
+def _cover(sampler):
+    """A task's cover as (weight, class size) pairs: one class of the m iid
+    draws, or the rook cover of a pair task."""
     if sampler.structure == "iid_blocks":
-        return 1, sampler.m, sampler.m
-    n_classes = max(sampler.n_pos, sampler.n_neg)
-    size = min(sampler.n_pos, sampler.n_neg)
-    return n_classes, size, sampler.n_pos * sampler.n_neg
+        return ((1.0, sampler.m),)
+    return ((1.0, min(sampler.n_pos, sampler.n_neg)),) * max(sampler.n_pos, sampler.n_neg)
+
+
+def _n_summands(cover):
+    return sum(w * size for w, size in cover)  # a cover weighs each summand 1 in all
 
 
 def _chi_list(sampler):
-    """chi_f of each task's dependency graph: its number of cover classes."""
-    return (float(_task_shape(sampler)[0]),) * sampler.k_tasks
+    """chi_f of each task's dependency graph: its cover's weight sum."""
+    return (float(sum(w for w, _ in _cover(sampler))),) * sampler.k_tasks
 
 
 def _bundle(sampler, mean, e2):
-    """(v, sigma^2, W, U) bundle for summands with the given mean and second
-    moment; the almost-sure bound b is structural (it cannot be estimated)."""
-    b = _summand_law(sampler).hi
-    n_classes, size, n_summands = _task_shape(sampler)
-    v_class = (1.0 + b) * (size * mean) + size * e2
-    return TailBoundInput(
-        b=b,
-        EZ=sampler.k_tasks * n_summands * mean,
-        sigma_sq=sampler.k_tasks * n_summands * e2,
-        chi_list=_chi_list(sampler),
-        blocks=(tuple((1.0, v_class) for _ in range(n_classes)),) * sampler.k_tasks,
-    )
+    """(v, sigma^2, W, U) bundle, one (w, v_kj) block per cover class, for
+    summands with the given mean and second moment; the almost-sure bound
+    b is structural (it cannot be estimated)."""
+    b, cover = _summand_law(sampler).hi, _cover(sampler)
+    n, k = _n_summands(cover), sampler.k_tasks
+    blocks = tuple((w, (1.0 + b) * (size * mean) + size * e2) for w, size in cover)
+    return TailBoundInput(b=b, EZ=k * n * mean, sigma_sq=k * n * e2,
+                          chi_list=_chi_list(sampler), blocks=(blocks,) * k)
 
 
 def analytic_input(sampler) -> TailBoundInput:
@@ -327,7 +327,7 @@ def _simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
     if sup_mode:
         law = _summand_law(sampler)
         amp = _sup_amp(law)
-        shift = _task_shape(sampler)[2] * law.mean
+        shift = _n_summands(_cover(sampler)) * law.mean
 
     def reduce(task_sums, _):
         if sup_mode:
@@ -342,6 +342,8 @@ def _sup_amp(law):
     amp = max(law.hi - law.mean, law.mean - law.lo)
     if amp <= 0.0:
         raise ModeError("degenerate summand: supremum class has no spread")
+    if amp * amp == 0.0:  # the Talagrand sigma^2 divides by it
+        raise ModeError(f"supremum class spread {amp!r} underflows when squared")
     return amp
 
 
@@ -357,10 +359,13 @@ def sample_Z(sampler: DependentSampler, n_trials: int,
 
     moments='analytic' computes (E[Z], sigma^2, v) from the declared base
     and kernel; moments='plugin' estimates the summand moments from a
-    calibration run one tenth the size (separate seed stream).
+    calibration run one tenth the size (separate seed stream).  A base
+    that is 0 a.s. makes that estimate of v 0, so it is refused first.
     """
     if moments not in ("analytic", "plugin"):
         raise ConfigError(f"unknown moments mode {moments!r}")
+    if moments == "plugin" and sampler.base == "two_point" and sampler.base_hi == 0.0:
+        _bundle(sampler, 0.0, 0.0)  # every calibrated moment is 0: refuses v = 0
     z = _simulate(sampler, n_trials)
     if moments == "analytic":
         return SampleResult(z=z, inp=analytic_input(sampler))
@@ -378,7 +383,7 @@ def _calibrate(sampler, n_cal, stream_offset):
             lambda sums, sq: (float(sums.sum()), float(sq.sum())), squares=True):
         s1 += b1
         s2 += b2
-    count = n_cal * sampler.k_tasks * _task_shape(sampler)[2]
+    count = n_cal * sampler.k_tasks * _n_summands(_cover(sampler))
     return s1 / count, s2 / count
 
 
@@ -513,16 +518,11 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
 
 
 def _talagrand_input(sampler, ez_estimate):
-    """Bundle for the supremum process: v = sum w sigma_kj^2 + 2 E[Z].
-
-    The class is scaled into [-1, 1], so b = 1 is its envelope and
-    (1 + b) E[Z] + sigma^2 is the Talagrand v with sigma^2 = sum over the
-    unit-weight classes of size * sup_f E[f^2]."""
+    """Bundle for the supremum process, scaled into [-1, 1] (b = 1): v =
+    sum w sigma_kj^2 + 2 E[Z], sigma_kj^2 = class size * sup_f E[f^2]."""
     law = _summand_law(sampler)
     f_second = (law.e2 - law.mean**2) / _sup_amp(law) ** 2  # sup_f E[f^2] per summand
-    n_classes, size, _ = _task_shape(sampler)
-    sigma_sq = 0.0  # sum_kj w_kj sigma_kj^2, block by block: a product moves v by ulps
-    for _ in range(sampler.k_tasks * n_classes):
-        sigma_sq += size * f_second
-    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=sigma_sq,
+    # one (w, sigma_kj^2) block per cover class, added one by one: a product moves v by ulps
+    blocks = [[(w, size * f_second) for w, size in _cover(sampler)]] * sampler.k_tasks
+    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=conc.talagrand_v(blocks, 0.0),
                           chi_list=_chi_list(sampler), blocks=None)

@@ -18,9 +18,10 @@ a time, SGD row draws from spawned
 `default_rng` streams and their `integers` calls, Macro-AUC from one
 `scipy.stats.rankdata` call per label, and Monte Carlo task sums drawn
 in one call per side and batch, or added up from the whole (trials, K,
-n_pos, n_neg) pair tensor, phi in `mpmath` at a precision that
-outgrows its cancellation, and the excess-risk bound assemblies as
-their documented formulas in `mpmath`.
+n_pos, n_neg) pair tensor, verify's bundles from the positional
+(classes, class size, summands) task shape with unit weights written in,
+phi in `mpmath` at a precision that outgrows its cancellation, and the
+excess-risk bound assemblies as their documented formulas in `mpmath`.
 """
 
 import functools
@@ -37,6 +38,7 @@ from gdbound.errors import ConfigError, ConvergenceError, DegenerateLabelError, 
     finite_result
 from gdbound import mcverify
 from gdbound.bounds import SpectrumProfile
+from gdbound.concentration import TailBoundInput
 from gdbound.graphdep import FractionalCover
 from gdbound.lfrc import _EIG_CLIP
 from gdbound.macroauc import LAMBDA_GRID, MAX_CELLS, LinearRanker, MultiLabelDataset, \
@@ -775,7 +777,7 @@ def pair_tensor_simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
     if sup_mode:
         law = mcverify._summand_law(sampler)
         amp = mcverify._sup_amp(law)
-        shift = mcverify._task_shape(sampler)[2] * law.mean
+        shift = task_shape(sampler)[2] * law.mean
 
     def reduce(_, task_sums):
         if sup_mode:
@@ -796,6 +798,45 @@ def pair_tensor_calibrate(sampler, n_cal, stream_offset):
         s2 += b2
         count += n
     return s1 / count, s2 / count
+
+
+def task_shape(sampler):
+    """(number of cover classes, class size, summands per task): the
+    positional task description `mcverify` read before it read covers."""
+    if sampler.structure == "iid_blocks":
+        return 1, sampler.m, sampler.m
+    n_classes = max(sampler.n_pos, sampler.n_neg)
+    size = min(sampler.n_pos, sampler.n_neg)
+    return n_classes, size, sampler.n_pos * sampler.n_neg
+
+
+def task_shape_bundle(sampler, mean, e2):
+    """(v, sigma^2, W, U) bundle from `task_shape`, every class weight
+    written in as 1.0; the reference for `mcverify._bundle`."""
+    b = mcverify._summand_law(sampler).hi
+    n_classes, size, n_summands = task_shape(sampler)
+    v_class = (1.0 + b) * (size * mean) + size * e2
+    return TailBoundInput(
+        b=b,
+        EZ=sampler.k_tasks * n_summands * mean,
+        sigma_sq=sampler.k_tasks * n_summands * e2,
+        chi_list=(float(n_classes),) * sampler.k_tasks,
+        blocks=(tuple((1.0, v_class) for _ in range(n_classes)),) * sampler.k_tasks,
+    )
+
+
+def task_shape_talagrand_input(sampler, ez_estimate):
+    """Supremum-process bundle from `task_shape`, sigma^2 summed by its own
+    loop over the unit-weight classes; the reference for
+    `mcverify._talagrand_input`."""
+    law = mcverify._summand_law(sampler)
+    f_second = (law.e2 - law.mean**2) / mcverify._sup_amp(law) ** 2
+    n_classes, size, _ = task_shape(sampler)
+    sigma_sq = 0.0
+    for _ in range(sampler.k_tasks * n_classes):
+        sigma_sq += size * f_second
+    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=sigma_sq,
+                          chi_list=(float(n_classes),) * sampler.k_tasks, blocks=None)
 
 
 def mp_phi(x):

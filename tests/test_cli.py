@@ -208,6 +208,38 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "error: bernstein_deviation must be finite" in err
 
+    @pytest.mark.parametrize("shape", [["--structure", "iid:5"],
+                                       ["--structure", "iid:5", "--centered", "true"],
+                                       ["--structure", "bipartite:3,2"],
+                                       ["--structure", "bipartite:3,2", "--kernel", "mean"],
+                                       ["--structure", "bipartite:3,2", "--kernel",
+                                        "centered_product", "--k", "2"]])
+    @pytest.mark.parametrize("moments", ["analytic", "plugin"])
+    def test_zero_point_mass_is_refused_before_sampling(self, monkeypatch, shape, moments):
+        # every summand is 0, so v is 0 whether declared or calibrated
+        def undrawable(*args):
+            raise AssertionError("sampled a base that is 0 a.s.")
+
+        monkeypatch.setattr(mcverify, "_reduce_batches", undrawable)
+        code, out, err = run_cli(["verify", *shape, "--ineq", "bennett_general",
+                                  "--trials", "1000", "--base", "two_point", "--base-lo", "0",
+                                  "--base-hi", "0", "--moments", moments])
+        assert (code, out, err) == (
+            2, "", "error: v = (1+b)E[Z] + sigma^2 must be > 0, got 0.0\n")
+
+    def test_talagrand_spread_that_squares_to_zero_is_refused_before_sampling(
+            self, monkeypatch):
+        # sup_f E[f^2] divides by the spread squared: 5e-301 squares to 0
+        def undrawable(*args):
+            raise AssertionError("sampled a class whose spread squares to 0")
+
+        monkeypatch.setattr(mcverify, "_reduce_batches", undrawable)
+        code, out, err = run_cli(["verify", "--structure", "iid:1", "--ineq", "talagrand",
+                                  "--trials", "100", "--base", "two_point",
+                                  "--base-hi", "1e-300"])
+        assert (code, out, err) == (
+            2, "", "error: supremum class spread 5e-301 underflows when squared\n")
+
     def test_overflowing_deviation_threshold_exit_2(self):
         code, out, err = run_cli(["verify", "--structure", "bipartite:5,4", "--ineq",
                                   "bennett_general", "--trials", "100", "--form", "deviation",

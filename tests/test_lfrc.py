@@ -703,6 +703,26 @@ class TestFixedPoint:
         with pytest.raises(DomainError):
             fixed_point(SubRootHandle(fn=lambda r: 1.0 / (1.0 + r), r_hi=10.0))
 
+    NOT_FINITE = {"nan": lambda r: math.nan, "inf": lambda r: math.inf,
+                  "nan above 1": lambda r: math.sqrt(r) if r < 1.0 else math.nan}
+
+    @pytest.mark.parametrize("name", NOT_FINITE)
+    def test_non_finite_grid_value_rejected(self, name):
+        # nan fails every comparison, so each sub-root test would pass it
+        handle = SubRootHandle(fn=self.NOT_FINITE[name], r_hi=10.0)
+        with pytest.raises(DomainError, match="nan or infinite on the grid"):
+            handle.grid_check()
+        with pytest.raises(DomainError, match="nan or infinite on the grid"):
+            fixed_point(handle)
+
+    def test_nan_beyond_the_grid_rejected(self):
+        # f(10) = 316.2 lies above the grid, where f is nan
+        handle = SubRootHandle(fn=lambda r: 100.0 * math.sqrt(r) if r <= 20.0 else math.nan,
+                               r_hi=10.0)
+        handle.grid_check()
+        with pytest.raises(DomainError, match=r"function is nan at r = 316\.2"):
+            fixed_point(handle)
+
     def test_reused_handle_is_checked_again(self):
         # a handle solved once is checked again after its function changes
         h = SubRootHandle(fn=math.sqrt)

@@ -414,17 +414,17 @@ class TestPairTransform:
         ds = make_dataset(np.zeros((10, 2)), Y)
         task = pair_transform(ds, 0)
         assert task.tau == pytest.approx(0.3)
-        assert task.m_pairs == 21
+        assert task.pos_idx.size * task.neg_idx.size == 21
         assert task.chi == 7
         # m_k = n~^2 tau (1 - tau)
-        assert task.m_pairs == pytest.approx(100 * 0.3 * 0.7)
+        assert task.pos_idx.size * task.neg_idx.size == pytest.approx(100 * 0.3 * 0.7)
         assert task.chi == pytest.approx((1 - task.tau) * 10)
 
     def test_minimal_example(self):
         Y = np.array([[1], [-1]], dtype=np.int8)
         ds = make_dataset(np.zeros((2, 1)), Y)
         task = pair_transform(ds, 0)
-        assert task.tau == 0.5 and task.m_pairs == 1 and task.chi == 1
+        assert task.tau == 0.5 and task.pos_idx.size * task.neg_idx.size == 1 and task.chi == 1
 
     def test_all_positive_excluded(self):
         Y = np.ones((4, 1), dtype=np.int8)
@@ -438,7 +438,7 @@ class TestPairTransform:
         ds = make_dataset(np.zeros((5, 1)), Y)
         task = pair_transform(ds, 0)
         graph, cover = bipartite_ranking_graph(task.pos_idx.size, task.neg_idx.size)
-        assert graph.n_vertices == task.m_pairs
+        assert graph.n_vertices == task.pos_idx.size * task.neg_idx.size
         assert cover.total_weight == task.chi
         assert validate_cover(graph, cover).ok
 
@@ -448,9 +448,9 @@ class TestPairTransform:
             task = pair_transform(ds, k)
             n_pos = (ds.labels[:, k] == 1).sum()
             n_neg = 40 - n_pos
-            assert task.m_pairs == n_pos * n_neg
+            assert task.pos_idx.size * task.neg_idx.size == n_pos * n_neg
             assert task.chi == max(n_pos, n_neg)
-            assert task.m_pairs == pytest.approx(
+            assert task.pos_idx.size * task.neg_idx.size == pytest.approx(
                 40**2 * task.tau * (1 - task.tau))
 
 

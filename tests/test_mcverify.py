@@ -8,10 +8,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdbound import mcverify
 from gdbound.concentration import TailBoundInput
-from gdbound.errors import ConfigError, DomainError, ModeError
+from gdbound.errors import ConfigError, DomainError, GdboundError, ModeError
+from gdbound.graphdep import DependencyGraph, bipartite_ranking_graph, \
+    chromatic_fractional_exact
 from gdbound.mcverify import (
     DependentSampler,
     analytic_input,
@@ -19,7 +22,8 @@ from gdbound.mcverify import (
     sample_Z,
     verify_inequality,
 )
-from oracles import one_call_task_sums, pair_tensor_calibrate, pair_tensor_simulate
+from oracles import one_call_task_sums, pair_tensor_calibrate, pair_tensor_simulate, \
+    task_shape_bundle, task_shape_talagrand_input
 
 
 def bipartite(n_pos, n_neg, seed=0, **kw):
@@ -160,6 +164,60 @@ class TestSampleZ:
             sample_Z(iid(5), 0)
 
 
+def _classes(cover):
+    return sorted((w, len(members)) for members, w in cover.classes)
+
+
+class TestCover:
+    @pytest.mark.parametrize("n_pos,n_neg", [*itertools.product(range(1, 7), repeat=2),
+                                             (1, 9), (9, 1), (1, 40), (40, 1)])
+    def test_bipartite_task_reads_the_rook_cover(self, n_pos, n_neg):
+        cover = bipartite_ranking_graph(n_pos, n_neg)[1]
+        assert sorted(mcverify._cover(bipartite(n_pos, n_neg))) == _classes(cover)
+        assert mcverify._chi_list(bipartite(n_pos, n_neg, k_tasks=2)) == \
+            (cover.total_weight,) * 2
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_iid_task_reads_the_edgeless_graphs_cover(self, m):
+        chi, cover = chromatic_fractional_exact(DependencyGraph(m, (frozenset(),) * m))
+        assert list(mcverify._cover(iid(m))) == _classes(cover) == [(1.0, m)]
+        assert mcverify._chi_list(iid(m)) == (chi,)
+
+    @staticmethod
+    def outcome(build, *args):
+        """The built bundle, or the type and message of what refused it."""
+        try:
+            return build(*args)
+        except GdboundError as exc:
+            return type(exc), str(exc)
+
+    FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+    SAMPLERS = st.builds(
+        lambda shape, base, kernel, centered, k_tasks: DependentSampler(
+            **shape, **base, kernel=kernel, centered=centered, k_tasks=k_tasks),
+        st.one_of(st.integers(1, 10**4).map(lambda m: dict(structure="iid_blocks", m=m)),
+                  st.tuples(st.integers(1, 300), st.integers(1, 300)).map(
+                      lambda s: dict(structure="bipartite_ranking", n_pos=s[0], n_neg=s[1]))),
+        st.one_of(st.just({}), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                         st.floats(1e-9, 1.0, exclude_max=True)).map(
+            lambda b: dict(base="two_point", base_lo=min(b[:2]), base_hi=max(b[:2]),
+                           base_p=b[2]))),
+        st.sampled_from(("product", "centered_product", "mean")), st.booleans(),
+        st.integers(1, 4))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sampler=SAMPLERS, moments=st.one_of(st.none(), st.tuples(FLOATS, FLOATS)),
+           ez=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 1e-320, 0.5])))
+    def test_bundles_equal_the_task_shape_bundles(self, sampler, moments, ez):
+        # analytic moments, or any (mean, e2) a calibration run could give
+        law = mcverify._summand_law(sampler)
+        mean, e2 = (law.mean, law.e2) if moments is None else moments
+        assert self.outcome(mcverify._bundle, sampler, mean, e2) == \
+            self.outcome(task_shape_bundle, sampler, mean, e2)
+        assert self.outcome(mcverify._talagrand_input, sampler, ez) == \
+            self.outcome(task_shape_talagrand_input, sampler, ez)
+
+
 BASES = {
     "uniform": {},
     "two_point_01": dict(base="two_point", base_p=0.3, base_lo=0.0, base_hi=1.0),
@@ -178,7 +236,8 @@ def test_task_sums_match_pair_tensor_oracle(structure, base, kernel, centered,
     s = iid(5, **kw) if structure == "iid" else bipartite(4, 3, **kw)
     law = mcverify._summand_law(s)
     # cancellation in centered sums: absolute error on the scale of |Z|'s range
-    scale = k_tasks * mcverify._task_shape(s)[2] * max(abs(law.lo), abs(law.hi))
+    n_summands = mcverify._n_summands(mcverify._cover(s))
+    scale = k_tasks * n_summands * max(abs(law.lo), abs(law.hi))
     z = mcverify._simulate(s, trials)
     ref = pair_tensor_simulate(s, trials)
     if structure == "iid":

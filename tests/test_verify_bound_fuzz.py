@@ -7,6 +7,10 @@ same exit code and the same stdout as the flags.  The CLI runs in-process,
 so an uncaught exception fails the test; an argparse usage error is
 SystemExit(2), exit code 2.  Structure sizes stay at or below 50 and
 trials at or below 2,000, so every example runs in milliseconds.
+
+A `verify` run that exits 2 must also exit before its first draw, apart
+from the refusals that read the calibration run (see
+`test_verify_refuses_before_sampling`).
 """
 
 import pytest
@@ -14,7 +18,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from gdbound import mcverify
 from gdbound.mcverify import INEQUALITIES
+from gdbound.cli import COMMANDS
 from test_cli import run_cli
 
 NUMBER = st.sampled_from(["0", "1", "-1", "0.3", "0.5", "2", "1e300", "1e-300", "1e-320",
@@ -27,7 +33,7 @@ structure = st.one_of(
 trials = st.sampled_from(["1", "2", "10", "500", "2000", "0", "-1", "x", "1e3"])
 t_grid = st.lists(st.sampled_from(["0", "0.25", "1", "4", "30", "1e300", "nan", "inf", "-1",
                                    "x", "ln100"]), max_size=4).map(",".join)
-verify_options = st.fixed_dictionaries({}, optional={
+VERIFY_VALUES = {
     "--k": st.sampled_from(["1", "2", "3", "0", "-1", "x"]),
     "--base": st.sampled_from(["uniform", "two_point", "gaussian"]),
     "--base-p": NUMBER, "--base-lo": NUMBER, "--base-hi": NUMBER,
@@ -37,7 +43,8 @@ verify_options = st.fixed_dictionaries({}, optional={
     "--moments": st.sampled_from(["analytic", "plugin"]),
     "--t-grid": t_grid,
     "--seed": st.sampled_from(["0", "1", "-1", "x", "99999999999999999999"]),
-})
+}
+verify_options = st.fixed_dictionaries({}, optional=VERIFY_VALUES)
 
 FORMULAS = ["bernstein", "bennett-general", "bennett-refined", "lower-tail", "talagrand-v",
             "ours-macroauc", "prior-macroauc", "kernel-macroauc", "excess-general"]
@@ -115,3 +122,72 @@ def test_verify_fails_cleanly(config_path, structure, ineq, trials, options, und
 @given(formula=st.sampled_from(FORMULAS), options=bound_options, underscores=st.booleans())
 def test_bound_fails_cleanly(config_path, formula, options, underscores):
     assert_clean(["bound", formula], options, config_path, underscores)
+
+
+def refused_after_the_calibration_run(ineq, options, err):
+    """Whether a refusal reads the calibration run's result, one of the two
+    that may follow the draws: a deviation row that overflows only at the
+    calibrated v, or plugin moments whose calibration run estimates v = 0
+    on a base that is not 0 a.s. (that one is refused before any draw)."""
+    estimated = ineq == "talagrand" or options.get("--moments") == "plugin"
+    if options.get("--form") == "deviation" and estimated and \
+            "error: bernstein_deviation must be finite" in err:
+        return True
+    zero_base = options.get("--base") == "two_point" and options.get("--base-hi") in ("0", "-0")
+    return ineq != "talagrand" and options.get("--moments") == "plugin" and \
+        not zero_base and "error: v = (1+b)E[Z] + sigma^2 must be > 0" in err
+
+
+# Values that run, each mixed with every value above, so that a good share
+# of the examples reaches the draws: point masses at 0 and with a spread
+# of 1e-300, plugin moments, and t far enough out that a deviation row
+# overflows only at the calibrated v.
+RUNNING = {"--k": ["1", "3"], "--base": ["two_point"], "--base-p": ["0.3", "0.5"],
+           "--base-lo": ["0", "0.3"], "--base-hi": ["0", "0.3", "1", "1e-300"],
+           "--centered": ["true", "false"], "--t-grid": ["0.25,1", "1,1e307", "1,1.7e308"],
+           "--seed": ["0"]}
+
+
+def mostly(running, values):
+    """A running value three times in four, else any value of `values`."""
+    return st.tuples(st.sampled_from(running), values, st.sampled_from(range(4))).map(
+        lambda drawn: drawn[1] if drawn[2] == 0 else drawn[0])
+
+
+preflight_options = st.fixed_dictionaries({}, optional={
+    flag: mostly(RUNNING[flag], values) if flag in RUNNING else values
+    for flag, values in VERIFY_VALUES.items()})
+
+
+def test_preflight_options_draw_every_verify_row():
+    (table,) = [table for path, *_, table in COMMANDS if path == ("verify",)]
+    drawn = {"--structure", "--ineq", "--trials", *VERIFY_VALUES}
+    assert {opt.flag for opt in table} - drawn == {"--out"}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(structure=mostly(["iid:1", "iid:5", "bipartite:3,2"], structure),
+       ineq=st.sampled_from(INEQUALITIES), trials=mostly(["10", "2000"], trials),
+       options=preflight_options)
+def test_verify_refuses_before_sampling(structure, ineq, trials, options):
+    """A `verify` run that exits 2 has drawn nothing (`_reduce_batches` is
+    the one batch loop), apart from two refusals that read the calibration
+    run's result:
+      - a deviation row that overflows only at the calibrated v (plugin
+        moments or the Talagrand inequality);
+      - plugin moments whose calibration run estimates v = 0, such as a
+        point mass that the summand centers.
+    """
+    options = {"--structure": structure, "--ineq": ineq, "--trials": trials, **options}
+    draws, reduce_batches = [], mcverify._reduce_batches
+
+    def recorded(sampler, n_trials, *args, **kwargs):
+        draws.append(n_trials)
+        return reduce_batches(sampler, n_trials, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcverify, "_reduce_batches", recorded)
+        code, _, err = run(["verify", *flags(options)])
+    assert all(n <= 2000 for n in draws)
+    if code == 2 and draws:
+        assert refused_after_the_calibration_run(ineq, options, err), (options, err)
