@@ -28,6 +28,7 @@ from .errors import DomainError, InvariantError, check_t, finite_result
 _NEG_EIG_TOL = -1e-12
 _EPS = np.finfo(float).eps
 _RANK_DIVISOR = 8  # m // 8 pivots: what a full-rank Gram spends before its eigvalsh
+_ROWS = 64  # Gram rows per block of spectrum_from_gram's checks and residual
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,28 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     eigvalsh of A, which every other input takes: one of larger rank, one
     with ||A - R'R||_F above m eps lambda_max / 2 (an indefinite A among
     them), or one whose largest diagonal entry is not positive and finite.
+
+    The checks and the factor read the Gram in blocks of _ROWS rows, so
+    no m x m temporary is formed except A itself on the dense fallback.
     """
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError("Gram matrix must be square")
-    # An exactly symmetric G skips allclose; G - G' may overflow on a huge
+    m = G.shape[0]
+    finite = True
+    # An exactly symmetric block skips allclose; G - G' may overflow on a huge
     # asymmetric G, which is still asymmetric.
     with np.errstate(over="ignore", invalid="ignore"):
-        symmetric = (G == G.T).all() or np.allclose(G, G.T, atol=1e-8)
-    if not symmetric:
-        raise DomainError("Gram matrix must be symmetric within 1e-8")
-    if not np.isfinite(G).all():
+        for i in range(0, m, _ROWS):
+            rows, cols = G[i:i + _ROWS], G[:, i:i + _ROWS].T
+            if not ((rows == cols).all() or np.allclose(rows, cols, atol=1e-8)):
+                raise DomainError("Gram matrix must be symmetric within 1e-8")
+            finite = finite and np.isfinite(rows).all()
+    if not finite:
         raise DomainError("spectrum_from_gram must be finite, but its Gram matrix is not")
-    m = G.shape[0]
-    A = G / m
-    eigs = _low_rank_spectrum(A)
+    eigs = _low_rank_spectrum(G)
     if eigs is None:
-        eigs = np.linalg.eigvalsh(A)
+        eigs = np.linalg.eigvalsh(G / m)
     if eigs.size and eigs.min() < -1e-8 * max(1.0, eigs.max()):
         raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
     vals = np.zeros(m)
@@ -93,10 +99,10 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     return SpectrumProfile(values=vals)
 
 
-def _low_rank_spectrum(A):
-    """The r largest eigenvalues of A, ascending, from the r x r matrix
-    R R' of a diagonally pivoted Cholesky factor A ~ R'R; the other m - r
-    are within ||A - R'R||_F of 0.  None when the rank passes
+def _low_rank_spectrum(G):
+    """The r largest eigenvalues of A = G/m, ascending, from the r x r
+    matrix R R' of a diagonally pivoted Cholesky factor A ~ R'R; the other
+    m - r are within ||A - R'R||_F of 0.  None when the rank passes
     m // _RANK_DIVISOR, when ||A - R'R||_F exceeds m eps lambda_max / 2,
     or when max diag(A) is not positive and finite.
 
@@ -107,12 +113,17 @@ def _low_rank_spectrum(A):
     check bounds the error, with half of m eps lambda_max left to the
     roundoff of the eigensolvers.  It also refuses an indefinite A, such
     as one holding a [[0, 1], [1, 0]] block, whose diagonal is no guide.
+
+    A is never formed: a pivot row is scaled as G[p] / m when it is used,
+    the same bits as (G / m)[p], and ||A - R'R||_F^2 is summed over blocks
+    of _ROWS rows of R'R.
     """
-    m = len(A)
+    m = len(G)
     cap = m // _RANK_DIVISOR
     if cap < 1:
         return None
-    d = A.diagonal().copy()
+    scale = np.float64(m)  # G[p] / scale takes numpy's fast scalar path, with G[p] / m's bits
+    d = G.diagonal() / scale
     tol = m * _EPS * d.max()
     if not 0.0 < tol < math.inf:
         return None
@@ -128,15 +139,18 @@ def _low_rank_spectrum(A):
                 return None
             row = R[k]
             np.dot(R[:k, p], R[:k], out=row)
-            np.subtract(A[p], row, out=row)
+            np.subtract(G[p] / scale, row, out=row)
             row /= math.sqrt(pivot)
             d -= np.square(row)
             d[p] = 0.0
         R = R[:k]
         eigs = np.linalg.eigvalsh(R @ R.T)
-        E = R.T @ R
-        np.subtract(A, E, out=E)
-        if not math.sqrt(np.vdot(E, E)) <= 0.5 * m * _EPS * eigs[-1]:
+        residual = 0.0
+        for i in range(0, m, _ROWS):
+            E = R[:, i:i + _ROWS].T @ R
+            np.subtract(G[i:i + _ROWS] / scale, E, out=E)
+            residual += np.vdot(E, E)
+        if not math.sqrt(residual) <= 0.5 * m * _EPS * eigs[-1]:
             return None
     return eigs
 

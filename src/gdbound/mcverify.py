@@ -491,6 +491,7 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
             conc.bernstein_deviation(c_dev, math.ulp(0.0), t)  # at the least v > 0
 
     if inequality == "talagrand":
+        _talagrand_sigma_sq(sampler)  # the law and the cover fix it: refused before any draw
         z = _simulate(sampler, n_trials, sup_mode=True)
         n_cal, offset = _calibration_run(n_trials)
         ez = float(_simulate(sampler, n_cal, sup_mode=True, stream_offset=offset).mean())
@@ -517,12 +518,22 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
     return report
 
 
-def _talagrand_input(sampler, ez_estimate):
-    """Bundle for the supremum process, scaled into [-1, 1] (b = 1): v =
-    sum w sigma_kj^2 + 2 E[Z], sigma_kj^2 = class size * sup_f E[f^2]."""
+def _talagrand_sigma_sq(sampler):
+    """sum w sigma_kj^2 over every task's cover, sigma_kj^2 = class size *
+    sup_f E[f^2] for the supremum class scaled into [-1, 1]."""
     law = _summand_law(sampler)
     f_second = (law.e2 - law.mean**2) / _sup_amp(law) ** 2  # sup_f E[f^2] per summand
+    if f_second < 0.0:
+        raise ModeError(f"supremum class variance (E[f^2] - E[f]^2) / amp^2 = {f_second!r} "
+                        "is negative: the summand's second moment cancels against its squared "
+                        "mean in float arithmetic")
     # one (w, sigma_kj^2) block per cover class, added one by one: a product moves v by ulps
     blocks = [[(w, size * f_second) for w, size in _cover(sampler)]] * sampler.k_tasks
-    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=conc.talagrand_v(blocks, 0.0),
+    return conc.talagrand_v(blocks, 0.0)
+
+
+def _talagrand_input(sampler, ez_estimate):
+    """Bundle for the supremum process, scaled into [-1, 1] (b = 1): v =
+    sum w sigma_kj^2 + 2 E[Z]."""
+    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=_talagrand_sigma_sq(sampler),
                           chi_list=_chi_list(sampler), blocks=None)

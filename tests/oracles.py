@@ -6,7 +6,8 @@ projections for the constrained linear supremum, one eigendecomposition
 and one scalar brentq per (draw, task) for the localized complexity
 estimate, characteristic-polynomial
 root finding for eigenvalues, a Gram spectrum from one dense `eigvalsh`
-whatever its rank, plain-loop enumeration for the truncation
+whatever its rank or from a pivoted Cholesky factor checked against
+the whole m x m residual, plain-loop enumeration for the truncation
 minima, closed-form quadratics for sub-root fixed points and the
 bracket-and-bisect search `lfrc.fixed_point` ran before it iterated, a greedy
 coloring that rescans the edge list for every neighbourhood, the rook
@@ -37,7 +38,7 @@ from gdbound.errors import ConfigError, ConvergenceError, DegenerateLabelError, 
     DomainError, FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError, \
     finite_result
 from gdbound import mcverify
-from gdbound.bounds import SpectrumProfile
+from gdbound.bounds import _RANK_DIVISOR, SpectrumProfile
 from gdbound.concentration import TailBoundInput
 from gdbound.graphdep import FractionalCover
 from gdbound.lfrc import _EIG_CLIP
@@ -254,6 +255,69 @@ def eigvalsh_spectrum_from_gram(gram):
     if eigs.size and eigs.min() < -1e-8 * max(1.0, eigs.max()):
         raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
     return SpectrumProfile(values=np.clip(np.sort(eigs)[::-1], 0.0, None))
+
+
+@finite_result
+def dense_residual_spectrum_from_gram(gram):
+    """`bounds.spectrum_from_gram` as it was before it read the Gram in row
+    blocks: the symmetry and finiteness checks on the whole matrix, A = G/m
+    formed once, and the low-rank path's residual A - R'R as one m x m
+    matrix."""
+    G = np.asarray(gram, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise DomainError("Gram matrix must be square")
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = (G == G.T).all() or np.allclose(G, G.T, atol=1e-8)
+    if not symmetric:
+        raise DomainError("Gram matrix must be symmetric within 1e-8")
+    if not np.isfinite(G).all():
+        raise DomainError(f"{dense_residual_spectrum_from_gram.__name__} must be finite, "
+                          "but its Gram matrix is not")
+    m = G.shape[0]
+    A = G / m
+    eigs = _dense_residual_low_rank_spectrum(A)
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(A)
+    if eigs.size and eigs.min() < -1e-8 * max(1.0, eigs.max()):
+        raise DomainError(f"Gram matrix not PSD: eigenvalue {eigs.min()}")
+    vals = np.zeros(m)
+    vals[:eigs.size] = np.clip(np.sort(eigs)[::-1], 0.0, None)
+    return SpectrumProfile(values=vals)
+
+
+def _dense_residual_low_rank_spectrum(A):
+    """The pivoted Cholesky spectrum of A, or None, as in
+    `dense_residual_spectrum_from_gram`."""
+    m = len(A)
+    cap = m // _RANK_DIVISOR
+    if cap < 1:
+        return None
+    d = A.diagonal().copy()
+    tol = m * np.finfo(float).eps * d.max()
+    if not 0.0 < tol < math.inf:
+        return None
+    R = np.empty((cap, m))
+    with np.errstate(all="ignore"):
+        for k in range(cap + 1):
+            p = d.argmax()
+            pivot = d[p]
+            if pivot <= tol:
+                break
+            if k == cap:
+                return None
+            row = R[k]
+            np.dot(R[:k, p], R[:k], out=row)
+            np.subtract(A[p], row, out=row)
+            row /= math.sqrt(pivot)
+            d -= np.square(row)
+            d[p] = 0.0
+        R = R[:k]
+        eigs = np.linalg.eigvalsh(R @ R.T)
+        E = R.T @ R
+        np.subtract(A, E, out=E)
+        if not math.sqrt(np.vdot(E, E)) <= 0.5 * m * np.finfo(float).eps * eigs[-1]:
+            return None
+    return eigs
 
 
 def brute_force_rstar_kernel(spectra_values, chi_list, m_list, m_tilde, K):

@@ -1,10 +1,12 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gdbound import bounds
 from gdbound.bounds import (
     BoundParams,
     SpectrumProfile,
@@ -17,12 +19,13 @@ from gdbound.bounds import (
     spectrum_from_gram,
     spectrum_from_weights,
 )
-from gdbound.errors import DomainError, InvariantError
+from gdbound.errors import DomainError, GdboundError, InvariantError
 
 from oracles import (
     brute_force_rstar_kernel,
     brute_force_rstar_linear,
     charpoly_eigenvalues,
+    dense_residual_spectrum_from_gram,
     eigvalsh_spectrum_from_gram,
     mp_bound_kernel,
     mp_bound_ours,
@@ -43,11 +46,11 @@ def pair_features(rng, n_pos, n_neg, dim):
 
 
 @st.composite
-def drawn_grams(draw):
-    """(A A', s): m <= 120 rows of any rank, some of them zero and some
+def drawn_grams(draw, max_rows=120):
+    """(A A', s): m <= max_rows rows of any rank, some of them zero and some
     repeated, and a scale exponent s; the Gram to test is A A' 4^s.  Column
     scales down to 10^-spread put some eigenvalues near the rank cut-off."""
-    m = draw(st.integers(1, 120))
+    m = draw(st.integers(1, max_rows))
     rank = draw(st.one_of(st.integers(0, m // 8), st.integers(0, m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spread = draw(st.sampled_from([0.0, 4.0, 10.0]))
@@ -85,6 +88,79 @@ def assert_near_oracle(name, call, exact):
         assert str(exc).startswith(f"{name} must be finite"), exc
         return
     assert abs(got - exact) <= ORACLE_REL_TOL * max(exact, sys.float_info.min), (got, exact)
+
+
+DEFECTS = ["asymmetric", "negative diagonal", "indefinite block", "inf", "-inf", "nan",
+           "inf diagonal", "one-sided inf"]
+
+
+def with_defect(G, place, defect):
+    """G with one defect written at entry (i, j) = (place % m, place // m % m)."""
+    m = len(G)
+    i, j = place % m, place // m % m
+    big = 1.0 + np.abs(G).max()
+    if defect in ("asymmetric", "indefinite block", "one-sided inf"):
+        assume(i != j)
+    if defect == "asymmetric":
+        G[i, j] += big
+    elif defect == "negative diagonal":
+        G[i, i] = -big
+    elif defect == "inf diagonal":
+        G[i, i] = math.inf
+    elif defect == "one-sided inf":
+        G[i, j] = math.inf
+    elif defect == "indefinite block":  # zero diagonal, [[0, big], [big, 0]]
+        G[[i, j]] = 0.0
+        G[:, [i, j]] = 0.0
+        G[i, j] = G[j, i] = big
+    else:
+        G[i, j] = G[j, i] = float(defect)
+    return G
+
+
+def certify_gram():
+    """The certify task's Gram: 22 x 22 pairs of 72 features, rank 43 of 484 rows."""
+    X = pair_features(np.random.default_rng(1), 22, 22, 72)
+    return X @ X.T
+
+
+def spread_gram(m):
+    """m A for A = e1 e1' + lam v v', lam = 10 m eps, v spread over rows
+    2..m: every residual diagonal lam / (m - 1) lies below the pivot
+    threshold m eps."""
+    lam = 10 * m * EPS
+    v = np.r_[0.0, np.full(m - 1, 1.0 / math.sqrt(m - 1))]
+    return m * (np.outer(np.eye(m)[0], np.eye(m)[0]) + lam * np.outer(v, v))
+
+
+def indefinite_gram():
+    G = np.zeros((16, 16))
+    G[3, 9] = G[9, 3] = 1.0
+    return G
+
+
+def rbf_gram(m):
+    Z = np.random.default_rng(2).normal(size=(m, 5))
+    return np.exp(-0.5 * ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
+
+
+def outcome(fn, G):
+    """fn's spectrum as bytes, or the type and message of its GdboundError."""
+    try:
+        return fn(G).values.tobytes()
+    except GdboundError as exc:
+        return type(exc), str(exc).replace(fn.__name__, spectrum_from_gram.__name__)
+
+
+def assert_as_dense_residual_oracle(G, rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_ROWS", rows)
+        got = outcome(spectrum_from_gram, G)
+    assert got == outcome(dense_residual_spectrum_from_gram, G)
+
+
+# one row, a few rows (484 = 69 * 7 + 1 ends in a one-row block) and the default
+BLOCK_ROWS = [1, 7, bounds._ROWS]
 
 
 class TestSpectrumFromGram:
@@ -152,24 +228,18 @@ class TestSpectrumFromGram:
         return shapes
 
     def test_pair_gram_decomposes_its_rank(self, eigvalsh_shapes):
-        # 22 x 22 pairs of 72 features: rank 22 + 22 - 1 of 484 rows
-        X = pair_features(np.random.default_rng(1), 22, 22, 72)
-        spec = spectrum_from_gram(X @ X.T)
+        spec = spectrum_from_gram(certify_gram())
         assert eigvalsh_shapes == [(43, 43)]
         assert spec.values.shape == (484,)
         assert (spec.values[43:] == 0.0).all() and spec.values[42] > 0.0
 
     def test_full_rank_gram_falls_back(self, eigvalsh_shapes):
-        Z = np.random.default_rng(2).normal(size=(120, 5))
-        rbf = np.exp(-0.5 * ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
-        spectrum_from_gram(rbf)
+        spectrum_from_gram(rbf_gram(120))
         assert eigvalsh_shapes == [(120, 120)]
 
     def test_indefinite_block_falls_back_and_is_refused(self, eigvalsh_shapes):
-        G = np.zeros((16, 16))
-        G[3, 9] = G[9, 3] = 1.0
         with pytest.raises(DomainError, match="^Gram matrix not PSD: eigenvalue -0.0625$"):
-            spectrum_from_gram(G)
+            spectrum_from_gram(indefinite_gram())
         assert eigvalsh_shapes == [(16, 16)]
 
     @pytest.mark.parametrize("m, shape", [(m, (m, m)) for m in range(1, 8)] + [(8, (1, 1))])
@@ -179,15 +249,10 @@ class TestSpectrumFromGram:
 
     @pytest.mark.parametrize("m", [16, 64, 120])
     def test_an_eigenvalue_spread_below_the_pivot_threshold_is_kept(self, m):
-        # A = e1 e1' + lam v v', v spread over rows 2..m: every residual
-        # diagonal lam / (m - 1) is below the pivot threshold m eps, yet lam
-        # is 10 m eps, ten times the accuracy the spectrum promises
-        lam = 10 * m * EPS
-        v = np.r_[0.0, np.full(m - 1, 1.0 / math.sqrt(m - 1))]
-        A = np.outer(np.eye(m)[0], np.eye(m)[0]) + lam * np.outer(v, v)
-        got = spectrum_from_gram(m * A).values
-        assert np.abs(got - eigvalsh_spectrum_from_gram(m * A).values).max() <= m * EPS
-        assert got[1] == pytest.approx(lam, rel=0.1)
+        # lam = 10 m eps is ten times the accuracy the spectrum promises
+        got = spectrum_from_gram(spread_gram(m)).values
+        assert np.abs(got - eigvalsh_spectrum_from_gram(spread_gram(m)).values).max() <= m * EPS
+        assert got[1] == pytest.approx(10 * m * EPS, rel=0.1)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(drawn=drawn_grams())
@@ -202,32 +267,10 @@ class TestSpectrumFromGram:
             spectrum_from_gram(G * 4.0**other)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(drawn=drawn_grams(), place=st.integers(0, 2**16),
-           defect=st.sampled_from(["asymmetric", "negative diagonal", "indefinite block",
-                                   "inf", "-inf", "nan", "inf diagonal",
-                                   "one-sided inf"]))
+    @given(drawn=drawn_grams(), place=st.integers(0, 2**16), defect=st.sampled_from(DEFECTS))
     def test_bad_input_raises_as_the_oracle_does(self, drawn, place, defect):
         G, s = drawn
-        G = G * 4.0**s
-        m = len(G)
-        i, j = place % m, place // m % m
-        big = 1.0 + np.abs(G).max()
-        if defect in ("asymmetric", "indefinite block", "one-sided inf"):
-            assume(i != j)
-        if defect == "asymmetric":
-            G[i, j] += big
-        elif defect == "negative diagonal":
-            G[i, i] = -big
-        elif defect == "inf diagonal":
-            G[i, i] = math.inf
-        elif defect == "one-sided inf":
-            G[i, j] = math.inf
-        elif defect == "indefinite block":  # zero diagonal, [[0, big], [big, 0]]
-            G[[i, j]] = 0.0
-            G[:, [i, j]] = 0.0
-            G[i, j] = G[j, i] = big
-        else:
-            G[i, j] = G[j, i] = float(defect)
+        G = with_defect(G * 4.0**s, place, defect)
         # a non-finite entry is refused before any decomposition
         with pytest.raises(DomainError) as want:
             eigvalsh_spectrum_from_gram(G)
@@ -236,6 +279,38 @@ class TestSpectrumFromGram:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value).replace(
             eigvalsh_spectrum_from_gram.__name__, spectrum_from_gram.__name__)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("name, gram", [
+        ("certify pair Gram", certify_gram),
+        ("full rank", lambda: rbf_gram(120)),
+        ("indefinite block", indefinite_gram),
+        *[(f"spread below the pivot threshold, m = {m}", lambda m=m: spread_gram(m))
+          for m in (16, 64, 120)],
+        *[(f"ones, m = {m}", lambda m=m: np.ones((m, m))) for m in (7, 8, 130)],
+    ])
+    def test_row_blocks_give_the_dense_residual_bytes(self, rows, name, gram):
+        assert_as_dense_residual_oracle(gram(), rows)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(drawn=drawn_grams(max_rows=200), place=st.integers(0, 2**16),
+           defect=st.sampled_from([None, *DEFECTS]))
+    def test_drawn_row_blocks_give_the_dense_residual_bytes(self, rows, drawn, place, defect):
+        G, s = drawn
+        G = G * 4.0**s
+        assert_as_dense_residual_oracle(G if defect is None else with_defect(G, place, defect),
+                                        rows)
+
+    def test_peak_memory_stays_below_one_gram(self):
+        G = certify_gram()
+        tracemalloc.start()
+        try:
+            spectrum_from_gram(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < G.nbytes  # 484 x 484 float64: 1.87e6 bytes
 
 
 class TestSpectrumFromWeights:

@@ -16,7 +16,7 @@ from the refusals that read the calibration run (see
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gdbound import mcverify
 from gdbound.mcverify import INEQUALITIES
@@ -169,6 +169,10 @@ def test_preflight_options_draw_every_verify_row():
 @given(structure=mostly(["iid:1", "iid:5", "bipartite:3,2"], structure),
        ineq=st.sampled_from(INEQUALITIES), trials=mostly(["10", "2000"], trials),
        options=preflight_options)
+# endpoints one ulp apart: sup_f E[f^2] = (e2 - mean^2) / amp^2 cancels below 0
+@example(structure="bipartite:2,3", ineq="talagrand", trials="1000",
+         options={"--base": "two_point", "--base-lo": "0.33",
+                  "--base-hi": "0.33000000000000007", "--base-p": "0.7"})
 def test_verify_refuses_before_sampling(structure, ineq, trials, options):
     """A `verify` run that exits 2 has drawn nothing (`_reduce_batches` is
     the one batch loop), apart from two refusals that read the calibration
