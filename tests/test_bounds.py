@@ -139,6 +139,16 @@ def indefinite_gram():
     return G
 
 
+def close_one_way_gram(lower):
+    """A 2 x 2 Gram whose off-diagonal pair is close within 1e-8 + 1e-5 |y|
+    as isclose(x, y) but not as isclose(y, x): refused, as allclose(G, G')
+    reads both; lower puts the larger entry below the diagonal."""
+    big = 1.0 + 1.001005e-5
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    G[(1, 0) if lower else (0, 1)] = big
+    return G
+
+
 def rbf_gram(m):
     Z = np.random.default_rng(2).normal(size=(m, 5))
     return np.exp(-0.5 * ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
@@ -285,6 +295,8 @@ class TestSpectrumFromGram:
         ("certify pair Gram", certify_gram),
         ("full rank", lambda: rbf_gram(120)),
         ("indefinite block", indefinite_gram),
+        ("close one way, larger entry below", lambda: close_one_way_gram(True)),
+        ("close one way, larger entry above", lambda: close_one_way_gram(False)),
         *[(f"spread below the pivot threshold, m = {m}", lambda m=m: spread_gram(m))
           for m in (16, 64, 120)],
         *[(f"ones, m = {m}", lambda m=m: np.ones((m, m))) for m in (7, 8, 130)],
