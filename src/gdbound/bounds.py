@@ -71,8 +71,9 @@ def spectrum_from_gram(gram) -> SpectrumProfile:
     with ||A - R'R||_F above m eps lambda_max / 2 (an indefinite A among
     them), or one whose largest diagonal entry is not positive and finite.
 
-    The checks and the factor read the Gram in blocks of _ROWS rows, so
-    no m x m temporary is formed except A itself on the dense fallback.
+    The checks and the residual read the Gram in blocks of _ROWS rows, and
+    the factor one pivot row at a time, so no m x m temporary is formed
+    except A itself on the dense fallback.
     """
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
