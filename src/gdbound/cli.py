@@ -380,26 +380,38 @@ def cmd_lfrc_fixed_point(cfg):
 
 
 # ---------------------------------------------------------------- rstar
+#
+# Both commands refuse what their options alone fix before they read a
+# matrix file: the counts, the parameters, --d-max, and an r* that no
+# spectrum keeps finite.  The last is found by evaluating r* with every
+# spectrum zero: each value computed there is also computed on the files'
+# spectra, so nothing they would pass is refused.  A malformed or
+# unreadable file (exit 3), a Gram that is not square, symmetric or PSD,
+# and a spectrum or r* that is not finite are refused after the read.
 
 def cmd_rstar_kernel(cfg):
     paths, chi, m = cfg["gram"], cfg["chi"], cfg["m"]
-    spectra = [bnd.spectrum_from_gram(_load_matrix(p)) for p in paths]
-    if not (len(spectra) == len(chi) == len(m)):
+    if not (len(paths) == len(chi) == len(m)):
         raise ConfigError("--gram, --chi and --m must have one entry per task")
-    r_star, cuts = bnd.rstar_kernel(spectra, _task_params(cfg, m_tilde=cfg["mtilde"]))
+    params = _task_params(cfg, m_tilde=cfg["mtilde"])
+    bnd.rstar_kernel([bnd.SpectrumProfile(np.zeros(1))] * len(paths), params)
+    spectra = [bnd.spectrum_from_gram(_load_matrix(p)) for p in paths]
+    r_star, cuts = bnd.rstar_kernel(spectra, params)
     print(f"r_star = {_fmt(r_star)} cuts = {','.join(str(c) for c in cuts)}")
     return EXIT_OK
 
 
 def cmd_rstar_linear(cfg):
-    spectrum = bnd.spectrum_from_weights(_load_matrix(cfg["weights"]))
+    path, d_max = cfg["weights"], cfg.get("d_max")
     norms = dict(m_tilde=cfg["mtilde"], m_bar=cfg["mbar"])
     if cfg.get("tau") is not None:
         params = bnd.BoundParams.pair_transformed(cfg["tau"], cfg["n"], **norms)
     else:
         params = _task_params(cfg, **norms)
+    bnd.rstar_linear(bnd.SpectrumProfile(np.zeros(1)), params, d_max=d_max)
+    spectrum = bnd.spectrum_from_weights(_load_matrix(path))
     r_star, cut = bnd.rstar_linear(spectrum, params, experiment_mode=cfg["experiment_mode"],
-                                   d_max=cfg.get("d_max"))
+                                   d_max=d_max)
     print(f"r_star = {_fmt(r_star)} cut = {cut}")
     return EXIT_OK
 

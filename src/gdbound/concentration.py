@@ -105,8 +105,6 @@ class TailBoundInput:
             raise DomainError(f"sigma^2 must be >= 0, got {self.sigma_sq}")
         if self.v <= 0:
             raise InvariantError(f"v = (1+b)E[Z] + sigma^2 must be > 0, got {self.v}")
-        if self.W < K:
-            raise InvariantError("W = sum chi_f >= K must hold")
         if self.blocks is not None:
             if len(self.blocks) != K:
                 raise InvariantError("blocks must list one tuple per task")
@@ -130,8 +128,6 @@ class TailBoundInput:
                 raise InvariantError(
                     f"sum of w_kj * v_kj = {block_v} inconsistent with v = {self.v}"
                 )
-            if self.U < self.W - 1e-12:
-                raise InvariantError("U >= W must hold")
 
 
 @finite_result

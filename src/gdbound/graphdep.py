@@ -120,13 +120,6 @@ class FractionalCover:
     def total_weight(self):
         return float(sum(w for _, w in self.classes))
 
-    def vertex_weight_sums(self):
-        sums = np.zeros(self.graph.n_vertices)
-        for vs, w in self.classes:
-            for v in vs:
-                sums[v] += w
-        return sums
-
     def to_text(self):
         """One `weight: v1 v2 ...` line per class."""
         lines = []
@@ -175,16 +168,16 @@ def validate_cover(graph: DependencyGraph, cover: FractionalCover) -> CoverRepor
             f"cover built for {cover.graph.n_vertices} vertices, graph has "
             f"{graph.n_vertices}"
         )
-    violations = []
+    violations, sums = [], np.zeros(graph.n_vertices)
     for idx, (vs, w) in enumerate(cover.classes):
         for v in vs:
             if not (0 <= v < graph.n_vertices):
                 raise StructuralError(f"class {idx} contains vertex {v} out of range")
+            sums[v] += w
         if not (0.0 < w <= 1.0):
             violations.append(f"class {idx}: weight {w} outside (0, 1]")
         if not graph.is_independent(vs):
             violations.append(f"class {idx}: not an independent set")
-    sums = cover.vertex_weight_sums()
     bad = np.flatnonzero(np.abs(sums - 1.0) > COVER_SUM_TOL)
     violations += [f"vertex {v}: weight sum {float(sums[v])!r} != 1"
                    for v in bad[:MAX_VERTEX_LINES]]

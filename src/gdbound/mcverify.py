@@ -13,8 +13,8 @@ are bounded, as the tail bounds need.
 
 One summand is described by a single `SummandLaw` (mean, second moment,
 range) derived from the base and the kernel; the (v, sigma^2, W, U)
-bundle, the almost-sure bound b = hi and the Talagrand amplitude are all
-read from it and the cover.
+bundle, the almost-sure bound b = hi and the Talagrand supremum class
+(`_sup_class`: amp, shift, sigma^2) are all read from it and the cover.
 
 Every kernel's pair task sum factorizes over the task's draws u and w
 (for the product kernel, sum_pq u_p w_q = (sum u)(sum w)), so a task sum
@@ -319,32 +319,41 @@ def _reduce_batches(sampler, n_trials, stream_offset, reduce, squares=False):
             for i in range(_n_batches(n_trials))]
 
 
-def _simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
-    """Z realizations; sup_mode replaces each task sum by the supremum of
-    the two-function centered class {+f, -f} (|centered task sum| / amp)."""
+def _simulate(sampler, n_trials, sup_class=None, stream_offset=0):
+    """Z realizations; given a `_sup_class` (amp, shift, sigma^2), each task
+    sum is replaced by its supremum over that class, |task sum - shift| / amp."""
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
-    if sup_mode:
-        law = _summand_law(sampler)
-        amp = _sup_amp(law)
-        shift = _n_summands(_cover(sampler)) * law.mean
 
     def reduce(task_sums, _):
-        if sup_mode:
-            task_sums = np.abs(task_sums - shift) / amp
+        if sup_class is not None:
+            task_sums = np.abs(task_sums - sup_class[1]) / sup_class[0]
         return task_sums.sum(axis=1)
 
     return np.concatenate(_reduce_batches(sampler, n_trials, stream_offset, reduce))
 
 
-def _sup_amp(law):
-    """sup |summand - E[summand]|, the scaling putting the class in [-1, 1]."""
+def _sup_class(sampler):
+    """(amp, shift, sigma^2) of the centered two-function class {+f, -f}:
+    amp = sup |summand - E[summand]| scales the class into [-1, 1], a task
+    sum less shift = summand count * E[summand] is centered, and sigma^2 =
+    sum w sigma_kj^2 over every task's cover, with sigma_kj^2 = class size *
+    sup_f E[f^2].  The law and the cover fix all three, so a class with no
+    spread or with a variance that cancels below 0 is refused before any draw."""
+    law, cover = _summand_law(sampler), _cover(sampler)
     amp = max(law.hi - law.mean, law.mean - law.lo)
     if amp <= 0.0:
         raise ModeError("degenerate summand: supremum class has no spread")
-    if amp * amp == 0.0:  # the Talagrand sigma^2 divides by it
+    if amp * amp == 0.0:  # sigma^2 divides by it
         raise ModeError(f"supremum class spread {amp!r} underflows when squared")
-    return amp
+    f_second = (law.e2 - law.mean**2) / amp**2  # sup_f E[f^2] per summand
+    if f_second < 0.0:
+        raise ModeError(f"supremum class variance (E[f^2] - E[f]^2) / amp^2 = {f_second!r} "
+                        "is negative: the summand's second moment cancels against its squared "
+                        "mean in float arithmetic")
+    # one (w, sigma_kj^2) block per cover class, added one by one: a product moves v by ulps
+    blocks = [[(w, size * f_second) for w, size in cover]] * sampler.k_tasks
+    return amp, _n_summands(cover) * law.mean, conc.talagrand_v(blocks, 0.0)
 
 
 @dataclass
@@ -491,11 +500,13 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
             conc.bernstein_deviation(c_dev, math.ulp(0.0), t)  # at the least v > 0
 
     if inequality == "talagrand":
-        _talagrand_sigma_sq(sampler)  # the law and the cover fix it: refused before any draw
-        z = _simulate(sampler, n_trials, sup_mode=True)
+        sup_class = _sup_class(sampler)  # refused before any draw
+        z = _simulate(sampler, n_trials, sup_class)
         n_cal, offset = _calibration_run(n_trials)
-        ez = float(_simulate(sampler, n_cal, sup_mode=True, stream_offset=offset).mean())
-        levels = _levels(inequality, form, _talagrand_input(sampler, ez), t_grid)
+        ez = float(_simulate(sampler, n_cal, sup_class, stream_offset=offset).mean())
+        # the supremum process scaled into [-1, 1] (b = 1): v = sum w sigma_kj^2 + 2 E[Z]
+        inp = TailBoundInput(b=1.0, EZ=ez, sigma_sq=sup_class[2], chi_list=_chi_list(sampler))
+        levels = _levels(inequality, form, inp, t_grid)
         moments = "plugin"  # E[Z] is estimated, whatever was asked
     elif moments == "analytic":
         levels = _levels(inequality, form, analytic_input(sampler), t_grid)
@@ -517,23 +528,3 @@ def verify_inequality(sampler: DependentSampler, inequality: str, t_grid,
         })
     return report
 
-
-def _talagrand_sigma_sq(sampler):
-    """sum w sigma_kj^2 over every task's cover, sigma_kj^2 = class size *
-    sup_f E[f^2] for the supremum class scaled into [-1, 1]."""
-    law = _summand_law(sampler)
-    f_second = (law.e2 - law.mean**2) / _sup_amp(law) ** 2  # sup_f E[f^2] per summand
-    if f_second < 0.0:
-        raise ModeError(f"supremum class variance (E[f^2] - E[f]^2) / amp^2 = {f_second!r} "
-                        "is negative: the summand's second moment cancels against its squared "
-                        "mean in float arithmetic")
-    # one (w, sigma_kj^2) block per cover class, added one by one: a product moves v by ulps
-    blocks = [[(w, size * f_second) for w, size in _cover(sampler)]] * sampler.k_tasks
-    return conc.talagrand_v(blocks, 0.0)
-
-
-def _talagrand_input(sampler, ez_estimate):
-    """Bundle for the supremum process, scaled into [-1, 1] (b = 1): v =
-    sum w sigma_kj^2 + 2 E[Z]."""
-    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=_talagrand_sigma_sq(sampler),
-                          chi_list=_chi_list(sampler), blocks=None)

@@ -19,8 +19,9 @@ a time, SGD row draws from spawned
 `default_rng` streams and their `integers` calls, Macro-AUC from one
 `scipy.stats.rankdata` call per label, and Monte Carlo task sums drawn
 in one call per side and batch, or added up from the whole (trials, K,
-n_pos, n_neg) pair tensor, verify's bundles from the positional
-(classes, class size, summands) task shape with unit weights written in,
+n_pos, n_neg) pair tensor, verify's bundles and supremum class from
+the positional (classes, class size, summands) task shape with unit
+weights written in and the summand law written out per kernel,
 phi in `mpmath` at a precision that outgrows its cancellation, and the
 excess-risk bound assemblies as their documented formulas in `mpmath`.
 """
@@ -35,8 +36,8 @@ from scipy.optimize import brentq, linprog
 from scipy.stats import rankdata
 
 from gdbound.errors import ConfigError, ConvergenceError, DegenerateLabelError, \
-    DomainError, FormatError, InvariantError, ParseError, StructuralError, UndefinedMetricError, \
-    finite_result
+    DomainError, FormatError, InvariantError, ModeError, ParseError, StructuralError, \
+    UndefinedMetricError, finite_result
 from gdbound import mcverify
 from gdbound.bounds import _RANK_DIVISOR, SpectrumProfile
 from gdbound.concentration import TailBoundInput
@@ -836,12 +837,13 @@ def _pair_tensor_batches(sampler, n_trials, stream_offset, reduce):
 
 
 def pair_tensor_simulate(sampler, n_trials, sup_mode=False, stream_offset=0):
-    """Z realizations from the summed pair tensor; the reference for
-    `mcverify._simulate`."""
+    """Z realizations from the summed pair tensor; with sup_mode, each task
+    sum is replaced by |task sum - summands * mean| / amp, amp and mean from
+    `summand_law`.  The reference for `mcverify._simulate`."""
     if sup_mode:
-        law = mcverify._summand_law(sampler)
-        amp = mcverify._sup_amp(law)
-        shift = task_shape(sampler)[2] * law.mean
+        mean, _, lo, hi = summand_law(sampler)
+        amp = max(hi - mean, mean - lo)
+        shift = task_shape(sampler)[2] * mean
 
     def reduce(_, task_sums):
         if sup_mode:
@@ -864,6 +866,25 @@ def pair_tensor_calibrate(sampler, n_cal, stream_offset):
     return s1 / count, s2 / count
 
 
+def summand_law(sampler):
+    """(mean, e2, lo, hi) of one summand: the base's moments and range,
+    centered for a centered iid task, or those of g(u, w) for the pair
+    kernel, written out per structure and kernel; the reference for
+    `mcverify._summand_law`."""
+    if sampler.base == "uniform":
+        mean, e2, lo, hi = 0.5, 1.0 / 3.0, 0.0, 1.0
+    else:
+        p, lo, hi = sampler.base_p, sampler.base_lo, sampler.base_hi
+        mean, e2 = lo + (hi - lo) * p, lo * lo * (1.0 - p) + hi * hi * p
+    var = e2 - mean**2
+    if sampler.structure == "iid_blocks":
+        return (0.0, var, lo - mean, hi - mean) if sampler.centered else (mean, e2, lo, hi)
+    return {"product": (mean**2, e2**2, lo * lo, hi * hi),
+            "centered_product": (0.0, var**2, -(hi - mean) * (mean - lo),
+                                 max((hi - mean) ** 2, (mean - lo) ** 2)),
+            "mean": (mean, (e2 + mean**2) / 2.0, lo, hi)}[sampler.kernel]
+
+
 def task_shape(sampler):
     """(number of cover classes, class size, summands per task): the
     positional task description `mcverify` read before it read covers."""
@@ -877,7 +898,7 @@ def task_shape(sampler):
 def task_shape_bundle(sampler, mean, e2):
     """(v, sigma^2, W, U) bundle from `task_shape`, every class weight
     written in as 1.0; the reference for `mcverify._bundle`."""
-    b = mcverify._summand_law(sampler).hi
+    b = summand_law(sampler)[3]
     n_classes, size, n_summands = task_shape(sampler)
     v_class = (1.0 + b) * (size * mean) + size * e2
     return TailBoundInput(
@@ -889,18 +910,28 @@ def task_shape_bundle(sampler, mean, e2):
     )
 
 
-def task_shape_talagrand_input(sampler, ez_estimate):
-    """Supremum-process bundle from `task_shape`, sigma^2 summed by its own
-    loop over the unit-weight classes; the reference for
-    `mcverify._talagrand_input`."""
-    law = mcverify._summand_law(sampler)
-    f_second = (law.e2 - law.mean**2) / mcverify._sup_amp(law) ** 2
-    n_classes, size, _ = task_shape(sampler)
+def task_shape_sup_class(sampler):
+    """(amp, shift, sigma^2) of the supremum class {+f, -f} from
+    `summand_law` and `task_shape`: amp = max(hi - mean, mean - lo), shift =
+    summands * mean, and sigma^2 summed by its own loop over the unit-weight
+    classes, refused as the library refuses it; the reference for
+    `mcverify._sup_class`."""
+    mean, e2, lo, hi = summand_law(sampler)
+    amp = max(hi - mean, mean - lo)
+    if amp <= 0.0:
+        raise ModeError("degenerate summand: supremum class has no spread")
+    if amp * amp == 0.0:
+        raise ModeError(f"supremum class spread {amp!r} underflows when squared")
+    f_second = (e2 - mean**2) / amp**2
+    if f_second < 0.0:
+        raise ModeError(f"supremum class variance (E[f^2] - E[f]^2) / amp^2 = {f_second!r} "
+                        "is negative: the summand's second moment cancels against its squared "
+                        "mean in float arithmetic")
+    n_classes, size, n_summands = task_shape(sampler)
     sigma_sq = 0.0
     for _ in range(sampler.k_tasks * n_classes):
         sigma_sq += size * f_second
-    return TailBoundInput(b=1.0, EZ=ez_estimate, sigma_sq=sigma_sq,
-                          chi_list=(float(n_classes),) * sampler.k_tasks, blocks=None)
+    return amp, n_summands * mean, sigma_sq
 
 
 def mp_phi(x):

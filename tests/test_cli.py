@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdbound import concentration as conc, graphdep, macroauc, mcverify
+from gdbound import cli, concentration as conc, graphdep, macroauc, mcverify
 from gdbound.bounds import BoundParams
 from gdbound.cli import COMMANDS, main, parse_t
 from gdbound.errors import ConvergenceError, DomainError
@@ -492,6 +492,38 @@ class TestLfrcAndRstarCommands:
         code, out, err = run_cli(args)
         assert code == 2 and out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["rstar", "kernel", "--gram", "MISSING", "--gram", "MISSING", "--chi", "1", "--m", "1"],
+         "--gram, --chi and --m must have one entry per task"),
+        (["rstar", "kernel", "--gram", "MISSING", "--chi", "0", "--m", "1"],
+         "m_k and chi_k must be finite and > 0"),
+        (["rstar", "kernel", "--gram", "MISSING", "--chi", "1", "--m", "1", "--mtilde=-1"],
+         "m_tilde must be >= 0"),
+        # chi / (K m) overflows, so r* is 0 * inf at cut 0 on every spectrum
+        (["rstar", "kernel", "--gram", "MISSING", "--chi", "1e300", "--m", "1e-300"],
+         "rstar_kernel must be finite"),
+        (["rstar", "linear", "--weights", "MISSING", "--tau", "0.7", "--n", "100"],
+         "every tau_k must lie in (0, 0.5]"),
+        (["rstar", "linear", "--weights", "MISSING", "--chi", "1", "--m", "0"],
+         "m_k and chi_k must be finite and > 0"),
+        (["rstar", "linear", "--weights", "MISSING", "--chi", "1", "--m", "1", "--mbar", "0"],
+         "m_bar must be > 0"),
+        (["rstar", "linear", "--weights", "MISSING", "--chi", "1", "--m", "1", "--d-max=-1"],
+         "d_max must be >= 0, got -1"),
+        # m_bar^2 underflows to 0, so r* is 0 / 0 at cut 0 on every spectrum
+        (["rstar", "linear", "--weights", "MISSING", "--chi", "1", "--m", "1", "--mbar", "1e-300"],
+         "rstar_linear must be finite"),
+    ])
+    def test_rstar_refuses_what_its_options_fix_before_reading_a_matrix(
+            self, tmp_path, monkeypatch, args, message):
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "_load_matrix", unread)
+        args = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in args]
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}"), err
 
     def test_rstar_linear_zero_cut_cap_allowed(self, tmp_path):
         # report_bounds caps the cut at 0 when rate < 1 / min(D, K)

@@ -145,6 +145,17 @@ class TestBennettGeneral:
             TailBoundInput(b=0.0, EZ=1.0, sigma_sq=0.0, chi_list=(1.0,),
                            blocks=(((1.0, 5.0),),))
 
+    def test_weights_within_the_tolerance_are_accepted(self):
+        # the weights sum 5e-10 below chi_f, inside the 1e-9 relative
+        # tolerance; U is then below W = chi_f, but each term w max(1, .)
+        # is at least w, so U >= sum w holds exactly and is not refused
+        blocks = (((1.0, 2.0), (0.9999999995, 2.0)),)
+        inp = TailBoundInput(b=1.0, EZ=1.0, sigma_sq=2.0, chi_list=(2.0,), blocks=blocks)
+        assert inp.U == 1.0 + 0.9999999995 < inp.W
+        with pytest.raises(InvariantError, match="task 0: block weights sum to"):
+            TailBoundInput(b=1.0, EZ=1.0, sigma_sq=2.0, chi_list=(2.0,),
+                           blocks=(((1.0, 2.0), (0.99999999, 2.0)),))
+
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["b", "EZ", "sigma_sq", "chi"])

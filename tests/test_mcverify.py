@@ -23,7 +23,7 @@ from gdbound.mcverify import (
     verify_inequality,
 )
 from oracles import one_call_task_sums, pair_tensor_calibrate, pair_tensor_simulate, \
-    task_shape_bundle, task_shape_talagrand_input
+    summand_law, task_shape_bundle, task_shape_sup_class
 
 
 def bipartite(n_pos, n_neg, seed=0, **kw):
@@ -92,7 +92,7 @@ def test_summand_law_table(structure, base, kernel, centered):
     assert (law.mean, law.e2, law.lo, law.hi) == pytest.approx(
         (mean, e2, lo, hi), rel=1e-14, abs=1e-15)
     assert analytic_input(s).b == pytest.approx(hi, rel=1e-14)
-    assert mcverify._sup_amp(law) == pytest.approx(max(hi - mean, mean - lo), rel=1e-14)
+    assert mcverify._sup_class(s)[0] == pytest.approx(max(hi - mean, mean - lo), rel=1e-14)
 
 
 class TestSampleZ:
@@ -206,16 +206,22 @@ class TestCover:
         st.integers(1, 4))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(sampler=SAMPLERS, moments=st.one_of(st.none(), st.tuples(FLOATS, FLOATS)),
-           ez=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 1e-320, 0.5])))
-    def test_bundles_equal_the_task_shape_bundles(self, sampler, moments, ez):
+    @given(sampler=SAMPLERS, moments=st.one_of(st.none(), st.tuples(FLOATS, FLOATS)))
+    def test_bundles_equal_the_task_shape_bundles(self, sampler, moments):
         # analytic moments, or any (mean, e2) a calibration run could give
         law = mcverify._summand_law(sampler)
         mean, e2 = (law.mean, law.e2) if moments is None else moments
         assert self.outcome(mcverify._bundle, sampler, mean, e2) == \
             self.outcome(task_shape_bundle, sampler, mean, e2)
-        assert self.outcome(mcverify._talagrand_input, sampler, ez) == \
-            self.outcome(task_shape_talagrand_input, sampler, ez)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sampler=SAMPLERS)
+    def test_sup_class_equals_the_task_shape_class(self, sampler):
+        # amp, shift and sigma^2 bit for bit, or the same refusal
+        law = mcverify._summand_law(sampler)
+        assert (law.mean, law.e2, law.lo, law.hi) == summand_law(sampler)
+        assert self.outcome(mcverify._sup_class, sampler) == \
+            self.outcome(task_shape_sup_class, sampler)
 
 
 BASES = {
@@ -246,12 +252,13 @@ def test_task_sums_match_pair_tensor_oracle(structure, base, kernel, centered,
 
     if law.hi == law.lo:
         with pytest.raises(ModeError):
-            mcverify._simulate(s, trials, sup_mode=True)
+            mcverify._sup_class(s)
     else:
-        sup = mcverify._simulate(s, trials, sup_mode=True, stream_offset=2)
+        sup_class = mcverify._sup_class(s)
+        sup = mcverify._simulate(s, trials, sup_class, stream_offset=2)
         sup_ref = pair_tensor_simulate(s, trials, sup_mode=True, stream_offset=2)
         np.testing.assert_allclose(sup, sup_ref, rtol=1e-12,
-                                   atol=1e-12 * scale / mcverify._sup_amp(law))
+                                   atol=1e-12 * scale / sup_class[0])
 
     moments = mcverify._calibrate(s, trials, stream_offset=1)
     moments_ref = pair_tensor_calibrate(s, trials, stream_offset=1)
@@ -469,9 +476,10 @@ class TestVerifyInequality:
         n = 10000
         if inequality == "talagrand":
             sampler = bipartite(4, 3, seed=30)
-            z = mcverify._simulate(sampler, n, sup_mode=True)
+            sup_class = mcverify._sup_class(sampler)
+            z = mcverify._simulate(sampler, n, sup_class)
             n_cal, offset = mcverify._calibration_run(n)
-            ez = float(mcverify._simulate(sampler, n_cal, sup_mode=True,
+            ez = float(mcverify._simulate(sampler, n_cal, sup_class,
                                           stream_offset=offset).mean())
         else:
             sampler = iid(10, seed=1)
