@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, InvariantError, check_t, finite_result
 
 _NEG_EIG_TOL = -1e-12
-_EPS = np.finfo(float).eps
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _RANK_DIVISOR = 8  # m // 8 pivots: what a full-rank Gram spends before its eigvalsh
 _ROWS = 64  # Gram rows per block of spectrum_from_gram's checks and residual
 
@@ -218,6 +218,14 @@ class BoundParams:
         return tuple(chi / m for chi, m in zip(self.chi_list, self.m_list))
 
 
+def _sqrt_product(a, b):
+    """sqrt(a b) for a, b >= 0, as sqrt(a) sqrt(b) where a b overflows or
+    falls below the normal range, so that the root keeps its digits; the
+    caller ignores overflow."""
+    ab = np.multiply(a, b)
+    return np.where((ab >= _TINY) & (ab < math.inf), np.sqrt(ab), np.sqrt(a) * np.sqrt(b))
+
+
 @finite_result
 def rstar_kernel(spectra, params: BoundParams):
     """r* upper bound for per-task kernel spectra.
@@ -235,7 +243,7 @@ def rstar_kernel(spectra, params: BoundParams):
         tails = spec.tail_sums()
         d_grid = np.arange(tails.size)
         with np.errstate(over="ignore"):  # an overflowing candidate loses the minimum
-            cand = d_grid * coef + params.m_tilde * np.sqrt(coef * tails)
+            cand = d_grid * coef + params.m_tilde * _sqrt_product(coef, tails)
         d_best = int(np.argmin(cand))
         cuts.append(d_best)
         total += float(cand[d_best])
@@ -264,7 +272,7 @@ def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
     d_grid = np.arange(hi + 1)
     with np.errstate(over="ignore"):  # an overflowing candidate loses the minimum
         head = d_grid[:, None] / params.m_bar**2 * ratios[None, :]
-        tail_term = params.m_tilde * np.sqrt(ratios[None, :] * tails[d_grid][:, None])
+        tail_term = params.m_tilde * _sqrt_product(ratios[None, :], tails[d_grid][:, None])
         cand = (head + tail_term).sum(axis=1)
     d_best = int(np.argmin(cand))
     value = float(cand[d_best])

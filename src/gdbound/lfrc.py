@@ -15,7 +15,7 @@ found by the iteration r <- f(r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -37,11 +37,13 @@ _X_FLOOR, _X_CAP = -700.0, 29 * math.log(4.0)
 @dataclass(frozen=True)
 class LinearClassSpec:
     """Constraint set per task: ||theta_k||_2 <= m_tilde and
-    theta_k' S_k theta_k <= r (empirical second moment, uncentered)."""
+    theta_k' S_k theta_k <= r (empirical second moment, uncentered).  The
+    one check of each S_k, and with r finite its one decomposition `eigen[k]`."""
 
     m_tilde: float
     second_moments: tuple[np.ndarray, ...]
     r: float = math.inf
+    eigen: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.m_tilde) and self.m_tilde > 0):
@@ -56,6 +58,16 @@ class LinearClassSpec:
                 raise DomainError("second-moment matrix has a non-finite entry")
             if not np.allclose(S, S.T, atol=1e-10):
                 raise InvariantError("second-moment matrix not symmetric")
+        object.__setattr__(self, "eigen", tuple(
+            _decompose(S) if math.isfinite(self.r) else None for S in self.second_moments))
+
+
+def _decompose(S):
+    """(lam, Q) of a PSD S = Q diag(lam) Q', lam ascending and clipped at 0."""
+    lam, Q = np.linalg.eigh(S)
+    if lam.size and lam[0] < -1e-8 * max(1.0, abs(lam[-1])):
+        raise InvariantError(f"second-moment matrix has eigenvalue {lam[0]} < 0")
+    return np.clip(lam, 0.0, None), Q
 
 
 def _row_dot(A, B):
@@ -109,12 +121,12 @@ def _multiplier(CT, lam, m_sq, r, q0):
     raise ConvergenceError(f"multiplier search did not converge in {_MAX_STEPS} steps")
 
 
-def _sup_rows(C, S, m_tilde, r):
+def _sup_rows(C, eig, m_tilde, r):
     """max c.theta subject to ||theta|| <= m_tilde and theta' S theta <= r,
-    for every row c of C (n x D) against one S.
+    for every row c of C (n x D) against one S, given as eig = `_decompose(S)`.
 
     Solved on the KKT path theta(a) ~ (I + a S)^{-1} c in the eigenbasis
-    of S, decomposed once.  Each row falls in one case, kept as a mask:
+    of S.  Each row falls in one case, kept as a mask:
     c = 0 gives 0; r = inf, or a ball maximizer m_tilde c/|c| inside the
     ellipsoid (a = 0), gives m_tilde |c|; c in range(S) with the ball slack gives
     the pure-ellipsoid value sqrt(r c'S^+c); otherwise both constraints
@@ -124,14 +136,9 @@ def _sup_rows(C, S, m_tilde, r):
     norm_c = np.sqrt(_row_dot(C, C))
     if not math.isfinite(r):
         return m_tilde * norm_c
+    lam, Q = eig
     out = np.zeros(len(C))
     nonzero = norm_c > 0.0
-    if not nonzero.any():
-        return out
-    lam, Q = np.linalg.eigh(np.asarray(S, dtype=float))
-    if lam[0] < -1e-8 * max(1.0, abs(lam[-1])):
-        raise InvariantError(f"second-moment matrix has eigenvalue {lam[0]} < 0")
-    lam = np.clip(lam, 0.0, None)
     norm_c = norm_c[nonzero]
     CT = (C[nonzero][:, None, :] @ Q)[:, 0, :]
     active = lam > _EIG_CLIP
@@ -167,10 +174,18 @@ def sup_linear(c_list, spec: LinearClassSpec) -> float:
     """
     if len(c_list) != len(spec.second_moments):
         raise StructuralError("one aggregate vector per task is required")
-    return sum(
-        float(_sup_rows(np.asarray(c, dtype=float)[None, :], S, spec.m_tilde, spec.r)[0])
-        for c, S in zip(c_list, spec.second_moments)
-    )
+    C = [np.asarray(c, dtype=float)[None, :] for c in c_list]
+    _check_widths(C, spec)
+    return sum(float(_sup_rows(c, eig, spec.m_tilde, spec.r)[0])
+               for c, eig in zip(C, spec.eigen))
+
+
+def _check_widths(mats, spec):
+    """StructuralError unless each task's rows have its S's order as width."""
+    for k, (A, S) in enumerate(zip(mats, spec.second_moments)):
+        if A.shape[1:] != S.shape[1:]:
+            raise StructuralError(f"task {k}: rows of shape {A.shape[1:]} do not match "
+                                  f"its second-moment matrix of shape {S.shape}")
 
 
 @finite_result
@@ -234,6 +249,7 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
                 f"{X.shape[0]} samples"
             )
         mats.append(X)
+    _check_widths(mats, spec)
     sizes = [X.shape[0] for X in mats]
     width = sum(sizes)
     if width == 0:
@@ -247,10 +263,9 @@ def estimate_lfrc(features_per_task, covers, spec: LinearClassSpec,
         signs, spare = _signs(bitgen, (stop - start) * width, spare)
         # row d holds draw d's signs, task after task, as the per-draw calls drew them
         signs = signs.reshape(stop - start, width)
-        tasks = zip(mats, np.split(signs, np.cumsum(sizes)[:-1], axis=1),
-                    spec.second_moments)
-        for X, zeta, S in tasks:
-            vals[start:stop] += _sup_rows(_aggregates(zeta, X), S, spec.m_tilde, spec.r)
+        tasks = zip(mats, np.split(signs, np.cumsum(sizes)[:-1], axis=1), spec.eigen)
+        for X, zeta, eig in tasks:
+            vals[start:stop] += _sup_rows(_aggregates(zeta, X), eig, spec.m_tilde, spec.r)
     vals /= K
     est = float(vals.mean())
     # The std of vals scaled by 2^-e, e the exponent of max |vals|, scaled

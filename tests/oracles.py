@@ -998,3 +998,28 @@ def mp_bound_prior(mp, tau_list, n_tilde, mu, m_bar, m_tilde, t):
     term2 = (3 * mp.sqrt((mp.log(2) + mp.mpf(t)) / (2 * n))
              * mp.sqrt(mp.fsum(1 / mp.mpf(tau) for tau in tau_list) / K))
     return 2 * (term1 + term2)
+
+
+@_mp_bound
+def mp_rstar_kernel(mp, spectra_values, chi_list, m_list, m_tilde):
+    """sum_k min_d [d c_k + m_tilde sqrt(c_k tail_k(d))], c_k = chi_k / (K m_k),
+    tail_k(d) the sum of task k's spectrum beyond cut d."""
+    K = len(chi_list)
+    total = 0
+    for values, chi, m in zip(spectra_values, chi_list, m_list):
+        c = mp.mpf(chi) / (K * mp.mpf(m))
+        total += min(d * c + mp.mpf(m_tilde) * mp.sqrt(c * mp.fsum(map(mp.mpf, values[d:])))
+                     for d in range(len(values) + 1))
+    return total
+
+
+@_mp_bound
+def mp_rstar_linear(mp, values, chi_list, m_list, m_tilde, m_bar, factor_two, d_max):
+    """factor min_d sum_k [d / m_bar^2 c_k + m_tilde sqrt(c_k tail(d))] over
+    d <= d_max, c_k = chi_k / (K m_k), factor 2 or 1."""
+    K = len(chi_list)
+    ratios = [mp.mpf(chi) / (K * mp.mpf(m)) for chi, m in zip(chi_list, m_list)]
+    best = min(mp.fsum(d / mp.mpf(m_bar) ** 2 * c + mp.mpf(m_tilde)
+                       * mp.sqrt(c * mp.fsum(map(mp.mpf, values[d:]))) for c in ratios)
+               for d in range(min(len(values), d_max) + 1))
+    return 2 * best if factor_two else best

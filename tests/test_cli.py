@@ -465,9 +465,7 @@ class TestLfrcAndRstarCommands:
         ["rstar", "linear", "--chi", "1", "--m", "nan", "--weights", "MATRIX"],
         ["rstar", "linear", "--tau", "0.5", "--n", "100", "--d-max=-1", "--weights", "MATRIX"],
         ["rstar", "kernel", "--chi", "1", "--m", "1e-320", "--gram", "MATRIX"],
-        # chi/m times the spectrum overflows: 0 * inf and inf
-        ["rstar", "kernel", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--gram", "BIG"],
-        ["rstar", "kernel", "--chi", "1e300", "--m", "1e-8", "--gram", "BIG"],
+        # the squared singular values overflow, and m_bar^2 underflows: 0 / 0
         ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--weights", "BIG"],
         ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mbar", "1e-300",
          "--weights", "BIG"],
@@ -492,6 +490,36 @@ class TestLfrcAndRstarCommands:
         code, out, err = run_cli(args)
         assert code == 2 and out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args, want", [
+        # chi/m times the spectrum overflows or underflows, while its root and
+        # the minimum are finite: r* once printed 2e+10 for the first two
+        # and 0 for the fifth, and the last four exited 2 on 0 * inf or inf
+        (["rstar", "kernel", "--gram", "BIG", "--chi", "1", "--m", "1e-10", "--mtilde", "1e-300"],
+         "r_star = 7.4162e-146 cuts = 0"),
+        (["rstar", "linear", "--weights", "WIDE", "--chi", "1", "--m", "1e-10",
+          "--mtilde", "1e-300"], "r_star = 1.04403e-145 cut = 0"),
+        (["rstar", "kernel", "--gram", "SMALL", "--chi", "1", "--m", "1e200", "--mtilde", "1"],
+         "r_star = 7.4162e-201 cuts = 0"),
+        (["rstar", "kernel", "--gram", "BIG", "--chi", "1", "--m", "1e-10", "--mtilde", "0"],
+         "r_star = 0 cuts = 0"),
+        (["rstar", "linear", "--weights", "WIDE", "--chi", "1", "--m", "1e-10", "--mtilde", "0"],
+         "r_star = 0 cut = 0"),
+        (["rstar", "kernel", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--gram", "BIG"],
+         "r_star = 0 cuts = 0"),
+        (["rstar", "kernel", "--chi", "1e300", "--m", "1e-8", "--gram", "BIG"],
+         "r_star = 7.4162e+303 cuts = 0"),
+    ])
+    def test_rstar_root_of_an_overflowing_product(self, tmp_path, args, want):
+        # BIG has spectrum (5e299, 5e298) and SMALL (5e-201, 5e-202): the
+        # minimum is the cut-0 candidate m_tilde sqrt(chi/m tail(0)), as is
+        # WIDE's, sqrt(1e10 (1e300 + 9e298)) 1e-300 = 1.04403e-145
+        files = {"BIG": np.diag([1e300, 1e299]), "SMALL": np.diag([1e-200, 1e-201]),
+                 "WIDE": np.diag([1e150, 3e149])}
+        for name, matrix in files.items():
+            np.savetxt(tmp_path / name, matrix)
+        code, out, err = run_cli([str(tmp_path / a) if a in files else a for a in args])
+        assert (code, out.strip()) == (0, want), err
 
     @pytest.mark.parametrize("args, message", [
         (["rstar", "kernel", "--gram", "MISSING", "--gram", "MISSING", "--chi", "1", "--m", "1"],

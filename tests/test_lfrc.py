@@ -90,6 +90,9 @@ class TestSupLinear:
         assert val == pytest.approx(oracle, rel=1e-8)
 
 
+eig = lfrc._decompose  # the (lam, Q) of S that _sup_rows reads in place of S
+
+
 def scalar_rows(C, S, m_tilde, r):
     return np.array([scalar_sup_one(c, S, m_tilde, r) for c in C])
 
@@ -117,7 +120,7 @@ class TestBatchSolver:
         rng = np.random.default_rng(1)
         S = np.diag([1e-3, 2e-3, 4.0])
         C = rng.normal(size=(40, 3)) * [1.0, 1.0, 1e-3]
-        got = lfrc._sup_rows(C, S, 1.5, 0.5)
+        got = lfrc._sup_rows(C, eig(S), 1.5, 0.5)
         np.testing.assert_allclose(got, 1.5 * np.linalg.norm(C, axis=1), rtol=1e-12)
         # m_tilde |c| is one product on both paths: equal, not just close
         assert np.array_equal(got, scalar_rows(C, S, 1.5, 0.5))
@@ -129,7 +132,7 @@ class TestBatchSolver:
         S = A.T @ A / 5 + 0.1 * np.eye(5)
         C = rng.normal(size=(40, 5))
         r = 1e-4
-        got = lfrc._sup_rows(C, S, 2.0, r)
+        got = lfrc._sup_rows(C, eig(S), 2.0, r)
         closed = np.sqrt(r * np.einsum("ij,ij->i", C, np.linalg.solve(S, C.T).T))
         np.testing.assert_allclose(got, closed, rtol=1e-10)
         np.testing.assert_allclose(got, scalar_rows(C, S, 2.0, r), rtol=1e-12, atol=0)
@@ -143,7 +146,7 @@ class TestBatchSolver:
         r = 0.3
         closed = np.sqrt(r * np.einsum("ij,ij->i", C, (np.linalg.pinv(S) @ C.T).T))
         with np.errstate(over="ignore"):
-            got = lfrc._sup_rows(C, S, 1e300, r)
+            got = lfrc._sup_rows(C, eig(S), 1e300, r)
         np.testing.assert_allclose(got, closed, rtol=1e-9)
 
     def test_both_active(self):
@@ -152,7 +155,7 @@ class TestBatchSolver:
         S = second_moment_matrix(X)
         C = aggregates(rng, X, 60)
         r = 0.5 * np.trace(S) / 12
-        got = lfrc._sup_rows(C, S, 1.0, r)
+        got = lfrc._sup_rows(C, eig(S), 1.0, r)
         # both constraints bind: each row lies strictly below the ball-only
         # value m_tilde |c| and the ellipsoid-only value sqrt(r c'S^+c)
         ellipsoid = np.sqrt(r * np.einsum("ij,ij->i", C, (np.linalg.pinv(S) @ C.T).T))
@@ -166,10 +169,10 @@ class TestBatchSolver:
         C = aggregates(rng, X, 10)
         C[[0, 3, 7]] = 0.0
         for r in (0.05, math.inf):
-            got = lfrc._sup_rows(C, S, 1.3, r)
+            got = lfrc._sup_rows(C, eig(S), 1.3, r)
             assert (got[[0, 3, 7]] == 0.0).all()
             np.testing.assert_allclose(got, scalar_rows(C, S, 1.3, r), rtol=1e-12, atol=0)
-        assert (lfrc._sup_rows(np.zeros((4, 4)), S, 1.3, 0.05) == 0.0).all()
+        assert (lfrc._sup_rows(np.zeros((4, 4)), eig(S), 1.3, 0.05) == 0.0).all()
 
     @pytest.mark.parametrize("radius", [0.002, 0.02, 0.2, 2.0, 20.0])
     def test_rank_deficient_every_regime(self, radius):
@@ -181,7 +184,7 @@ class TestBatchSolver:
         assert np.linalg.matrix_rank(S) < 30
         C = aggregates(rng, X, 80)
         r = radius * np.trace(S) / 30
-        np.testing.assert_allclose(lfrc._sup_rows(C, S, 1.0, r), scalar_rows(C, S, 1.0, r),
+        np.testing.assert_allclose(lfrc._sup_rows(C, eig(S), 1.0, r), scalar_rows(C, S, 1.0, r),
                                    rtol=1e-12, atol=0)
 
     def test_mixed_regimes_in_one_batch(self):
@@ -200,11 +203,11 @@ class TestBatchSolver:
         ])
         for m_tilde in (0.3, 1.0, 7.0):
             for r in (1e-5, 1e-3, 0.05, 0.4):
-                got = lfrc._sup_rows(C, S, m_tilde, r)
+                got = lfrc._sup_rows(C, eig(S), m_tilde, r)
                 want = scalar_rows(C, S, m_tilde, r)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
                 # the same rows one at a time: a row does not see the others
-                single = np.array([lfrc._sup_rows(c[None], S, m_tilde, r)[0] for c in C])
+                single = np.array([lfrc._sup_rows(c[None], eig(S), m_tilde, r)[0] for c in C])
                 assert np.array_equal(got, single)
 
     def test_multiplier_is_the_scalar_brent_root(self):
@@ -260,7 +263,7 @@ class TestBatchSolver:
         signs = np.random.default_rng(7).integers(0, 2, size=(500, 484)) * 2.0 - 1.0
         members = np.array([p * 22 + (p + 11) % 22 for p in range(22)])
         C = signs[:, members] @ X[members] / 484
-        np.testing.assert_allclose(lfrc._sup_rows(C, S, 1.0, r), scalar_rows(C, S, 1.0, r),
+        np.testing.assert_allclose(lfrc._sup_rows(C, eig(S), 1.0, r), scalar_rows(C, S, 1.0, r),
                                    rtol=1e-12, atol=0)
 
     def test_outside_range_of_rank_deficient_S(self):
@@ -269,19 +272,26 @@ class TestBatchSolver:
         S = B @ B.T / 3  # rank 3 in dimension 6
         C = rng.normal(size=(50, 6))
         for r in (1e-3, 0.1, 1.0):
-            np.testing.assert_allclose(lfrc._sup_rows(C, S, 1.2, r),
+            np.testing.assert_allclose(lfrc._sup_rows(C, eig(S), 1.2, r),
                                        scalar_rows(C, S, 1.2, r), rtol=1e-12, atol=0)
 
     def test_non_psd_rejected_like_scalar(self):
         S = np.array([[1.0, 0.0], [0.0, -0.5]])
         C = np.array([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="eigenvalue -0.5 < 0"):
             scalar_sup_one(C[1], S, 1.0, 1.0)
-        with pytest.raises(InvariantError):
-            lfrc._sup_rows(C, S, 1.0, 1.0)
-        # zero aggregates and r = inf never decompose S, in either solver
-        assert (lfrc._sup_rows(C[:1], S, 1.0, 1.0) == 0.0).all()
-        assert lfrc._sup_rows(C, S, 1.0, math.inf)[1] == scalar_sup_one(C[1], S, 1.0, math.inf)
+        # r finite: the spec refuses S when it is built, whatever rows follow,
+        # zero rows among them (the scalar oracle returns 0 for c = 0 unread)
+        with pytest.raises(InvariantError, match="eigenvalue -0.5 < 0"):
+            spec_for([S], r=1.0)
+        with pytest.raises(InvariantError, match="eigenvalue -0.5 < 0"):
+            eig(S)
+        assert scalar_sup_one(C[0], S, 1.0, 1.0) == 0.0
+        # r = inf: the class is the ball, S is never decomposed, in either solver
+        spec = spec_for([S], r=math.inf)
+        assert spec.eigen == (None,)
+        assert lfrc._sup_rows(C, None, 1.0, math.inf)[1] == scalar_sup_one(C[1], S, 1.0, math.inf)
+        assert sup_linear([C[1]], spec) == scalar_sup_one(C[1], S, 1.0, math.inf)
 
     def test_unbracketable_multiplier_raises(self):
         # c almost orthogonal to range(S) and a tiny r: the root lies past
@@ -291,7 +301,7 @@ class TestBatchSolver:
         with pytest.raises(RuntimeError, match="bracket"):
             scalar_sup_one(c, S, 1.0, 1e-40)
         with pytest.raises(ConvergenceError, match="bracket"):
-            lfrc._sup_rows(c[None], S, 1.0, 1e-40)
+            lfrc._sup_rows(c[None], eig(S), 1.0, 1e-40)
 
     def test_sup_linear_is_one_row_case(self):
         rng = np.random.default_rng(7)
@@ -629,7 +639,7 @@ class TestDualitySandwich:
         c = 10.0**c_exp * rng.normal(size=d)
         m_tilde = 10.0**m_exp
         r = 10.0**r_exp * 10.0**s_exp * (max(float(np.trace(B @ B.T)), 1.0) / d)
-        value = lfrc._sup_rows(c[None], S, m_tilde, r)[0]
+        value = lfrc._sup_rows(c[None], eig(S), m_tilde, r)[0]
         lam, Q = np.linalg.eigh(S)
         lam = np.clip(lam, 0.0, None)
         ct = Q.T @ c
@@ -837,6 +847,44 @@ class TestLinearClassSpec:
     def test_non_finite_second_moment(self):
         with pytest.raises(DomainError, match="non-finite"):
             spec_for([np.array([[1.0, np.inf], [np.inf, 1.0]])])
+
+    @pytest.mark.parametrize("r", [0.05, math.inf])
+    def test_one_decomposition_per_task_per_spec(self, monkeypatch, r):
+        # two tasks of 9 and 5 samples, 4 draws per block, 11 draws: three
+        # blocks, then three sup_linear calls; eigh runs once per task when
+        # the spec is built with r finite, and never with r = inf, and the
+        # blocked estimate equals the one-block run bit for bit
+        rng = np.random.default_rng(36)
+        feats = [pair_features(rng, 3, 3, 4), pair_features(rng, 1, 5, 4)]
+        whole = estimate_lfrc(feats, [None] * 2, spec_for(
+            [second_moment_matrix(X) for X in feats], m_tilde=1.1, r=r), n_draws=11, seed=3)
+        calls = []
+
+        def counted(a, *args, **kw):
+            calls.append(a.shape)
+            return eigh(a, *args, **kw)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(lfrc, "_SIGN_BLOCK", 4 * 14)
+        spec = spec_for([second_moment_matrix(X) for X in feats], m_tilde=1.1, r=r)
+        blocked = estimate_lfrc(feats, [None] * 2, spec, n_draws=11, seed=3)
+        for c_list in zip(*(aggregates(rng, X, 3) for X in feats)):
+            sup_linear(list(c_list), spec)
+        assert calls == ([(4, 4)] * 2 if math.isfinite(r) else [])
+        assert blocked == whole
+
+    def test_width_must_match_the_second_moment(self, monkeypatch):
+        # S comes from X in every CLI command, so only a library caller can
+        # pair a task's rows with an S of another order; both entry points
+        # refuse it, naming the task, before any sign is drawn
+        monkeypatch.setattr(lfrc, "_signs", None)
+        X = np.ones((10, 3))
+        spec = spec_for([np.eye(3), np.eye(4)], r=0.1)
+        with pytest.raises(StructuralError, match=r"task 1: rows of shape \(3,\)"):
+            estimate_lfrc([X, X], [None] * 2, spec, n_draws=5, seed=0)
+        with pytest.raises(StructuralError, match=r"task 1: rows of shape \(3,\)"):
+            sup_linear([np.ones(3), np.ones(3)], spec)
 
 
 def test_import_does_not_load_scipy_optimize():
