@@ -226,6 +226,19 @@ def _sqrt_product(a, b):
     return np.where((ab >= _TINY) & (ab < math.inf), np.sqrt(ab), np.sqrt(a) * np.sqrt(b))
 
 
+def _over_square(d, c, m_bar):
+    """d / m_bar^2 c for d, c >= 0, with the binary exponents of m_bar and c
+    split off first where m_bar^2 or the result leaves the normal range, so
+    that the quotient keeps its digits; the caller ignores overflow."""
+    mant, e = math.frexp(m_bar)
+    c_mant, c_exp = np.frexp(c)
+    split = np.ldexp(d / (mant * mant) * c_mant, c_exp - 2 * e)
+    if abs(e) > 500:  # m_bar^2 is not a normal float
+        return split
+    plain = d / m_bar**2 * c
+    return np.where((plain >= _TINY) & (plain < math.inf), plain, split)
+
+
 @finite_result
 def rstar_kernel(spectra, params: BoundParams):
     """r* upper bound for per-task kernel spectra.
@@ -271,7 +284,7 @@ def rstar_linear(spectrum, params: BoundParams, experiment_mode: bool = False,
     ratios = np.array(params.chi_over_m) / params.K
     d_grid = np.arange(hi + 1)
     with np.errstate(over="ignore"):  # an overflowing candidate loses the minimum
-        head = d_grid[:, None] / params.m_bar**2 * ratios[None, :]
+        head = _over_square(d_grid[:, None], ratios[None, :], params.m_bar)
         tail_term = params.m_tilde * _sqrt_product(ratios[None, :], tails[d_grid][:, None])
         cand = (head + tail_term).sum(axis=1)
     d_best = int(np.argmin(cand))

@@ -100,6 +100,20 @@ def _radius(text):
         raise ConfigError(f"expected float, inf or none, got {text!r}") from None
 
 
+def _int_from(low):
+    """Converter to an integer >= low: `lfrc estimate` refuses its draws
+    and seed with its options, before it decomposes a second moment."""
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"expected int, got {text!r}") from None
+        if value < low:
+            raise ConfigError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return convert
+
+
 def _paths(value):
     """Repeatable path options arrive as lists from flags and as
     comma-separated text from config files."""
@@ -539,8 +553,8 @@ COMMANDS = [
         _opt("--features", _paths, help="matrix file, one per task (repeatable)"),
         MTILDE,
         _opt("--r", _radius, "inf", help="localization radius; inf or none: unlocalized"),
-        _opt("--draws", int, "200"),
-        _opt("--seed", int, "0"))),
+        _opt("--draws", _int_from(1), "200"),
+        _opt("--seed", _int_from(0), "0"))),
     (("lfrc", "fixed-point"), "fixed point r* of the sub-root function a*sqrt(r)+b",
      cmd_lfrc_fixed_point, (
         _opt("--a", float), _opt("--b", float, "0"),

@@ -64,7 +64,7 @@ class LinearClassSpec:
 
 def _decompose(S):
     """(lam, Q) of a PSD S = Q diag(lam) Q', lam ascending and clipped at 0."""
-    lam, Q = np.linalg.eigh(S)
+    lam, Q = np.linalg.eigh(np.asarray(S, dtype=float))
     if lam.size and lam[0] < -1e-8 * max(1.0, abs(lam[-1])):
         raise InvariantError(f"second-moment matrix has eigenvalue {lam[0]} < 0")
     return np.clip(lam, 0.0, None), Q

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gdbound import bounds
 from gdbound.bounds import (
@@ -515,9 +515,9 @@ class TestExcessBoundGeneral:
         ("rstar_kernel", lambda: rstar_kernel(  # chi / m overflows: 0 * inf at d = 0
             [SpectrumProfile(values=np.array([1.0]))],
             BoundParams(K=1, m_list=(1e-10,), chi_list=(1e300,)))),
-        ("rstar_linear", lambda: rstar_linear(  # m_bar^2 overflows
-            SpectrumProfile(values=np.array([1.0])),
-            BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,), m_bar=1e300))),
+        ("rstar_linear", lambda: rstar_linear(  # both candidates overflow
+            SpectrumProfile(values=np.array([1e300])),
+            BoundParams(K=1, m_list=(1.0,), chi_list=(1e300,), m_tilde=1e10, m_bar=1e-10))),
         ("excess_bound_general", lambda: excess_bound_general(
             1e308, BoundParams(K=1, m_list=(10.0,), chi_list=(1.0,), B=1e-10))),
         ("bound_ours_macroauc", lambda: bound_ours_macroauc(
@@ -709,18 +709,20 @@ class TestRstarOracles:
     @given(values=SPECTRA, coefs=st.lists(SPREAD, min_size=1, max_size=3),
            m_tilde=SPREAD_OR_ZERO, m_bar=SPREAD, factor_two=st.booleans(),
            d_max=st.integers(0, 6))
+    # m_bar^2 is subnormal, so d / m_bar^2 overflows at d >= 1 while the
+    # head term of cut 2, 2e10, is the minimum
+    @example(values=[1.0, 0.25], coefs=[1e-300], m_tilde=1e300, m_bar=1e-155,
+             factor_two=False, d_max=6)
+    # m_bar^2 overflows and underflows
+    @example(values=[1e300, 1e-300], coefs=[1e300], m_tilde=1.0, m_bar=1e200,
+             factor_two=False, d_max=6)
+    @example(values=[1.0, 0.25], coefs=[1e-300], m_tilde=1e300, m_bar=1e-300,
+             factor_two=True, d_max=6)
     def test_linear(self, values, coefs, m_tilde, m_bar, factor_two, d_max):
         K = len(coefs)
         chi, m = tuple(coefs), (1.0 / K,) * K
         params = BoundParams(K=K, m_list=m, chi_list=chi, m_tilde=m_tilde, m_bar=m_bar)
-        exact = mp_rstar_linear(values, chi, m, m_tilde, m_bar, factor_two, d_max)
-        with np.errstate(over="ignore"):
-            if not 0.0 < np.float64(m_bar) ** 2 < math.inf:
-                # a known defect, kept visible: where m_bar^2 overflows (an
-                # OverflowError) or underflows to 0 (0 / 0 at cut 0), the
-                # run is refused even where r* is finite
-                exact = math.inf
         assert_exact_to_rounding(
             "rstar_linear", lambda: rstar_linear(SpectrumProfile(np.array(values)), params,
                                                  experiment_mode=factor_two, d_max=d_max),
-            exact)
+            mp_rstar_linear(values, chi, m, m_tilde, m_bar, factor_two, d_max))

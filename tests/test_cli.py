@@ -465,13 +465,12 @@ class TestLfrcAndRstarCommands:
         ["rstar", "linear", "--chi", "1", "--m", "nan", "--weights", "MATRIX"],
         ["rstar", "linear", "--tau", "0.5", "--n", "100", "--d-max=-1", "--weights", "MATRIX"],
         ["rstar", "kernel", "--chi", "1", "--m", "1e-320", "--gram", "MATRIX"],
-        # the squared singular values overflow, and m_bar^2 underflows: 0 / 0
+        # the squared singular values overflow
         ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mtilde", "0", "--weights", "BIG"],
         ["rstar", "linear", "--chi", "1", "--m", "1e-300", "--mbar", "1e-300",
          "--weights", "BIG"],
-        # n_tilde^2 and m_bar^2 overflow
+        # n_tilde^2 overflows
         ["rstar", "linear", "--tau", "0.5", "--n", "1e300", "--weights", "MATRIX"],
-        ["rstar", "linear", "--chi", "1", "--m", "10", "--mbar", "1e300", "--weights", "MATRIX"],
         ["bound", "ours-macroauc", "--rstar", "0.01", "--K", "1", "--tau", "0.3", "--n", "1e300",
          "--t", "1"],
         # a relative tolerance of 1 or more would stop the iteration at its start
@@ -494,7 +493,7 @@ class TestLfrcAndRstarCommands:
     @pytest.mark.parametrize("args, want", [
         # chi/m times the spectrum overflows or underflows, while its root and
         # the minimum are finite: r* once printed 2e+10 for the first two
-        # and 0 for the fifth, and the last four exited 2 on 0 * inf or inf
+        # and 0 for the third, and the last four exited 2 on 0 * inf or inf
         (["rstar", "kernel", "--gram", "BIG", "--chi", "1", "--m", "1e-10", "--mtilde", "1e-300"],
          "r_star = 7.4162e-146 cuts = 0"),
         (["rstar", "linear", "--weights", "WIDE", "--chi", "1", "--m", "1e-10",
@@ -521,6 +520,24 @@ class TestLfrcAndRstarCommands:
         code, out, err = run_cli([str(tmp_path / a) if a in files else a for a in args])
         assert (code, out.strip()) == (0, want), err
 
+    @pytest.mark.parametrize("args, want", [
+        # m_bar^2 overflows: the last cut's head d c / m_bar^2 underflows to 0
+        (["--chi", "1", "--m", "10", "--mbar", "1e300"], "r_star = 0 cut = 2"),
+        # m_bar^2 underflows to 0: every head past cut 0 overflows
+        (["--chi", "1", "--m", "10", "--mbar", "1e-300"], "r_star = 0.353553 cut = 0"),
+        # m_bar^2 is subnormal, so d / m_bar^2 overflows while the head of
+        # cut 2, 2 1e-300 / 1e-310, is the minimum
+        (["--chi", "1e-300", "--m", "1", "--mtilde", "1e300", "--mbar", "1e-155"],
+         "r_star = 2e+10 cut = 2"),
+    ])
+    def test_rstar_linear_head_where_m_bar_squared_leaves_the_range(self, tmp_path, args, want):
+        # r* once exited 2 for the first two (an OverflowError, and 0 / 0 at
+        # cut 0) and printed 1.11803e+150 at cut 0 for the third
+        weights = tmp_path / "w.txt"
+        np.savetxt(weights, np.diag([1.0, 0.5]))
+        code, out, err = run_cli(["rstar", "linear", "--weights", str(weights), *args])
+        assert (code, out.strip()) == (0, want), err
+
     @pytest.mark.parametrize("args, message", [
         (["rstar", "kernel", "--gram", "MISSING", "--gram", "MISSING", "--chi", "1", "--m", "1"],
          "--gram, --chi and --m must have one entry per task"),
@@ -539,9 +556,6 @@ class TestLfrcAndRstarCommands:
          "m_bar must be > 0"),
         (["rstar", "linear", "--weights", "MISSING", "--chi", "1", "--m", "1", "--d-max=-1"],
          "d_max must be >= 0, got -1"),
-        # m_bar^2 underflows to 0, so r* is 0 / 0 at cut 0 on every spectrum
-        (["rstar", "linear", "--weights", "MISSING", "--chi", "1", "--m", "1", "--mbar", "1e-300"],
-         "rstar_linear must be finite"),
     ])
     def test_rstar_refuses_what_its_options_fix_before_reading_a_matrix(
             self, tmp_path, monkeypatch, args, message):

@@ -874,6 +874,13 @@ class TestLinearClassSpec:
         assert calls == ([(4, 4)] * 2 if math.isfinite(r) else [])
         assert blocked == whole
 
+    def test_decomposition_is_float64(self):
+        # a float32 S is decomposed in float64, as every supremum reads it
+        S = np.diag([2.0, 1.0, 0.5]).astype(np.float32)
+        lam, Q = LinearClassSpec(m_tilde=1.0, second_moments=(S,), r=0.1).eigen[0]
+        assert lam.dtype == Q.dtype == np.float64
+        assert lam.tolist() == [0.5, 1.0, 2.0]
+
     def test_width_must_match_the_second_moment(self, monkeypatch):
         # S comes from X in every CLI command, so only a library caller can
         # pair a task's rows with an S of another order; both entry points

@@ -130,12 +130,12 @@ def test_rstar_linear_fails_cleanly(matrix_dir, config_path, name, options, unde
                  config_path, underscores)
 
 
-# Each command's costly stage, and the options of its row of COMMANDS drawn
+# Each command's costly stages, and the options of its row of COMMANDS drawn
 # as above, with matrix files by name; "missing" names no file, whose read
 # exits 3.
-COSTLY_STAGES = {("lfrc", "estimate"): (lfrc, "_sup_rows"),
-                 ("rstar", "kernel"): (cli, "_load_matrix"),
-                 ("rstar", "linear"): (cli, "_load_matrix")}
+COSTLY_STAGES = {("lfrc", "estimate"): ((lfrc, "_decompose"), (lfrc, "_sup_rows")),
+                 ("rstar", "kernel"): ((cli, "_load_matrix"),),
+                 ("rstar", "linear"): ((cli, "_load_matrix"),)}
 with_missing = st.one_of(st.sampled_from(NAMES), st.just("missing"))
 RUNS = {
     ("lfrc", "estimate"): st.tuples(st.lists(with_missing, min_size=1, max_size=3),
@@ -176,8 +176,9 @@ def test_runs_draw_every_option_of_their_rows():
 @given(command=st.sampled_from(sorted(RUNS)), data=st.data())
 def test_refuses_before_the_costly_stage(matrix_dir, command, data):
     """An `lfrc estimate` or `rstar` run that exits 2 has not reached its
-    costly stage (`lfrc._sup_rows`, or `cli._load_matrix` for `rstar`),
-    apart from refusals that read what that stage returns:
+    costly stages (`lfrc._decompose` and `lfrc._sup_rows`, or
+    `cli._load_matrix` for `rstar`), apart from refusals that read what
+    those stages return:
       - a Gram that is not square, symmetric or PSD, and a spectrum or r*
         that is not finite (`rstar`);
       - an estimate that is not finite, or a multiplier search that fails
@@ -186,15 +187,17 @@ def test_refuses_before_the_costly_stage(matrix_dir, command, data):
     options = {flag: matrix_files(value, matrix_dir)
                if flag in ("--features", "--gram", "--weights") else value
                for flag, value in data.draw(RUNS[command]).items()}
-    module, name = COSTLY_STAGES[command]
-    calls, stage = [], getattr(module, name)
+    calls = []
 
-    def recorded(*args, **kwargs):
-        calls.append(name)
-        return stage(*args, **kwargs)
+    def recorded(name, stage):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return stage(*args, **kwargs)
+        return call
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, name, recorded)
+        for module, name in COSTLY_STAGES[command]:
+            patch.setattr(module, name, recorded(name, getattr(module, name)))
         code, _, err = run([*command, *flags(options)])
     if code == 2 and calls:
         assert any(refusal in err for refusal in READ_REFUSALS[command]), (options, err)
